@@ -3,30 +3,23 @@
 
 let quick = ref false
 
-(* --engine interp|compiled: execution engine for every run the harness
-   performs. Results are engine-independent (the engines CI stage proves
-   it), so this only moves wall-clock time — compiled makes full-size
-   sweeps practical. *)
-let engine = ref Engine.Interp
+(* The shared run flags every run the harness performs uses:
+   - [engine] (--engine): results are engine-independent (the engines CI
+     stage proves it), so this only moves wall-clock time — compiled
+     makes full-size sweeps practical;
+   - [fabric] (--faults/--fault-seed/--replicas/--ack): fault injection
+     and the replicated tier for every far-memory run. Each run builds a
+     fresh injector, so the fault schedule and the metrics are identical
+     across runs for a fixed seed; the defaults keep the single-server
+     code path bit for bit. *)
+type setup = { engine : Engine.t; fabric : Run_spec.fabric }
+
+let setup = ref { engine = Engine.Interp; fabric = Run_spec.default_fabric }
+let active_faults () = Run_spec.injector !setup.fabric
 
 (* Scale factor applied to workload sizes: full size by default, quartered
    with --quick. *)
 let scaled n = if !quick then max 1 (n / 4) else n
-
-(* --faults SPEC / --fault-seed N: fabric fault injection applied to every
-   far-memory run the harness performs. Each run builds a fresh injector
-   from (config, seed) so the fault schedule is identical across runs and
-   across repeated invocations — byte-identical metrics for a fixed
-   seed. *)
-let fault_cfg = ref Faults.off
-let fault_seed = ref 1
-let active_faults () = Faults.create ~seed:!fault_seed !fault_cfg
-
-(* --replicas N / --ack K: size of the replicated remote tier for every
-   far-memory run. The defaults (1/1) with no crash/corrupt faults keep
-   the single-server code path bit for bit. *)
-let replicas = ref 1
-let ack = ref 1
 
 let pct_sweep = [ 10; 20; 30; 40; 50; 60; 75; 90; 100 ]
 let short_sweep = [ 10; 25; 50; 75; 100 ]
@@ -45,6 +38,16 @@ let speedup base x = float_of_int base /. float_of_int x
 let print_expectation ~paper ~ours =
   Printf.printf "paper: %s\nours:  %s\n\n" paper ours
 
+(* The default TrackFM options on the harness's fabric. *)
+let tfm_opts ~budget =
+  let f = !setup.fabric in
+  {
+    (Driver.tfm_defaults ~local_budget:budget) with
+    Driver.faults = Run_spec.injector f;
+    replicas = f.replicas;
+    ack = f.ack;
+  }
+
 (* Run a workload under TrackFM with given options; returns outcome. *)
 let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
     ?(use_state_table = true) ?(profile_gate = true) ?(elide = true)
@@ -55,8 +58,8 @@ let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
   in
   let opts =
     {
+      (tfm_opts ~budget) with
       Driver.object_size;
-      local_budget = budget;
       chunk_mode;
       prefetch;
       use_state_table;
@@ -65,47 +68,38 @@ let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
       use_summaries = summaries;
       use_shapes = shapes;
       route;
-      route_hotspots = [];
       size_classes;
       faults;
-      replicas = !replicas;
-      ack = !ack;
     }
   in
-  fst (Driver.run_trackfm ~engine:!engine ?blobs build opts)
+  fst (Driver.run_trackfm ~engine:!setup.engine ?blobs build opts)
 
 let tfm_with_report ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated)
     ?(profile_gate = true) ?(elide = true) ?(summaries = true)
     ?(shapes = true) ?(route = `Off) ~budget build =
   let opts =
     {
+      (tfm_opts ~budget) with
       Driver.object_size;
-      local_budget = budget;
       chunk_mode;
-      prefetch = true;
-      use_state_table = true;
       profile_gate;
       elide_guards = elide;
       use_summaries = summaries;
       use_shapes = shapes;
       route;
-      route_hotspots = [];
-      size_classes = [];
-      faults = active_faults ();
-      replicas = !replicas;
-      ack = !ack;
     }
   in
-  Driver.run_trackfm ~engine:!engine ?blobs build opts
+  Driver.run_trackfm ~engine:!setup.engine ?blobs build opts
 
 let fastswap ?blobs ?faults ~budget build =
   let faults =
     match faults with Some f -> f | None -> active_faults ()
   in
-  Driver.run_fastswap ~engine:!engine ?blobs ~faults ~replicas:!replicas
-    ~ack:!ack ~local_budget:budget build
+  let { Run_spec.replicas; ack; _ } = !setup.fabric in
+  Driver.run_fastswap ~engine:!setup.engine ?blobs ~faults ~replicas ~ack
+    ~local_budget:budget build
 
-let local ?blobs build = Driver.run_local ~engine:!engine ?blobs build
+let local ?blobs build = Driver.run_local ~engine:!setup.engine ?blobs build
 
 let gb bytes = float_of_int bytes /. 1e9
 let mops ops cycles = float_of_int ops /. (cycles_to_seconds cycles *. 1e6)
@@ -173,35 +167,20 @@ let span_sink ~op_classes =
 (* TrackFM / Fastswap runs with the causal span tracker on; the returned
    sink carries the per-class attribution for reporting/export. *)
 let tfm_spans ?blobs ?(object_size = 4096) ~op_classes ~budget build =
-  let opts =
-    {
-      Driver.object_size;
-      local_budget = budget;
-      chunk_mode = `Gated;
-      prefetch = true;
-      use_state_table = true;
-      profile_gate = true;
-      elide_guards = true;
-      use_summaries = true;
-      use_shapes = true;
-      route = `Off;
-      route_hotspots = [];
-      size_classes = [];
-      faults = active_faults ();
-      replicas = !replicas;
-      ack = !ack;
-    }
-  in
+  let opts = { (tfm_opts ~budget) with Driver.object_size } in
   let sink, telemetry = span_sink ~op_classes in
-  let o, _ = Driver.run_trackfm ~engine:!engine ?blobs ~telemetry build opts in
+  let o, _ =
+    Driver.run_trackfm ~engine:!setup.engine ?blobs ~telemetry build opts
+  in
   Telemetry.Sink.final_sample !sink;
   (o, !sink)
 
 let fastswap_spans ?blobs ~op_classes ~budget build =
   let sink, telemetry = span_sink ~op_classes in
+  let { Run_spec.replicas; ack; _ } = !setup.fabric in
   let o =
-    Driver.run_fastswap ~engine:!engine ?blobs ~faults:(active_faults ())
-      ~replicas:!replicas ~ack:!ack ~telemetry ~local_budget:budget build
+    Driver.run_fastswap ~engine:!setup.engine ?blobs ~faults:(active_faults ())
+      ~replicas ~ack ~telemetry ~local_budget:budget build
   in
   Telemetry.Sink.final_sample !sink;
   (o, !sink)

@@ -104,8 +104,8 @@ let attribution () =
             [
               ("workload", String wname);
               ("system", String sysname);
-              ("faults", String (Faults.to_string !fault_cfg));
-              ("fault_seed", Int !fault_seed);
+              ("faults", String (Faults.to_string !setup.fabric.faults));
+              ("fault_seed", Int !setup.fabric.fault_seed);
             ]
           in
           write_attribution ~experiment:"attribution"

@@ -23,7 +23,7 @@ let crash_cfg () =
   | Error e -> failwith ("exp_durability: " ^ e)
 
 let run_one ~system ~build ~blobs ~budget ~replicas ~ack =
-  let faults = Faults.create ~seed:!fault_seed (crash_cfg ()) in
+  let faults = Faults.create ~seed:!setup.fabric.fault_seed (crash_cfg ()) in
   match system with
   | `Trackfm ->
       let opts =
@@ -70,7 +70,7 @@ let durability () =
             (Printf.sprintf
                "%s at 25%% local memory under %s (seed %d)" name
                (Faults.to_string (crash_cfg ()))
-               !fault_seed)
+               !setup.fabric.fault_seed)
           ~columns:
             [
               "system"; "replicas"; "ack"; "checksum"; "lost"; "failovers";

@@ -22,7 +22,7 @@ let cfg_of name =
    cycles, so "none" is 1.00 by construction and lower is worse. *)
 let goodput_rows ~build ~blobs ~budget ~expected =
   let run_sys system cfg =
-    let faults = Faults.create ~seed:!fault_seed cfg in
+    let faults = Faults.create ~seed:!setup.fabric.fault_seed cfg in
     let o =
       match system with
       | `Trackfm -> tfm ?blobs ~faults ~budget build
@@ -77,7 +77,7 @@ let faults_goodput () =
           ~title:
             (Printf.sprintf
                "%s at 25%% local memory: goodput vs fault-free (seed %d)" name
-               !fault_seed)
+               !setup.fabric.fault_seed)
           ~columns:
             [
               "faults"; "TrackFM goodput"; "tfm retries"; "Fastswap goodput";

@@ -50,7 +50,7 @@ let run_one ?(budget = 1 lsl 15) ?(keys = 65_536) ?(skew = 0.99) backend
           (Serving.default_tenants ~n:2 ~keys ~budget);
       controls;
       faults;
-      fault_seed = !fault_seed;
+      fault_seed = !setup.fabric.fault_seed;
     }
 
 let preset name =
@@ -71,7 +71,7 @@ let serving_slo () =
                "%s: SLO vs offered load, faults medium (deadline %s, seed %d)"
                (Serving.backend_name backend)
                (Tfm_util.Units.cycles_to_string deadline)
-               !fault_seed)
+               !setup.fabric.fault_seed)
           ~columns:
             [
               "offered/Mcyc"; "off goodput"; "off p99"; "on goodput";
@@ -164,7 +164,7 @@ let serving_slo () =
         (Printf.sprintf
            "crash windows at %.0f req/Mcyc: medium faults + \
             crash 16M:3M + outage 12M:4M (seed %d)"
-           crash_rate !fault_seed)
+           crash_rate !setup.fabric.fault_seed)
       ~columns:
         [
           "backend"; "ctl"; "goodput"; "p99"; "refused"; "degraded";

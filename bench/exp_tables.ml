@@ -290,6 +290,14 @@ let hw_kona () =
       locality_guard = 40;
     }
   in
+  let kona_opts ~budget =
+    {
+      (tfm_opts ~budget) with
+      Driver.object_size = 64;
+      chunk_mode = `Off;
+      profile_gate = false;
+    }
+  in
   let t =
     Tfm_util.Table.create
       ~title:
@@ -310,26 +318,9 @@ let hw_kona () =
             (tfm ~blobs ~object_size:64 ~budget build).Driver.cycles
           in
           let hw =
-            let opts =
-              {
-                Driver.object_size = 64;
-                local_budget = budget;
-                chunk_mode = `Off;
-                prefetch = true;
-                use_state_table = true;
-                profile_gate = false;
-                elide_guards = true;
-                use_summaries = true;
-                use_shapes = true;
-                route = `Off;
-                route_hotspots = [];
-                size_classes = [];
-                faults = active_faults ();
-                replicas = !replicas;
-                ack = !ack;
-              }
-            in
-            (fst (Driver.run_trackfm ~cost:kona_cost ~blobs build opts))
+            (fst
+               (Driver.run_trackfm ~cost:kona_cost ~blobs build
+                  (kona_opts ~budget)))
               .Driver.cycles
           in
           (tf, hw)) );
@@ -342,26 +333,8 @@ let hw_kona () =
           let budget = budget_of ws 25 in
           let tf = (tfm ~budget build).Driver.cycles in
           let hw =
-            let opts =
-              {
-                Driver.object_size = 64;
-                local_budget = budget;
-                chunk_mode = `Off;
-                prefetch = true;
-                use_state_table = true;
-                profile_gate = false;
-                elide_guards = true;
-                use_summaries = true;
-                use_shapes = true;
-                route = `Off;
-                route_hotspots = [];
-                size_classes = [];
-                faults = active_faults ();
-                replicas = !replicas;
-                ack = !ack;
-              }
-            in
-            (fst (Driver.run_trackfm ~cost:kona_cost build opts)).Driver.cycles
+            (fst (Driver.run_trackfm ~cost:kona_cost build (kona_opts ~budget)))
+              .Driver.cycles
           in
           (tf, hw)) );
     ]

@@ -57,120 +57,14 @@ let experiments =
       Exp_shape.shape_routing);
   ]
 
-let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let quick = List.mem "--quick" args in
-  let bechamel = List.mem "--bechamel" args in
-  (* --metrics-dir DIR: also write each experiment's tables as JSON. *)
-  let rec extract_metrics_dir = function
-    | "--metrics-dir" :: dir :: rest ->
-        let rest, found = extract_metrics_dir rest in
-        (rest, Some dir :: found)
-    | a :: rest ->
-        let rest, found = extract_metrics_dir rest in
-        (a :: rest, found)
-    | [] -> ([], [])
-  in
-  (* --faults SPEC / --fault-seed N: fault injection for every far-memory
-     run (see Faults.parse for the SPEC grammar). *)
-  let rec extract_opt name = function
-    | flag :: v :: rest when flag = name ->
-        let rest, found = extract_opt name rest in
-        (rest, Some v :: found)
-    | a :: rest ->
-        let rest, found = extract_opt name rest in
-        (a :: rest, found)
-    | [] -> ([], [])
-  in
-  let args, fault_specs = extract_opt "--faults" args in
-  (match List.filter_map Fun.id fault_specs with
-  | spec :: _ -> (
-      match Faults.parse spec with
-      | Ok cfg -> Bench_common.fault_cfg := cfg
-      | Error e ->
-          Printf.eprintf "bad --faults spec: %s\n" e;
-          exit 1)
-  | [] -> ());
-  let args, fault_seeds = extract_opt "--fault-seed" args in
-  (match List.filter_map Fun.id fault_seeds with
-  | s :: _ -> (
-      match int_of_string_opt s with
-      | Some n -> Bench_common.fault_seed := n
-      | None ->
-          Printf.eprintf "bad --fault-seed %s (integer expected)\n" s;
-          exit 1)
-  | [] -> ());
-  (* --replicas N / --ack K: replicated remote tier for every far-memory
-     run (1/1 = the single-server model, bit for bit). *)
-  let int_opt name cell args =
-    let args, vals = extract_opt name args in
-    (match List.filter_map Fun.id vals with
-    | s :: _ -> (
-        match int_of_string_opt s with
-        | Some n when n >= 1 -> cell := n
-        | _ ->
-            Printf.eprintf "bad %s %s (positive integer expected)\n" name s;
-            exit 1)
-    | [] -> ());
-    args
-  in
-  let args = int_opt "--replicas" Bench_common.replicas args in
-  let args = int_opt "--ack" Bench_common.ack args in
-  (* --engine interp|compiled: execution engine for every run. *)
-  let args, engines = extract_opt "--engine" args in
-  (match List.filter_map Fun.id engines with
-  | name :: _ -> (
-      match Tfm_interp.Engine.of_string name with
-      | Some e -> Bench_common.engine := e
-      | None ->
-          Printf.eprintf "unknown engine %s (interp|compiled)\n" name;
-          exit 1)
-  | [] -> ());
-  if !Bench_common.ack > !Bench_common.replicas then begin
-    Printf.eprintf "--ack %d exceeds --replicas %d\n" !Bench_common.ack
-      !Bench_common.replicas;
-    exit 1
-  end;
-  let rec mkdir_p d =
-    if not (Sys.file_exists d) then begin
-      mkdir_p (Filename.dirname d);
-      Sys.mkdir d 0o755
-    end
-  in
-  let args, dirs = extract_metrics_dir args in
-  (match List.filter_map Fun.id dirs with
-  | dir :: _ ->
-      mkdir_p dir;
-      Bench_common.metrics_dir := Some dir
-  | [] -> ());
-  (* --attribution-dir DIR: span-traced experiments also write their
-     per-run attribution JSON there. *)
-  let args, attr_dirs = extract_opt "--attribution-dir" args in
-  (match List.filter_map Fun.id attr_dirs with
-  | dir :: _ ->
-      mkdir_p dir;
-      Bench_common.attribution_dir := Some dir
-  | [] -> ());
-  let named =
-    List.filter (fun a -> a <> "--quick" && a <> "--bechamel") args
-  in
-  Bench_common.quick := quick;
-  let selected =
-    if named = [] then experiments
-    else
-      List.filter_map
-        (fun name ->
-          match List.find_opt (fun (n, _, _) -> n = name) experiments with
-          | Some e -> Some e
-          | None ->
-              Printf.eprintf "unknown experiment %s (available: %s)\n" name
-                (String.concat ", " (List.map (fun (n, _, _) -> n) experiments));
-              exit 1)
-        named
-  in
+open Cmdliner
+open Cmdliner.Term.Syntax
+
+let run_experiments selected ~bechamel =
+  let selected = if selected = [] then experiments else selected in
   Printf.printf
     "TrackFM reproduction benchmark harness%s — %d experiment(s)\n\n"
-    (if quick then " (quick mode)" else "")
+    (if !Bench_common.quick then " (quick mode)" else "")
     (List.length selected);
   List.iter
     (fun (name, title, f) ->
@@ -182,3 +76,59 @@ let () =
       Printf.printf "[%s done in %.1fs]\n\n%!" name elapsed)
     selected;
   if bechamel then Bech.run ()
+
+let rec mkdir_p d =
+  if not (Sys.file_exists d) then begin
+    mkdir_p (Filename.dirname d);
+    Sys.mkdir d 0o755
+  end
+
+let dir_arg name ~doc =
+  Arg.(value & opt (some string) None & info [ name ] ~docv:"DIR" ~doc)
+
+let term =
+  let+ selected =
+    Arg.(
+      value
+      & pos_all
+          (enum (List.map (fun ((n, _, _) as e) -> (n, e)) experiments))
+          []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:"Experiments to run, in order (default: all).")
+  and+ quick =
+    Arg.(
+      value & flag
+      & info [ "quick" ] ~doc:"Quarter the workload sizes for a fast pass.")
+  and+ bechamel =
+    Arg.(
+      value & flag
+      & info [ "bechamel" ]
+          ~doc:"Also run the Bechamel microbenchmarks of the primitives.")
+  and+ metrics_dir =
+    dir_arg "metrics-dir"
+      ~doc:"Also write each experiment's tables as JSON to $(docv)."
+  and+ attribution_dir =
+    dir_arg "attribution-dir"
+      ~doc:
+        "Span-traced experiments also write their per-run attribution JSON \
+         to $(docv)."
+  and+ engine = Run_spec.engine_term
+  and+ fabric = Run_spec.fabric_term in
+  Option.iter mkdir_p metrics_dir;
+  Option.iter mkdir_p attribution_dir;
+  Bench_common.quick := quick;
+  Bench_common.metrics_dir := metrics_dir;
+  Bench_common.attribution_dir := attribution_dir;
+  Bench_common.setup := { engine; fabric };
+  run_experiments selected ~bechamel
+
+let () =
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main.exe"
+             ~doc:
+               "Run the reproduction's experiments: one per paper table or \
+                figure, plus the robustness, observability and analysis \
+                studies")
+          term))

@@ -122,13 +122,18 @@ let workloads () =
   @ [ kme; hm; mc; an; chase; ll ]
   @ List.map nas Nas.all_kernels
 
-let find_workload name =
-  match List.find_opt (fun w -> w.wname = name) (workloads ()) with
-  | Some w -> Ok w
-  | None ->
-      Error
-        (Printf.sprintf "unknown workload %s; try: %s" name
-           (String.concat ", " (List.map (fun w -> w.wname) (workloads ()))))
+(* [-w NAME] resolves to the workload at parse time, so an unknown name is
+   a one-line usage error before anything runs. *)
+let workload_conv =
+  let parse name =
+    match List.find_opt (fun w -> w.wname = name) (workloads ()) with
+    | Some w -> Ok w
+    | None ->
+        Error
+          (Printf.sprintf "unknown workload %s; try: %s" name
+             (String.concat ", " (List.map (fun w -> w.wname) (workloads ()))))
+  in
+  Arg.conv' (parse, fun ppf w -> Format.pp_print_string ppf w.wname)
 
 let print_outcome w (o : Driver.outcome) =
   Printf.printf "checksum: %d (%s)\n" o.Driver.ret
@@ -143,14 +148,6 @@ let print_outcome w (o : Driver.outcome) =
     List.iter (fun (k, v) -> Printf.printf "  %-28s %d\n" k v) counters
   end
 
-let chunk_mode_of = function "off" -> `Off | "all" -> `All | _ -> `Gated
-
-let route_of = function
-  | "off" -> Ok `Off
-  | "static" -> Ok `Static
-  | "profiled" -> Ok `Profiled
-  | s -> Error (Printf.sprintf "unknown route mode %s (off|static|profiled)" s)
-
 let build_of w o1 =
   if o1 then fun () ->
     let m = w.build () in
@@ -158,71 +155,85 @@ let build_of w o1 =
     m
   else w.build
 
-(* One workload execution under a named system, returning the outcome and
-   (for trackfm) the compile report. The telemetry factory is applied to
-   the run's fresh clock inside the driver. [faults] is the injector for
-   this run (fresh per run: its random stream is stateful). *)
-let exec_system ?(engine = Engine.Interp) ?(route = `Off)
-    ?(route_hotspots = []) ?(shapes = true) ?shadow w system ~budget
-    ~object_size ~chunk_mode ~prefetch ~summaries ~faults ~replicas ~ack
-    ~telemetry build =
-  match system with
-  | "local" ->
-      Ok (Driver.run_local ~engine ~blobs:w.blobs ~telemetry build, None)
-  | "fastswap" ->
-      Ok
-        ( Driver.run_fastswap ~engine ~blobs:w.blobs ~faults ~replicas ~ack
-            ~telemetry ~local_budget:budget build,
-          None )
-  | "trackfm" ->
+let local_budget (spec : Run_spec.t) w =
+  max (16 * spec.object_size) (w.working_set * spec.local_pct / 100)
+
+let faults_on (spec : Run_spec.t) =
+  Faults.enabled (Run_spec.injector spec.fabric)
+
+(* One workload execution under the spec's system, returning the outcome
+   and (for trackfm) the compile report. The telemetry factory is applied
+   to the run's fresh clock inside the driver; the fault injector is fresh
+   per run (its random stream is stateful). *)
+let exec_system ?(route_hotspots = []) (spec : Run_spec.t) w ~telemetry build =
+  let engine = spec.engine and local_budget = local_budget spec w in
+  let faults = Run_spec.injector spec.fabric in
+  let { Run_spec.replicas; ack; _ } = spec.fabric in
+  match spec.system with
+  | `Local -> (Driver.run_local ~engine ~blobs:w.blobs ~telemetry build, None)
+  | `Fastswap ->
+      ( Driver.run_fastswap ~engine ~blobs:w.blobs ~faults ~replicas ~ack
+          ~telemetry ~local_budget build,
+        None )
+  | `Trackfm ->
       let opts =
         {
-          Driver.object_size;
-          local_budget = budget;
-          chunk_mode;
-          prefetch;
-          use_state_table = true;
-          profile_gate = true;
-          elide_guards = true;
-          use_summaries = summaries;
-          use_shapes = shapes;
-          route;
+          (Driver.tfm_defaults ~local_budget) with
+          Driver.object_size = spec.object_size;
+          chunk_mode = spec.chunk;
+          prefetch = spec.prefetch;
+          use_summaries = spec.summaries;
+          use_shapes = spec.shapes;
+          route = spec.route;
           route_hotspots;
-          size_classes = [];
           faults;
           replicas;
           ack;
         }
       in
       let o, report =
-        Driver.run_trackfm ~engine ~blobs:w.blobs ~telemetry ?shadow build
-          opts
+        Driver.run_trackfm ~engine ~blobs:w.blobs ~telemetry build opts
       in
-      Ok (o, Some report)
-  | other ->
-      Error (Printf.sprintf "unknown system %s (local|trackfm|fastswap)" other)
+      (o, Some report)
+
+(* The drivers create their clocks internally, so the sink is captured
+   from inside the factory for post-run reporting. [flight] arms the
+   flight recorder at sink creation so triggers fired mid-run (the first
+   retry, a breaker opening, a node crash) dump immediately. *)
+let capture_sink ~want_trace ~sample_interval ?(spans = false)
+    ?(op_classes = []) ?flight () =
+  let sink = ref Telemetry.Sink.nop in
+  let factory clock =
+    let s =
+      Telemetry.Sink.recording ~trace:want_trace
+        ~series_interval:sample_interval ~spans ~op_classes clock
+    in
+    Option.iter
+      (fun (path, meta) -> Telemetry.Sink.set_flight_recorder s ~path ~meta)
+      flight;
+    sink := s;
+    s
+  in
+  (sink, factory)
 
 (* Profiled routing's evidence: a fault-free pre-run with routing off and
    a recording sink; every hotspot whose slow-path guards outnumber its
    fast-path hits is handed to the route pass as upgrade evidence. The
    pre-run uses the same deterministic build, so (function, call id) keys
    line up with the profiled run's guards. *)
-let profiled_hotspots ~engine w ~budget ~object_size ~chunk_mode ~prefetch
-    ~summaries build =
-  let sink = ref Telemetry.Sink.nop in
-  let telemetry clock =
-    let s =
-      Telemetry.Sink.recording ~trace:false ~series_interval:0 clock
-    in
-    sink := s;
-    s
+let profiled_hotspots spec w build =
+  let sink, telemetry = capture_sink ~want_trace:false ~sample_interval:0 () in
+  let prerun =
+    {
+      spec with
+      Run_spec.route = `Off;
+      shapes = true;
+      fabric = Run_spec.default_fabric;
+    }
   in
-  match
-    exec_system ~engine w "trackfm" ~budget ~object_size ~chunk_mode ~prefetch
-      ~summaries ~faults:Faults.disabled ~replicas:1 ~ack:1 ~telemetry build
-  with
-  | Error _ | (exception _) -> []
-  | Ok _ -> (
+  match exec_system prerun w ~telemetry build with
+  | exception _ -> []
+  | _ -> (
       match Telemetry.Sink.recorder !sink with
       | None -> []
       | Some r ->
@@ -233,6 +244,23 @@ let profiled_hotspots ~engine w ~budget ~object_size ~chunk_mode ~prefetch
               else None)
             (Telemetry.Site.rows r.Telemetry.Sink.sites)
           |> List.sort compare)
+
+(* The one execution path behind run, report, report critical-path and
+   report slo: profiled routing's pre-run, then the run itself. A
+   transform the guard-coverage checker rejects is reported here and
+   comes back as [Error violations]. *)
+let execute (spec : Run_spec.t) w ~telemetry =
+  let build = build_of w spec.o1 in
+  let route_hotspots =
+    if spec.route = `Profiled then profiled_hotspots spec w build else []
+  in
+  match exec_system ~route_hotspots spec w ~telemetry build with
+  | result -> Ok result
+  | exception Tfm_checker.Coverage.Unsound errs ->
+      Printf.eprintf "checker: UNSOUND transform (%d violation(s)):\n"
+        (List.length errs);
+      List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
+      Error errs
 
 let print_compile_report = function
   | None -> ()
@@ -261,13 +289,23 @@ let print_compile_report = function
 
 (* -- fault plumbing -- *)
 
+(* Run identity carried into counters, attribution and flight-recorder
+   files, so a dump names the configuration that produced it. *)
+let run_meta (spec : Run_spec.t) w =
+  let open Telemetry.Json in
+  [
+    ("workload", String w.wname);
+    ("system", String (Run_spec.system_name spec.system));
+    ("faults", String (Faults.to_string spec.fabric.faults));
+    ("fault_seed", Int spec.fabric.fault_seed);
+  ]
+
 (* A deterministic record of one run: inputs (workload, system, fault
    spec, seed) and outputs (checksum, cycles, instrs, every clock
    counter, sorted by name). The CI fault matrix diffs this file against
    checked-in goldens — any nondeterminism or counter drift shows up as a
    byte difference. *)
-let write_counters_json file ~workload ~system ~fault_cfg ~fault_seed ~replicas
-    ~ack (o : Driver.outcome) =
+let write_counters_json file (spec : Run_spec.t) w (o : Driver.outcome) =
   let open Telemetry.Json in
   let counters =
     List.sort
@@ -276,18 +314,15 @@ let write_counters_json file ~workload ~system ~fault_cfg ~fault_seed ~replicas
   in
   let j =
     Obj
-      [
-        ("workload", String workload);
-        ("system", String system);
-        ("faults", String (Faults.to_string fault_cfg));
-        ("fault_seed", Int fault_seed);
-        ("replicas", Int replicas);
-        ("ack", Int ack);
-        ("checksum", Int o.Driver.ret);
-        ("cycles", Int o.Driver.cycles);
-        ("instrs", Int o.Driver.instrs);
-        ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
-      ]
+      (run_meta spec w
+      @ [
+          ("replicas", Int spec.fabric.replicas);
+          ("ack", Int spec.fabric.ack);
+          ("checksum", Int o.Driver.ret);
+          ("cycles", Int o.Driver.cycles);
+          ("instrs", Int o.Driver.instrs);
+          ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
+        ])
   in
   let oc = open_out file in
   to_channel oc j;
@@ -296,36 +331,13 @@ let write_counters_json file ~workload ~system ~fault_cfg ~fault_seed ~replicas
 
 (* -- telemetry plumbing -- *)
 
-(* The drivers create their clocks internally, so the sink is captured
-   from inside the factory for post-run reporting. [flight] arms the
-   flight recorder at sink creation so triggers fired mid-run (the first
-   retry, a breaker opening, a node crash) dump immediately. *)
-let capture_sink ~want_trace ~sample_interval ?(spans = false)
-    ?(op_classes = []) ?flight () =
-  let sink = ref Telemetry.Sink.nop in
-  let factory clock =
-    let s =
-      Telemetry.Sink.recording ~trace:want_trace
-        ~series_interval:sample_interval ~spans ~op_classes clock
-    in
-    Option.iter
-      (fun (path, meta) -> Telemetry.Sink.set_flight_recorder s ~path ~meta)
-      flight;
-    sink := s;
-    s
-  in
-  (sink, factory)
-
-(* Run identity carried into attribution and flight-recorder files, so a
-   dump names the configuration that produced it. *)
-let run_meta ~workload ~system ~fault_cfg ~fault_seed =
-  let open Telemetry.Json in
-  [
-    ("workload", String workload);
-    ("system", String system);
-    ("faults", String (Faults.to_string fault_cfg));
-    ("fault_seed", Int fault_seed);
-  ]
+(* The telemetry files run and report write, and the sampling interval
+   behind --metrics. *)
+type telemetry_out = {
+  trace_file : string option;
+  metrics_file : string option;
+  sample_interval : int;
+}
 
 let write_trace_file file (r : Telemetry.Sink.recorder) =
   match r.Telemetry.Sink.trace with
@@ -358,14 +370,14 @@ let write_metrics_file file (r : Telemetry.Sink.recorder) =
 (* Returns an exit code so an unwritable output path reads as a clean
    file error, not an uncaught exception (the run itself already
    printed). *)
-let export_telemetry sink trace_file metrics_file =
+let export_telemetry sink tel =
   Telemetry.Sink.final_sample sink;
   match Telemetry.Sink.recorder sink with
   | None -> 0
   | Some r -> (
       try
-        Option.iter (fun f -> write_trace_file f r) trace_file;
-        Option.iter (fun f -> write_metrics_file f r) metrics_file;
+        Option.iter (fun f -> write_trace_file f r) tel.trace_file;
+        Option.iter (fun f -> write_metrics_file f r) tel.metrics_file;
         0
       with Sys_error msg ->
         Printf.eprintf "cannot write telemetry output: %s\n" msg;
@@ -438,108 +450,61 @@ let report_flight_dump sink =
     (fun p -> Printf.printf "flight recorder: dumped to %s\n" p)
     (Telemetry.Sink.flight_dumped sink)
 
-(* [--engine] parsing shared by every executing subcommand: unknown
-   names are a clean one-line error, not an exception. *)
-let with_engine engine_name k =
-  match Engine.of_string engine_name with
-  | Some engine -> k engine
-  | None ->
-      Printf.eprintf "unknown engine %s (interp|compiled)\n" engine_name;
+let run_cmd (spec : Run_spec.t) w tel ~counters_json ~attribution ~flight =
+  let fabric = spec.fabric in
+  Printf.printf
+    "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
+    w.wname w.describe
+    (Tfm_util.Units.bytes_to_string w.working_set)
+    (Tfm_util.Units.bytes_to_string (local_budget spec w))
+    spec.local_pct
+    (Run_spec.system_name spec.system);
+  if spec.route <> `Off then
+    Printf.printf "hybrid routing %s\n"
+      (Trackfm.Route_pass.mode_to_string spec.route);
+  if faults_on spec then
+    Printf.printf "faults %s, seed %d\n"
+      (Faults.to_string fabric.faults)
+      fabric.fault_seed;
+  if fabric.replicas > 1 then
+    Printf.printf "replicas %d, ack %d\n" fabric.replicas fabric.ack;
+  if spec.engine <> Engine.Interp then
+    Printf.printf "engine %s\n" (Engine.to_string spec.engine);
+  print_newline ();
+  let want_spans = attribution <> None || flight <> None in
+  let meta = run_meta spec w in
+  let sink, telemetry =
+    if tel.trace_file = None && tel.metrics_file = None && not want_spans then
+      (ref Telemetry.Sink.nop, Driver.no_telemetry)
+    else
+      capture_sink ~want_trace:(tel.trace_file <> None)
+        ~sample_interval:tel.sample_interval ~spans:want_spans
+        ~op_classes:w.op_classes
+        ?flight:(Option.map (fun f -> (f, meta)) flight)
+        ()
+  in
+  match execute spec w ~telemetry with
+  | Error errs ->
+      Option.iter
+        (fun f ->
+          write_minimal_flight f ~meta ~reason:"checker-unsound" ~details:errs)
+        flight;
       1
-
-let run_cmd workload_name system engine_name local_pct object_size chunk
-    route_name prefetch summaries shapes o1 fault_spec fault_seed replicas ack
-    counters_json trace_file metrics_file sample_interval attribution_file
-    flight_file =
-  with_engine engine_name @@ fun engine ->
-  match
-    (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
-      1
-  | Ok w, Ok fault_cfg, Ok route when replicas >= 1 && ack >= 1 && ack <= replicas
-    -> (
-      let faults = Faults.create ~seed:fault_seed fault_cfg in
-      let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-      Printf.printf
-        "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
-        w.wname w.describe
-        (Tfm_util.Units.bytes_to_string w.working_set)
-        (Tfm_util.Units.bytes_to_string budget)
-        local_pct system;
-      if route <> `Off then
-        Printf.printf "hybrid routing %s\n"
-          (Trackfm.Route_pass.mode_to_string route);
-      if Faults.enabled faults then
-        Printf.printf "faults %s, seed %d\n" (Faults.to_string fault_cfg)
-          fault_seed;
-      if replicas > 1 then
-        Printf.printf "replicas %d, ack %d\n" replicas ack;
-      if engine <> Engine.Interp then
-        Printf.printf "engine %s\n" (Engine.to_string engine);
-      print_newline ();
-      let want_spans = attribution_file <> None || flight_file <> None in
-      let meta = run_meta ~workload:w.wname ~system ~fault_cfg ~fault_seed in
-      let sink, telemetry =
-        if trace_file = None && metrics_file = None && not want_spans then
-          (ref Telemetry.Sink.nop, Driver.no_telemetry)
-        else
-          capture_sink ~want_trace:(trace_file <> None) ~sample_interval
-            ~spans:want_spans ~op_classes:w.op_classes
-            ?flight:(Option.map (fun f -> (f, meta)) flight_file)
-            ()
-      in
-      let route_hotspots =
-        if route = `Profiled && system = "trackfm" then
-          profiled_hotspots ~engine w ~budget ~object_size
-            ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-            (build_of w o1)
-        else []
-      in
+  | Ok (o, report) -> (
+      print_compile_report report;
+      print_outcome w o;
       match
-        exec_system ~engine ~route ~route_hotspots ~shapes w system ~budget
-          ~object_size ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-          ~faults ~replicas ~ack ~telemetry (build_of w o1)
+        Option.iter (fun f -> write_counters_json f spec w o) counters_json
       with
-      | exception Tfm_checker.Coverage.Unsound errs ->
-          Printf.eprintf "checker: UNSOUND transform (%d violation(s)):\n"
-            (List.length errs);
-          List.iter (fun e -> Printf.eprintf "  %s\n" e) errs;
-          Option.iter
-            (fun f ->
-              write_minimal_flight f ~meta ~reason:"checker-unsound"
-                ~details:errs)
-            flight_file;
-          1
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok (o, report) -> (
-          print_compile_report report;
-          print_outcome w o;
-          match
-            Option.iter
-              (fun f ->
-                write_counters_json f ~workload:w.wname ~system ~fault_cfg
-                  ~fault_seed ~replicas ~ack o)
-              counters_json
-          with
-          | () ->
-              let rc_tel = export_telemetry !sink trace_file metrics_file in
-              let rc_attr = export_attribution !sink attribution_file ~meta in
-              let rc_inv =
-                if want_spans then assert_span_invariant !sink else 0
-              in
-              report_flight_dump !sink;
-              max rc_tel (max rc_attr rc_inv)
-          | exception Sys_error msg ->
-              Printf.eprintf "cannot write counters JSON: %s\n" msg;
-              1))
-  | Ok _, Ok _, Ok _ ->
-      Printf.eprintf "bad replication: need 1 <= ack (%d) <= replicas (%d)\n"
-        ack replicas;
-      1
+      | () ->
+          let rc_tel = export_telemetry !sink tel in
+          let rc_attr = export_attribution !sink attribution ~meta in
+          let rc_inv = if want_spans then assert_span_invariant !sink else 0 in
+          report_flight_dump !sink;
+          max rc_tel (max rc_attr rc_inv)
+      | exception Sys_error msg ->
+          Printf.eprintf "cannot write counters JSON: %s\n" msg;
+          1)
 
 (* -- report: run with a recording sink, print the hotspot table -- *)
 
@@ -654,66 +619,42 @@ let print_sparklines (r : Telemetry.Sink.recorder) =
           names
       end
 
-let report_cmd workload_name system engine_name local_pct object_size chunk
-    route_name prefetch summaries o1 fault_spec fault_seed trace_file
-    metrics_file sample_interval =
-  with_engine engine_name @@ fun engine ->
-  match
-    (find_workload workload_name, Faults.parse fault_spec, route_of route_name)
-  with
-  | Error e, _, _ | _, Error e, _ | _, _, Error e ->
-      prerr_endline e;
-      1
-  | Ok w, Ok fault_cfg, Ok route -> (
-      let faults = Faults.create ~seed:fault_seed fault_cfg in
-      let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-      Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
-        w.wname system
-        (Tfm_util.Units.bytes_to_string budget)
-        local_pct
-        (if Faults.enabled faults then
-           Printf.sprintf ", faults %s seed %d" (Faults.to_string fault_cfg)
-             fault_seed
-         else "")
-        (if route <> `Off then
-           ", routing " ^ Trackfm.Route_pass.mode_to_string route
-         else "");
-      let route_hotspots =
-        if route = `Profiled && system = "trackfm" then
-          profiled_hotspots ~engine w ~budget ~object_size
-            ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-            (build_of w o1)
-        else []
-      in
-      let sink, telemetry =
-        capture_sink ~want_trace:(trace_file <> None) ~sample_interval ()
-      in
-      match
-        exec_system ~engine ~route ~route_hotspots w system ~budget
-          ~object_size ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries
-          ~faults ~replicas:1 ~ack:1 ~telemetry (build_of w o1)
-      with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok (o, report) ->
-          Telemetry.Sink.final_sample !sink;
-          print_compile_report report;
-          print_outcome w o;
+let report_cmd (spec : Run_spec.t) w tel =
+  Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
+    w.wname
+    (Run_spec.system_name spec.system)
+    (Tfm_util.Units.bytes_to_string (local_budget spec w))
+    spec.local_pct
+    (if faults_on spec then
+       Printf.sprintf ", faults %s seed %d"
+         (Faults.to_string spec.fabric.faults)
+         spec.fabric.fault_seed
+     else "")
+    (if spec.route <> `Off then
+       ", routing " ^ Trackfm.Route_pass.mode_to_string spec.route
+     else "");
+  let sink, telemetry =
+    capture_sink ~want_trace:(tel.trace_file <> None)
+      ~sample_interval:tel.sample_interval ()
+  in
+  match execute spec w ~telemetry with
+  | Error _ -> 1
+  | Ok (o, report) ->
+      Telemetry.Sink.final_sample !sink;
+      print_compile_report report;
+      print_outcome w o;
+      print_newline ();
+      (match Telemetry.Sink.recorder !sink with
+      | None -> () (* unreachable: capture_sink always records *)
+      | Some r ->
+          print_hotspots
+            ?routing:
+              (Option.map (fun rep -> rep.Trackfm.Pipeline.routing) report)
+            o r;
           print_newline ();
-          (match Telemetry.Sink.recorder !sink with
-          | None -> () (* unreachable: capture_sink always records *)
-          | Some r ->
-              print_hotspots
-                ?routing:
-                  (Option.map
-                     (fun rep -> rep.Trackfm.Pipeline.routing)
-                     report)
-                o r;
-              print_newline ();
-              print_histograms r;
-              print_sparklines r);
-          export_telemetry !sink trace_file metrics_file)
+          print_histograms r;
+          print_sparklines r);
+      export_telemetry !sink tel
 
 (* -- report critical-path / report slo: span-attribution views -- *)
 
@@ -923,67 +864,53 @@ let load_attribution path =
                     --attribution?)"
                    path)))
 
-(* Shared live-run plumbing for the span-based report views. *)
-let with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk ~prefetch
-    ~summaries ~o1 ~fault_cfg ~fault_seed k =
-  let faults = Faults.create ~seed:fault_seed fault_cfg in
-  let budget = max (16 * object_size) (w.working_set * local_pct / 100) in
-  let sink, telemetry =
-    capture_sink ~want_trace:false ~sample_interval:250_000 ~spans:true
-      ~op_classes:w.op_classes ()
-  in
-  match
-    exec_system ~engine w system ~budget ~object_size
-      ~chunk_mode:(chunk_mode_of chunk) ~prefetch ~summaries ~faults
-      ~replicas:1 ~ack:1 ~telemetry (build_of w o1)
-  with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok (o, _report) -> (
-      Telemetry.Sink.final_sample !sink;
-      if o.Driver.ret <> w.expected then
-        Printf.eprintf "warning: checksum %d does not match expected %d\n"
-          o.Driver.ret w.expected;
-      match Telemetry.Sink.spans !sink with
-      | None ->
-          prerr_endline "internal error: span tracker missing";
-          1
-      | Some sp -> k sp)
-
-let critical_path_cmd workload_opt system engine_name local_pct object_size
-    chunk prefetch summaries o1 fault_spec fault_seed from_file =
-  with_engine engine_name @@ fun engine ->
-  match from_file with
-  | Some path -> (
+(* The span-based report views read their rows back from an exported
+   attribution file (--from), or take them from a live span-traced run of
+   the workload after [header] introduces it. [k] gets the rows' title. *)
+let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
+  match (from, workload) with
+  | Some path, _ -> (
       match load_attribution path with
       | Error e ->
           prerr_endline e;
           1
-      | Ok j ->
-          let rows, background, violations, note = cp_of_json j in
-          print_critical_path ~title:path rows ~background ~violations ~note)
-  | None -> (
-      match workload_opt with
-      | None ->
-          prerr_endline
-            "report critical-path: pass -w WORKLOAD (live run) or --from FILE";
-          1
-      | Some name -> (
-          match (find_workload name, Faults.parse fault_spec) with
-          | Error e, _ | _, Error e ->
-              prerr_endline e;
+      | Ok j -> k ~title:path (cp_of_json j))
+  | None, None ->
+      Printf.eprintf "report %s: pass -w WORKLOAD (live run) or --from FILE\n"
+        cmd;
+      1
+  | None, Some w -> (
+      header w;
+      let sink, telemetry =
+        capture_sink ~want_trace:false ~sample_interval:250_000 ~spans:true
+          ~op_classes:w.op_classes ()
+      in
+      match execute spec w ~telemetry with
+      | Error _ -> 1
+      | Ok (o, _report) -> (
+          Telemetry.Sink.final_sample !sink;
+          if o.Driver.ret <> w.expected then
+            Printf.eprintf "warning: checksum %d does not match expected %d\n"
+              o.Driver.ret w.expected;
+          match Telemetry.Sink.spans !sink with
+          | None ->
+              prerr_endline "internal error: span tracker missing";
               1
-          | Ok w, Ok fault_cfg ->
-              Printf.printf
-                "critical-path report: %s under %s, faults %s, seed %d\n\n"
-                w.wname system (Faults.to_string fault_cfg) fault_seed;
-              with_live_spans w ~system ~engine ~local_pct ~object_size ~chunk
-                ~prefetch ~summaries ~o1 ~fault_cfg ~fault_seed (fun sp ->
-                  let rows, background, violations, note = cp_of_span sp in
-                  print_critical_path
-                    ~title:(w.wname ^ " under " ^ system)
-                    rows ~background ~violations ~note)))
+          | Some sp ->
+              k
+                ~title:(w.wname ^ " under " ^ Run_spec.system_name spec.system)
+                (cp_of_span sp)))
+
+let critical_path_cmd (spec : Run_spec.t) workload from =
+  with_span_rows ~cmd:"critical-path" spec workload from
+    ~header:(fun w ->
+      Printf.printf "critical-path report: %s under %s, faults %s, seed %d\n\n"
+        w.wname
+        (Run_spec.system_name spec.system)
+        (Faults.to_string spec.fabric.faults)
+        spec.fabric.fault_seed)
+    (fun ~title (rows, background, violations, note) ->
+      print_critical_path ~title rows ~background ~violations ~note)
 
 let print_slo_outcomes outcomes =
   let open Telemetry in
@@ -1044,54 +971,28 @@ let load_slo_rules slo_spec slo_file =
           | Ok rules -> Ok (file, rules)
           | Error e -> Error (Printf.sprintf "bad SLO file %s: %s" file e)))
 
-let slo_cmd workload_opt system engine_name local_pct object_size chunk
-    prefetch summaries o1 fault_spec fault_seed from_file slo_spec slo_file =
-  with_engine engine_name @@ fun engine ->
+let slo_cmd (spec : Run_spec.t) workload from slo_spec slo_file =
   match load_slo_rules slo_spec slo_file with
   | Error e ->
       prerr_endline e;
       1
-  | Ok (spec_name, rules) -> (
-      let evaluate rows violations note =
-        let rc_slo =
-          print_slo_outcomes
-            (Telemetry.Slo.evaluate rules
-               ~lookup:(fun ~cls metric -> lookup_rows rows ~cls ~metric))
-        in
-        if violations = 0 then rc_slo
-        else begin
-          Printf.printf "INVARIANT VIOLATED (%d): %s\n" violations note;
-          1
-        end
-      in
-      match from_file with
-      | Some path -> (
-          match load_attribution path with
-          | Error e ->
-              prerr_endline e;
-              1
-          | Ok j ->
-              let rows, _, violations, note = cp_of_json j in
-              evaluate rows violations note)
-      | None -> (
-          match workload_opt with
-          | None ->
-              prerr_endline
-                "report slo: pass -w WORKLOAD (live run) or --from FILE";
-              1
-          | Some name -> (
-              match (find_workload name, Faults.parse fault_spec) with
-              | Error e, _ | _, Error e ->
-                  prerr_endline e;
-                  1
-              | Ok w, Ok fault_cfg ->
-                  Printf.printf "SLO report: %s under %s, spec %s\n\n" w.wname
-                    system spec_name;
-                  with_live_spans w ~system ~engine ~local_pct ~object_size
-                    ~chunk ~prefetch ~summaries ~o1 ~fault_cfg ~fault_seed
-                    (fun sp ->
-                      let rows, _, violations, note = cp_of_span sp in
-                      evaluate rows violations note))))
+  | Ok (spec_name, rules) ->
+      with_span_rows ~cmd:"slo" spec workload from
+        ~header:(fun w ->
+          Printf.printf "SLO report: %s under %s, spec %s\n\n" w.wname
+            (Run_spec.system_name spec.system)
+            spec_name)
+        (fun ~title:_ (rows, _, violations, note) ->
+          let rc_slo =
+            print_slo_outcomes
+              (Telemetry.Slo.evaluate rules
+                 ~lookup:(fun ~cls metric -> lookup_rows rows ~cls ~metric))
+          in
+          if violations = 0 then rc_slo
+          else begin
+            Printf.printf "INVARIANT VIOLATED (%d): %s\n" violations note;
+            1
+          end)
 
 (* -- serve: the overload-robust multi-tenant serving scenario -- *)
 
@@ -1157,80 +1058,38 @@ let serving_meta (p : Serving.params) =
     ("seed", Int p.Serving.seed);
   ]
 
-let serve_cmd backend_name rate requests tenants keys skew value_size budget
-    connections service_cycles readahead queue_cap deadline no_admission
-    no_shedding no_degradation open_loop fault_spec fault_seed replicas ack
-    seed serving_json attribution_file flight_file =
-  match (Serving.backend_of_string backend_name, Faults.parse fault_spec) with
-  | None, _ ->
-      Printf.eprintf "unknown backend %s (trackfm|fastswap|aifm)\n"
-        backend_name;
+let serve_cmd (p : Serving.params) serving_json attribution_file flight_file =
+  let meta = serving_meta p in
+  let want_spans = attribution_file <> None || flight_file <> None in
+  match
+    Serving.run ~spans:want_spans
+      ?flight:(Option.map (fun f -> (f, meta)) flight_file)
+      p
+  with
+  | exception Invalid_argument msg ->
+      prerr_endline msg;
       1
-  | _, Error e ->
-      prerr_endline e;
-      1
-  | Some backend, Ok fault_cfg -> (
-      let controls =
-        if open_loop then Serving.open_loop
-        else
-          {
-            Serving.admission = not no_admission;
-            shedding = not no_shedding;
-            degradation = not no_degradation;
-            queue_cap;
-            deadline;
-          }
+  | r -> (
+      print_serving_result r;
+      let rc_attr = export_attribution r.Serving.sink attribution_file ~meta in
+      let rc_inv =
+        if want_spans then assert_span_invariant r.Serving.sink else 0
       in
-      let p =
-        {
-          Serving.backend;
-          tenants = Serving.default_tenants ~n:tenants ~keys ~budget
-                    |> List.map (fun t -> { t with Serving.skew });
-          rate;
-          requests;
-          service_cycles;
-          value_size;
-          connections;
-          readahead;
-          seed;
-          controls;
-          faults = fault_cfg;
-          fault_seed;
-          replicas;
-          ack;
-        }
-      in
-      let meta = serving_meta p in
-      let want_spans = attribution_file <> None || flight_file <> None in
+      report_flight_dump r.Serving.sink;
       match
-        Serving.run ~spans:want_spans
-          ?flight:(Option.map (fun f -> (f, meta)) flight_file)
-          p
+        Option.iter
+          (fun f ->
+            let oc = open_out f in
+            Telemetry.Json.to_channel oc (Serving.result_json r);
+            output_char oc '\n';
+            close_out oc;
+            Printf.printf "serving JSON: %s\n" f)
+          serving_json
       with
-      | exception Invalid_argument msg ->
-          prerr_endline msg;
-          1
-      | r -> (
-          print_serving_result r;
-          let rc_attr = export_attribution r.Serving.sink attribution_file ~meta in
-          let rc_inv =
-            if want_spans then assert_span_invariant r.Serving.sink else 0
-          in
-          report_flight_dump r.Serving.sink;
-          match
-            Option.iter
-              (fun f ->
-                let oc = open_out f in
-                Telemetry.Json.to_channel oc (Serving.result_json r);
-                output_char oc '\n';
-                close_out oc;
-                Printf.printf "serving JSON: %s\n" f)
-              serving_json
-          with
-          | () -> max rc_attr rc_inv
-          | exception Sys_error msg ->
-              Printf.eprintf "cannot write serving JSON: %s\n" msg;
-              1))
+      | () -> max rc_attr rc_inv
+      | exception Sys_error msg ->
+          Printf.eprintf "cannot write serving JSON: %s\n" msg;
+          1)
 
 (* -- validate: JSON schema check (CI validates exported traces) -- *)
 
@@ -1262,369 +1121,313 @@ let validate_cmd schema_file input_file =
           Printf.eprintf "%s: schema violation: %s\n" input_file e;
           1)
 
-let sweep_cmd workload_name object_size =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      Printf.printf "sweeping %s (working set %s), object size %dB\n\n"
-        w.wname
-        (Tfm_util.Units.bytes_to_string w.working_set)
-        object_size;
-      let t =
-        Tfm_util.Table.create
-          ~title:"slowdown vs all-local, by local memory"
-          ~columns:[ "local mem %"; "TrackFM"; "Fastswap" ]
+let sweep_cmd w object_size =
+  Printf.printf "sweeping %s (working set %s), object size %dB\n\n" w.wname
+    (Tfm_util.Units.bytes_to_string w.working_set)
+    object_size;
+  let t =
+    Tfm_util.Table.create ~title:"slowdown vs all-local, by local memory"
+      ~columns:[ "local mem %"; "TrackFM"; "Fastswap" ]
+  in
+  let lo = Driver.run_local ~blobs:w.blobs w.build in
+  let tfm_pts = ref [] and fs_pts = ref [] in
+  List.iter
+    (fun pct ->
+      let budget = max (16 * 4096) (w.working_set * pct / 100) in
+      let opts =
+        { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
       in
-      let lo = Driver.run_local ~blobs:w.blobs w.build in
-      let tfm_pts = ref [] and fs_pts = ref [] in
-      List.iter
-        (fun pct ->
-          let budget = max (16 * 4096) (w.working_set * pct / 100) in
-          let opts =
-            {
-              Driver.object_size;
-              local_budget = budget;
-              chunk_mode = `Gated;
-              prefetch = true;
-              use_state_table = true;
-              profile_gate = true;
-              elide_guards = true;
-              use_summaries = true;
-              use_shapes = true;
-              route = `Off;
-              route_hotspots = [];
-              size_classes = [];
-              faults = Faults.disabled;
-              replicas = 1;
-              ack = 1;
-            }
-          in
-          let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
-          let fs =
-            Driver.run_fastswap ~blobs:w.blobs ~local_budget:budget w.build
-          in
-          assert (tfm.Driver.ret = w.expected && fs.Driver.ret = w.expected);
-          let sl c = float_of_int c /. float_of_int lo.Driver.cycles in
-          tfm_pts := (float_of_int pct, sl tfm.Driver.cycles) :: !tfm_pts;
-          fs_pts := (float_of_int pct, sl fs.Driver.cycles) :: !fs_pts;
-          Tfm_util.Table.add_rowf t "%d | %.2f | %.2f" pct
-            (sl tfm.Driver.cycles) (sl fs.Driver.cycles))
-        [ 10; 25; 50; 75; 100 ];
-      Tfm_util.Table.print t;
-      Tfm_util.Ascii_plot.print ~x_label:"local mem %"
-        ~title:(w.wname ^ ": slowdown vs all-local")
-        [
-          { Tfm_util.Ascii_plot.label = "TrackFM"; points = !tfm_pts };
-          { label = "Fastswap"; points = !fs_pts };
-        ];
-      0
+      let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
+      let fs =
+        Driver.run_fastswap ~blobs:w.blobs ~local_budget:budget w.build
+      in
+      assert (tfm.Driver.ret = w.expected && fs.Driver.ret = w.expected);
+      let sl c = float_of_int c /. float_of_int lo.Driver.cycles in
+      tfm_pts := (float_of_int pct, sl tfm.Driver.cycles) :: !tfm_pts;
+      fs_pts := (float_of_int pct, sl fs.Driver.cycles) :: !fs_pts;
+      Tfm_util.Table.add_rowf t "%d | %.2f | %.2f" pct (sl tfm.Driver.cycles)
+        (sl fs.Driver.cycles))
+    [ 10; 25; 50; 75; 100 ];
+  Tfm_util.Table.print t;
+  Tfm_util.Ascii_plot.print ~x_label:"local mem %"
+    ~title:(w.wname ^ ": slowdown vs all-local")
+    [
+      { Tfm_util.Ascii_plot.label = "TrackFM"; points = !tfm_pts };
+      { label = "Fastswap"; points = !fs_pts };
+    ];
+  0
 
-let autotune_cmd workload_name local_pct =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let budget = max 65536 (w.working_set * local_pct / 100) in
-      Printf.printf
-        "autotuning object size for %s at %d%% local memory (Section 3.2's \
-         exhaustive recompile-and-run search)\n\n"
-        w.wname local_pct;
-      let best, results =
-        Driver.autotune_object_size ~blobs:w.blobs w.build ~local_budget:budget
-      in
-      List.iter
-        (fun (osz, cycles) ->
-          Printf.printf "  %5dB -> %s%s\n" osz
-            (Tfm_util.Units.cycles_to_string cycles)
-            (if osz = best then "   <- chosen" else ""))
-        results;
-      0
+let autotune_cmd w local_pct =
+  let budget = max 65536 (w.working_set * local_pct / 100) in
+  Printf.printf
+    "autotuning object size for %s at %d%% local memory (Section 3.2's \
+     exhaustive recompile-and-run search)\n\n"
+    w.wname local_pct;
+  let best, results =
+    Driver.autotune_object_size ~blobs:w.blobs w.build ~local_budget:budget
+  in
+  List.iter
+    (fun (osz, cycles) ->
+      Printf.printf "  %5dB -> %s%s\n" osz
+        (Tfm_util.Units.cycles_to_string cycles)
+        (if osz = best then "   <- chosen" else ""))
+    results;
+  0
 
 (* Static-analysis lint: compile every workload under each chunk mode,
    with and without the guard optimizer, and run the guard-coverage
    verifier plus the elision-witness re-check over the transformed IR.
    Compile-only (no execution, no profile run), so this is fast enough
    for a CI lint stage. Exits non-zero on any violation. *)
-let check_cmd workload_filter engine_name =
-  with_engine engine_name @@ fun engine ->
-  let selected =
-    List.filter
-      (fun w ->
-        match workload_filter with None -> true | Some n -> w.wname = n)
-      (workloads ())
-  in
-  if selected = [] then begin
-    Printf.eprintf "no workload matches %s\n"
-      (Option.value ~default:"<all>" workload_filter);
-    1
-  end
-  else begin
-    let failures = ref 0 in
+let check_cmd workload engine =
+  let selected = match workload with None -> workloads () | Some w -> [ w ] in
+  let failures = ref 0 in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun (mode_name, chunk_mode) ->
+          List.iter
+            (fun elide ->
+              List.iter
+                (fun summaries ->
+                  List.iter
+                    (fun route ->
+                      let m = w.build () in
+                      let config =
+                        {
+                          Trackfm.Pipeline.default_config with
+                          chunk_mode;
+                          elide;
+                          summaries;
+                          route;
+                          check = false (* we report instead of raising *);
+                        }
+                      in
+                      let report = Trackfm.Pipeline.run config m in
+                      let e = report.Trackfm.Pipeline.elision in
+                      let r = report.Trackfm.Pipeline.routing in
+                      let violations =
+                        Tfm_checker.Coverage.check_module ~summaries m
+                      in
+                      let witness_errors =
+                        Tfm_checker.Coverage.check_witnesses m
+                          e.Trackfm.Elide_pass.elisions
+                      in
+                      let routing_errors =
+                        Tfm_checker.Coverage.check_routing m
+                          r.Trackfm.Route_pass.routes
+                      in
+                      let ok =
+                        violations = [] && witness_errors = []
+                        && routing_errors = []
+                      in
+                      Printf.printf
+                        "%-14s chunk=%-5s elide=%-3s summ=%-3s route=%-6s \
+                         guards=%5d elided=%4d (same %d congruent %d range \
+                         %d) hoisted=%d upgraded=%d widened=%d routed=%d  \
+                         %s\n"
+                        w.wname mode_name
+                        (if elide then "on" else "off")
+                        (if summaries then "on" else "off")
+                        (Trackfm.Route_pass.mode_to_string route)
+                        (report.Trackfm.Pipeline.guards
+                           .Trackfm.Guard_pass.guarded_loads
+                        + report.Trackfm.Pipeline.guards
+                            .Trackfm.Guard_pass.guarded_stores)
+                        (Trackfm.Elide_pass.total_elided e)
+                        e.Trackfm.Elide_pass.elided_same
+                        e.Trackfm.Elide_pass.elided_congruent
+                        e.Trackfm.Elide_pass.elided_range
+                        e.Trackfm.Elide_pass.hoisted
+                        e.Trackfm.Elide_pass.upgraded
+                        e.Trackfm.Elide_pass.widened
+                        r.Trackfm.Route_pass.routed
+                        (if ok then "OK" else "UNSOUND");
+                      if not ok then begin
+                        incr failures;
+                        List.iter
+                          (fun v ->
+                            Printf.printf "    violation: %s\n"
+                              (Tfm_checker.Coverage.violation_to_string v))
+                          violations;
+                        List.iter
+                          (fun msg -> Printf.printf "    witness: %s\n" msg)
+                          witness_errors;
+                        List.iter
+                          (fun msg -> Printf.printf "    routing: %s\n" msg)
+                          routing_errors
+                      end)
+                    [ `Off; `Static ])
+                [ true; false ])
+            [ true; false ])
+        [ ("off", `Off); ("gated", `Gated) ])
+    selected;
+  (* With --engine compiled, also run each workload's raw module under
+     both engines and require identical results: the static lint plus
+     a runtime differential against the interpreter oracle. *)
+  if engine = Engine.Compiled then begin
+    print_newline ();
     List.iter
       (fun w ->
-        List.iter
-          (fun (mode_name, chunk_mode) ->
-            List.iter
-              (fun elide ->
-                List.iter
-                  (fun summaries ->
-                    List.iter
-                      (fun route ->
-                        let m = w.build () in
-                        let config =
-                          {
-                            Trackfm.Pipeline.object_size = 4096;
-                            chunk_mode;
-                            profile = None;
-                            cost = Cost_model.default;
-                            elide;
-                            summaries;
-                            shapes = true;
-                            route;
-                            route_hotspots = [];
-                            check = false (* we report instead of raising *);
-                            dump_after = None;
-                          }
-                        in
-                        let report = Trackfm.Pipeline.run config m in
-                        let e = report.Trackfm.Pipeline.elision in
-                        let r = report.Trackfm.Pipeline.routing in
-                        let violations =
-                          Tfm_checker.Coverage.check_module ~summaries m
-                        in
-                        let witness_errors =
-                          Tfm_checker.Coverage.check_witnesses m
-                            e.Trackfm.Elide_pass.elisions
-                        in
-                        let routing_errors =
-                          Tfm_checker.Coverage.check_routing m
-                            r.Trackfm.Route_pass.routes
-                        in
-                        let ok =
-                          violations = [] && witness_errors = []
-                          && routing_errors = []
-                        in
-                        Printf.printf
-                          "%-14s chunk=%-5s elide=%-3s summ=%-3s route=%-6s \
-                           guards=%5d elided=%4d (same %d congruent %d range \
-                           %d) hoisted=%d upgraded=%d widened=%d routed=%d  \
-                           %s\n"
-                          w.wname mode_name
-                          (if elide then "on" else "off")
-                          (if summaries then "on" else "off")
-                          (Trackfm.Route_pass.mode_to_string route)
-                          (report.Trackfm.Pipeline.guards
-                             .Trackfm.Guard_pass.guarded_loads
-                          + report.Trackfm.Pipeline.guards
-                              .Trackfm.Guard_pass.guarded_stores)
-                          (Trackfm.Elide_pass.total_elided e)
-                          e.Trackfm.Elide_pass.elided_same
-                          e.Trackfm.Elide_pass.elided_congruent
-                          e.Trackfm.Elide_pass.elided_range
-                          e.Trackfm.Elide_pass.hoisted
-                          e.Trackfm.Elide_pass.upgraded
-                          e.Trackfm.Elide_pass.widened
-                          r.Trackfm.Route_pass.routed
-                          (if ok then "OK" else "UNSOUND");
-                        if not ok then begin
-                          incr failures;
-                          List.iter
-                            (fun v ->
-                              Printf.printf "    violation: %s\n"
-                                (Tfm_checker.Coverage.violation_to_string v))
-                            violations;
-                          List.iter
-                            (fun msg -> Printf.printf "    witness: %s\n" msg)
-                            witness_errors;
-                          List.iter
-                            (fun msg -> Printf.printf "    routing: %s\n" msg)
-                            routing_errors
-                        end)
-                      [ `Off; `Static ])
-                  [ true; false ])
-              [ true; false ])
-          [ ("off", `Off); ("gated", `Gated) ])
-      selected;
-    (* With --engine compiled, also run each workload's raw module under
-       both engines and require identical results: the static lint plus
-       a runtime differential against the interpreter oracle. *)
-    if engine = Engine.Compiled then begin
-      print_newline ();
-      List.iter
-        (fun w ->
-          let run engine =
-            let o = Driver.run_local ~engine ~blobs:w.blobs w.build in
-            ( o.Driver.ret,
-              o.Driver.cycles,
-              o.Driver.instrs,
-              List.sort compare (Clock.counters o.Driver.clock) )
-          in
-          let oracle = run Engine.Interp and compiled = run Engine.Compiled in
-          let ok = oracle = compiled in
-          Printf.printf "%-14s engine-diff %s\n" w.wname
-            (if ok then "OK" else "DIVERGED");
-          if not ok then incr failures)
-        selected
-    end;
-    if !failures > 0 then begin
-      Printf.printf "\n%d unsound configuration(s)\n" !failures;
-      1
-    end
-    else 0
+        let run engine =
+          let o = Driver.run_local ~engine ~blobs:w.blobs w.build in
+          ( o.Driver.ret,
+            o.Driver.cycles,
+            o.Driver.instrs,
+            List.sort compare (Clock.counters o.Driver.clock) )
+        in
+        let oracle = run Engine.Interp and compiled = run Engine.Compiled in
+        let ok = oracle = compiled in
+        Printf.printf "%-14s engine-diff %s\n" w.wname
+          (if ok then "OK" else "DIVERGED");
+        if not ok then incr failures)
+      selected
+  end;
+  if !failures > 0 then begin
+    Printf.printf "\n%d unsound configuration(s)\n" !failures;
+    1
   end
+  else 0
 
 (* Print the interprocedural view of one workload's raw module: the call
    graph (bottom-up SCCs, recursion marked), every function's computed
    summary, and the summary-coverage lint naming functions stuck at
    bottom. With --ir, also dump the IR with call sites annotated by
    their callee's summary. Deterministic output: CI diffs two runs. *)
-let summaries_cmd workload_name o1 show_ir =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      let env = Tfm_analysis.Summary.compute m in
-      print_string (Tfm_analysis.Summary.to_string m env);
-      (match Tfm_analysis.Summary.lint m env with
-      | [] -> print_endline "summary-coverage: all functions summarized"
-      | stuck ->
-          Printf.printf "summary-coverage: %d function(s) at bottom\n"
-            (List.length stuck);
-          List.iter (fun line -> Printf.printf "  %s\n" line) stuck);
-      if show_ir then begin
-        print_newline ();
-        print_string
-          (Printer.module_to_string_annotated
-             (Tfm_analysis.Summary.annotate env)
-             m)
-      end;
-      0
+let summaries_cmd w o1 show_ir =
+  let m = (build_of w o1) () in
+  let env = Tfm_analysis.Summary.compute m in
+  print_string (Tfm_analysis.Summary.to_string m env);
+  (match Tfm_analysis.Summary.lint m env with
+  | [] -> print_endline "summary-coverage: all functions summarized"
+  | stuck ->
+      Printf.printf "summary-coverage: %d function(s) at bottom\n"
+        (List.length stuck);
+      List.iter (fun line -> Printf.printf "  %s\n" line) stuck);
+  if show_ir then begin
+    print_newline ();
+    print_string
+      (Printer.module_to_string_annotated
+         (Tfm_analysis.Summary.annotate env)
+         m)
+  end;
+  0
 
 (* Static access-pattern classification dump: the evidence the hybrid
    route pass acts on, printed per function in deterministic order
    (function order, then ascending instruction id), plus the routing
    decisions a static-mode compile makes on the transformed module. CI
    byte-compares two runs of this output. *)
-let classify_cmd workload_name o1 json =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      let env = Tfm_analysis.Summary.compute m in
-      let shapes = Tfm_analysis.Shape.analyze m in
-      let per_fun =
-        List.map
-          (fun f ->
-            ( f.Ir.fname,
-              Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes f ))
-          m.Ir.funcs
-      in
-      let config =
-        {
-          Trackfm.Pipeline.default_config with
-          Trackfm.Pipeline.route = `Static;
-        }
-      in
-      let report = Trackfm.Pipeline.run config ((build_of w o1) ()) in
-      let r = report.Trackfm.Pipeline.routing in
-      if json then begin
-        (* Machine-readable variant: field order is fixed by
-           construction, so two runs are byte-identical and CI can both
-           diff and schema-validate the output. *)
-        let open Telemetry.Json in
-        let site_json (s : Tfm_analysis.Access_pattern.site) =
-          Obj
-            [
-              ("instr", Int s.Tfm_analysis.Access_pattern.instr_id);
-              ("block", String s.Tfm_analysis.Access_pattern.block);
-              ( "kind",
-                String
-                  (if s.Tfm_analysis.Access_pattern.is_store then "store"
-                   else "load") );
-              ("size", Int s.Tfm_analysis.Access_pattern.size);
-              ( "class",
-                String
-                  (Tfm_analysis.Access_pattern.cls_to_string
-                     s.Tfm_analysis.Access_pattern.cls) );
-              ( "stride",
-                match s.Tfm_analysis.Access_pattern.stride with
-                | Some v -> Int v
-                | None -> Null );
-              ("chain_depth", Int s.Tfm_analysis.Access_pattern.chain_depth);
-              ( "shape",
-                match s.Tfm_analysis.Access_pattern.shape with
-                | Some k -> String k
-                | None -> Null );
-              ("density", Float s.Tfm_analysis.Access_pattern.density);
-              ("rationale", String s.Tfm_analysis.Access_pattern.rationale);
-            ]
-        in
-        let j =
-          Obj
-            [
-              ("workload", String w.wname);
-              ( "functions",
-                List
-                  (List.map
-                     (fun (fname, t) ->
-                       Obj
-                         [
-                           ("name", String fname);
-                           ( "sites",
-                             List
-                               (List.map site_json
-                                  (Tfm_analysis.Access_pattern.sites t)) );
-                         ])
-                     per_fun) );
-              ( "routing",
-                Obj
-                  [
-                    ("routed", Int r.Trackfm.Route_pass.routed);
-                    ("kept_pinned", Int r.Trackfm.Route_pass.kept_pinned);
-                    ("kept_covered", Int r.Trackfm.Route_pass.kept_covered);
-                    ("upgraded", Int r.Trackfm.Route_pass.upgraded);
-                    ( "routes",
-                      List
-                        (List.map
-                           (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
-                             Obj
-                               [
-                                 ("func", String fname);
-                                 ( "access",
-                                   Int rt.Tfm_checker.Coverage.routed_access );
-                                 ("page_call", Int rt.Tfm_checker.Coverage.page_call);
-                                 ("class", String rt.Tfm_checker.Coverage.cls);
-                               ])
-                           r.Trackfm.Route_pass.routes) );
-                  ] );
-            ]
-        in
-        print_endline (to_string j)
-      end
-      else begin
-        List.iter
-          (fun (_, t) -> print_string (Tfm_analysis.Access_pattern.dump t))
-          per_fun;
-        print_newline ();
-        Printf.printf
-          "hybrid routing (static): %d routed, %d kept pinned, %d kept covered\n"
-          r.Trackfm.Route_pass.routed r.Trackfm.Route_pass.kept_pinned
-          r.Trackfm.Route_pass.kept_covered;
-        List.iter
-          (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
-            Printf.printf "  %s: %%%d -> page call %%%d [%s]\n" fname
-              rt.Tfm_checker.Coverage.routed_access
-              rt.Tfm_checker.Coverage.page_call rt.Tfm_checker.Coverage.cls)
-          r.Trackfm.Route_pass.routes
-      end;
-      0
+let classify_cmd w o1 json =
+  let m = (build_of w o1) () in
+  let env = Tfm_analysis.Summary.compute m in
+  let shapes = Tfm_analysis.Shape.analyze m in
+  let per_fun =
+    List.map
+      (fun f ->
+        ( f.Ir.fname,
+          Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes f ))
+      m.Ir.funcs
+  in
+  let config =
+    {
+      Trackfm.Pipeline.default_config with
+      Trackfm.Pipeline.route = `Static;
+    }
+  in
+  let report = Trackfm.Pipeline.run config ((build_of w o1) ()) in
+  let r = report.Trackfm.Pipeline.routing in
+  if json then begin
+    (* Machine-readable variant: field order is fixed by
+       construction, so two runs are byte-identical and CI can both
+       diff and schema-validate the output. *)
+    let open Telemetry.Json in
+    let site_json (s : Tfm_analysis.Access_pattern.site) =
+      Obj
+        [
+          ("instr", Int s.Tfm_analysis.Access_pattern.instr_id);
+          ("block", String s.Tfm_analysis.Access_pattern.block);
+          ( "kind",
+            String
+              (if s.Tfm_analysis.Access_pattern.is_store then "store"
+               else "load") );
+          ("size", Int s.Tfm_analysis.Access_pattern.size);
+          ( "class",
+            String
+              (Tfm_analysis.Access_pattern.cls_to_string
+                 s.Tfm_analysis.Access_pattern.cls) );
+          ( "stride",
+            match s.Tfm_analysis.Access_pattern.stride with
+            | Some v -> Int v
+            | None -> Null );
+          ("chain_depth", Int s.Tfm_analysis.Access_pattern.chain_depth);
+          ( "shape",
+            match s.Tfm_analysis.Access_pattern.shape with
+            | Some k -> String k
+            | None -> Null );
+          ("density", Float s.Tfm_analysis.Access_pattern.density);
+          ("rationale", String s.Tfm_analysis.Access_pattern.rationale);
+        ]
+    in
+    let j =
+      Obj
+        [
+          ("workload", String w.wname);
+          ( "functions",
+            List
+              (List.map
+                 (fun (fname, t) ->
+                   Obj
+                     [
+                       ("name", String fname);
+                       ( "sites",
+                         List
+                           (List.map site_json
+                              (Tfm_analysis.Access_pattern.sites t)) );
+                     ])
+                 per_fun) );
+          ( "routing",
+            Obj
+              [
+                ("routed", Int r.Trackfm.Route_pass.routed);
+                ("kept_pinned", Int r.Trackfm.Route_pass.kept_pinned);
+                ("kept_covered", Int r.Trackfm.Route_pass.kept_covered);
+                ("upgraded", Int r.Trackfm.Route_pass.upgraded);
+                ( "routes",
+                  List
+                    (List.map
+                       (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
+                         Obj
+                           [
+                             ("func", String fname);
+                             ( "access",
+                               Int rt.Tfm_checker.Coverage.routed_access );
+                             ("page_call", Int rt.Tfm_checker.Coverage.page_call);
+                             ("class", String rt.Tfm_checker.Coverage.cls);
+                           ])
+                       r.Trackfm.Route_pass.routes) );
+              ] );
+        ]
+    in
+    print_endline (to_string j)
+  end
+  else begin
+    List.iter
+      (fun (_, t) -> print_string (Tfm_analysis.Access_pattern.dump t))
+      per_fun;
+    print_newline ();
+    Printf.printf
+      "hybrid routing (static): %d routed, %d kept pinned, %d kept covered\n"
+      r.Trackfm.Route_pass.routed r.Trackfm.Route_pass.kept_pinned
+      r.Trackfm.Route_pass.kept_covered;
+    List.iter
+      (fun (fname, (rt : Tfm_checker.Coverage.routing)) ->
+        Printf.printf "  %s: %%%d -> page call %%%d [%s]\n" fname
+          rt.Tfm_checker.Coverage.routed_access
+          rt.Tfm_checker.Coverage.page_call rt.Tfm_checker.Coverage.cls)
+      r.Trackfm.Route_pass.routes
+  end;
+  0
 
 (* Shape-analysis dump (deterministic: CI byte-compares two runs), and
    — with [--shadow] — the dynamic audit: execute the statically routed
@@ -1633,78 +1436,73 @@ let classify_cmd workload_name o1 json =
    depths. A lying shape summary that misroutes a site shows up here as
    a MISMATCH even though the structural checker (which never consults
    shape facts) accepts the module. *)
-let shape_cmd workload_name o1 shadow_mode local_pct =
-  match find_workload workload_name with
-  | Error e ->
-      prerr_endline e;
+let shape_cmd w o1 shadow_mode local_pct =
+  let m = (build_of w o1) () in
+  print_string (Tfm_analysis.Shape.dump (Tfm_analysis.Shape.analyze m) m);
+  if not shadow_mode then 0
+  else begin
+    let sh = Shadow.create () in
+    let budget = max (16 * 4096) (w.working_set * local_pct / 100) in
+    let opts =
+      {
+        (Driver.tfm_defaults ~local_budget:budget) with
+        Driver.route = `Static;
+      }
+    in
+    let o, report =
+      Driver.run_trackfm ~blobs:w.blobs ~shadow:sh (build_of w o1) opts
+    in
+    print_newline ();
+    print_string (Shadow.dump sh);
+    let classes =
+      report.Trackfm.Pipeline.routing.Trackfm.Route_pass.classes
+    in
+    let checked = ref 0 and confirmed = ref 0 and unchecked = ref 0 in
+    let mismatches = ref [] in
+    List.iter
+      (fun (fname, (s : Tfm_analysis.Access_pattern.site)) ->
+        incr checked;
+        match
+          Shadow.check sh ~func:fname
+            ~instr:s.Tfm_analysis.Access_pattern.instr_id
+            ~cls:
+              (Tfm_analysis.Access_pattern.cls_to_string
+                 s.Tfm_analysis.Access_pattern.cls)
+        with
+        | Shadow.Confirmed -> incr confirmed
+        | Shadow.Unchecked -> incr unchecked
+        | Shadow.Mismatch msg ->
+            mismatches :=
+              Printf.sprintf "%s:%%%d %s" fname
+                s.Tfm_analysis.Access_pattern.instr_id msg
+              :: !mismatches)
+      classes;
+    print_newline ();
+    if o.Driver.ret <> w.expected then begin
+      Printf.printf
+        "checksum MISMATCH: got %d, expected %d\nshape-shadow FAIL\n"
+        o.Driver.ret w.expected;
       1
-  | Ok w ->
-      let m = (build_of w o1) () in
-      print_string (Tfm_analysis.Shape.dump (Tfm_analysis.Shape.analyze m) m);
-      if not shadow_mode then 0
-      else begin
-        let sh = Shadow.create () in
-        let budget = max (16 * 4096) (w.working_set * local_pct / 100) in
-        let opts =
-          {
-            (Driver.tfm_defaults ~local_budget:budget) with
-            Driver.route = `Static;
-          }
-        in
-        let o, report =
-          Driver.run_trackfm ~blobs:w.blobs ~shadow:sh (build_of w o1) opts
-        in
-        print_newline ();
-        print_string (Shadow.dump sh);
-        let classes =
-          report.Trackfm.Pipeline.routing.Trackfm.Route_pass.classes
-        in
-        let checked = ref 0 and confirmed = ref 0 and unchecked = ref 0 in
-        let mismatches = ref [] in
-        List.iter
-          (fun (fname, (s : Tfm_analysis.Access_pattern.site)) ->
-            incr checked;
-            match
-              Shadow.check sh ~func:fname
-                ~instr:s.Tfm_analysis.Access_pattern.instr_id
-                ~cls:
-                  (Tfm_analysis.Access_pattern.cls_to_string
-                     s.Tfm_analysis.Access_pattern.cls)
-            with
-            | Shadow.Confirmed -> incr confirmed
-            | Shadow.Unchecked -> incr unchecked
-            | Shadow.Mismatch msg ->
-                mismatches :=
-                  Printf.sprintf "%s:%%%d %s" fname
-                    s.Tfm_analysis.Access_pattern.instr_id msg
-                  :: !mismatches)
-          classes;
-        print_newline ();
-        if o.Driver.ret <> w.expected then begin
-          Printf.printf
-            "checksum MISMATCH: got %d, expected %d\nshape-shadow FAIL\n"
-            o.Driver.ret w.expected;
-          1
-        end
-        else begin
-          Printf.printf
-            "shadow validation: %d site(s) checked, %d confirmed, %d \
-             unchecked, %d mismatch(es)\n"
-            !checked !confirmed !unchecked
-            (List.length !mismatches);
-          List.iter
-            (fun l -> Printf.printf "  MISMATCH %s\n" l)
-            (List.rev !mismatches);
-          if !mismatches = [] then begin
-            print_endline "shape-shadow PASS";
-            0
-          end
-          else begin
-            print_endline "shape-shadow FAIL";
-            1
-          end
-        end
+    end
+    else begin
+      Printf.printf
+        "shadow validation: %d site(s) checked, %d confirmed, %d \
+         unchecked, %d mismatch(es)\n"
+        !checked !confirmed !unchecked
+        (List.length !mismatches);
+      List.iter
+        (fun l -> Printf.printf "  MISMATCH %s\n" l)
+        (List.rev !mismatches);
+      if !mismatches = [] then begin
+        print_endline "shape-shadow PASS";
+        0
       end
+      else begin
+        print_endline "shape-shadow FAIL";
+        1
+      end
+    end
+  end
 
 let list_cmd () =
   List.iter
@@ -1716,116 +1514,13 @@ let list_cmd () =
 
 (* -- cmdliner wiring -- *)
 
+open Term.Syntax
+
 let workload_arg =
   Arg.(
     required
-    & opt (some string) None
+    & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to run (see list).")
-
-let system_arg =
-  Arg.(
-    value & opt string "trackfm"
-    & info [ "s"; "system" ] ~docv:"SYSTEM"
-        ~doc:"Memory system: local, trackfm or fastswap.")
-
-let local_mem_arg =
-  Arg.(
-    value & opt int 25
-    & info [ "m"; "local-mem" ] ~docv:"PCT"
-        ~doc:"Local memory as a percentage of the working set.")
-
-let object_size_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "o"; "object-size" ] ~docv:"BYTES"
-        ~doc:"TrackFM/AIFM object size (power of two, 64-65536).")
-
-let chunk_arg =
-  Arg.(
-    value & opt string "gated"
-    & info [ "c"; "chunk" ] ~docv:"MODE"
-        ~doc:"Loop chunking mode: off, all, or gated (profiled cost model).")
-
-let route_arg =
-  Arg.(
-    value & opt string "off"
-    & info [ "route" ] ~docv:"MODE"
-        ~doc:
-          "Hybrid data plane (trackfm only): off, static (pointer-chasing \
-           sites take the page-fault path, streaming sites keep guards), or \
-           profiled (additionally upgrade mixed/unknown sites that a \
-           profiling pre-run shows slow-path dominated).")
-
-let prefetch_arg =
-  Arg.(
-    value & flag
-    & info [ "no-prefetch" ] ~doc:"Disable compiler-directed prefetching.")
-
-let o1_arg =
-  Arg.(
-    value & flag
-    & info [ "o1" ] ~doc:"Run the O1 pre-optimization pipeline first.")
-
-let no_summaries_arg =
-  Arg.(
-    value & flag
-    & info [ "no-summaries" ]
-        ~doc:
-          "Disable interprocedural summaries: every call clobbers custody \
-           and every call result classifies unknown (the pre-summary \
-           pipeline).")
-
-let no_shapes_arg =
-  Arg.(
-    value & flag
-    & info [ "no-shapes" ]
-        ~doc:
-          "Disable the interprocedural shape analysis: helper-hidden \
-           pointer chases classify unknown and static routing falls back \
-           to intraprocedural evidence only.")
-
-let faults_arg =
-  Arg.(
-    value & opt string "none"
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Fabric fault injection: none, light, medium, heavy, or a \
-           comma-separated spec of drop=P, timeout=P, spike=P:CYC[:ALPHA], \
-           outage=PERIOD:LEN.")
-
-let fault_seed_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "fault-seed" ] ~docv:"N"
-        ~doc:
-          "Seed for the fault injector's random stream; a fixed seed makes \
-           the whole fault schedule (and every counter) reproducible.")
-
-let replicas_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "replicas" ] ~docv:"N"
-        ~doc:
-          "Number of remote memory nodes (1-8). With 1 and no crash/corrupt \
-           faults the single-server model is kept bit for bit.")
-
-let ack_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "ack" ] ~docv:"K"
-        ~doc:
-          "Writebacks are acknowledged once $(docv) replicas hold the object \
-           (1 <= K <= replicas); the remaining copies apply after a \
-           replication lag.")
-
-let engine_arg =
-  Arg.(
-    value & opt string "interp"
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Execution engine: interp (the tree-walking reference \
-           interpreter, the differential oracle) or compiled (closure-\
-           compiled, same observable behaviour, ~10x faster dispatch).")
 
 let counters_json_arg =
   Arg.(
@@ -1837,27 +1532,28 @@ let counters_json_arg =
            cycles, all counters sorted by name) to $(docv); the CI fault \
            matrix diffs these against golden files.")
 
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a Chrome trace_event JSON to $(docv) (open in \
-           chrome://tracing or ui.perfetto.dev).")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:"Write the sampled counter time-series as CSV to $(docv).")
-
-let sample_interval_arg =
-  Arg.(
-    value & opt int 250_000
-    & info [ "sample-interval" ] ~docv:"CYCLES"
-        ~doc:"Simulated cycles between counter snapshots.")
+let telemetry_out_term =
+  let+ trace_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Record a Chrome trace_event JSON to $(docv) (open in \
+             chrome://tracing or ui.perfetto.dev).")
+  and+ metrics_file =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "metrics" ] ~docv:"FILE"
+          ~doc:"Write the sampled counter time-series as CSV to $(docv).")
+  and+ sample_interval =
+    Arg.(
+      value & opt int 250_000
+      & info [ "sample-interval" ] ~docv:"CYCLES"
+          ~doc:"Simulated cycles between counter snapshots.")
+  in
+  { trace_file; metrics_file; sample_interval }
 
 let attribution_arg =
   Arg.(
@@ -1880,27 +1576,18 @@ let flight_arg =
            rings to $(docv).")
 
 let run_term =
-  Term.(
-    const
-      (fun w s e m o c rt np ns nsh o1 fs fseed repl ack cj tr me si attr fl ->
-        run_cmd w s e m o c rt (not np) (not ns) (not nsh) o1 fs fseed repl ack
-          cj tr me si attr fl)
-    $ workload_arg $ system_arg $ engine_arg $ local_mem_arg $ object_size_arg
-    $ chunk_arg $ route_arg $ prefetch_arg $ no_summaries_arg $ no_shapes_arg
-    $ o1_arg $ faults_arg $ fault_seed_arg $ replicas_arg $ ack_arg
-    $ counters_json_arg $ trace_arg $ metrics_arg $ sample_interval_arg
-    $ attribution_arg $ flight_arg)
+  let+ w = workload_arg
+  and+ spec = Run_spec.term
+  and+ tel = telemetry_out_term
+  and+ counters_json = counters_json_arg
+  and+ attribution = attribution_arg
+  and+ flight = flight_arg in
+  run_cmd spec w tel ~counters_json ~attribution ~flight
 
 let run_info = Cmd.info "run" ~doc:"Compile and run a workload"
 
 let report_term =
-  Term.(
-    const (fun w s e m o c rt np ns o1 fs fseed tr me si ->
-        report_cmd w s e m o c rt (not np) (not ns) o1 fs fseed tr me si)
-    $ workload_arg $ system_arg $ engine_arg $ local_mem_arg $ object_size_arg
-    $ chunk_arg $ route_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ trace_arg $ metrics_arg
-    $ sample_interval_arg)
+  Term.(const report_cmd $ Run_spec.term $ workload_arg $ telemetry_out_term)
 
 let report_info =
   Cmd.info "report"
@@ -1911,7 +1598,7 @@ let report_info =
 let workload_opt_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:"Workload to run live (omit when reading --from).")
 
@@ -1925,12 +1612,7 @@ let from_arg =
            instead of running a workload.")
 
 let critical_path_term =
-  Term.(
-    const (fun w s e m o c np ns o1 fs fseed from ->
-        critical_path_cmd w s e m o c (not np) (not ns) o1 fs fseed from)
-    $ workload_opt_arg $ system_arg $ engine_arg $ local_mem_arg
-    $ object_size_arg $ chunk_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ from_arg)
+  Term.(const critical_path_cmd $ Run_spec.term $ workload_opt_arg $ from_arg)
 
 let critical_path_info =
   Cmd.info "critical-path"
@@ -1962,11 +1644,8 @@ let slo_file_arg =
 
 let slo_term =
   Term.(
-    const (fun w s e m o c np ns o1 fs fseed from spec file ->
-        slo_cmd w s e m o c (not np) (not ns) o1 fs fseed from spec file)
-    $ workload_opt_arg $ system_arg $ engine_arg $ local_mem_arg
-    $ object_size_arg $ chunk_arg $ prefetch_arg $ no_summaries_arg $ o1_arg
-    $ faults_arg $ fault_seed_arg $ from_arg $ slo_spec_arg $ slo_file_arg)
+    const slo_cmd $ Run_spec.term $ workload_opt_arg $ from_arg $ slo_spec_arg
+    $ slo_file_arg)
 
 let slo_info =
   Cmd.info "slo"
@@ -2001,13 +1680,14 @@ let validate_info =
 let list_info = Cmd.info "list" ~doc:"List available workloads"
 
 let sweep_term =
-  Term.(const sweep_cmd $ workload_arg $ object_size_arg)
+  Term.(const sweep_cmd $ workload_arg $ Run_spec.object_size_arg)
 
 let sweep_info =
   Cmd.info "sweep"
     ~doc:"Sweep local memory and chart TrackFM vs Fastswap slowdowns"
 
-let autotune_term = Term.(const autotune_cmd $ workload_arg $ local_mem_arg)
+let autotune_term =
+  Term.(const autotune_cmd $ workload_arg $ Run_spec.local_pct_arg)
 
 let autotune_info =
   Cmd.info "autotune" ~doc:"Pick the best TrackFM object size by search"
@@ -2015,11 +1695,12 @@ let autotune_info =
 let check_workload_arg =
   Arg.(
     value
-    & opt (some string) None
+    & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME"
         ~doc:"Check only this workload (default: all).")
 
-let check_term = Term.(const check_cmd $ check_workload_arg $ engine_arg)
+let check_term =
+  Term.(const check_cmd $ check_workload_arg $ Run_spec.engine_term)
 
 let check_info =
   Cmd.info "check"
@@ -2037,7 +1718,7 @@ let ir_arg =
         ~doc:"Also dump the IR with call sites annotated by !summary comments.")
 
 let summaries_term =
-  Term.(const summaries_cmd $ workload_arg $ o1_arg $ ir_arg)
+  Term.(const summaries_cmd $ workload_arg $ Run_spec.o1_arg $ ir_arg)
 
 let summaries_info =
   Cmd.info "summaries"
@@ -2055,7 +1736,7 @@ let classify_json_arg =
            byte-compares it).")
 
 let classify_term =
-  Term.(const classify_cmd $ workload_arg $ o1_arg $ classify_json_arg)
+  Term.(const classify_cmd $ workload_arg $ Run_spec.o1_arg $ classify_json_arg)
 
 let classify_info =
   Cmd.info "classify"
@@ -2076,7 +1757,9 @@ let shadow_arg =
            (exit 1 on any mismatch).")
 
 let shape_term =
-  Term.(const shape_cmd $ workload_arg $ o1_arg $ shadow_arg $ local_mem_arg)
+  Term.(
+    const shape_cmd $ workload_arg $ Run_spec.o1_arg $ shadow_arg
+    $ Run_spec.local_pct_arg)
 
 let shape_info =
   Cmd.info "shape"
@@ -2086,111 +1769,131 @@ let shape_info =
        stores) and per-allocation-site structure kinds; --shadow runs the \
        dynamic audit"
 
-let backend_arg =
-  Arg.(
-    value & opt string "trackfm"
-    & info [ "b"; "backend" ] ~docv:"BACKEND"
-        ~doc:"Far-memory backend: trackfm, fastswap or aifm.")
-
-let rate_arg =
-  Arg.(
-    value & opt float 30.0
-    & info [ "rate" ] ~docv:"R"
-        ~doc:
-          "Offered load in requests per Mcycle across all tenants (open \
-           loop: arrivals never slow down under backlog).")
-
-let requests_arg =
-  Arg.(
-    value & opt int 20_000
-    & info [ "requests" ] ~docv:"N" ~doc:"Arrivals to generate.")
-
-let tenants_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "tenants" ] ~docv:"N" ~doc:"Number of equal-weight tenants.")
-
-let keys_arg =
-  Arg.(
-    value & opt int 65_536
-    & info [ "keys" ] ~docv:"N" ~doc:"Key-space size per tenant.")
-
-let skew_arg =
-  Arg.(
-    value & opt float 0.99
-    & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew of key popularity.")
-
-let value_size_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "value-size" ] ~docv:"BYTES"
-        ~doc:"Bytes per value (multiple of 8, divides the 4 KiB page).")
-
-let budget_arg =
-  Arg.(
-    value & opt int 65_536
-    & info [ "budget" ] ~docv:"BYTES"
-        ~doc:"Per-tenant local-memory budget in bytes.")
-
-let connections_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "connections" ] ~docv:"N"
-        ~doc:"Concurrent connection-handler tasks.")
-
-let service_cycles_arg =
-  Arg.(
-    value & opt int 10_000
-    & info [ "service-cycles" ] ~docv:"CYC"
-        ~doc:"CPU cost of one request (parse, hash, respond).")
-
-let readahead_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "readahead" ] ~docv:"PAGES"
-        ~doc:"Fastswap readahead pages per fault (0 disables).")
-
-let queue_cap_arg =
-  Arg.(
-    value & opt int 256
-    & info [ "queue-cap" ] ~docv:"N"
-        ~doc:"Accept-queue bound for admission control.")
-
-let deadline_arg =
-  Arg.(
-    value & opt int 500_000
-    & info [ "deadline" ] ~docv:"CYC"
-        ~doc:"Per-request latency deadline in cycles.")
-
-let no_admission_arg =
-  Arg.(
-    value & flag
-    & info [ "no-admission" ] ~doc:"Disable admission control.")
-
-let no_shedding_arg =
-  Arg.(value & flag & info [ "no-shedding" ] ~doc:"Disable load shedding.")
-
-let no_degradation_arg =
-  Arg.(
-    value & flag
-    & info [ "no-degradation" ]
-        ~doc:"Disable graceful degradation (serve-stale, readahead shed).")
-
-let open_loop_arg =
-  Arg.(
-    value & flag
-    & info [ "open-loop" ]
-        ~doc:
-          "Disable the whole control plane (equivalent to --no-admission \
-           --no-shedding --no-degradation): the hockey-stick baseline.")
-
-let seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"N"
-        ~doc:
-          "Traffic seed (arrival gaps, tenant and key picks); a fixed seed \
-           makes the whole run byte-for-byte reproducible.")
+(* The serving scenario's parameters, built once from its flags; the
+   fault and replica flags are the shared fabric term. *)
+let serving_params_term =
+  let+ backend =
+    Arg.(
+      value
+      & opt
+          (enum
+             (List.map
+                (fun b -> (Serving.backend_name b, b))
+                Serving.[ Trackfm; Fastswap; Aifm ]))
+          Serving.Trackfm
+      & info [ "b"; "backend" ] ~docv:"BACKEND"
+          ~doc:"Far-memory backend: trackfm, fastswap or aifm.")
+  and+ rate =
+    Arg.(
+      value & opt float 30.0
+      & info [ "rate" ] ~docv:"R"
+          ~doc:
+            "Offered load in requests per Mcycle across all tenants (open \
+             loop: arrivals never slow down under backlog).")
+  and+ requests =
+    Arg.(
+      value & opt int 20_000
+      & info [ "requests" ] ~docv:"N" ~doc:"Arrivals to generate.")
+  and+ tenants =
+    Arg.(
+      value & opt int 2
+      & info [ "tenants" ] ~docv:"N" ~doc:"Number of equal-weight tenants.")
+  and+ keys =
+    Arg.(
+      value & opt int 65_536
+      & info [ "keys" ] ~docv:"N" ~doc:"Key-space size per tenant.")
+  and+ skew =
+    Arg.(
+      value & opt float 0.99
+      & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew of key popularity.")
+  and+ value_size =
+    Arg.(
+      value & opt int 64
+      & info [ "value-size" ] ~docv:"BYTES"
+          ~doc:"Bytes per value (multiple of 8, divides the 4 KiB page).")
+  and+ budget =
+    Arg.(
+      value & opt int 65_536
+      & info [ "budget" ] ~docv:"BYTES"
+          ~doc:"Per-tenant local-memory budget in bytes.")
+  and+ connections =
+    Arg.(
+      value & opt int 64
+      & info [ "connections" ] ~docv:"N"
+          ~doc:"Concurrent connection-handler tasks.")
+  and+ service_cycles =
+    Arg.(
+      value & opt int 10_000
+      & info [ "service-cycles" ] ~docv:"CYC"
+          ~doc:"CPU cost of one request (parse, hash, respond).")
+  and+ readahead =
+    Arg.(
+      value & opt int 2
+      & info [ "readahead" ] ~docv:"PAGES"
+          ~doc:"Fastswap readahead pages per fault (0 disables).")
+  and+ queue_cap =
+    Arg.(
+      value & opt int 256
+      & info [ "queue-cap" ] ~docv:"N"
+          ~doc:"Accept-queue bound for admission control.")
+  and+ deadline =
+    Arg.(
+      value & opt int 500_000
+      & info [ "deadline" ] ~docv:"CYC"
+          ~doc:"Per-request latency deadline in cycles.")
+  and+ no_admission =
+    Arg.(
+      value & flag & info [ "no-admission" ] ~doc:"Disable admission control.")
+  and+ no_shedding =
+    Arg.(value & flag & info [ "no-shedding" ] ~doc:"Disable load shedding.")
+  and+ no_degradation =
+    Arg.(
+      value & flag
+      & info [ "no-degradation" ]
+          ~doc:"Disable graceful degradation (serve-stale, readahead shed).")
+  and+ open_loop =
+    Arg.(
+      value & flag
+      & info [ "open-loop" ]
+          ~doc:
+            "Disable the whole control plane (equivalent to --no-admission \
+             --no-shedding --no-degradation): the hockey-stick baseline.")
+  and+ fabric = Run_spec.fabric_term
+  and+ seed =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Traffic seed (arrival gaps, tenant and key picks); a fixed seed \
+             makes the whole run byte-for-byte reproducible.")
+  in
+  {
+    Serving.backend;
+    tenants =
+      Serving.default_tenants ~n:tenants ~keys ~budget
+      |> List.map (fun t -> { t with Serving.skew });
+    rate;
+    requests;
+    service_cycles;
+    value_size;
+    connections;
+    readahead;
+    seed;
+    controls =
+      (if open_loop then Serving.open_loop
+       else
+         {
+           Serving.admission = not no_admission;
+           shedding = not no_shedding;
+           degradation = not no_degradation;
+           queue_cap;
+           deadline;
+         });
+    faults = fabric.faults;
+    fault_seed = fabric.fault_seed;
+    replicas = fabric.replicas;
+    ack = fabric.ack;
+  }
 
 let serving_json_arg =
   Arg.(
@@ -2204,12 +1907,8 @@ let serving_json_arg =
 
 let serve_term =
   Term.(
-    const serve_cmd $ backend_arg $ rate_arg $ requests_arg $ tenants_arg
-    $ keys_arg $ skew_arg $ value_size_arg $ budget_arg $ connections_arg
-    $ service_cycles_arg $ readahead_arg $ queue_cap_arg $ deadline_arg
-    $ no_admission_arg $ no_shedding_arg $ no_degradation_arg $ open_loop_arg
-    $ faults_arg $ fault_seed_arg $ replicas_arg $ ack_arg $ seed_arg
-    $ serving_json_arg $ attribution_arg $ flight_arg)
+    const serve_cmd $ serving_params_term $ serving_json_arg $ attribution_arg
+    $ flight_arg)
 
 let serve_info =
   Cmd.info "serve"

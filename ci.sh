@@ -20,7 +20,9 @@
 #                (text + schema-validated JSON) and shape dumps must be
 #                byte-identical across two runs
 #   test       - dune runtest (tier-1 unit/property/integration suites)
-#   smoke      - quick bench-harness run; writes metrics JSON to _ci/metrics
+#   smoke      - quick bench-harness run; writes metrics JSON to _ci/metrics;
+#                the shared run flags (engine, faults, replicas, ack) parse
+#                and bad values are usage errors
 #   faults     - fault-injection determinism matrix: fixed workloads x seeds,
 #                each run twice (byte-identical counters required) and diffed
 #                against the checked-in goldens in ci/golden/
@@ -158,6 +160,28 @@ stage_smoke() {
     for f in table1 fig6; do
         if [ ! -s "_ci/metrics/$f.json" ]; then
             echo "smoke: missing metrics JSON _ci/metrics/$f.json" >&2
+            exit 1
+        fi
+    done
+    # The run flags the bench shares with the CLI: every one of them
+    # parses, and bad values are usage errors (exit 124) before any
+    # experiment runs.
+    echo "== stage smoke: shared run flags =="
+    mkdir -p _ci/metrics-fabric
+    dune exec bench/main.exe -- table1 --quick --engine compiled \
+        --faults light --fault-seed 2 --replicas 3 --ack 2 \
+        --metrics-dir _ci/metrics-fabric
+    if [ ! -s _ci/metrics-fabric/table1.json ]; then
+        echo "smoke: missing metrics JSON _ci/metrics-fabric/table1.json" >&2
+        exit 1
+    fi
+    for bad in "--replicas 9" "--ack 3 --replicas 2" "--faults bogus" \
+        "--engine foo" "--faults"; do
+        status=0
+        # shellcheck disable=SC2086 # $bad is deliberately word-split
+        dune exec bench/main.exe -- table1 --quick $bad >/dev/null 2>&1 || status=$?
+        if [ "$status" -ne 124 ]; then
+            echo "smoke: bench/main.exe table1 $bad exited $status, want 124" >&2
             exit 1
         fi
     done
@@ -620,7 +644,7 @@ build       dune build @all
 fmt         dune build @fmt (skipped when ocamlformat is not installed)
 lint        guard-coverage verifier + elision witnesses + summary/classify/shape determinism
 test        dune runtest (tier-1 unit/property/integration suites)
-smoke       quick bench-harness run with metrics JSON export
+smoke       quick bench-harness run with metrics JSON export + shared run flags
 faults      fault-injection determinism matrix vs ci/golden/
 durability  replicated-tier crash matrix (r=1 must lose data, r=3 must not)
 tracing     span tracing must not perturb counters; trace schema + attribution

@@ -166,23 +166,7 @@ let autotune_object_size ?(cost = Cost_model.default) ?(blobs = [])
     =
   let measure object_size =
     let opts =
-      {
-        object_size;
-        local_budget;
-        chunk_mode = `Gated;
-        prefetch = true;
-        use_state_table = true;
-        profile_gate = false;
-        elide_guards = true;
-        use_summaries = true;
-        use_shapes = true;
-        route = `Off;
-        route_hotspots = [];
-        size_classes = [];
-        faults = Faults.disabled;
-        replicas = 1;
-        ack = 1;
-      }
+      { (tfm_defaults ~local_budget) with object_size; profile_gate = false }
     in
     (fst (run_trackfm ~cost ~blobs build opts)).cycles
   in

@@ -21,4 +21,5 @@ let () =
       Test_differential.suite;
       Test_engine.suite;
       Test_integration.suite;
+      Test_run_spec.suite;
     ]
