@@ -273,11 +273,8 @@ let ablate_eviction () =
             (fun name args ->
               match name with
               | "!load_blob" ->
-                  let blob = List.assoc args.(1) blobs in
-                  for k = 0 to Bytes.length blob - 1 do
-                    Memstore.store store ~addr:(args.(0) + k) ~size:1
-                      (Char.code (Bytes.get blob k))
-                  done;
+                  Memstore.write_bytes store ~addr:args.(0)
+                    (List.assoc args.(1) blobs);
                   Some 0
               | _ -> backend.Backend.intrinsic name args);
         }

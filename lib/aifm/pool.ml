@@ -7,6 +7,12 @@ let bit_hot = 0x08
 let bit_prefetched = 0x10
 let bit_swapped = 0x20 (* a remote copy exists *)
 
+(* Counter handles for the fetch and eviction paths. *)
+let c_writebacks = Clock.counter "aifm.writebacks"
+let c_evictions = Clock.counter "aifm.evictions"
+let c_materialized = Clock.counter "aifm.materialized"
+let c_demand_fetches = Clock.counter "aifm.demand_fetches"
+
 exception Out_of_local_memory
 
 type policy = Clock_hand | Fifo
@@ -130,7 +136,7 @@ let evict_one_with ~allow_writeback t =
         let swapped =
           if m land bit_dirty <> 0 then begin
             Net.writeback_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
-            Clock.count t.clock "aifm.writebacks" 1;
+            Clock.add t.clock c_writebacks 1;
             Telemetry.Sink.writeback_event t.telemetry ~bytes:t.osize;
             bit_swapped
           end
@@ -140,7 +146,7 @@ let evict_one_with ~allow_writeback t =
         t.used <- t.used - t.osize;
         t.nlocal <- t.nlocal - 1;
         Clock.tick t.clock t.cost.Cost_model.evict_object;
-        Clock.count t.clock "aifm.evictions" 1;
+        Clock.add t.clock c_evictions 1;
         Telemetry.Sink.evict_event t.telemetry;
         true
       end
@@ -192,7 +198,7 @@ let make_local t id m =
 let materialize t id =
   let m = get_meta t id in
   if m land bit_local = 0 then begin
-    Clock.count t.clock "aifm.materialized" 1;
+    Clock.add t.clock c_materialized 1;
     make_local t id (m lor bit_dirty)
   end
 
@@ -204,7 +210,7 @@ let ensure_local t id =
     (* Never written (or never existed): fresh backing, no remote copy to
        fetch — the analogue of an anonymous first-touch fault. *)
     Clock.tick t.clock 50;
-    Clock.count t.clock "aifm.materialized" 1;
+    Clock.add t.clock c_materialized 1;
     make_local t id (m land lnot bit_prefetched)
   end
   else begin
@@ -214,7 +220,7 @@ let ensure_local t id =
      end
      else begin
        Net.fetch_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
-       Clock.count t.clock "aifm.demand_fetches" 1;
+       Clock.add t.clock c_demand_fetches 1;
        Telemetry.Sink.fetch_event t.telemetry ~bytes:t.osize ~prefetched:false
      end);
     make_local t id (m land lnot bit_prefetched)

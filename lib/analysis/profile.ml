@@ -1,14 +1,22 @@
-type t = { counts : (string * string, int) Hashtbl.t }
+type t = { counts : (string * string, int ref) Hashtbl.t }
 
 let create () = { counts = Hashtbl.create 64 }
 
-let add_block t ~func ~block n =
+let cell t ~func ~block =
   let key = (func, block) in
-  let cur = try Hashtbl.find t.counts key with Not_found -> 0 in
-  Hashtbl.replace t.counts key (cur + n)
+  match Hashtbl.find_opt t.counts key with
+  | Some r -> r
+  | None ->
+      let r = ref 0 in
+      Hashtbl.add t.counts key r;
+      r
+
+let add_block t ~func ~block n =
+  let r = cell t ~func ~block in
+  r := !r + n
 
 let block_count t ~func ~block =
-  try Hashtbl.find t.counts (func, block) with Not_found -> 0
+  match Hashtbl.find_opt t.counts (func, block) with Some r -> !r | None -> 0
 
 let avg_trip_count t ~func ~header ~preheader =
   let entries = block_count t ~func ~block:preheader in

@@ -13,6 +13,11 @@ val create : unit -> t
 val add_block : t -> func:string -> block:string -> int -> unit
 (** Accumulate executions of one block. *)
 
+val cell : t -> func:string -> block:string -> int ref
+(** The counter behind one block, created at zero on first use. An
+    engine resolves each block's cell once, when it prepares the block,
+    and increments it per execution without hashing the names. *)
+
 val block_count : t -> func:string -> block:string -> int
 
 val avg_trip_count :

@@ -7,6 +7,13 @@ let bit_dirty = 0x2
 let bit_hot = 0x4
 let bit_swapped = 0x8 (* has a remote copy *)
 
+(* Counter handles for the fault and reclaim paths. *)
+let c_writebacks = Clock.counter "fastswap.writebacks"
+let c_evictions = Clock.counter "fastswap.evictions"
+let c_major_faults = Clock.counter "fastswap.major_faults"
+let c_readahead_pages = Clock.counter "fastswap.readahead_pages"
+let c_minor_faults = Clock.counter "fastswap.minor_faults"
+
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
@@ -73,12 +80,12 @@ let reclaim_one_with ~allow_writeback t =
       else begin
         if s land bit_dirty <> 0 then begin
           Net.writeback_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
-          Clock.count t.clock "fastswap.writebacks" 1
+          Clock.add t.clock c_writebacks 1
         end;
         set_state t p ((s lor bit_swapped) land lnot (bit_present lor bit_dirty));
         t.present <- t.present - 1;
         Clock.tick t.clock t.cost.Cost_model.evict_page;
-        Clock.count t.clock "fastswap.evictions" 1;
+        Clock.add t.clock c_evictions 1;
         true
       end
     end
@@ -138,7 +145,7 @@ let fault_page t p ~write =
     (* Major fault: kernel software path plus the RDMA page read. *)
     Clock.tick t.clock t.cost.Cost_model.fastswap_fault_base;
     Net.fetch_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
-    Clock.count t.clock "fastswap.major_faults" 1;
+    Clock.add t.clock c_major_faults 1;
     map_page t p ~hot:true ~dirty:write;
     (* Optional cluster readahead of subsequent swapped-out pages.
        Suppressed while the breaker is open: speculative traffic is the
@@ -149,7 +156,7 @@ let fault_page t p ~write =
       if sq land bit_swapped <> 0 && sq land bit_present = 0 then begin
         Net.fetch_object_prefetched t.net ~key:(q lsl page_bits)
           ~bytes:page_size;
-        Clock.count t.clock "fastswap.readahead_pages" 1;
+        Clock.add t.clock c_readahead_pages 1;
         map_page t q ~hot:false ~dirty:false
       end
     done
@@ -157,7 +164,7 @@ let fault_page t p ~write =
   else begin
     (* First touch: anonymous page allocation (minor fault). *)
     Clock.tick t.clock t.cost.Cost_model.fastswap_fault_local;
-    Clock.count t.clock "fastswap.minor_faults" 1;
+    Clock.add t.clock c_minor_faults 1;
     map_page t p ~hot:true ~dirty:write
   end
 

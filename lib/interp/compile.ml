@@ -70,12 +70,12 @@ type state = {
 }
 
 type cblock = {
-  cb_label : string;
   cb_step : frame -> int;
       (* the block body fused with its terminator: runs every instruction
          closure, then returns the next block index (-1 = return) *)
   cb_cost : int; (* instruction-count units per execution: n + 1 *)
   cb_tick : int; (* straight-line cycles per execution: (n + 4) / 4 *)
+  cb_cell : int ref; (* the block's profile counter, when profiling *)
 }
 
 type cfunc = {
@@ -881,7 +881,6 @@ let exec ctx cfn fr =
   let st = ctx.st in
   let clock = ctx.backend.Backend.clock in
   let blocks = cfn.cf_blocks in
-  let fname = cfn.cf_src.Ir.fname in
   if Array.length blocks = 0 then invalid_arg "index out of bounds";
   let cur = ref 0 in
   (* The profiled loop is split out so the common (unprofiled) path pays
@@ -896,10 +895,10 @@ let exec ctx cfn fr =
         Memsim.Clock.tick clock b.cb_tick;
         cur := b.cb_step fr
       done
-  | Some prof ->
+  | Some _ ->
       while !cur >= 0 do
         let b = Array.unsafe_get blocks !cur in
-        Profile.add_block prof ~func:fname ~block:b.cb_label 1;
+        incr b.cb_cell;
         st.fuel <- st.fuel - b.cb_cost;
         if st.fuel < 0 then trap "out of fuel (infinite loop?)";
         st.instrs <- st.instrs + b.cb_cost;
@@ -1522,10 +1521,13 @@ let compile_func ctx (f : Ir.func) =
              | None -> compile_term ctx f cfn rtys label_index bidx b.term
            in
            {
-             cb_label = b.label;
              cb_step = chain_step code term;
              cb_cost = n_ir + 1;
              cb_tick = (n_ir + 4) / 4;
+             cb_cell =
+               (match ctx.profile with
+               | Some prof -> Profile.cell prof ~func:f.Ir.fname ~block:b.label
+               | None -> ref 0);
            })
          f.blocks)
 

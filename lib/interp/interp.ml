@@ -19,6 +19,9 @@ and pblock = {
   plabel : string;
   pinstrs : pinstr array;
   pterm : Ir.terminator;
+  pcell : int ref;
+      (* the block's profile counter, resolved at prepare time; a scratch
+         cell nobody reads when the run is not profiled *)
 }
 
 and pfunc = {
@@ -66,6 +69,10 @@ let rec prepare st fname =
                    Array.of_list
                      (List.map (fun i -> { pi = i; ptarget = None }) b.instrs);
                  pterm = b.term;
+                 pcell =
+                   (match st.profile with
+                   | Some prof -> Profile.cell prof ~func:fname ~block:b.label
+                   | None -> ref 0);
                })
              f.blocks)
       in
@@ -247,9 +254,7 @@ and exec_blocks st p env args ~dargs =
     let bidx = !cur in
     let prev_label = !prev in
     let blk = p.blocks.(bidx) in
-    (match st.profile with
-    | Some prof -> Profile.add_block prof ~func:fname ~block:blk.plabel 1
-    | None -> ());
+    incr blk.pcell;
     let n = Array.length blk.pinstrs in
     st.fuel <- st.fuel - (n + 1);
     if st.fuel < 0 then trap "out of fuel (infinite loop?)";

@@ -1,10 +1,31 @@
+(* The counter registry is process-wide: a name gets one slot the first
+   time anyone asks for it, and every clock indexes its values by that
+   slot. Hot paths resolve their names once, at module initialisation,
+   and then pay an array access per event instead of a string hash. *)
+type counter = int
+
+let slots : (string, counter) Hashtbl.t = Hashtbl.create 64
+
+let counter name =
+  match Hashtbl.find_opt slots name with
+  | Some c -> c
+  | None ->
+      let c = Hashtbl.length slots in
+      Hashtbl.add slots name c;
+      c
+
+(* A slot holding [untouched] has not been counted since the last
+   [reset]; [counters] lists only the others, so a counter that was only
+   ever added 0 still shows up. *)
+let untouched = min_int
+
 type t = {
   mutable cycles : int;
   (* Cycles folded in from [reset]s, so [monotonic] never jumps backward
      across the !bench_begin boundary (crash schedules and replication
      timestamps must live on one continuous timeline). *)
   mutable folded : int;
-  table : (string, int ref) Hashtbl.t;
+  mutable values : int array; (* indexed by [counter]; grows on demand *)
   (* Sampling hook: [sampler] fires every [sample_interval] cycles (from
      the moment it is installed). [next_sample] is [max_int] when no
      sampler is installed, so the common-case cost in [tick] is a single
@@ -18,7 +39,7 @@ let create () =
   {
     cycles = 0;
     folded = 0;
-    table = Hashtbl.create 16;
+    values = Array.make (max 16 (Hashtbl.length slots)) untouched;
     sample_interval = 0;
     next_sample = max_int;
     sampler = None;
@@ -42,16 +63,36 @@ let[@inline] tick t n =
 let cycles t = t.cycles
 let monotonic t = t.folded + t.cycles
 
-let count t name n =
-  match Hashtbl.find_opt t.table name with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.replace t.table name (ref n)
+(* A counter registered after [t] was created lies past its array. *)
+let grow t c =
+  let n = Array.length t.values in
+  let values = Array.make (max (c + 1) (2 * n)) untouched in
+  Array.blit t.values 0 values 0 n;
+  t.values <- values
+
+let[@inline] add t c n =
+  if c >= Array.length t.values then grow t c;
+  let v = Array.unsafe_get t.values c in
+  Array.unsafe_set t.values c (if v = untouched then n else v + n)
+
+let value t c =
+  if c >= Array.length t.values then 0
+  else
+    let v = Array.unsafe_get t.values c in
+    if v = untouched then 0 else v
+
+let count t name n = add t (counter name) n
 
 let get t name =
-  match Hashtbl.find_opt t.table name with Some r -> !r | None -> 0
+  match Hashtbl.find_opt slots name with Some c -> value t c | None -> 0
 
 let counters t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.table []
+  let n = Array.length t.values in
+  Hashtbl.fold
+    (fun name c acc ->
+      if c < n && t.values.(c) <> untouched then (name, t.values.(c)) :: acc
+      else acc)
+    slots []
   |> List.sort compare
 
 let set_sampler t ~interval f =
@@ -68,7 +109,7 @@ let clear_sampler t =
 let reset t =
   t.folded <- t.folded + t.cycles;
   t.cycles <- 0;
-  Hashtbl.reset t.table;
+  Array.fill t.values 0 (Array.length t.values) untouched;
   match t.sampler with
   | Some _ -> t.next_sample <- t.sample_interval
   | None -> t.next_sample <- max_int

@@ -21,14 +21,29 @@ val monotonic : t -> int
     across that boundary (the replicated cluster's crash schedule and
     replication timestamps) key off this monotone timeline instead. *)
 
+type counter
+(** A counter name resolved to its slot. Slots are process-wide: every
+    clock indexes its values by them. *)
+
+val counter : string -> counter
+(** The slot of a name, registered on first use. Hot paths call this
+    once, at module initialisation, and keep the handle. *)
+
+val add : t -> counter -> int -> unit
+(** Add to a counter. *)
+
+val value : t -> counter -> int
+(** Value of a counter (0 if not counted since the last {!reset}). *)
+
 val count : t -> string -> int -> unit
-(** Add to a named counter, creating it at zero on first use. *)
+(** [add t (counter name) n]: the name is looked up on every call. *)
 
 val get : t -> string -> int
 (** Value of a named counter (0 if never counted). *)
 
 val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
+(** The counters counted since the last {!reset} (adds of 0 included),
+    sorted by name. *)
 
 val reset : t -> unit
 (** Zero the clock and all counters. An installed sampler stays

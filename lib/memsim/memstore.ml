@@ -2,21 +2,38 @@ let page_size = 4096
 let page_bits = 12
 let page_mask = page_size - 1
 
-type t = { pages : (int, Bytes.t) Hashtbl.t }
+(* [last_idx]/[last_page] cache the most recent lookup: accesses run in
+   page-local streaks, so most of them skip the hash. [last_idx] starts
+   at -1, which no [addr lsr page_bits] can equal. *)
+type t = {
+  pages : (int, Bytes.t) Hashtbl.t;
+  mutable last_idx : int;
+  mutable last_page : Bytes.t;
+}
 
-let create () = { pages = Hashtbl.create 1024 }
-
-let page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p -> p
-  | None ->
-      let p = Bytes.make page_size '\000' in
-      Hashtbl.replace t.pages idx p;
-      p
+let create () =
+  { pages = Hashtbl.create 1024; last_idx = -1; last_page = Bytes.empty }
 
 (* Pages are only ever created, never dropped or replaced, so a handle
    returned here stays the backing store of its index for the lifetime of
-   [t] — the compiled engine's per-site page caches rely on that. *)
+   [t] — the last-page cache and the compiled engine's per-site page
+   caches rely on that. *)
+let page t idx =
+  if idx = t.last_idx then t.last_page
+  else begin
+    let p =
+      match Hashtbl.find_opt t.pages idx with
+      | Some p -> p
+      | None ->
+          let p = Bytes.make page_size '\000' in
+          Hashtbl.replace t.pages idx p;
+          p
+    in
+    t.last_idx <- idx;
+    t.last_page <- p;
+    p
+  end
+
 let page_of t idx = page t idx
 
 let rec load t ~addr ~size =
@@ -113,8 +130,24 @@ let store64 t ~addr v =
         (Int64.to_int (Int64.shift_right_logical v (k * 8)) land 0xFF)
     done
 
-let blit t ~src ~dst ~len =
-  (* Conservative byte copy; realloc volumes are small in the workloads. *)
-  for k = 0 to len - 1 do
-    store t ~addr:(dst + k) ~size:1 (load t ~addr:(src + k) ~size:1)
+(* Visit [addr, addr + len) one page at a time: [f page off pos n]
+   covers [n] bytes from [off] in [page], which are bytes [pos ..] of the
+   range. *)
+let iter_pages t ~addr ~len f =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let off = a land page_mask in
+    let n = min (len - !pos) (page_size - off) in
+    f (page t (a lsr page_bits)) off !pos n;
+    pos := !pos + n
   done
+
+let write_bytes t ~addr b =
+  iter_pages t ~addr ~len:(Bytes.length b) (fun p off pos n ->
+      Bytes.blit b pos p off n)
+
+let blit t ~src ~dst ~len =
+  let tmp = Bytes.create len in
+  iter_pages t ~addr:src ~len (fun p off pos n -> Bytes.blit p off tmp pos n);
+  write_bytes t ~addr:dst tmp

@@ -26,8 +26,13 @@ val store64 : t -> addr:int -> int64 -> unit
     bit of stored doubles); used by the replication tier's copies and
     checksums. *)
 
+val write_bytes : t -> addr:int -> Bytes.t -> unit
+(** Copy bytes into memory starting at [addr], one page-sized
+    [Bytes.blit] at a time (used to load input blobs). *)
+
 val blit : t -> src:int -> dst:int -> len:int -> unit
-(** Copy a byte range (used by realloc). *)
+(** Copy a byte range, page-wise (used by realloc). The ranges may
+    overlap. *)
 
 val page_size : int
 (** Granularity of lazy materialization (4096). *)

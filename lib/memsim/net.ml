@@ -1,5 +1,13 @@
 type backend = Tcp | Rdma
 
+(* Counter handles for the fault-free transfer paths; the fault paths
+   are rare enough to count by name. *)
+let c_bytes_in = Clock.counter "net.bytes_in"
+let c_bytes_out = Clock.counter "net.bytes_out"
+let c_fetches = Clock.counter "net.fetches"
+let c_prefetched_fetches = Clock.counter "net.prefetched_fetches"
+let c_writebacks = Clock.counter "net.writebacks"
+
 type retry_policy = {
   max_attempts : int;
   attempt_timeout : int;
@@ -110,9 +118,9 @@ let stall t cycles =
 
 (* Success-side accounting shared by demand and prefetched fetches. *)
 let account_success t ~bytes ~prefetched =
-  Clock.count t.clock "net.bytes_in" bytes;
-  Clock.count t.clock "net.fetches" 1;
-  if prefetched then Clock.count t.clock "net.prefetched_fetches" 1
+  Clock.add t.clock c_bytes_in bytes;
+  Clock.add t.clock c_fetches 1;
+  if prefetched then Clock.add t.clock c_prefetched_fetches 1
 
 (* -- fault-free path (bit-identical to the pre-fault model) -------------- *)
 
@@ -287,8 +295,8 @@ let writeback_enqueue_cycles = 250
 
 let writeback t ~bytes =
   Clock.tick t.clock writeback_enqueue_cycles;
-  Clock.count t.clock "net.bytes_out" bytes;
-  Clock.count t.clock "net.writebacks" 1
+  Clock.add t.clock c_bytes_out bytes;
+  Clock.add t.clock c_writebacks 1
 
 (* -- replicated tier ------------------------------------------------------
 
@@ -402,10 +410,10 @@ let writeback_object t ~key ~bytes =
   | None -> writeback t ~bytes
   | Some c ->
       Clock.tick t.clock writeback_enqueue_cycles;
-      Clock.count t.clock "net.writebacks" 1;
+      Clock.add t.clock c_writebacks 1;
       let r = Cluster.writeback c ~key ~size:bytes in
       (* The async reclaim path ships one copy per replica written. *)
-      Clock.count t.clock "net.bytes_out" (bytes * r.Cluster.written);
+      Clock.add t.clock c_bytes_out (bytes * r.Cluster.written);
       if r.Cluster.lagged > 0 then
         Clock.count t.clock "net.replica_lag" r.Cluster.lagged;
       if r.Cluster.skipped > 0 then
@@ -428,6 +436,6 @@ let resync_step t =
       end;
       moved
 
-let bytes_in t = Clock.get t.clock "net.bytes_in"
-let bytes_out t = Clock.get t.clock "net.bytes_out"
-let fetches t = Clock.get t.clock "net.fetches"
+let bytes_in t = Clock.value t.clock c_bytes_in
+let bytes_out t = Clock.value t.clock c_bytes_out
+let fetches t = Clock.value t.clock c_fetches

@@ -8,6 +8,21 @@ let log2 n =
    split without a full cache simulator. *)
 let meta_cache_slots = 4096
 
+(* Counter handles, resolved once here instead of hashing the name on
+   every guard. *)
+let c_mallocs = Clock.counter "tfm.mallocs"
+let c_state_table_misses = Clock.counter "tfm.state_table_misses"
+let c_bytes_in = Clock.counter "net.bytes_in"
+let c_bytes_out = Clock.counter "net.bytes_out"
+let c_custody_skips = Clock.counter "tfm.custody_skips"
+let c_fast_guards = Clock.counter "tfm.fast_guards"
+let c_slow_guards = Clock.counter "tfm.slow_guards"
+let c_fetches = Clock.counter "net.fetches"
+let c_page_accesses = Clock.counter "tfm.page_accesses"
+let c_chunk_inits = Clock.counter "tfm.chunk_inits"
+let c_boundary_checks = Clock.counter "tfm.boundary_checks"
+let c_locality_guards = Clock.counter "tfm.locality_guards"
+
 type chunk_state = {
   mutable cur : (int * int) option; (* pinned (class, object id) *)
   mutable stride_bytes : int;
@@ -183,7 +198,7 @@ let tfm_malloc t n =
      anonymous first-touch fault), so huge allocations are cheap and fresh
      memory never crosses the network. *)
   Clock.tick t.clock malloc_cost;
-  Clock.count t.clock "tfm.mallocs" 1;
+  Clock.add t.clock c_mallocs 1;
   let c = t.classes.(class_for_size t n) in
   Region_alloc.alloc c.alloc n
 
@@ -245,7 +260,7 @@ let metadata_lookup t cls_idx id =
   if t.meta_cache.(slot) <> key then begin
     t.meta_cache.(slot) <- key;
     Clock.tick t.clock t.cost.Cost_model.cache_miss_penalty;
-    Clock.count t.clock "tfm.state_table_misses" 1
+    Clock.add t.clock c_state_table_misses 1
   end;
   if not t.use_state_table then
     (* Without the table: find the object, then dereference its metadata —
@@ -260,12 +275,12 @@ let guard t ~ptr ~size ~write =
   let tel = t.telemetry in
   let active = Telemetry.Sink.is_active tel in
   let c0 = Clock.cycles t.clock in
-  let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-  let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+  let bin0 = if active then Clock.value t.clock c_bytes_in else 0 in
+  let bout0 = if active then Clock.value t.clock c_bytes_out else 0 in
   if not (Nc_ptr.is_tracked ptr) then begin
     Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.add t.clock c_custody_skips 1;
     Telemetry.Sink.cat_exit tel;
     log_event t
       { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
@@ -286,7 +301,7 @@ let guard t ~ptr ~size ~write =
       Clock.tick t.clock
         (if write then t.cost.Cost_model.fast_guard_write
          else t.cost.Cost_model.fast_guard_read);
-      Clock.count t.clock "tfm.fast_guards" 1;
+      Clock.add t.clock c_fast_guards 1;
       log_event t
         { ptr; object_id = id; size_class = cls_idx; path = `Fast; write }
     end
@@ -295,7 +310,7 @@ let guard t ~ptr ~size ~write =
       Clock.tick t.clock
         (if write then t.cost.Cost_model.slow_guard_write_local
          else t.cost.Cost_model.slow_guard_read_local);
-      Clock.count t.clock "tfm.slow_guards" 1;
+      Clock.add t.clock c_slow_guards 1;
       (* The AIFM backend's runtime stride prefetcher watches the miss
          stream and runs ahead of regular strided access patterns. *)
       if t.prefetch then Prefetcher.access c.miss_prefetcher id;
@@ -308,9 +323,10 @@ let guard t ~ptr ~size ~write =
           write;
         }
     end;
-    let fetches_before = Clock.get t.clock "net.fetches" in
+    (* The fetch count only feeds the debug ring. *)
+    let fetches_before = if t.debug then Clock.value t.clock c_fetches else 0 in
     localize_for_access c id ~write;
-    (if t.debug && Clock.get t.clock "net.fetches" > fetches_before then
+    (if t.debug && Clock.value t.clock c_fetches > fetches_before then
        (* upgrade the last event: the slow path went remote *)
        match
          List.rev (List.of_seq (Queue.to_seq t.debug_ring))
@@ -335,8 +351,8 @@ let guard t ~ptr ~size ~write =
         ~path:(if fast then `Fast else `Slow)
         ~write
         ~cycles:(Clock.cycles t.clock - c0)
-        ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-        ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0)
+        ~bytes_in:(Clock.value t.clock c_bytes_in - bin0)
+        ~bytes_out:(Clock.value t.clock c_bytes_out - bout0)
   end
 
 (* -- hybrid page path ---------------------------------------------------- *)
@@ -362,7 +378,7 @@ let page_access t ~ptr ~size ~write =
        route pass move Mixed/Unknown sites under profile evidence. *)
     Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.add t.clock c_custody_skips 1;
     Telemetry.Sink.cat_exit tel;
     log_event t
       { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
@@ -371,22 +387,22 @@ let page_access t ~ptr ~size ~write =
         ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
   end
   else begin
-    let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-    let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+    let bin0 = if active then Clock.value t.clock c_bytes_in else 0 in
+    let bout0 = if active then Clock.value t.clock c_bytes_out else 0 in
     (* The custody check still runs — the compiled test is the same
        either way; only the miss mechanism differs. *)
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.page_accesses" 1;
+    Clock.add t.clock c_page_accesses 1;
     Fastswap.Swap.access (swap_of t) ~addr:ptr ~size ~write;
     log_event t { ptr; object_id = -1; size_class = -1; path = `Paged; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Paged ~write
         ~cycles:(Clock.cycles t.clock - c0)
-        ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-        ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0)
+        ~bytes_in:(Clock.value t.clock c_bytes_in - bin0)
+        ~bytes_out:(Clock.value t.clock c_bytes_out - bout0)
   end
 
-let page_accesses t = Clock.get t.clock "tfm.page_accesses"
+let page_accesses t = Clock.value t.clock c_page_accesses
 
 (* -- loop chunking ------------------------------------------------------- *)
 
@@ -413,7 +429,7 @@ let chunk_init t ~handle ~stride_bytes =
      object and pays the locality invariant guard, so the total entry
      cost is Cost_eq.chunk_entry_cost. *)
   Clock.tick t.clock 130;
-  Clock.count t.clock "tfm.chunk_inits" 1
+  Clock.add t.clock c_chunk_inits 1
 
 let issue_prefetch t (c : size_class) id stride_objects =
   if t.prefetch && stride_objects <> 0 then
@@ -426,7 +442,7 @@ let chunk_access t ~handle ~ptr ~size ~write =
   if not (Nc_ptr.is_tracked ptr) then begin
     Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.custody_check;
-    Clock.count t.clock "tfm.custody_skips" 1;
+    Clock.add t.clock c_custody_skips 1;
     Telemetry.Sink.cat_exit t.telemetry;
     if Telemetry.Sink.is_active t.telemetry then
       Telemetry.Sink.guard_event t.telemetry ~path:`Custody ~write
@@ -440,7 +456,7 @@ let chunk_access t ~handle ~ptr ~size ~write =
        has to pull the object reclassifies to the slow path below. *)
     Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.boundary_check;
-    Clock.count t.clock "tfm.boundary_checks" 1;
+    Clock.add t.clock c_boundary_checks 1;
     (match s.cur with
     | Some (ci, cur) when ci = cls_idx && cur = id -> ()
     | prev ->
@@ -450,12 +466,12 @@ let chunk_access t ~handle ~ptr ~size ~write =
         let tel = t.telemetry in
         let active = Telemetry.Sink.is_active tel in
         let c0 = Clock.cycles t.clock in
-        let bin0 = if active then Clock.get t.clock "net.bytes_in" else 0 in
-        let bout0 = if active then Clock.get t.clock "net.bytes_out" else 0 in
+        let bin0 = if active then Clock.value t.clock c_bytes_in else 0 in
+        let bout0 = if active then Clock.value t.clock c_bytes_out else 0 in
         unpin_cur t prev;
         metadata_lookup t cls_idx id;
         Clock.tick t.clock t.cost.Cost_model.locality_guard;
-        Clock.count t.clock "tfm.locality_guards" 1;
+        Clock.add t.clock c_locality_guards 1;
         if not (Pool.is_local c.pool id) then
           Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
         Pool.ensure_local c.pool id;
@@ -471,8 +487,8 @@ let chunk_access t ~handle ~ptr ~size ~write =
         if active then
           Telemetry.Sink.guard_event tel ~path:`Locality ~write
             ~cycles:(Clock.cycles t.clock - c0)
-            ~bytes_in:(Clock.get t.clock "net.bytes_in" - bin0)
-            ~bytes_out:(Clock.get t.clock "net.bytes_out" - bout0));
+            ~bytes_in:(Clock.value t.clock c_bytes_in - bin0)
+            ~bytes_out:(Clock.value t.clock c_bytes_out - bout0));
     if write then Pool.mark_dirty c.pool id;
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -488,5 +504,5 @@ let chunk_end t ~handle =
 
 (* -- introspection ------------------------------------------------------- *)
 
-let fast_guards t = Clock.get t.clock "tfm.fast_guards"
-let slow_guards t = Clock.get t.clock "tfm.slow_guards"
+let fast_guards t = Clock.value t.clock c_fast_guards
+let slow_guards t = Clock.value t.clock c_slow_guards

@@ -66,11 +66,7 @@ let with_blobs blobs (backend : Backend.t) =
                 let dst = args.(0) and id = args.(1) in
                 match Hashtbl.find_opt table id with
                 | Some bytes ->
-                    for k = 0 to Bytes.length bytes - 1 do
-                      Memstore.store backend.Backend.store ~addr:(dst + k)
-                        ~size:1
-                        (Char.code (Bytes.get bytes k))
-                    done;
+                    Memstore.write_bytes backend.Backend.store ~addr:dst bytes;
                     Some 0
                 | None ->
                     failwith (Printf.sprintf "unknown blob %d" id)

@@ -244,6 +244,34 @@ let test_recursion_and_traps () =
   Alcotest.(check string) "trap parity"
     (trap_of Engine.Interp) (trap_of Engine.Compiled)
 
+(* The chunking gate reads block counts, so both engines must count the
+   same blocks. analytics has loops and helper calls, llist a recursive
+   tree walk. *)
+let test_profile_parity () =
+  List.iter
+    (fun (name, build) ->
+      let interp = Driver.profile_of ~engine:Engine.Interp build in
+      let compiled = Driver.profile_of ~engine:Engine.Compiled build in
+      let total = ref 0 in
+      List.iter
+        (fun (f : Ir.func) ->
+          List.iter
+            (fun (b : Ir.block) ->
+              let count p =
+                Profile.block_count p ~func:f.Ir.fname ~block:b.Ir.label
+              in
+              total := !total + count interp;
+              Alcotest.(check int)
+                (Printf.sprintf "%s: %s/%s" name f.Ir.fname b.Ir.label)
+                (count interp) (count compiled))
+            f.Ir.blocks)
+        (build ()).Ir.funcs;
+      Alcotest.(check bool) (name ^ ": blocks were counted") true (!total > 0))
+    [
+      ("analytics", Analytics.build (Analytics.default_params ~rows:600));
+      ("llist", Llist.build ~nodes:800 ~tnodes:300);
+    ]
+
 let suite =
   ( "engine",
     [
@@ -256,4 +284,5 @@ let suite =
         test_miscompile_is_caught;
       Alcotest.test_case "recursion and trap parity" `Quick
         test_recursion_and_traps;
+      Alcotest.test_case "block profiles agree" `Quick test_profile_parity;
     ] )

@@ -13,6 +13,39 @@ let test_clock_tick_and_counters () =
   Alcotest.(check int) "reset cycles" 0 (Clock.cycles c);
   Alcotest.(check int) "reset counter" 0 (Clock.get c "x")
 
+let test_clock_counter_registry () =
+  let c = Clock.create () in
+  let x = Clock.counter "test.registry.x" in
+  Clock.add c x 3;
+  Alcotest.(check int) "handle, then name" 3 (Clock.get c "test.registry.x");
+  Clock.count c "test.registry.x" 2;
+  Alcotest.(check int) "name, then handle" 5 (Clock.value c x);
+  Clock.add c (Clock.counter "test.registry.zero") 0;
+  Alcotest.(check (list (pair string int)))
+    "counters lists the touched names, adds of 0 included"
+    [ ("test.registry.x", 5); ("test.registry.zero", 0) ]
+    (Clock.counters c);
+  Clock.reset c;
+  Alcotest.(check int) "reset clears the value" 0 (Clock.value c x);
+  Alcotest.(check (list (pair string int)))
+    "reset clears the touched state" [] (Clock.counters c);
+  let d = Clock.create () in
+  Clock.add c x 1;
+  Clock.add d x 10;
+  Alcotest.(check (pair int int)) "clocks keep their own values" (1, 10)
+    (Clock.value c x, Clock.value d x);
+  (* More names than [c]'s array had slots when it was created. *)
+  let late =
+    List.init 200 (fun i ->
+        Clock.counter (Printf.sprintf "test.registry.late%03d" i))
+  in
+  List.iteri (fun i h -> Clock.add c h (i + 1)) late;
+  List.iteri
+    (fun i h -> Alcotest.(check int) "late counter" (i + 1) (Clock.value c h))
+    late;
+  Alcotest.(check int) "late names listed" 201 (List.length (Clock.counters c));
+  Alcotest.(check int) "other clock untouched" 0 (Clock.value d (List.hd late))
+
 let test_memstore_rw_sizes () =
   let s = Memstore.create () in
   Memstore.store s ~addr:100 ~size:1 0xAB;
@@ -57,6 +90,88 @@ let test_memstore_blit () =
     Alcotest.(check int) "blit byte" (k * 3)
       (Memstore.load s ~addr:(5000 + k) ~size:1)
   done
+
+let test_memstore_bulk_copy_across_pages () =
+  let s = Memstore.create () in
+  let ps = Memstore.page_size in
+  let len = ps + 100 in
+  let data = Bytes.init len (fun k -> Char.chr (((k * 7) + 1) land 0xFF)) in
+  let check_range what addr =
+    Bytes.iteri
+      (fun k c ->
+        Alcotest.(check int) what (Char.code c)
+          (Memstore.load s ~addr:(addr + k) ~size:1))
+      data;
+    Alcotest.(check int) (what ^ ": byte before") 0
+      (Memstore.load s ~addr:(addr - 1) ~size:1);
+    Alcotest.(check int) (what ^ ": byte after") 0
+      (Memstore.load s ~addr:(addr + len) ~size:1)
+  in
+  (* Three pages touched: a tail, a whole page and a head. *)
+  let src = (3 * ps) - 50 in
+  Memstore.write_bytes s ~addr:src data;
+  check_range "write_bytes" src;
+  let dst = (10 * ps) - 1 in
+  Memstore.blit s ~src ~dst ~len;
+  check_range "blit" dst
+
+(* Random interleaved loads and stores over four pages, checked against
+   a flat [Bytes] model: accesses switch pages and span page boundaries,
+   so the last-page cache is exercised on every kind of transition. *)
+let prop_memstore_model =
+  let pages = 4 in
+  let span = pages * Memstore.page_size in
+  let base = 7 * Memstore.page_size in
+  let op =
+    QCheck.Gen.(
+      quad (int_range 0 3) (int_range 0 (span - 8)) (int_range 0 3)
+        (pair (int_range 0 max_int) float))
+  in
+  let print (kind, off, szi, (v, x)) =
+    Printf.sprintf "kind=%d off=%d size=%d v=%d x=%h" kind off
+      (List.nth [ 1; 2; 4; 8 ] szi) v x
+  in
+  QCheck.Test.make ~name:"memstore matches a flat byte model" ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print) QCheck.Gen.(list_size (int_range 1 200) op))
+    (fun ops ->
+      let s = Memstore.create () in
+      let model = Bytes.make span '\000' in
+      let load_model off = function
+        | 1 -> Bytes.get_uint8 model off
+        | 2 -> Bytes.get_uint16_le model off
+        | 4 -> Int32.to_int (Bytes.get_int32_le model off) land 0xFFFFFFFF
+        | _ -> Int64.to_int (Bytes.get_int64_le model off) land max_int
+      in
+      let store_model off size v =
+        match size with
+        | 1 -> Bytes.set_uint8 model off (v land 0xFF)
+        | 2 -> Bytes.set_uint16_le model off (v land 0xFFFF)
+        | 4 -> Bytes.set_int32_le model off (Int32.of_int v)
+        | _ -> Bytes.set_int64_le model off (Int64.of_int v)
+      in
+      List.for_all
+        (fun (kind, off, szi, (v, x)) ->
+          let size = List.nth [ 1; 2; 4; 8 ] szi in
+          let addr = base + off in
+          match kind with
+          | 0 -> Memstore.load s ~addr ~size = load_model off size
+          | 1 ->
+              Memstore.store s ~addr ~size v;
+              store_model off size v;
+              true
+          | 2 ->
+              Int64.bits_of_float (Memstore.load_float s ~addr)
+              = Bytes.get_int64_le model off
+          | _ ->
+              Memstore.store_float s ~addr x;
+              Bytes.set_int64_le model off (Int64.bits_of_float x);
+              true)
+        ops
+      && Seq.for_all
+           (fun off ->
+             Memstore.load s ~addr:(base + off) ~size:1
+             = Bytes.get_uint8 model off)
+           (Seq.init span Fun.id))
 
 let prop_memstore_roundtrip =
   QCheck.Test.make ~name:"memstore store/load roundtrip" ~count:300
@@ -119,14 +234,18 @@ let suite =
   ( "memsim",
     [
       Alcotest.test_case "clock" `Quick test_clock_tick_and_counters;
+      Alcotest.test_case "counter registry" `Quick test_clock_counter_registry;
       Alcotest.test_case "memstore sizes" `Quick test_memstore_rw_sizes;
       Alcotest.test_case "memstore zero" `Quick test_memstore_zero_default;
       Alcotest.test_case "memstore spanning" `Quick test_memstore_page_spanning;
       Alcotest.test_case "memstore floats" `Quick test_memstore_floats;
       Alcotest.test_case "memstore blit" `Quick test_memstore_blit;
+      Alcotest.test_case "memstore bulk copy across pages" `Quick
+        test_memstore_bulk_copy_across_pages;
       Alcotest.test_case "transfer cycles" `Quick test_transfer_cycles;
       Alcotest.test_case "net accounting" `Quick test_net_fetch_accounting;
       Alcotest.test_case "prefetch cheaper" `Quick test_prefetched_fetch_cheaper;
       Alcotest.test_case "tcp vs rdma" `Quick test_tcp_slower_than_rdma;
       QCheck_alcotest.to_alcotest prop_memstore_roundtrip;
+      QCheck_alcotest.to_alcotest prop_memstore_model;
     ] )
