@@ -1,9 +1,11 @@
 (* Hybrid data plane: per-site routing between guards and paging.
    "A Tale of Two Paths" argues neither pure plane wins everywhere, and
-   our two limitation experiments agree from opposite directions:
-   limits_pointer_chase shows pure guards paying per-hop software
-   overhead on a dependent-load traversal, while Fig 15 shows
-   page-granular faulting losing to chunked guards on streaming loops.
+   two results here agree from opposite directions: the pure-TrackFM
+   column of the pointer-chase table below shows guards paying per-hop
+   software overhead on a dependent-load traversal (the Section 5
+   limitation; the TFM/FS ratio at full local memory is ~2.5x), while
+   Fig 15 shows page-granular faulting losing to chunked guards on
+   streaming loops.
    The route pass (static access-pattern classification, PR 9) moves
    pointer-chasing sites onto the page-fault path and keeps streaming
    sites on guards, so one binary should match or beat the better pure
@@ -15,8 +17,8 @@
    prefetch, so it loses under memory pressure. The PASS line is a
    machine-checked CI gate aimed at exactly those regimes, plus an
    integrity check:
-   - pointer-chase at full local memory (the guard-bound regime the
-     limitation experiment documents): hybrid beats pure TrackFM;
+   - pointer-chase at full local memory (the guard-bound regime of the
+     Section 5 limitation): hybrid beats pure TrackFM;
    - streaming under memory pressure (the regime Figs 12/15 are about):
      hybrid beats pure Fastswap — routing must not touch chunk-friendly
      loops;

@@ -355,41 +355,6 @@ let hw_kona () =
       "the hardware model wins where guards dominate (hashmap); TrackFM's \
        chunking + static prefetch wins the regular scan"
 
-(* Section 5 limitation: "information about application semantics (e.g.,
-   recursive data structures) is mostly lost" at the IR level. A linked
-   list traversal has no induction variable and no learnable stride, so
-   TrackFM can neither chunk nor prefetch — each node costs a guard on
-   top of whatever the memory system charges. *)
-let limits_pointer_chase () =
-  let nodes = scaled 60_000 in
-  let build () = Chase.build ~nodes () in
-  let ws = Chase.working_set_bytes ~nodes in
-  let t =
-    Tfm_util.Table.create
-      ~title:
-        "Section 5 limitation: linked-list traversal (no IVs, no stride)"
-      ~columns:[ "local mem %"; "TrackFM cycles"; "Fastswap cycles"; "TFM/FS" ]
-  in
-  List.iter
-    (fun pct ->
-      let budget = budget_of ws pct in
-      let tf = (tfm ~budget build).Driver.cycles in
-      let fs = (fastswap ~budget build).Driver.cycles in
-      Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct tf fs
-        (float_of_int tf /. float_of_int fs))
-    short_sweep;
-  report_table t;
-  print_expectation
-    ~paper:
-      "Section 5: recursive data structure semantics are lost at the IR \
-       level; the paper plans inter-procedural data structure analysis \
-       to recover them"
-    ~ours:
-      "with nothing to chunk or prefetch, both systems are fetch-bound \
-       at rough parity under pressure, and at full local memory TrackFM \
-       pays ~2.5x in pure guard overhead - the motivation for that \
-       future work"
-
 (* Methodology check: the working sets here are MBs, not the paper's GBs.
    If the comparisons were scale artifacts, the headline ratios would
    drift with size; sweeping the STREAM size shows they are stable. *)

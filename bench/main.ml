@@ -33,8 +33,6 @@ let experiments =
       Exp_tables.related_dilos);
     ("hw_kona", "Section 5: Kona-style hardware interposition",
       Exp_tables.hw_kona);
-    ("limits_pointer_chase", "Section 5 limitation: pointer chasing",
-      Exp_tables.limits_pointer_chase);
     ("robustness_scale", "Methodology: scale invariance of the shapes",
       Exp_tables.robustness_scale);
     ("guard_elision", "Static analysis: redundant-guard elision",
@@ -60,7 +58,7 @@ let experiments =
 open Cmdliner
 open Cmdliner.Term.Syntax
 
-let run_experiments selected ~bechamel =
+let run_experiments selected =
   let selected = if selected = [] then experiments else selected in
   Printf.printf
     "TrackFM reproduction benchmark harness%s — %d experiment(s)\n\n"
@@ -74,8 +72,7 @@ let run_experiments selected ~bechamel =
       let elapsed = Unix.gettimeofday () -. t0 in
       Bench_common.flush_metrics ~experiment:name ~elapsed_s:elapsed;
       Printf.printf "[%s done in %.1fs]\n\n%!" name elapsed)
-    selected;
-  if bechamel then Bech.run ()
+    selected
 
 let rec mkdir_p d =
   if not (Sys.file_exists d) then begin
@@ -99,11 +96,6 @@ let term =
     Arg.(
       value & flag
       & info [ "quick" ] ~doc:"Quarter the workload sizes for a fast pass.")
-  and+ bechamel =
-    Arg.(
-      value & flag
-      & info [ "bechamel" ]
-          ~doc:"Also run the Bechamel microbenchmarks of the primitives.")
   and+ metrics_dir =
     dir_arg "metrics-dir"
       ~doc:"Also write each experiment's tables as JSON to $(docv)."
@@ -120,7 +112,7 @@ let term =
   Bench_common.metrics_dir := metrics_dir;
   Bench_common.attribution_dir := attribution_dir;
   Bench_common.setup := { engine; fabric };
-  run_experiments selected ~bechamel
+  run_experiments selected
 
 let () =
   exit

@@ -302,9 +302,9 @@ let run_meta (spec : Run_spec.t) w =
 
 (* A deterministic record of one run: inputs (workload, system, fault
    spec, seed) and outputs (checksum, cycles, instrs, every clock
-   counter, sorted by name). The CI fault matrix diffs this file against
-   checked-in goldens — any nondeterminism or counter drift shows up as a
-   byte difference. *)
+   counter, sorted by name). The pinned runs in ci/cells.ml diff this
+   file across reruns and engines and against ci/golden/ — any
+   nondeterminism or counter drift shows up as a byte difference. *)
 let write_counters_json file (spec : Run_spec.t) w (o : Driver.outcome) =
   let open Telemetry.Json in
   let counters =
@@ -1769,132 +1769,6 @@ let shape_info =
        stores) and per-allocation-site structure kinds; --shadow runs the \
        dynamic audit"
 
-(* The serving scenario's parameters, built once from its flags; the
-   fault and replica flags are the shared fabric term. *)
-let serving_params_term =
-  let+ backend =
-    Arg.(
-      value
-      & opt
-          (enum
-             (List.map
-                (fun b -> (Serving.backend_name b, b))
-                Serving.[ Trackfm; Fastswap; Aifm ]))
-          Serving.Trackfm
-      & info [ "b"; "backend" ] ~docv:"BACKEND"
-          ~doc:"Far-memory backend: trackfm, fastswap or aifm.")
-  and+ rate =
-    Arg.(
-      value & opt float 30.0
-      & info [ "rate" ] ~docv:"R"
-          ~doc:
-            "Offered load in requests per Mcycle across all tenants (open \
-             loop: arrivals never slow down under backlog).")
-  and+ requests =
-    Arg.(
-      value & opt int 20_000
-      & info [ "requests" ] ~docv:"N" ~doc:"Arrivals to generate.")
-  and+ tenants =
-    Arg.(
-      value & opt int 2
-      & info [ "tenants" ] ~docv:"N" ~doc:"Number of equal-weight tenants.")
-  and+ keys =
-    Arg.(
-      value & opt int 65_536
-      & info [ "keys" ] ~docv:"N" ~doc:"Key-space size per tenant.")
-  and+ skew =
-    Arg.(
-      value & opt float 0.99
-      & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew of key popularity.")
-  and+ value_size =
-    Arg.(
-      value & opt int 64
-      & info [ "value-size" ] ~docv:"BYTES"
-          ~doc:"Bytes per value (multiple of 8, divides the 4 KiB page).")
-  and+ budget =
-    Arg.(
-      value & opt int 65_536
-      & info [ "budget" ] ~docv:"BYTES"
-          ~doc:"Per-tenant local-memory budget in bytes.")
-  and+ connections =
-    Arg.(
-      value & opt int 64
-      & info [ "connections" ] ~docv:"N"
-          ~doc:"Concurrent connection-handler tasks.")
-  and+ service_cycles =
-    Arg.(
-      value & opt int 10_000
-      & info [ "service-cycles" ] ~docv:"CYC"
-          ~doc:"CPU cost of one request (parse, hash, respond).")
-  and+ readahead =
-    Arg.(
-      value & opt int 2
-      & info [ "readahead" ] ~docv:"PAGES"
-          ~doc:"Fastswap readahead pages per fault (0 disables).")
-  and+ queue_cap =
-    Arg.(
-      value & opt int 256
-      & info [ "queue-cap" ] ~docv:"N"
-          ~doc:"Accept-queue bound for admission control.")
-  and+ deadline =
-    Arg.(
-      value & opt int 500_000
-      & info [ "deadline" ] ~docv:"CYC"
-          ~doc:"Per-request latency deadline in cycles.")
-  and+ no_admission =
-    Arg.(
-      value & flag & info [ "no-admission" ] ~doc:"Disable admission control.")
-  and+ no_shedding =
-    Arg.(value & flag & info [ "no-shedding" ] ~doc:"Disable load shedding.")
-  and+ no_degradation =
-    Arg.(
-      value & flag
-      & info [ "no-degradation" ]
-          ~doc:"Disable graceful degradation (serve-stale, readahead shed).")
-  and+ open_loop =
-    Arg.(
-      value & flag
-      & info [ "open-loop" ]
-          ~doc:
-            "Disable the whole control plane (equivalent to --no-admission \
-             --no-shedding --no-degradation): the hockey-stick baseline.")
-  and+ fabric = Run_spec.fabric_term
-  and+ seed =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:
-            "Traffic seed (arrival gaps, tenant and key picks); a fixed seed \
-             makes the whole run byte-for-byte reproducible.")
-  in
-  {
-    Serving.backend;
-    tenants =
-      Serving.default_tenants ~n:tenants ~keys ~budget
-      |> List.map (fun t -> { t with Serving.skew });
-    rate;
-    requests;
-    service_cycles;
-    value_size;
-    connections;
-    readahead;
-    seed;
-    controls =
-      (if open_loop then Serving.open_loop
-       else
-         {
-           Serving.admission = not no_admission;
-           shedding = not no_shedding;
-           degradation = not no_degradation;
-           queue_cap;
-           deadline;
-         });
-    faults = fabric.faults;
-    fault_seed = fabric.fault_seed;
-    replicas = fabric.replicas;
-    ack = fabric.ack;
-  }
-
 let serving_json_arg =
   Arg.(
     value
@@ -1907,7 +1781,7 @@ let serving_json_arg =
 
 let serve_term =
   Term.(
-    const serve_cmd $ serving_params_term $ serving_json_arg $ attribution_arg
+    const serve_cmd $ Run_spec.serving_term $ serving_json_arg $ attribution_arg
     $ flight_arg)
 
 let serve_info =

@@ -2,10 +2,14 @@
 # Staged CI pipeline. Mirrors what the driver runs on every PR; keep it
 # green.
 #
-#   ./ci.sh                 # all stages: build fmt lint test smoke faults durability tracing engines hybrid serving
+#   ./ci.sh                 # all stages: build fmt lint test smoke durability tracing engines hybrid
 #   ./ci.sh build test      # just those stages
 #   ./ci.sh --list          # list stages with one-line descriptions
-#   ./ci.sh --update-golden # refresh ci/golden/ from the current build
+#
+# The pinned runs (fault, chunk-off, routed and serving cells, each run
+# twice and/or under both engines and diffed against ci/golden/) and the
+# check matrix are `dune runtest` rules, table in ci/cells.ml; refresh a
+# golden after an intended change with `dune runtest; dune promote`.
 #
 # Each stage is wall-clock timed; a failing stage is named in a
 # trailing "== stage X: FAILED ==" line so the culprit is the last
@@ -14,18 +18,14 @@
 # Stages:
 #   build      - dune build @all
 #   fmt        - dune build @fmt (skipped when ocamlformat is not installed)
-#   lint       - static-analysis gate: guard-coverage verifier + elision
-#                witness re-check over every workload x chunk mode x
-#                optimizer on/off (trackfm_cli check); summary, classify
-#                (text + schema-validated JSON) and shape dumps must be
+#   lint       - dump determinism: summary, classify (text +
+#                schema-validated JSON) and shape dumps must be
 #                byte-identical across two runs
-#   test       - dune runtest (tier-1 unit/property/integration suites)
+#   test       - dune runtest (tier-1 unit/property/integration suites,
+#                the check matrix and the pinned cells vs ci/golden/)
 #   smoke      - quick bench-harness run; writes metrics JSON to _ci/metrics;
 #                the shared run flags (engine, faults, replicas, ack) parse
-#                and bad values are usage errors
-#   faults     - fault-injection determinism matrix: fixed workloads x seeds,
-#                each run twice (byte-identical counters required) and diffed
-#                against the checked-in goldens in ci/golden/
+#                and bad bench and serve flags are usage errors
 #   durability - replicated-tier crash matrix: workloads x seeds x
 #                replicas={1,3}; each run twice (byte-identical counters),
 #                replicas=3 must finish with a correct checksum, replicas=1
@@ -35,25 +35,15 @@
 #                Chrome trace must validate against ci/trace_schema.json,
 #                and fixed-seed attribution exports must be byte-identical
 #                across two runs (workloads x seeds matrix)
-#   engines    - execution-engine differential gate: workloads x chunk
-#                modes x fault seeds run under both the interpreter and
-#                the compiled engine with byte-identical counters JSON
-#                (compiled additionally diffed against ci/golden/), the
-#                check matrix re-run with --engine compiled, and the
-#                engine_speedup dispatch-throughput experiment must PASS
-#   hybrid     - hybrid data-plane gate: fixed-seed routed runs (pointer
-#                chase / llist x route mode x local budget) each run twice
-#                under both engines (byte-identical counters required) and
-#                diffed against ci/golden/hybrid-*.json; a routed
-#                streaming workload must stay byte-identical to its
-#                unrouted run (the classifier keeps its hands off); the
-#                shadow validator cross-checks static classes against
-#                observed dependent-load depths; the shape_routing bench
-#                gate must PASS
-#   serving    - overload-robustness gate: a short fixed-seed offered-load
-#                sweep of the serving tier (backends x rates, faults
-#                medium, controls on), each run twice (byte-identical
-#                serving JSON required) and diffed against ci/golden/
+#   engines    - execution-engine gate: the check matrix re-run with
+#                --engine compiled, and the engine_speedup
+#                dispatch-throughput experiment must PASS
+#   hybrid     - hybrid data-plane gate: a routed streaming workload must
+#                stay byte-identical to its unrouted run (the classifier
+#                keeps its hands off), and so must shape-blind routing of
+#                llist; the shadow validator cross-checks static classes
+#                against observed dependent-load depths; the
+#                hybrid_routing and shape_routing bench gates must PASS
 set -eu
 
 cd "$(dirname "$0")"
@@ -65,8 +55,6 @@ FAULT_SPEC=medium
 SUMMARY_WORKLOADS="stream-sum kmeans analytics hashmap"
 CLASSIFY_WORKLOADS="stream-sum kmeans analytics hashmap memcached pointer-chase llist"
 SHAPE_WORKLOADS="llist pointer-chase analytics hashmap"
-HYBRID_ROUTES="static profiled"
-HYBRID_PCTS="25 100"
 DUR_WORKLOADS="stream-sum analytics"
 DUR_SEEDS="1 2"
 DUR_SPEC=crash=1500000:250000
@@ -88,11 +76,7 @@ stage_fmt() {
 }
 
 stage_lint() {
-    echo "== stage lint: guard-coverage verifier + elision witness re-check =="
     dune build bin/trackfm_cli.exe
-    # The check matrix runs every workload x chunk mode x optimizer
-    # setting both with and without interprocedural summaries.
-    "$CLI" check
     # Summary determinism: the call-graph/summary dump must be
     # byte-identical across two runs of the same build.
     echo "== stage lint: summary dump determinism =="
@@ -165,7 +149,7 @@ stage_smoke() {
     done
     # The run flags the bench shares with the CLI: every one of them
     # parses, and bad values are usage errors (exit 124) before any
-    # experiment runs.
+    # experiment runs. So are out-of-range serve flags.
     echo "== stage smoke: shared run flags =="
     mkdir -p _ci/metrics-fabric
     dune exec bench/main.exe -- table1 --quick --engine compiled \
@@ -175,52 +159,19 @@ stage_smoke() {
         echo "smoke: missing metrics JSON _ci/metrics-fabric/table1.json" >&2
         exit 1
     fi
-    for bad in "--replicas 9" "--ack 3 --replicas 2" "--faults bogus" \
-        "--engine foo" "--faults"; do
+    bench="bench/main.exe table1 --quick"
+    for bad in "$bench --replicas 9" "$bench --ack 3 --replicas 2" \
+        "$bench --faults bogus" "$bench --engine foo" "$bench --faults" \
+        "bin/trackfm_cli.exe serve --skew 0" \
+        "bin/trackfm_cli.exe serve --rate nan"; do
         status=0
         # shellcheck disable=SC2086 # $bad is deliberately word-split
-        dune exec bench/main.exe -- table1 --quick $bad >/dev/null 2>&1 || status=$?
+        dune exec -- $bad >/dev/null 2>&1 || status=$?
         if [ "$status" -ne 124 ]; then
-            echo "smoke: bench/main.exe table1 $bad exited $status, want 124" >&2
+            echo "smoke: $bad exited $status, want 124" >&2
             exit 1
         fi
     done
-}
-
-stage_faults() {
-    echo "== stage faults: determinism matrix ($FAULT_SPEC; seeds $FAULT_SEEDS) =="
-    dune build bin/trackfm_cli.exe
-    mkdir -p _ci/faults
-    fail=0
-    for w in $FAULT_WORKLOADS; do
-        for seed in $FAULT_SEEDS; do
-            out="_ci/faults/$w-seed$seed.json"
-            "$CLI" run -w "$w" -s trackfm -m 25 \
-                --faults "$FAULT_SPEC" --fault-seed "$seed" \
-                --counters-json "$out" >/dev/null
-            "$CLI" run -w "$w" -s trackfm -m 25 \
-                --faults "$FAULT_SPEC" --fault-seed "$seed" \
-                --counters-json "$out.rerun" >/dev/null
-            if ! cmp -s "$out" "$out.rerun"; then
-                echo "faults: NONDETERMINISTIC: $w seed $seed differs between two runs" >&2
-                diff "$out" "$out.rerun" >&2 || true
-                fail=1
-            fi
-            golden="ci/golden/$w-seed$seed.json"
-            if [ ! -f "$golden" ]; then
-                echo "faults: missing golden $golden (regenerate with: cp $out $golden)" >&2
-                fail=1
-            elif ! cmp -s "$golden" "$out"; then
-                echo "faults: DRIFT: $w seed $seed differs from $golden" >&2
-                diff "$golden" "$out" >&2 || true
-                fail=1
-            fi
-        done
-    done
-    if [ "$fail" -ne 0 ]; then
-        echo "faults stage failed" >&2
-        exit 1
-    fi
 }
 
 stage_durability() {
@@ -361,88 +312,11 @@ stage_tracing() {
     fi
 }
 
-ENGINE_WORKLOADS="stream-sum hashmap"
-ENGINE_SEEDS="1 2 3"
-
-SERVING_BACKENDS="trackfm fastswap aifm"
-SERVING_RATES="40 130"
-SERVING_ARGS="--requests 1500 --keys 4096 --budget 32768 --faults medium --fault-seed 1 --seed 42"
-
-serving_run() {
-    # $1 backend, $2 rate, $3 output JSON
-    "$CLI" serve -b "$1" --rate "$2" $SERVING_ARGS \
-        --serving-json "$3" >/dev/null
-}
-
-stage_serving() {
-    echo "== stage serving: overload sweep determinism (rates $SERVING_RATES; faults medium, seed 1) =="
-    dune build bin/trackfm_cli.exe
-    mkdir -p _ci/serving
-    fail=0
-    for b in $SERVING_BACKENDS; do
-        for rate in $SERVING_RATES; do
-            out="_ci/serving/$b-r$rate.json"
-            serving_run "$b" "$rate" "$out"
-            serving_run "$b" "$rate" "$out.rerun"
-            if ! cmp -s "$out" "$out.rerun"; then
-                echo "serving: NONDETERMINISTIC: $b rate $rate differs between two runs" >&2
-                diff "$out" "$out.rerun" >&2 || true
-                fail=1
-            fi
-            golden="ci/golden/serving-$b-r$rate.json"
-            if [ ! -f "$golden" ]; then
-                echo "serving: missing golden $golden (regenerate with: ./ci.sh --update-golden)" >&2
-                fail=1
-            elif ! cmp -s "$golden" "$out"; then
-                echo "serving: DRIFT: $b rate $rate differs from $golden" >&2
-                diff "$golden" "$out" >&2 || true
-                fail=1
-            fi
-        done
-    done
-    if [ "$fail" -ne 0 ]; then
-        echo "serving stage failed" >&2
-        exit 1
-    fi
-}
-
 stage_engines() {
-    echo "== stage engines: interp-vs-compiled differential matrix ($FAULT_SPEC; seeds $ENGINE_SEEDS) =="
+    echo "== stage engines: check matrix under the compiled engine + dispatch-throughput gate =="
     dune build bin/trackfm_cli.exe bench/main.exe
     mkdir -p _ci/engines
     fail=0
-    # Every cell runs the identical workload/chunk-mode/fault-seed under
-    # both engines; the deterministic counters JSON (inputs, checksum,
-    # cycles, every counter) must be byte-identical. Gated-chunking
-    # cells are additionally diffed against the checked-in goldens, so
-    # the compiled engine is pinned to the same record the interpreter
-    # has been pinned to since the faults stage landed.
-    for w in $ENGINE_WORKLOADS; do
-        for chunk in gated off; do
-            for seed in $ENGINE_SEEDS; do
-                base="_ci/engines/$w-$chunk-seed$seed"
-                "$CLI" run -w "$w" -s trackfm -m 25 -c "$chunk" \
-                    --faults "$FAULT_SPEC" --fault-seed "$seed" \
-                    --engine interp --counters-json "$base-interp.json" >/dev/null
-                "$CLI" run -w "$w" -s trackfm -m 25 -c "$chunk" \
-                    --faults "$FAULT_SPEC" --fault-seed "$seed" \
-                    --engine compiled --counters-json "$base-compiled.json" >/dev/null
-                if ! cmp -s "$base-interp.json" "$base-compiled.json"; then
-                    echo "engines: DIVERGED: $w chunk=$chunk seed $seed interp vs compiled" >&2
-                    diff "$base-interp.json" "$base-compiled.json" >&2 || true
-                    fail=1
-                fi
-                if [ "$chunk" = gated ]; then
-                    golden="ci/golden/$w-seed$seed.json"
-                    if ! cmp -s "$golden" "$base-compiled.json"; then
-                        echo "engines: DRIFT: $w seed $seed compiled differs from $golden" >&2
-                        diff "$golden" "$base-compiled.json" >&2 || true
-                        fail=1
-                    fi
-                fi
-            done
-        done
-    done
     # The check matrix must also hold under the compiled engine (check
     # re-runs every workload under both engines and requires identical
     # results and counters).
@@ -466,75 +340,10 @@ stage_engines() {
 }
 
 stage_hybrid() {
-    echo "== stage hybrid: routed-run determinism (routes $HYBRID_ROUTES; budgets $HYBRID_PCTS%) =="
+    echo "== stage hybrid: routing identities, shadow audit, routing gates =="
     dune build bin/trackfm_cli.exe
     mkdir -p _ci/hybrid
     fail=0
-    # Every routed run is repeated (byte-identical counters JSON
-    # required), re-run under the compiled engine (must match the
-    # interpreter bit for bit — the routing checker is enforced in both),
-    # and the compiled record is diffed against the checked-in golden.
-    for route in $HYBRID_ROUTES; do
-        for pct in $HYBRID_PCTS; do
-            base="_ci/hybrid/pointer-chase-$route-m$pct"
-            "$CLI" run -w pointer-chase -s trackfm -m "$pct" --route "$route" \
-                --engine interp --counters-json "$base-interp.json" >/dev/null
-            "$CLI" run -w pointer-chase -s trackfm -m "$pct" --route "$route" \
-                --engine interp --counters-json "$base-interp.json.rerun" >/dev/null
-            if ! cmp -s "$base-interp.json" "$base-interp.json.rerun"; then
-                echo "hybrid: NONDETERMINISTIC: pointer-chase route=$route m=$pct" >&2
-                diff "$base-interp.json" "$base-interp.json.rerun" >&2 || true
-                fail=1
-            fi
-            "$CLI" run -w pointer-chase -s trackfm -m "$pct" --route "$route" \
-                --engine compiled --counters-json "$base-compiled.json" >/dev/null
-            if ! cmp -s "$base-interp.json" "$base-compiled.json"; then
-                echo "hybrid: DIVERGED: pointer-chase route=$route m=$pct interp vs compiled" >&2
-                diff "$base-interp.json" "$base-compiled.json" >&2 || true
-                fail=1
-            fi
-            golden="ci/golden/hybrid-pointer-chase-$route-m$pct.json"
-            if [ ! -f "$golden" ]; then
-                echo "hybrid: missing golden $golden (regenerate with: ./ci.sh --update-golden)" >&2
-                fail=1
-            elif ! cmp -s "$golden" "$base-compiled.json"; then
-                echo "hybrid: DRIFT: route=$route m=$pct differs from $golden" >&2
-                diff "$golden" "$base-compiled.json" >&2 || true
-                fail=1
-            fi
-        done
-    done
-    # Shape-routed workload: llist's traversal is helper-hidden, so its
-    # static routes exist only through the shape analysis. Same regimen:
-    # run twice (byte-identical), cross-engine, diffed against goldens.
-    for pct in $HYBRID_PCTS; do
-        base="_ci/hybrid/llist-static-m$pct"
-        "$CLI" run -w llist -s trackfm -m "$pct" --route static \
-            --engine interp --counters-json "$base-interp.json" >/dev/null
-        "$CLI" run -w llist -s trackfm -m "$pct" --route static \
-            --engine interp --counters-json "$base-interp.json.rerun" >/dev/null
-        if ! cmp -s "$base-interp.json" "$base-interp.json.rerun"; then
-            echo "hybrid: NONDETERMINISTIC: llist route=static m=$pct" >&2
-            diff "$base-interp.json" "$base-interp.json.rerun" >&2 || true
-            fail=1
-        fi
-        "$CLI" run -w llist -s trackfm -m "$pct" --route static \
-            --engine compiled --counters-json "$base-compiled.json" >/dev/null
-        if ! cmp -s "$base-interp.json" "$base-compiled.json"; then
-            echo "hybrid: DIVERGED: llist route=static m=$pct interp vs compiled" >&2
-            diff "$base-interp.json" "$base-compiled.json" >&2 || true
-            fail=1
-        fi
-        golden="ci/golden/hybrid-llist-static-m$pct.json"
-        if [ ! -f "$golden" ]; then
-            echo "hybrid: missing golden $golden (regenerate with: ./ci.sh --update-golden)" >&2
-            fail=1
-        elif ! cmp -s "$golden" "$base-compiled.json"; then
-            echo "hybrid: DRIFT: llist m=$pct differs from $golden" >&2
-            diff "$golden" "$base-compiled.json" >&2 || true
-            fail=1
-        fi
-    done
     # Without shape facts the same compile must route nothing: the
     # --no-shapes run must be byte-identical to an unrouted run.
     "$CLI" run -w llist -s trackfm -m 25 --route off \
@@ -599,63 +408,22 @@ stage_hybrid() {
     fi
 }
 
-# Refresh the checked-in goldens from the current build (run after an
-# intentional counter/format change, then commit the diff).
-update_golden() {
-    echo "== update-golden: regenerating ci/golden/ =="
-    dune build bin/trackfm_cli.exe
-    mkdir -p ci/golden
-    for w in $FAULT_WORKLOADS; do
-        for seed in $FAULT_SEEDS; do
-            "$CLI" run -w "$w" -s trackfm -m 25 \
-                --faults "$FAULT_SPEC" --fault-seed "$seed" \
-                --counters-json "ci/golden/$w-seed$seed.json" >/dev/null
-            echo "  ci/golden/$w-seed$seed.json"
-        done
-    done
-    for b in $SERVING_BACKENDS; do
-        for rate in $SERVING_RATES; do
-            serving_run "$b" "$rate" "ci/golden/serving-$b-r$rate.json"
-            echo "  ci/golden/serving-$b-r$rate.json"
-        done
-    done
-    for route in $HYBRID_ROUTES; do
-        for pct in $HYBRID_PCTS; do
-            "$CLI" run -w pointer-chase -s trackfm -m "$pct" --route "$route" \
-                --counters-json "ci/golden/hybrid-pointer-chase-$route-m$pct.json" >/dev/null
-            echo "  ci/golden/hybrid-pointer-chase-$route-m$pct.json"
-        done
-    done
-    for pct in $HYBRID_PCTS; do
-        "$CLI" run -w llist -s trackfm -m "$pct" --route static \
-            --counters-json "ci/golden/hybrid-llist-static-m$pct.json" >/dev/null
-        echo "  ci/golden/hybrid-llist-static-m$pct.json"
-    done
-}
-
-if [ "${1:-}" = "--update-golden" ]; then
-    update_golden
-    exit 0
-fi
-
 if [ "${1:-}" = "--list" ]; then
     cat <<'EOF'
 build       dune build @all
 fmt         dune build @fmt (skipped when ocamlformat is not installed)
-lint        guard-coverage verifier + elision witnesses + summary/classify/shape determinism
-test        dune runtest (tier-1 unit/property/integration suites)
+lint        summary/classify/shape dump determinism
+test        dune runtest (tier-1 suites, check matrix, pinned cells vs ci/golden/)
 smoke       quick bench-harness run with metrics JSON export + shared run flags
-faults      fault-injection determinism matrix vs ci/golden/
 durability  replicated-tier crash matrix (r=1 must lose data, r=3 must not)
 tracing     span tracing must not perturb counters; trace schema + attribution
-engines     interp-vs-compiled differential matrix + dispatch-throughput gate
-hybrid      routed-run determinism + goldens + routing/shape gates + shadow audit
-serving     fixed-seed overload sweep of the serving tier vs ci/golden/
+engines     check matrix under the compiled engine + dispatch-throughput gate
+hybrid      routing identities + shadow audit + routing/shape gates
 EOF
     exit 0
 fi
 
-STAGES="${*:-build fmt lint test smoke faults durability tracing engines hybrid serving}"
+STAGES="${*:-build fmt lint test smoke durability tracing engines hybrid}"
 
 # Name the failing stage at the very end of the log, where it is hardest
 # to miss (set -e aborts mid-stage, possibly far above).
@@ -677,12 +445,10 @@ for s in $STAGES; do
         lint)       stage_lint ;;
         test)       stage_test ;;
         smoke)      stage_smoke ;;
-        faults)     stage_faults ;;
         durability) stage_durability ;;
         tracing)    stage_tracing ;;
         engines)    stage_engines ;;
         hybrid)     stage_hybrid ;;
-        serving)    stage_serving ;;
         *)
             echo "unknown stage '$s' (see ./ci.sh --list)" >&2
             exit 2

@@ -16,13 +16,36 @@ let default_fabric =
 
 let injector f = Faults.create ~seed:f.fault_seed f.faults
 
-let int_in ~lo ~hi =
+(* An integer flag that accepts only values satisfying [ok]; anything
+   else is "<value> is not <what>". *)
+let int_where what ok =
   let parse s =
     match int_of_string_opt s with
-    | Some n when lo <= n && n <= hi -> Ok n
-    | _ -> Error (Printf.sprintf "%s is not an integer in %d..%d" s lo hi)
+    | Some n when ok n -> Ok n
+    | _ -> Error (Printf.sprintf "%s is not %s" s what)
   in
   Arg.conv' (parse, Format.pp_print_int)
+
+let int_in ~lo ~hi =
+  int_where
+    (Printf.sprintf "an integer in %d..%d" lo hi)
+    (fun n -> lo <= n && n <= hi)
+
+let int_from lo =
+  int_where (Printf.sprintf "an integer >= %d" lo) (fun n -> n >= lo)
+
+let pow2_in ~lo ~hi =
+  int_where
+    (Printf.sprintf "a power of two in %d..%d" lo hi)
+    (fun n -> lo <= n && n <= hi && n land (n - 1) = 0)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x > 0.0 && Float.is_finite x -> Ok x
+    | _ -> Error (Printf.sprintf "%s is not a positive finite number" s)
+  in
+  Arg.conv' (parse, Arg.conv_printer Arg.float)
 
 let faults_conv =
   let print ppf cfg = Format.pp_print_string ppf (Faults.to_string cfg) in
@@ -126,14 +149,9 @@ let local_pct_arg =
         ~doc:"Local memory as a percentage of the working set.")
 
 let object_size_arg =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when 64 <= n && n <= 65536 && n land (n - 1) = 0 -> Ok n
-    | _ -> Error (Printf.sprintf "%s is not a power of two in 64..65536" s)
-  in
   Arg.(
     value
-    & opt (conv' (parse, Format.pp_print_int)) 4096
+    & opt (pow2_in ~lo:64 ~hi:65536) 4096
     & info [ "o"; "object-size" ] ~docv:"BYTES"
         ~doc:"TrackFM/AIFM object size (power of two, 64-65536).")
 
@@ -218,3 +236,112 @@ let term =
            o1;
            fabric;
          })
+
+(* -- the serving scenario's flags -- *)
+
+module Serving = Workloads.Serving
+
+let serving_term =
+  let open Term.Syntax in
+  (* A count must be >= 1; with [~lo:0], a cycle or page amount. *)
+  let int_flag ?(lo = 1) name default ~docv ~doc =
+    Arg.(value & opt (int_from lo) default & info [ name ] ~docv ~doc)
+  in
+  let switch name ~doc = Arg.(value & flag & info [ name ] ~doc) in
+  let+ backend =
+    Arg.(
+      value
+      & opt
+          (enum
+             (List.map
+                (fun b -> (Serving.backend_name b, b))
+                Serving.[ Trackfm; Fastswap; Aifm ]))
+          Serving.Trackfm
+      & info [ "b"; "backend" ] ~docv:"BACKEND"
+          ~doc:"Far-memory backend: trackfm, fastswap or aifm.")
+  and+ rate =
+    Arg.(
+      value & opt positive_float 30.0
+      & info [ "rate" ] ~docv:"R"
+          ~doc:
+            "Offered load in requests per Mcycle across all tenants (open \
+             loop: arrivals never slow down under backlog).")
+  and+ requests =
+    int_flag "requests" 20_000 ~docv:"N" ~doc:"Arrivals to generate."
+  and+ tenants =
+    int_flag "tenants" 2 ~docv:"N" ~doc:"Number of equal-weight tenants."
+  and+ keys = int_flag "keys" 65_536 ~docv:"N" ~doc:"Key-space size per tenant."
+  and+ skew =
+    Arg.(
+      value & opt positive_float 0.99
+      & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew of key popularity.")
+  and+ value_size =
+    Arg.(
+      value
+      & opt (pow2_in ~lo:8 ~hi:Memsim.Memstore.page_size) 64
+      & info [ "value-size" ] ~docv:"BYTES"
+          ~doc:"Bytes per value (multiple of 8, divides the 4 KiB page).")
+  and+ budget =
+    int_flag "budget" 65_536 ~docv:"BYTES"
+      ~doc:"Per-tenant local-memory budget in bytes."
+  and+ connections =
+    int_flag "connections" 64 ~docv:"N"
+      ~doc:"Concurrent connection-handler tasks."
+  and+ service_cycles =
+    int_flag ~lo:0 "service-cycles" 10_000 ~docv:"CYC"
+      ~doc:"CPU cost of one request (parse, hash, respond)."
+  and+ readahead =
+    int_flag ~lo:0 "readahead" 2 ~docv:"PAGES"
+      ~doc:"Fastswap readahead pages per fault (0 disables)."
+  and+ queue_cap =
+    int_flag ~lo:0 "queue-cap" 256 ~docv:"N"
+      ~doc:"Accept-queue bound for admission control."
+  and+ deadline =
+    int_flag ~lo:0 "deadline" 500_000 ~docv:"CYC"
+      ~doc:"Per-request latency deadline in cycles."
+  and+ no_admission = switch "no-admission" ~doc:"Disable admission control."
+  and+ no_shedding = switch "no-shedding" ~doc:"Disable load shedding."
+  and+ no_degradation =
+    switch "no-degradation"
+      ~doc:"Disable graceful degradation (serve-stale, readahead shed)."
+  and+ open_loop =
+    switch "open-loop"
+      ~doc:
+        "Disable the whole control plane (equivalent to --no-admission \
+         --no-shedding --no-degradation): the hockey-stick baseline."
+  and+ fabric = fabric_term
+  and+ seed =
+    Arg.(
+      value & opt int 42
+      & info [ "seed" ] ~docv:"N"
+          ~doc:
+            "Traffic seed (arrival gaps, tenant and key picks); a fixed seed \
+             makes the whole run byte-for-byte reproducible.")
+  in
+  {
+    Serving.backend;
+    tenants =
+      Serving.default_tenants ~n:tenants ~keys ~budget
+      |> List.map (fun t -> { t with Serving.skew });
+    rate;
+    requests;
+    service_cycles;
+    value_size;
+    connections;
+    readahead;
+    seed;
+    controls =
+      (if open_loop then Serving.open_loop
+       else
+         {
+           Serving.admission = not no_admission;
+           shedding = not no_shedding;
+           degradation = not no_degradation;
+           queue_cap;
+           deadline;
+         });
+    faults = fabric.faults;
+    fault_seed = fabric.fault_seed;
+    replicas = fabric.replicas;
+    ack = fabric.ack;
+  }

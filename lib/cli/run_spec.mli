@@ -64,3 +64,12 @@ val term : t Cmdliner.Term.t
 val local_pct_arg : int Cmdliner.Term.t
 val object_size_arg : int Cmdliner.Term.t
 val o1_arg : bool Cmdliner.Term.t
+
+(** {1 Serving} *)
+
+val serving_term : Workloads.Serving.params Cmdliner.Term.t
+(** The [serve] flags: backend, offered load, tenants and their key
+    space, skew and budget, the server model, the control plane, the
+    traffic seed and {!fabric_term}. A count, size or cycle value out of
+    range, or a rate or skew that is not a positive finite number, is a
+    usage error naming the flag. *)

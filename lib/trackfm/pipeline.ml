@@ -48,16 +48,28 @@ let run config (m : Ir.modul) =
   let dump name =
     match config.dump_after with Some f -> f name m | None -> ()
   in
+  (* A stage must leave well-formed IR; the dump hook sees it after. *)
+  let stage_done name =
+    Verifier.check_module m;
+    dump name
+  in
+  (* The checker's re-proofs: coverage always, plus the elision witnesses
+     and the routing decisions when given. *)
+  let enforce ?witnesses ?routes () =
+    if config.check then begin
+      Tfm_checker.Coverage.enforce ~summaries:config.summaries m;
+      Option.iter (Tfm_checker.Coverage.enforce_witnesses m) witnesses;
+      Option.iter (Tfm_checker.Coverage.enforce_routing m) routes
+    end
+  in
   Verifier.check_module m;
   let init_inserted = Init_pass.run m in
-  Verifier.check_module m;
-  dump "runtime-init";
+  stage_done "runtime-init";
   let chunks =
     Chunk_pass.run config.cost ~object_size:config.object_size
       ~mode:config.chunk_mode ?profile:config.profile m
   in
-  Verifier.check_module m;
-  dump "loop-chunking";
+  stage_done "loop-chunking";
   (* Interprocedural summaries are computed after chunking (so chunk
      protocol calls are in the text the analysis sees) and handed to the
      guard injector and the elision pass. The checker never reuses this
@@ -69,29 +81,25 @@ let run config (m : Ir.modul) =
   let guards =
     Guard_pass.run ?summaries:senv ~exclude:chunks.Chunk_pass.covered m
   in
-  Verifier.check_module m;
-  dump "guard-transform";
+  stage_done "guard-transform";
   let elision =
     if config.elide then begin
       let e =
         Elide_pass.run ?summaries:senv ~object_size:config.object_size m
       in
-      Verifier.check_module m;
-      dump "guard-elision";
+      stage_done "guard-elision";
       e
     end
     else Elide_pass.empty
   in
+  let witnesses = elision.Elide_pass.elisions in
   (* The checker proves every may-heap access is still covered after the
      optimizer ran, and independently re-verifies each deletion's
      witness record — with its own summaries and its own module-level
      custody re-derivation, so a bug in [senv] cannot vouch for itself.
      A transform bug fails compilation here instead of becoming a
      silent far-memory crash. *)
-  if config.check then begin
-    Tfm_checker.Coverage.enforce ~summaries:config.summaries m;
-    Tfm_checker.Coverage.enforce_witnesses m elision.Elide_pass.elisions
-  end;
+  enforce ~witnesses ();
   (* Hybrid routing runs after elision and its witness re-check: hoisting
      has already moved guards to their final places, so the dataflow the
      route pass consults matches what the checker will re-prove. Guards
@@ -104,7 +112,7 @@ let run config (m : Ir.modul) =
         List.concat_map
           (fun (fname, (e : Tfm_checker.Coverage.elision)) ->
             List.map (fun w -> (fname, w)) e.Tfm_checker.Coverage.witness_ids)
-          elision.Elide_pass.elisions
+          witnesses
       in
       (* Shape facts are computed here — after elision froze the guard
          placement — and handed only to the route pass. The checker's
@@ -119,23 +127,14 @@ let run config (m : Ir.modul) =
         Route_pass.run ?summaries:senv ?shapes:shenv ~pinned
           ~hotspots:config.route_hotspots ~mode:config.route m
       in
-      Verifier.check_module m;
-      dump "hybrid-routing";
-      if config.check then begin
-        Tfm_checker.Coverage.enforce ~summaries:config.summaries m;
-        Tfm_checker.Coverage.enforce_witnesses m elision.Elide_pass.elisions;
-        Tfm_checker.Coverage.enforce_routing m r.Route_pass.routes
-      end;
+      stage_done "hybrid-routing";
+      enforce ~witnesses ~routes:r.Route_pass.routes ();
       r
     end
   in
   let libc_rewrites = Libc_pass.run m in
-  Verifier.check_module m;
-  dump "libc-transform";
-  if config.check then begin
-    Tfm_checker.Coverage.enforce ~summaries:config.summaries m;
-    Tfm_checker.Coverage.enforce_routing m routing.Route_pass.routes
-  end;
+  stage_done "libc-transform";
+  enforce ~routes:routing.Route_pass.routes ();
   {
     guards;
     chunks;

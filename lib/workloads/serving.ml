@@ -584,7 +584,8 @@ let run ?(spans = false) ?flight p =
     invalid_arg "Serving.run: value_size must be a positive multiple of 8";
   if Memstore.page_size mod p.value_size <> 0 then
     invalid_arg "Serving.run: value_size must divide the page size";
-  if p.rate <= 0.0 then invalid_arg "Serving.run: rate must be positive";
+  if not (p.rate > 0.0 && Float.is_finite p.rate) then
+    invalid_arg "Serving.run: rate must be positive and finite";
   if p.requests < 1 then invalid_arg "Serving.run: requests < 1";
   if p.tenants = [] then invalid_arg "Serving.run: no tenants";
   if p.connections < 1 then invalid_arg "Serving.run: connections < 1";
@@ -636,6 +637,8 @@ let run ?(spans = false) ?flight p =
          (fun i tn ->
            if tn.keys <= 0 || tn.weight <= 0 || tn.budget <= 0 then
              invalid_arg "Serving.run: tenant needs keys/weight/budget > 0";
+           if not (tn.skew > 0.0 && Float.is_finite tn.skew) then
+             invalid_arg "Serving.run: tenant skew must be positive and finite";
            {
              tn;
              idx = i;

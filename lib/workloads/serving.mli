@@ -132,9 +132,11 @@ val run :
     span tracker (one span per admitted request, class = tenant index)
     on scheduler time; [flight] arms the flight recorder at [path, meta]
     (implies spans). Deterministic: same [params] in, byte-identical
-    {!result_json} out. *)
+    {!result_json} out. Raises [Invalid_argument] on a rate or tenant
+    skew that is not positive and finite, or a nonpositive count or
+    size. *)
 
 val result_json : result -> Telemetry.Json.t
 (** Deterministic machine-readable summary (params echo, per-tenant
     counts/percentiles/checksums, fleet view, goodput, net counters) —
-    what [serve --serving-json] writes and the CI serving stage diffs. *)
+    what [serve --serving-json] writes and ci/golden/ pins. *)

@@ -1,8 +1,9 @@
-(* Tests for the run flags shared by the CLI and the bench harness: the
-   defaults, one-line errors naming the flag for every bad input, and a
-   valid fabric reaching the fault injector. *)
+(* Tests for the run flags shared by the CLI and the bench harness, and
+   for the serve flags: the defaults, one-line errors naming the flag for
+   every bad input, and a valid fabric reaching the fault injector. *)
 
 open Cmdliner
+module Serving = Workloads.Serving
 
 (* Evaluate [term] on [args] the way a command line would. [~catch:false]
    lets any exception escape, so a flag that raises fails the test. *)
@@ -78,6 +79,7 @@ let test_bad_input () =
         match term_name with
         | `Spec -> Result.map ignore (eval Run_spec.term args)
         | `Fabric -> Result.map ignore (eval Run_spec.fabric_term args)
+        | `Serving -> Result.map ignore (eval Run_spec.serving_term args)
       in
       match result with
       | Ok () -> Alcotest.failf "accepted %s" (String.concat " " args)
@@ -111,7 +113,55 @@ let test_bad_input () =
       (`Fabric, [ "--faults" ], "--faults");
       (`Fabric, [ "--faults"; "drop=1.5" ], "--faults");
       (`Fabric, [ "--fault-seed"; "x" ], "--fault-seed");
+      (`Serving, [ "--skew"; "0" ], "--skew");
+      (`Serving, [ "--skew=-1" ], "--skew");
+      (`Serving, [ "--skew"; "nan" ], "--skew");
+      (`Serving, [ "--rate"; "nan" ], "--rate");
+      (`Serving, [ "--rate"; "inf" ], "--rate");
+      (`Serving, [ "--rate"; "0" ], "--rate");
+      (`Serving, [ "--keys"; "0" ], "--keys");
+      (`Serving, [ "--budget"; "0" ], "--budget");
+      (`Serving, [ "--requests"; "0" ], "--requests");
+      (`Serving, [ "--tenants"; "0" ], "--tenants");
+      (`Serving, [ "--connections"; "0" ], "--connections");
+      (`Serving, [ "--value-size"; "48" ], "--value-size");
+      (`Serving, [ "--service-cycles=-1" ], "--service-cycles");
+      (`Serving, [ "--readahead=-1" ], "--readahead");
+      (`Serving, [ "--queue-cap=-1" ], "--queue-cap");
+      (`Serving, [ "--deadline=-1" ], "--deadline");
+      (`Serving, [ "--replicas"; "9" ], "--replicas");
     ]
+
+(* The serve flags' defaults are the scenario the CLI has always run,
+   and every flag lands in its field. *)
+let test_serving_spec () =
+  let p = ok Run_spec.serving_term [] in
+  Alcotest.(check bool)
+    "defaults: trackfm, 30 req/Mcyc, 20000 requests, two tenants" true
+    (p.Serving.backend = Serving.Trackfm
+    && p.Serving.rate = 30.0
+    && p.Serving.requests = 20_000
+    && List.length p.Serving.tenants = 2
+    && p.Serving.controls = Serving.default_controls);
+  let p =
+    ok Run_spec.serving_term
+      [
+        "-b"; "aifm"; "--rate"; "40"; "--keys"; "4096"; "--budget"; "32768";
+        "--skew"; "1.2"; "--open-loop"; "--faults"; "medium"; "--replicas";
+        "3"; "--ack"; "2";
+      ]
+  in
+  Alcotest.(check bool)
+    "every flag lands in its field" true
+    (p.Serving.backend = Serving.Aifm
+    && p.Serving.rate = 40.0
+    && List.for_all
+         (fun t ->
+           t.Serving.keys = 4096 && t.Serving.budget = 32768
+           && t.Serving.skew = 1.2)
+         p.Serving.tenants
+    && p.Serving.controls = Serving.open_loop
+    && p.Serving.replicas = 3 && p.Serving.ack = 2)
 
 let test_fabric_reaches_injector () =
   List.iter
@@ -138,4 +188,5 @@ let suite =
       Alcotest.test_case "bad input names the flag" `Quick test_bad_input;
       Alcotest.test_case "fabric reaches injector" `Quick
         test_fabric_reaches_injector;
+      Alcotest.test_case "serve flags" `Quick test_serving_spec;
     ] )

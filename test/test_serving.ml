@@ -169,6 +169,18 @@ let test_invalid_params_rejected () =
       ~faults:Faults.off ()
   in
   check "rate 0" { ok with Serving.rate = 0.0 };
+  check "rate nan" { ok with Serving.rate = Float.nan };
+  check "rate inf" { ok with Serving.rate = Float.infinity };
+  List.iter
+    (fun skew ->
+      check
+        (Printf.sprintf "skew %g" skew)
+        {
+          ok with
+          Serving.tenants =
+            List.map (fun t -> { t with Serving.skew }) ok.Serving.tenants;
+        })
+    [ 0.0; -1.0; Float.nan; Float.infinity ];
   check "no requests" { ok with Serving.requests = 0 };
   check "no connections" { ok with Serving.connections = 0 };
   check "no tenants" { ok with Serving.tenants = [] };
