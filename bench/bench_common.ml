@@ -4,9 +4,9 @@
 let quick = ref false
 
 (* The shared run flags every run the harness performs uses:
-   - [engine] (--engine): results are engine-independent (the engines CI
-     stage proves it), so this only moves wall-clock time — compiled
-     makes full-size sweeps practical;
+   - [engine] (--engine): results are engine-independent (the
+     [--engine compiled] runs of ci/cells.ml prove it), so this only
+     moves wall-clock time — compiled makes full-size sweeps practical;
    - [fabric] (--faults/--fault-seed/--replicas/--ack): fault injection
      and the replicated tier for every far-memory run. Each run builds a
      fresh injector, so the fault schedule and the metrics are identical
@@ -152,23 +152,14 @@ let table_json t =
 
 let attribution_dir : string option ref = ref None
 
-let span_sink ~op_classes =
-  let sink = ref Telemetry.Sink.nop in
-  let factory clock =
-    let s =
-      Telemetry.Sink.recording ~trace:false ~series_interval:250_000
-        ~spans:true ~op_classes clock
-    in
-    sink := s;
-    s
-  in
-  (sink, factory)
-
 (* TrackFM / Fastswap runs with the causal span tracker on; the returned
    sink carries the per-class attribution for reporting/export. *)
 let tfm_spans ?blobs ?(object_size = 4096) ~op_classes ~budget build =
   let opts = { (tfm_opts ~budget) with Driver.object_size } in
-  let sink, telemetry = span_sink ~op_classes in
+  let sink, telemetry =
+    Telemetry.Sink.capture ~trace:false ~series_interval:250_000 ~spans:true
+      ~op_classes ()
+  in
   let o, _ =
     Driver.run_trackfm ~engine:!setup.engine ?blobs ~telemetry build opts
   in
@@ -176,7 +167,10 @@ let tfm_spans ?blobs ?(object_size = 4096) ~op_classes ~budget build =
   (o, !sink)
 
 let fastswap_spans ?blobs ~op_classes ~budget build =
-  let sink, telemetry = span_sink ~op_classes in
+  let sink, telemetry =
+    Telemetry.Sink.capture ~trace:false ~series_interval:250_000 ~spans:true
+      ~op_classes ()
+  in
   let { Run_spec.replicas; ack; _ } = !setup.fabric in
   let o =
     Driver.run_fastswap ~engine:!setup.engine ?blobs ~faults:(active_faults ())
@@ -195,10 +189,7 @@ let write_attribution ~experiment ~label sink ~meta =
           let file =
             Filename.concat dir (Printf.sprintf "%s-%s.json" experiment label)
           in
-          let oc = open_out file in
-          Telemetry.Json.to_channel oc j;
-          output_char oc '\n';
-          close_out oc;
+          Telemetry.Json.to_file file j;
           Printf.printf "[attribution -> %s]\n" file)
 
 let flush_metrics ~experiment ~elapsed_s =
@@ -218,9 +209,5 @@ let flush_metrics ~experiment ~elapsed_s =
               ("tables", List (List.map table_json tables));
             ]
         in
-        let file = Filename.concat dir (experiment ^ ".json") in
-        let oc = open_out file in
-        to_channel oc j;
-        output_char oc '\n';
-        close_out oc
+        to_file (Filename.concat dir (experiment ^ ".json")) j
       end

@@ -196,33 +196,15 @@ let exec_system ?(route_hotspots = []) (spec : Run_spec.t) w ~telemetry build =
       in
       (o, Some report)
 
-(* The drivers create their clocks internally, so the sink is captured
-   from inside the factory for post-run reporting. [flight] arms the
-   flight recorder at sink creation so triggers fired mid-run (the first
-   retry, a breaker opening, a node crash) dump immediately. *)
-let capture_sink ~want_trace ~sample_interval ?(spans = false)
-    ?(op_classes = []) ?flight () =
-  let sink = ref Telemetry.Sink.nop in
-  let factory clock =
-    let s =
-      Telemetry.Sink.recording ~trace:want_trace
-        ~series_interval:sample_interval ~spans ~op_classes clock
-    in
-    Option.iter
-      (fun (path, meta) -> Telemetry.Sink.set_flight_recorder s ~path ~meta)
-      flight;
-    sink := s;
-    s
-  in
-  (sink, factory)
-
 (* Profiled routing's evidence: a fault-free pre-run with routing off and
    a recording sink; every hotspot whose slow-path guards outnumber its
    fast-path hits is handed to the route pass as upgrade evidence. The
    pre-run uses the same deterministic build, so (function, call id) keys
    line up with the profiled run's guards. *)
 let profiled_hotspots spec w build =
-  let sink, telemetry = capture_sink ~want_trace:false ~sample_interval:0 () in
+  let sink, telemetry =
+    Telemetry.Sink.capture ~trace:false ~series_interval:0 ()
+  in
   let prerun =
     {
       spec with
@@ -324,10 +306,7 @@ let write_counters_json file (spec : Run_spec.t) w (o : Driver.outcome) =
           ("counters", Obj (List.map (fun (k, v) -> (k, Int v)) counters));
         ])
   in
-  let oc = open_out file in
-  to_channel oc j;
-  output_char oc '\n';
-  close_out oc
+  to_file file j
 
 (* -- telemetry plumbing -- *)
 
@@ -407,10 +386,7 @@ let export_attribution sink file ~meta =
       | None -> 0
       | Some j -> (
           try
-            let oc = open_out f in
-            Telemetry.Json.to_channel oc j;
-            output_char oc '\n';
-            close_out oc;
+            Telemetry.Json.to_file f j;
             Printf.printf "attribution: %s (%d epochs)\n" f
               (Telemetry.Sink.epoch_count sink);
             0
@@ -437,10 +413,7 @@ let write_minimal_flight file ~meta ~reason ~details =
         ])
   in
   try
-    let oc = open_out file in
-    to_channel oc j;
-    output_char oc '\n';
-    close_out oc;
+    to_file file j;
     Printf.printf "flight recorder: dumped to %s (%s)\n" file reason
   with Sys_error msg ->
     Printf.eprintf "cannot write flight-recorder dump: %s\n" msg
@@ -477,8 +450,8 @@ let run_cmd (spec : Run_spec.t) w tel ~counters_json ~attribution ~flight =
     if tel.trace_file = None && tel.metrics_file = None && not want_spans then
       (ref Telemetry.Sink.nop, Driver.no_telemetry)
     else
-      capture_sink ~want_trace:(tel.trace_file <> None)
-        ~sample_interval:tel.sample_interval ~spans:want_spans
+      Telemetry.Sink.capture ~trace:(tel.trace_file <> None)
+        ~series_interval:tel.sample_interval ~spans:want_spans
         ~op_classes:w.op_classes
         ?flight:(Option.map (fun f -> (f, meta)) flight)
         ()
@@ -634,8 +607,8 @@ let report_cmd (spec : Run_spec.t) w tel =
        ", routing " ^ Trackfm.Route_pass.mode_to_string spec.route
      else "");
   let sink, telemetry =
-    capture_sink ~want_trace:(tel.trace_file <> None)
-      ~sample_interval:tel.sample_interval ()
+    Telemetry.Sink.capture ~trace:(tel.trace_file <> None)
+      ~series_interval:tel.sample_interval ()
   in
   match execute spec w ~telemetry with
   | Error _ -> 1
@@ -645,7 +618,7 @@ let report_cmd (spec : Run_spec.t) w tel =
       print_outcome w o;
       print_newline ();
       (match Telemetry.Sink.recorder !sink with
-      | None -> () (* unreachable: capture_sink always records *)
+      | None -> () (* unreachable: Sink.capture always records *)
       | Some r ->
           print_hotspots
             ?routing:
@@ -882,8 +855,8 @@ let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
   | None, Some w -> (
       header w;
       let sink, telemetry =
-        capture_sink ~want_trace:false ~sample_interval:250_000 ~spans:true
-          ~op_classes:w.op_classes ()
+        Telemetry.Sink.capture ~trace:false ~series_interval:250_000
+          ~spans:true ~op_classes:w.op_classes ()
       in
       match execute spec w ~telemetry with
       | Error _ -> 1
@@ -1079,10 +1052,7 @@ let serve_cmd (p : Serving.params) serving_json attribution_file flight_file =
       match
         Option.iter
           (fun f ->
-            let oc = open_out f in
-            Telemetry.Json.to_channel oc (Serving.result_json r);
-            output_char oc '\n';
-            close_out oc;
+            Telemetry.Json.to_file f (Serving.result_json r);
             Printf.printf "serving JSON: %s\n" f)
           serving_json
       with
@@ -1178,7 +1148,8 @@ let autotune_cmd w local_pct =
    with and without the guard optimizer, and run the guard-coverage
    verifier plus the elision-witness re-check over the transformed IR.
    Compile-only (no execution, no profile run), so this is fast enough
-   for a CI lint stage. Exits non-zero on any violation. *)
+   for the `check` cell of `dune runtest`. Exits non-zero on any
+   violation. *)
 let check_cmd workload engine =
   let selected = match workload with None -> workloads () | Some w -> [ w ] in
   let failures = ref 0 in
@@ -1707,9 +1678,9 @@ let check_info =
     ~doc:
       "Compile every workload and run the guard-coverage verifier and \
        elision-witness re-check over the transformed IR, with and without \
-       interprocedural summaries (CI lint stage). With --engine compiled, \
-       also run each workload under both engines and require identical \
-       results and counters (runtime differential)."
+       interprocedural summaries (a dune runtest cell). With --engine \
+       compiled, also run each workload under both engines and require \
+       identical results and counters (runtime differential)."
 
 let ir_arg =
   Arg.(
@@ -1777,7 +1748,7 @@ let serving_json_arg =
         ~doc:
           "Write the deterministic machine-readable summary (params echo, \
            per-tenant counts and percentiles, goodput, counters) to \
-           $(docv); the CI serving stage diffs these against goldens.")
+           $(docv); dune runtest diffs these against ci/golden/.")
 
 let serve_term =
   Term.(

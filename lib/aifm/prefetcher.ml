@@ -30,9 +30,6 @@ let issue t ~from ~stride =
     if id >= 0 then Pool.mark_prefetched t.pool id
   done
 
-let prefetch_exact t ~start ~stride =
-  if stride <> 0 then issue t ~from:(start - stride) ~stride
-
 let max_learnable_stride = 64
 
 let access t id =

@@ -16,7 +16,3 @@ val create : Pool.t -> ?streams:int -> ?depth:int -> unit -> t
 val access : t -> int -> unit
 (** Observe an access to an object id, learning strides and issuing
     prefetches as confidence is established. *)
-
-val prefetch_exact : t -> start:int -> stride:int -> unit
-(** Compiler-directed: immediately cover [start, start+stride, ...] for
-    [depth] objects without needing to learn the stride. *)

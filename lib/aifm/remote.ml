@@ -32,9 +32,6 @@ let create_ctx ?(backend = Net.Tcp) ?(faults = Faults.disabled) ?cluster cost
   let prefetcher = Prefetcher.create pool () in
   { cost; clock; store; pool; alloc; prefetcher }
 
-let ctx_pool ctx = ctx.pool
-let ctx_clock ctx = ctx.clock
-
 let object_id ctx addr = (addr - heap_base) / Pool.object_size ctx.pool
 
 (* Localize and pin the object containing [addr .. addr+size), run [f],

@@ -31,9 +31,6 @@ val create_ctx :
     the replicated remote tier (failover reads, replica-aware
     writebacks, recovery resync from the evacuator loop). *)
 
-val ctx_pool : ctx -> Pool.t
-val ctx_clock : ctx -> Clock.t
-
 (** {1 Remote array} *)
 
 module Array : sig

@@ -1,7 +1,3 @@
 let with_object pool id f =
   Pool.pin pool id;
   Fun.protect ~finally:(fun () -> Pool.unpin pool id) f
-
-let with_objects pool ids f =
-  List.iter (Pool.pin pool) ids;
-  Fun.protect ~finally:(fun () -> List.iter (Pool.unpin pool) ids) f

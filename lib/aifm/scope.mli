@@ -8,5 +8,3 @@
 
 val with_object : Pool.t -> int -> (unit -> 'a) -> 'a
 (** Pin one object id around the callback (exception-safe). *)
-
-val with_objects : Pool.t -> int list -> (unit -> 'a) -> 'a

@@ -48,10 +48,12 @@ let base_intrinsics ?(telemetry = Telemetry.Sink.nop) clock name
       Some 0
   | _ -> None
 
-let local ?(telemetry = Telemetry.Sink.nop) cost clock store =
+(* The untracked heap of [local] and [fastswap]: a region allocator
+   charging [plain_alloc_cost] per malloc and free. *)
+let plain ~name ~on_access ~telemetry cost clock store =
   let alloc = Aifm.Region_alloc.create ~base:heap_base in
   {
-    name = "local";
+    name;
     store;
     clock;
     cost;
@@ -78,50 +80,23 @@ let local ?(telemetry = Telemetry.Sink.nop) cost clock store =
             fresh
           end
         end);
-    on_access = no_access;
+    on_access;
     intrinsic = (fun name args -> base_intrinsics ~telemetry clock name args);
   }
 
+let local ?(telemetry = Telemetry.Sink.nop) cost clock store =
+  plain ~name:"local" ~on_access:no_access ~telemetry cost clock store
+
 let fastswap ?readahead ?faults ?cluster ?(telemetry = Telemetry.Sink.nop)
     cost clock store ~local_budget =
-  let alloc = Aifm.Region_alloc.create ~base:heap_base in
   let swap =
     Fastswap.Swap.create ?readahead ?faults ?cluster ~telemetry cost clock
       ~local_budget
   in
-  {
-    name = "fastswap";
-    store;
-    clock;
-    cost;
-    telemetry;
-    malloc =
-      (fun n ->
-        Clock.tick clock plain_alloc_cost;
-        Aifm.Region_alloc.alloc alloc (max 1 n));
-    free =
-      (fun p ->
-        Clock.tick clock plain_alloc_cost;
-        Aifm.Region_alloc.free alloc p);
-    realloc =
-      (fun p n ->
-        if p = 0 then Aifm.Region_alloc.alloc alloc (max 1 n)
-        else begin
-          let old_req = Aifm.Region_alloc.requested_size_of alloc p in
-          let cls = Aifm.Region_alloc.size_of alloc p in
-          if n <= cls then p
-          else begin
-            let fresh = Aifm.Region_alloc.alloc alloc n in
-            Memstore.blit store ~src:p ~dst:fresh ~len:(min old_req n);
-            Aifm.Region_alloc.free alloc p;
-            fresh
-          end
-        end);
-    on_access =
-      (fun ~addr ~size ~write ->
-        if addr >= heap_base then Fastswap.Swap.access swap ~addr ~size ~write);
-    intrinsic = (fun name args -> base_intrinsics ~telemetry clock name args);
-  }
+  plain ~name:"fastswap"
+    ~on_access:(fun ~addr ~size ~write ->
+      if addr >= heap_base then Fastswap.Swap.access swap ~addr ~size ~write)
+    ~telemetry cost clock store
 
 let trackfm rt store =
   let module R = Trackfm.Runtime in

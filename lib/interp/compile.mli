@@ -8,8 +8,8 @@
     cycles, instruction counts, every backend hook and telemetry call,
     and hence guard/fault/span/counter output) is bit-identical to
     {!Interp.run}, which stays around as the differential oracle; the
-    [engines] CI stage and [test/test_engine.ml] enforce the
-    equivalence.
+    [--engine compiled] runs of [ci/cells.ml] and [test/test_engine.ml]
+    enforce the equivalence.
 
     Known, deliberate divergence: programs that mix int and float types
     in one SSA slot (e.g. a function returning [1] on one path and

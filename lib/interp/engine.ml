@@ -9,11 +9,6 @@ type t = Interp | Compiled
 let all = [ Interp; Compiled ]
 let to_string = function Interp -> "interp" | Compiled -> "compiled"
 
-let of_string = function
-  | "interp" -> Some Interp
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 let run ?profile ?shadow ?fuel ?args ~engine backend m ~entry =
   match engine with
   | Interp -> Interp.run ?profile ?shadow ?fuel ?args backend m ~entry

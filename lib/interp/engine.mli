@@ -9,7 +9,6 @@ type t = Interp | Compiled
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> t option
 
 val run :
   ?profile:Profile.t ->

@@ -172,16 +172,3 @@ let if_then b ~cond then_body =
   then_body b;
   br b join;
   set_block b join
-
-let if_then_else b ~cond then_body else_body =
-  let then_l = add_block b "then" in
-  let else_l = add_block b "else" in
-  let join = add_block b "join" in
-  cbr b cond then_l else_l;
-  set_block b then_l;
-  then_body b;
-  br b join;
-  set_block b else_l;
-  else_body b;
-  br b join;
-  set_block b join

@@ -124,10 +124,3 @@ val if_then :
   (t -> unit) ->
   unit
 (** Emit [if (cond) then-body]; insertion point ends at the join block. *)
-
-val if_then_else :
-  t ->
-  cond:Ir.value ->
-  (t -> unit) ->
-  (t -> unit) ->
-  unit

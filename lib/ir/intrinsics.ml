@@ -10,7 +10,6 @@ let chunk_init = "!tfm_chunk_init"
 let chunk_access_read = "tfm_chunk_access_read"
 let chunk_access_write = "tfm_chunk_access_write"
 let chunk_end = "!tfm_chunk_end"
-let runtime_init = "!tfm_init"
 let page_read = "tfm_page_read"
 let page_write = "tfm_page_write"
 

@@ -14,7 +14,6 @@ val chunk_init : string
 val chunk_access_read : string
 val chunk_access_write : string
 val chunk_end : string
-val runtime_init : string
 val page_read : string
 val page_write : string
 

@@ -126,5 +126,3 @@ let module_instr_count m =
 let is_alloc_call = function
   | "malloc" | "calloc" | "realloc" -> true
   | _ -> false
-
-let is_free_call = function "free" -> true | _ -> false

@@ -110,4 +110,3 @@ val is_alloc_call : string -> bool
 (** Recognizes libc heap allocation entry points ([malloc], [calloc],
     [realloc]) that the TrackFM libc pass intercepts. *)
 
-val is_free_call : string -> bool

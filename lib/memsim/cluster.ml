@@ -118,7 +118,6 @@ let replicas t = Array.length t.nodes
 let ack t = t.ack
 let now t = Clock.monotonic t.clock
 let has_object t ~key = Hashtbl.mem t.directory key
-let directory_size t = Hashtbl.length t.directory
 
 (* splitmix64-style finalizer (63-bit), same shape as Faults.hash2 *)
 let mix x =
@@ -176,9 +175,6 @@ let checksum_range store ~addr ~len =
     h := Int64.mul (Int64.logxor !h (Int64.of_int b)) 0x100000001B3L
   done;
   Int64.to_int !h land max_int
-
-let object_checksum t ~key =
-  Option.map (fun e -> e.checksum) (Hashtbl.find_opt t.directory key)
 
 (* -- crash schedule ------------------------------------------------------
 

@@ -83,8 +83,6 @@ val has_object : t -> key:int -> bool
     never written back take the unreplicated fetch path: the remote tier
     holds nothing to lose for them. *)
 
-val directory_size : t -> int
-
 (** {2 Data plane (driven by {!Net})} *)
 
 type wb = { written : int; lagged : int; skipped : int }
@@ -153,7 +151,3 @@ val crash_window : t -> node:int -> int -> (int * int) option
 (** [crash_window t ~node i] is node [node]'s [i]-th (0-based) crash
     window as [(start, stop)] on the monotonic clock; [None] when crash
     faults are disabled. Pure — exposed for tests and the CI matrix. *)
-
-val object_checksum : t -> key:int -> int option
-(** Current directory checksum of [key] (the envelope a fetch verifies
-    against). *)

@@ -68,7 +68,6 @@ let time t = t.core_time
 
 let spawn t f = t.tasks <- t.tasks @ [ f ]
 
-let queue_depth t = List.length t.queue
 let parked_count t = List.length t.parked
 
 let runnable_count t =

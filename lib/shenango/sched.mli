@@ -52,10 +52,6 @@ val run : t -> int
 (** {1 Introspection} — the serving tier's admission controller reads
     these to estimate queueing ahead of a new request. *)
 
-val queue_depth : t -> int
-(** Tasks in the run queue (runnable now or sleeping on a block). The
-    currently running task is not counted. *)
-
 val runnable_count : t -> int
 (** Tasks ready at the current core time but waiting for the core — the
     instantaneous run-queue pressure signal. *)

@@ -62,6 +62,11 @@ let to_channel oc v =
   to_buffer buf v;
   Buffer.output_buffer oc buf
 
+let to_file path v =
+  Out_channel.with_open_text path (fun oc ->
+      to_channel oc v;
+      output_char oc '\n')
+
 (* -- parsing --------------------------------------------------------------
 
    Recursive-descent parser over the subset this repo emits (which is

@@ -18,6 +18,11 @@ val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 val to_channel : out_channel -> t -> unit
 
+val to_file : string -> t -> unit
+(** [to_file path v] writes [v] and a newline to [path], closing the
+    file even when a write fails. Raises [Sys_error] as [open_out]
+    does. *)
+
 val parse : string -> (t, string) result
 (** Parse a complete JSON document. Errors name the byte offset
     (["expected ':' at offset 42"]) so garbled input files produce a

@@ -23,7 +23,6 @@ let record t ~at counters =
       t.n <- t.n + 1
 
 let samples t = List.rev t.rev
-let last_opt t = match t.rev with [] -> None | s :: _ -> Some s
 
 let names t =
   let seen = Hashtbl.create 16 in

@@ -25,9 +25,6 @@ val record : t -> at:int -> (string * int) list -> unit
 val samples : t -> sample list
 (** Oldest first. *)
 
-val last_opt : t -> sample option
-(** Most recent sample, [None] when the series is empty. *)
-
 val names : t -> string list
 (** Sorted union of counter names across all samples. *)
 

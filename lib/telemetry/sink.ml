@@ -160,8 +160,6 @@ let final_sample = function Nop -> () | Rec r -> take_sample r
 let set_site t ~func ~instr =
   match t with Nop -> () | Rec r -> r.cur <- { Site.func; instr }
 
-let current_site = function Nop -> unknown_site | Rec r -> r.cur
-
 let note_reset = function
   | Nop -> ()
   | Rec r ->
@@ -199,6 +197,16 @@ let set_flight_recorder t ~path ~meta =
 
 let flight_dumped = function Nop -> None | Rec r -> r.flight_dumped
 
+let capture ?trace ?series_interval ?spans ?op_classes ?flight () =
+  let sink = ref Nop in
+  let factory clock =
+    let s = recording ?trace ?series_interval ?spans ?op_classes clock in
+    Option.iter (fun (path, meta) -> set_flight_recorder s ~path ~meta) flight;
+    sink := s;
+    s
+  in
+  (sink, factory)
+
 (* Dump-once: the ring is serialized at the instant of the first
    trigger, so the file shows the system's state when things first went
    wrong, not at exit. Write failures warn instead of killing the run —
@@ -211,10 +219,7 @@ let flight_trigger t ~reason =
       | Some (path, meta), Some sp, None -> (
           let json = Span.flight_json sp ~reason ~meta in
           try
-            let oc = open_out path in
-            Json.to_channel oc json;
-            output_char oc '\n';
-            close_out oc;
+            Json.to_file path json;
             r.flight_dumped <- Some path
           with Sys_error e ->
             Printf.eprintf "warning: flight recorder write failed: %s\n%!" e)

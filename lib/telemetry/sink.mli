@@ -70,6 +70,21 @@ val recording :
     reset-corrected clock timestamp) — the serving simulation passes
     Shenango core time so spans measure scheduler wall clock. *)
 
+val capture :
+  ?trace:bool ->
+  ?series_interval:int ->
+  ?spans:bool ->
+  ?op_classes:(int * string) list ->
+  ?flight:string * (string * Json.t) list ->
+  unit ->
+  t ref * (Memsim.Clock.t -> t)
+(** A sink factory for drivers that create their clock internally: the
+    factory makes a {!recording} sink on the clock it is given and
+    stores it in the returned ref for post-run reporting. [flight] (a
+    path and its metadata) arms the flight recorder at sink creation, so
+    triggers fired mid-run (the first retry, a breaker opening, a node
+    crash) dump immediately. *)
+
 val is_active : t -> bool
 val recorder : t -> recorder option
 val detach : t -> unit
@@ -84,7 +99,6 @@ val final_sample : t -> unit
 val unknown_site : Site.key
 
 val set_site : t -> func:string -> instr:int -> unit
-val current_site : t -> Site.key
 
 val note_reset : t -> unit
 (** Call immediately {e before} a [Clock.reset] so elapsed cycles fold

@@ -39,7 +39,6 @@ let stat t key =
       s
 
 let is_empty t = Hashtbl.length t.tbl = 0
-let site_count t = Hashtbl.length t.tbl
 
 let key_to_string k =
   if k.instr < 0 then k.func else Printf.sprintf "%s:%%%d" k.func k.instr

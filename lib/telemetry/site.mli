@@ -33,7 +33,6 @@ val stat : t -> key -> stat
 (** Find-or-create the mutable stat record for a site. *)
 
 val is_empty : t -> bool
-val site_count : t -> int
 
 val key_to_string : key -> string
 (** ["func:%id"], or just the function name for synthetic sites. *)

@@ -167,8 +167,6 @@ let exit t =
       | [] -> ());
       t.ctx.frames <- rest
 
-let frame_depth t = List.length t.ctx.frames
-
 (* -- scheduler context switching ----------------------------------------- *)
 
 let save t =
@@ -248,7 +246,6 @@ let op_begin t ~cls =
     Some { sid; scls = cls; sopened = t.now (); scats = Array.make ncats 0 }
 
 let op_end t = close_current t
-let open_span_count t = match t.ctx.span with None -> 0 | Some _ -> 1
 
 (* -- events --------------------------------------------------------------- *)
 
@@ -269,7 +266,6 @@ let ring_to_list arr total =
 let recent t = ring_to_list t.ring t.ring_n
 let events t = ring_to_list t.evring t.ev_n
 let spans_closed t = t.ring_n
-let events_seen t = t.ev_n
 
 (* -- aggregates ----------------------------------------------------------- *)
 

@@ -65,8 +65,6 @@ val op_end : t -> unit
 (** Close the open span: the unattributed remainder becomes compute and
     the record lands in the per-class aggregates and the recent ring. *)
 
-val open_span_count : t -> int
-
 (** {1 Category frames} *)
 
 val enter : t -> category -> unit
@@ -74,8 +72,6 @@ val exit : t -> unit
 val reclass : t -> category -> unit
 (** Change the category of the innermost open frame (a guard opens as
     {!Guard_fast} and reclassifies once the miss is known). *)
-
-val frame_depth : t -> int
 
 val attribute : t -> category -> int -> unit
 (** Charge cycles directly, without a frame (queueing on resume). *)
@@ -102,7 +98,6 @@ val events : t -> event list
 (** Noted events, oldest first, bounded by [ring]. *)
 
 val spans_closed : t -> int
-val events_seen : t -> int
 
 (** {1 Invariant} *)
 

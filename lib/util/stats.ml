@@ -35,14 +35,6 @@ let percentile a p =
     let idx = max 0 (min (n - 1) (rank - 1)) in
     b.(idx)
 
-let stddev a =
-  let m = mean a in
-  let var =
-    Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a
-    /. float_of_int (Array.length a)
-  in
-  sqrt var
-
 let minimum a = Array.fold_left min a.(0) a
 let maximum a = Array.fold_left max a.(0) a
 

@@ -15,9 +15,6 @@ val percentile : float array -> float -> float
     single-element sample returns that element for every [p]. Raises
     [Invalid_argument] on an empty sample or [p] outside the range. *)
 
-val stddev : float array -> float
-(** Population standard deviation. Requires a non-empty array. *)
-
 val minimum : float array -> float
 val maximum : float array -> float
 

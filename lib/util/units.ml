@@ -1,6 +1,5 @@
 let kib n = n * 1024
 let mib n = n * 1024 * 1024
-let gib n = n * 1024 * 1024 * 1024
 
 let scaled suffixes unit v =
   let rec pick v = function

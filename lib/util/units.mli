@@ -5,7 +5,6 @@
 
 val kib : int -> int
 val mib : int -> int
-val gib : int -> int
 
 val pp_bytes : Format.formatter -> int -> unit
 (** Render e.g. [1536] as ["1.5KiB"]. *)

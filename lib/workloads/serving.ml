@@ -37,12 +37,6 @@ let backend_name = function
   | Fastswap -> "fastswap"
   | Aifm -> "aifm"
 
-let backend_of_string = function
-  | "trackfm" -> Some Trackfm
-  | "fastswap" -> Some Fastswap
-  | "aifm" -> Some Aifm
-  | _ -> None
-
 type tenant = {
   tn_name : string;
   weight : int;

@@ -43,7 +43,6 @@
 type backend = Trackfm | Fastswap | Aifm
 
 val backend_name : backend -> string
-val backend_of_string : string -> backend option
 
 type tenant = {
   tn_name : string;

@@ -6,13 +6,6 @@ let kernel_name = function
   | Scale -> "scale"
   | Triad -> "triad"
 
-let kernel_of_string = function
-  | "sum" -> Some Sum
-  | "copy" -> Some Copy
-  | "scale" -> Some Scale
-  | "triad" -> Some Triad
-  | _ -> None
-
 (* Source elements are small and deterministic so checksums are cheap to
    predict; masked to fit any supported element size. *)
 let source_value i = ((i * 7) + 3) land 0x7FFF

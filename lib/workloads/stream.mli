@@ -12,7 +12,6 @@
 type kernel = Sum | Copy | Scale | Triad
 
 val kernel_name : kernel -> string
-val kernel_of_string : string -> kernel option
 
 val build : ?elem_size:int -> n:int -> kernel:kernel -> unit -> Ir.modul
 (** One pass of the kernel over [n]-element arrays. The program returns a

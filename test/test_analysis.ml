@@ -276,77 +276,6 @@ let test_profile_never_entered () =
   Alcotest.(check bool) "no entries -> None" true
     (Profile.avg_trip_count p ~func:"f" ~header:"h" ~preheader:"p" = None)
 
-let test_liveness_simple_loop () =
-  let m = Ir.create_module () in
-  let b = Builder.create m ~name:"f" ~nparams:0 in
-  let base = Builder.call b "malloc" [ Ir.Const 64 ] in
-  let accs =
-    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const 4)
-      ~accs:[ Ir.Const 0 ]
-      (fun bb ~iv:_ ~accs ->
-        let v = Builder.load bb base in
-        [ Builder.add bb (List.hd accs) v ])
-  in
-  Builder.ret b (Some (List.hd accs));
-  let f = Ir.find_func m "f" in
-  let lv = Dataflow.liveness f in
-  let base_id = match base with Ir.Reg id -> id | _ -> assert false in
-  (* the malloc result is live into every loop block (used by the load) *)
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun (blk : Ir.block) ->
-      Alcotest.(check bool)
-        ("base live into " ^ blk.label)
-        true
-        (Dataflow.Int_set.mem base_id (Dataflow.live_in lv blk.label)))
-    (List.filter
-       (fun (blk : Ir.block) ->
-         (* base is used inside the loop, so it is live into the header,
-            body and latch - but not the exit *)
-         String.length blk.label > 4
-         && String.sub blk.label 0 4 = "loop"
-         && not (contains blk.label "exit"))
-       f.blocks);
-  Alcotest.(check bool) "pressure positive" true (Dataflow.max_pressure f > 0)
-
-let test_liveness_dead_value_not_live () =
-  let m = Ir.create_module () in
-  let b = Builder.create m ~name:"f" ~nparams:0 in
-  let dead = Builder.add b (Ir.Const 1) (Ir.Const 2) in
-  let live = Builder.add b (Ir.Const 3) (Ir.Const 4) in
-  let exit_l = Builder.add_block b "exit" in
-  Builder.br b exit_l;
-  Builder.set_block b exit_l;
-  Builder.ret b (Some live);
-  let f = Ir.find_func m "f" in
-  let lv = Dataflow.liveness f in
-  let live_id = match live with Ir.Reg id -> id | _ -> assert false in
-  let dead_id = match dead with Ir.Reg id -> id | _ -> assert false in
-  Alcotest.(check bool) "live value live out of entry" true
-    (Dataflow.Int_set.mem live_id (Dataflow.live_out lv "entry"));
-  Alcotest.(check bool) "dead value not live" false
-    (Dataflow.Int_set.mem dead_id (Dataflow.live_out lv "entry"))
-
-let test_reaching_definitions () =
-  let m = Ir.create_module () in
-  let b = Builder.create m ~name:"f" ~nparams:0 in
-  let x = Builder.add b (Ir.Const 1) (Ir.Const 2) in
-  let exit_l = Builder.add_block b "exit" in
-  Builder.br b exit_l;
-  Builder.set_block b exit_l;
-  let y = Builder.add b x (Ir.Const 1) in
-  Builder.ret b (Some y);
-  let f = Ir.find_func m "f" in
-  let rd = Dataflow.reaching_definitions f in
-  let x_id = match x with Ir.Reg id -> id | _ -> assert false in
-  Alcotest.(check bool) "entry def reaches exit" true
-    (Dataflow.Int_set.mem x_id (Dataflow.reach_in rd exit_l))
-
-
 (* -- interprocedural call graph and summaries ------------------------- *)
 
 let test_callgraph_sccs_bottom_up () =
@@ -811,10 +740,6 @@ let suite =
         test_alias_needs_guard_per_class;
       Alcotest.test_case "profile trips" `Quick test_profile_trip_counts;
       Alcotest.test_case "profile empty" `Quick test_profile_never_entered;
-      Alcotest.test_case "liveness loop" `Quick test_liveness_simple_loop;
-      Alcotest.test_case "liveness dead value" `Quick
-        test_liveness_dead_value_not_live;
-      Alcotest.test_case "reaching defs" `Quick test_reaching_definitions;
       Alcotest.test_case "callgraph SCCs bottom-up" `Quick
         test_callgraph_sccs_bottom_up;
       Alcotest.test_case "summary self-recursion converges" `Quick
