@@ -1,5 +1,19 @@
 (* Shared plumbing for the experiment harness: system runners, sweep
-   helpers, and uniform reporting. *)
+   helpers, and uniform reporting.
+
+   The runner rule: [tfm], [fastswap] and [local] are the harness's one
+   runner per system, and the only callers of [Driver.run_trackfm],
+   [Driver.run_fastswap] and [Driver.run_local] in bench/ outside
+   bench/perf/. Each runs on the harness's engine and fabric ([!setup])
+   unless its call site overrides them. These call sites do, and say so
+   with [~engine] or [~fabric]:
+   - engine_speedup times the same local run under both engines;
+   - hybrid_routing and shape_routing check that both engines agree
+     with the host oracle, on the fault-free fabric;
+   - faults_goodput sweeps its fault presets, and durability runs its
+     crash schedule at its own tier sizes.
+   Overriding the cost model (related_dilos's DiLOS column, hw_kona's
+   Kona column) keeps the engine and the fabric. *)
 
 let quick = ref false
 
@@ -15,7 +29,6 @@ let quick = ref false
 type setup = { engine : Engine.t; fabric : Run_spec.fabric }
 
 let setup = ref { engine = Engine.Interp; fabric = Run_spec.default_fabric }
-let active_faults () = Run_spec.injector !setup.fabric
 
 (* Scale factor applied to workload sizes: full size by default, quartered
    with --quick. *)
@@ -38,68 +51,30 @@ let speedup base x = float_of_int base /. float_of_int x
 let print_expectation ~paper ~ours =
   Printf.printf "paper: %s\nours:  %s\n\n" paper ours
 
-(* The default TrackFM options on the harness's fabric. *)
-let tfm_opts ~budget =
-  let f = !setup.fabric in
-  {
-    (Driver.tfm_defaults ~local_budget:budget) with
-    Driver.faults = Run_spec.injector f;
-    replicas = f.replicas;
-    ack = f.ack;
-  }
+(* The TrackFM options an experiment starts from: the driver's defaults
+   at [budget]. The runner sets their fabric fields. *)
+let tfm_opts ~budget = Driver.tfm_defaults ~local_budget:budget
 
-(* Run a workload under TrackFM with given options; returns outcome. *)
-let tfm ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated) ?(prefetch = true)
-    ?(use_state_table = true) ?(profile_gate = true) ?(elide = true)
-    ?(summaries = true) ?(shapes = true) ?(route = `Off) ?(size_classes = [])
-    ?faults ~budget build =
-  let faults =
-    match faults with Some f -> f | None -> active_faults ()
-  in
+let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?blobs
+    ?telemetry (opts : Driver.tfm_opts) build =
   let opts =
     {
-      (tfm_opts ~budget) with
-      Driver.object_size;
-      chunk_mode;
-      prefetch;
-      use_state_table;
-      profile_gate;
-      elide_guards = elide;
-      use_summaries = summaries;
-      use_shapes = shapes;
-      route;
-      size_classes;
-      faults;
+      opts with
+      faults = Run_spec.injector fabric;
+      replicas = fabric.replicas;
+      ack = fabric.ack;
     }
   in
-  fst (Driver.run_trackfm ~engine:!setup.engine ?blobs build opts)
+  Driver.run_trackfm ~engine ?cost ?blobs ?telemetry build opts
 
-let tfm_with_report ?blobs ?(object_size = 4096) ?(chunk_mode = `Gated)
-    ?(profile_gate = true) ?(elide = true) ?(summaries = true)
-    ?(shapes = true) ?(route = `Off) ~budget build =
-  let opts =
-    {
-      (tfm_opts ~budget) with
-      Driver.object_size;
-      chunk_mode;
-      profile_gate;
-      elide_guards = elide;
-      use_summaries = summaries;
-      use_shapes = shapes;
-      route;
-    }
-  in
-  Driver.run_trackfm ~engine:!setup.engine ?blobs build opts
+let fastswap ?(fabric = !setup.fabric) ?cost ?readahead ?blobs ?telemetry
+    ~budget build =
+  Driver.run_fastswap ~engine:!setup.engine ?cost ?readahead
+    ~faults:(Run_spec.injector fabric) ~replicas:fabric.replicas
+    ~ack:fabric.ack ?blobs ?telemetry ~local_budget:budget build
 
-let fastswap ?blobs ?faults ~budget build =
-  let faults =
-    match faults with Some f -> f | None -> active_faults ()
-  in
-  let { Run_spec.replicas; ack; _ } = !setup.fabric in
-  Driver.run_fastswap ~engine:!setup.engine ?blobs ~faults ~replicas ~ack
-    ~local_budget:budget build
-
-let local ?blobs build = Driver.run_local ~engine:!setup.engine ?blobs build
+let local ?(engine = !setup.engine) ?blobs build =
+  Driver.run_local ~engine ?blobs build
 
 let gb bytes = float_of_int bytes /. 1e9
 let mops ops cycles = float_of_int ops /. (cycles_to_seconds cycles *. 1e6)
@@ -151,33 +126,6 @@ let table_json t =
    latency-breakdown trajectories alongside the BENCH_*.json tables. *)
 
 let attribution_dir : string option ref = ref None
-
-(* TrackFM / Fastswap runs with the causal span tracker on; the returned
-   sink carries the per-class attribution for reporting/export. *)
-let tfm_spans ?blobs ?(object_size = 4096) ~op_classes ~budget build =
-  let opts = { (tfm_opts ~budget) with Driver.object_size } in
-  let sink, telemetry =
-    Telemetry.Sink.capture ~trace:false ~series_interval:250_000 ~spans:true
-      ~op_classes ()
-  in
-  let o, _ =
-    Driver.run_trackfm ~engine:!setup.engine ?blobs ~telemetry build opts
-  in
-  Telemetry.Sink.final_sample !sink;
-  (o, !sink)
-
-let fastswap_spans ?blobs ~op_classes ~budget build =
-  let sink, telemetry =
-    Telemetry.Sink.capture ~trace:false ~series_interval:250_000 ~spans:true
-      ~op_classes ()
-  in
-  let { Run_spec.replicas; ack; _ } = !setup.fabric in
-  let o =
-    Driver.run_fastswap ~engine:!setup.engine ?blobs ~faults:(active_faults ())
-      ~replicas ~ack ~telemetry ~local_budget:budget build
-  in
-  Telemetry.Sink.final_sample !sink;
-  (o, !sink)
 
 let write_attribution ~experiment ~label sink ~meta =
   match !attribution_dir with

@@ -18,7 +18,9 @@ let fig13 () =
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
-      let tf = tfm ~blobs ~object_size:64 ~budget build in
+      let tf, _ =
+        tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = 64 } build
+      in
       let fs = fastswap ~blobs ~budget build in
       let tb = gb (Driver.counter tf "net.bytes_in") in
       let fb = gb (Driver.counter fs "net.bytes_in") in
@@ -46,7 +48,7 @@ let fig14 () =
   let p = Analytics.default_params ~rows:(scaled 250_000) in
   let ws = Analytics.working_set_bytes p in
   let build () = Analytics.build p () in
-  let tfm_at budget = tfm ~budget build in
+  let tfm_at budget = fst (tfm (tfm_opts ~budget) build) in
   let fs_at budget = fastswap ~budget build in
   let aifm_at budget =
     let ck, clock = Analytics.run_aifm ~local_budget:budget p in
@@ -118,10 +120,10 @@ let fig15 () =
   let p = Analytics.default_params ~rows:(scaled 250_000) in
   let ws = Analytics.working_set_bytes p in
   let build () = Analytics.build p () in
-  let base_cycles budget mode gate =
-    (tfm ~chunk_mode:mode ~profile_gate:gate ~budget build).Driver.cycles
+  let cycles budget chunk_mode =
+    (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build)).Driver.cycles
   in
-  let base_local = base_cycles (2 * ws) `Off false in
+  let base_local = cycles (2 * ws) `Off in
   let t =
     Tfm_util.Table.create
       ~title:"Figure 15: analytics, chunking variants (slowdown vs local)"
@@ -130,11 +132,11 @@ let fig15 () =
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
-      let f mode gate =
-        float_of_int (base_cycles budget mode gate) /. float_of_int base_local
+      let f mode =
+        float_of_int (cycles budget mode) /. float_of_int base_local
       in
-      Tfm_util.Table.add_rowf t "%d | %.2f | %.2f | %.2f" pct (f `Off false)
-        (f `All false) (f `Gated true))
+      Tfm_util.Table.add_rowf t "%d | %.2f | %.2f | %.2f" pct (f `Off) (f `All)
+        (f `Gated))
     [ 5; 10; 25; 50; 75; 100 ];
   report_table t;
   print_expectation
@@ -171,7 +173,9 @@ let fig16 () =
       let ws = Memcached.working_set_bytes p in
       let budget = budget_of ws 8 in
       let build () = Memcached.build p () in
-      let tf = tfm ~blobs ~object_size:64 ~budget build in
+      let tf, _ =
+        tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = 64 } build
+      in
       let fs = fastswap ~blobs ~budget build in
       let lo = local ~blobs build in
       tfm_pts := (skew, kops p.Memcached.gets tf.Driver.cycles) :: !tfm_pts;

@@ -55,13 +55,22 @@ let attribution () =
       let budget = budget_of ws 25 in
       let systems =
         [
-          ("trackfm", fun () -> tfm_spans ~blobs ~op_classes ~budget build);
-          ("fastswap", fun () -> fastswap_spans ~blobs ~op_classes ~budget build);
+          ( "trackfm",
+            fun telemetry ->
+              ignore (tfm ~blobs ~telemetry (tfm_opts ~budget) build) );
+          ( "fastswap",
+            fun telemetry -> ignore (fastswap ~blobs ~telemetry ~budget build) );
         ]
       in
       List.iter
         (fun (sysname, run) ->
-          let (_ : Driver.outcome), sink = run () in
+          let sink, telemetry =
+            Telemetry.Sink.capture ~trace:false ~series_interval:250_000
+              ~spans:true ~op_classes ()
+          in
+          run telemetry;
+          let sink = !sink in
+          Telemetry.Sink.final_sample sink;
           (match Telemetry.Sink.spans sink with
           | None -> ()
           | Some sp ->

@@ -23,16 +23,10 @@ let crash_cfg () =
   | Error e -> failwith ("exp_durability: " ^ e)
 
 let run_one ~system ~build ~blobs ~budget ~replicas ~ack =
-  let faults = Faults.create ~seed:!setup.fabric.fault_seed (crash_cfg ()) in
+  let fabric = { !setup.fabric with faults = crash_cfg (); replicas; ack } in
   match system with
-  | `Trackfm ->
-      let opts =
-        { (Driver.tfm_defaults ~local_budget:budget) with faults; replicas; ack }
-      in
-      fst (Driver.run_trackfm ?blobs build opts)
-  | `Fastswap ->
-      Driver.run_fastswap ?blobs ~faults ~replicas ~ack ~local_budget:budget
-        build
+  | `Trackfm -> fst (tfm ~fabric ?blobs (tfm_opts ~budget) build)
+  | `Fastswap -> fastswap ~fabric ?blobs ~budget build
 
 let durability () =
   let cases =

@@ -41,14 +41,17 @@ let guard_elision () =
   in
   let row name ?blobs ~chunk_mode ~ws build =
     let budget = budget_of ws 100 in
-    let off, r_off =
-      tfm_with_report ?blobs ~chunk_mode ~profile_gate:false ~elide:false
-        ~budget build
+    let run elide_guards =
+      tfm ?blobs
+        {
+          (tfm_opts ~budget) with
+          Driver.chunk_mode;
+          profile_gate = false;
+          elide_guards;
+        }
+        build
     in
-    let on, r_on =
-      tfm_with_report ?blobs ~chunk_mode ~profile_gate:false ~elide:true
-        ~budget build
-    in
+    let off, r_off = run false and on, r_on = run true in
     assert (off.Driver.ret = on.Driver.ret);
     let g_off = dynamic_guards off and g_on = dynamic_guards on in
     let reduction =

@@ -139,7 +139,7 @@ let engine_speedup () =
   let passing = ref 0 in
   List.iter
     (fun (name, build, blobs) ->
-      let run eng = wall (fun () -> Driver.run_local ~engine:eng ~blobs build) in
+      let run engine = wall (fun () -> local ~engine ~blobs build) in
       (* Interpreter and compiled runs alternate, so each pair sees the
          same host load; the gate reads the median of the pair ratios. *)
       let pairs =

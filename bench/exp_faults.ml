@@ -22,11 +22,11 @@ let cfg_of name =
    cycles, so "none" is 1.00 by construction and lower is worse. *)
 let goodput_rows ~build ~blobs ~budget ~expected =
   let run_sys system cfg =
-    let faults = Faults.create ~seed:!setup.fabric.fault_seed cfg in
+    let fabric = { !setup.fabric with faults = cfg } in
     let o =
       match system with
-      | `Trackfm -> tfm ?blobs ~faults ~budget build
-      | `Fastswap -> fastswap ?blobs ~faults ~budget build
+      | `Trackfm -> fst (tfm ~fabric ?blobs (tfm_opts ~budget) build)
+      | `Fastswap -> fastswap ~fabric ?blobs ~budget build
     in
     assert (o.Driver.ret = expected);
     o

@@ -41,6 +41,9 @@ let hybrid_routing () =
     if not ok then failures := name :: !failures;
     if ok then "yes" else "NO"
   in
+  let cycles route ~budget build =
+    (fst (tfm { (tfm_opts ~budget) with Driver.route } build)).Driver.cycles
+  in
 
   (* -- pointer chase: the shape routed to the page path --------------- *)
   let t =
@@ -56,9 +59,9 @@ let hybrid_routing () =
     List.map
       (fun pct ->
         let budget = budget_of chase_ws pct in
-        let tf = (tfm ~budget chase_build).Driver.cycles in
+        let tf = cycles `Off ~budget chase_build in
         let fs = (fastswap ~budget chase_build).Driver.cycles in
-        let hy = (tfm ~route:`Static ~budget chase_build).Driver.cycles in
+        let hy = cycles `Static ~budget chase_build in
         (pct, tf, fs, hy))
       short_sweep
   in
@@ -100,9 +103,9 @@ let hybrid_routing () =
   List.iter
     (fun pct ->
       let budget = budget_of stream_ws pct in
-      let tf = (tfm ~budget stream_build).Driver.cycles in
+      let tf = cycles `Off ~budget stream_build in
       let fs = (fastswap ~budget stream_build).Driver.cycles in
-      let hy = (tfm ~route:`Static ~budget stream_build).Driver.cycles in
+      let hy = cycles `Static ~budget stream_build in
       if pct <= 25 && hy > fs then stream_ok := false;
       Tfm_util.Table.add_rowf t "%d | %d | %d | %d | %s" pct tf fs hy
         (if hy <= fs then "yes" else "no"))
@@ -116,11 +119,13 @@ let hybrid_routing () =
   (* -- integrity: engines agree and match the host-side oracle -------- *)
   let engine_runs build ~budget =
     List.map
-      (fun eng ->
-        (Driver.run_trackfm ~engine:eng build
-           { (Driver.tfm_defaults ~local_budget:budget) with route = `Static }
-         |> fst)
-          .Driver.ret)
+      (fun engine ->
+        let o, _ =
+          tfm ~engine ~fabric:Run_spec.default_fabric
+            { (tfm_opts ~budget) with Driver.route = `Static }
+            build
+        in
+        o.Driver.ret)
       [ Engine.Interp; Engine.Compiled ]
   in
   let chase_rets = engine_runs chase_build ~budget:(budget_of chase_ws 50) in

@@ -36,14 +36,14 @@ let fig6 () =
     (fun elem_size ->
       let d = 4096 / elem_size in
       let budget = array_bytes * 2 in
-      let naive =
-        (tfm ~chunk_mode:`Off ~profile_gate:false ~budget (build elem_size))
+      let cycles chunk_mode =
+        (fst
+           (tfm
+              { (tfm_opts ~budget) with Driver.chunk_mode }
+              (build elem_size)))
           .Driver.cycles
       in
-      let chunked =
-        (tfm ~chunk_mode:`All ~profile_gate:false ~budget (build elem_size))
-          .Driver.cycles
-      in
+      let naive = cycles `Off and chunked = cycles `All in
       let s = speedup naive chunked in
       crossings := (d, s) :: !crossings;
       Tfm_util.Table.add_rowf t "%d | %d | %d | %.3f" d naive chunked s)
@@ -99,12 +99,11 @@ let fig7 () =
       List.iter
         (fun pct ->
           let budget = budget_of ws pct in
-          let naive =
-            (tfm ~chunk_mode:`Off ~profile_gate:false ~budget build).Driver.cycles
+          let cycles chunk_mode =
+            (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build))
+              .Driver.cycles
           in
-          let chunked =
-            (tfm ~chunk_mode:`All ~profile_gate:false ~budget build).Driver.cycles
-          in
+          let naive = cycles `Off and chunked = cycles `All in
           Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct naive chunked
             (speedup naive chunked))
         pct_sweep;
@@ -128,21 +127,17 @@ let fig8 () =
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
-      let base =
-        (tfm ~chunk_mode:`Off ~profile_gate:false ~budget build).Driver.cycles
+      let cycles chunk_mode =
+        (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build))
+          .Driver.cycles
       in
-      let all =
-        (tfm ~chunk_mode:`All ~profile_gate:false ~budget build).Driver.cycles
-      in
-      let gated =
-        (tfm ~chunk_mode:`Gated ~profile_gate:true ~budget build).Driver.cycles
-      in
+      let base = cycles `Off and all = cycles `All and gated = cycles `Gated in
       Tfm_util.Table.add_rowf t "%d | %.2f | %.2f" pct (speedup base all)
         (speedup base gated))
     short_sweep;
   report_table t;
   (* also report the candidate filtering like the paper's 103 -> 27 *)
-  let _, report = tfm_with_report ~chunk_mode:`Gated ~budget:ws build in
+  let _, report = tfm (tfm_opts ~budget:ws) build in
   let cands = report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates in
   let selected =
     List.length (List.filter (fun c -> c.Trackfm.Chunk_pass.selected) cands)

@@ -17,7 +17,10 @@ let fig17 () =
       let base = (local build).Driver.cycles in
       let budget = budget_of ws 25 in
       let fs = float_of_int (fastswap ~budget build).Driver.cycles /. float_of_int base in
-      let tf = float_of_int (tfm ~budget build).Driver.cycles /. float_of_int base in
+      let tf =
+        float_of_int (fst (tfm (tfm_opts ~budget) build)).Driver.cycles
+        /. float_of_int base
+      in
       fs_slows := fs :: !fs_slows;
       tfm_slows := tf :: !tfm_slows;
       Tfm_util.Table.add_rowf t "%s | %.2f | %.2f"
@@ -50,8 +53,8 @@ let fig17 () =
       Tfm_util.Table.add_rowf t2 "%s | %.2f | %.2f | %.2f"
         (String.uppercase_ascii (Nas.kernel_name kernel))
         (f (fastswap ~budget build).Driver.cycles)
-        (f (tfm ~budget build).Driver.cycles)
-        (f (tfm ~budget build_o1).Driver.cycles))
+        (f (fst (tfm (tfm_opts ~budget) build)).Driver.cycles)
+        (f (fst (tfm (tfm_opts ~budget) build_o1)).Driver.cycles))
     [ Nas.FT; Nas.SP ];
   report_table t2;
   (* guard-count reduction from O1, the paper's 6x/4x observation *)
@@ -118,16 +121,18 @@ let ablate_state_table () =
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
-      let with_t =
-        (tfm ~chunk_mode:`Off ~profile_gate:false ~use_state_table:true ~budget
-           build)
+      let cycles use_state_table =
+        (fst
+           (tfm
+              {
+                (tfm_opts ~budget) with
+                Driver.chunk_mode = `Off;
+                use_state_table;
+              }
+              build))
           .Driver.cycles
       in
-      let without =
-        (tfm ~chunk_mode:`Off ~profile_gate:false ~use_state_table:false
-           ~budget build)
-          .Driver.cycles
-      in
+      let with_t = cycles true and without = cycles false in
       Tfm_util.Table.add_rowf t "%d | %d | %d | %.1f%%" pct with_t without
         (100.0 *. (float_of_int without /. float_of_int with_t -. 1.0)))
     short_sweep;
@@ -211,12 +216,16 @@ let ablate_multisize () =
       (gb (Driver.counter o "net.bytes_in"))
       (Driver.counter o "net.fetches")
   in
-  report "single class, 4KiB" (tfm ~blobs ~object_size:4096 ~budget build);
-  report "single class, 64B" (tfm ~blobs ~object_size:64 ~budget build);
+  let run opts = fst (tfm ~blobs opts build) in
+  let opts = tfm_opts ~budget in
+  report "single class, 4KiB" (run opts);
+  report "single class, 64B" (run { opts with Driver.object_size = 64 });
   report "two classes (64B small / 4KiB large)"
-    (tfm ~blobs
-       ~size_classes:[ (2048, 64, 0.7); (max_int, 4096, 0.3) ]
-       ~budget build);
+    (run
+       {
+         opts with
+         Driver.size_classes = [ (2048, 64, 0.7); (max_int, 4096, 0.3) ];
+       });
   report_table t;
   print_expectation
     ~paper:
@@ -248,42 +257,15 @@ let ablate_eviction () =
   in
   List.iter
     (fun (label, policy) ->
-      let m = Memcached.build p () in
-      let profile = Driver.profile_of ~blobs (fun () -> Memcached.build p ()) in
-      let config =
-        {
-          Trackfm.Pipeline.default_config with
-          object_size = 64;
-          profile = Some profile;
-        }
+      let o, _ =
+        tfm ~blobs
+          { (tfm_opts ~budget) with Driver.object_size = 64; policy }
+          (fun () -> Memcached.build p ())
       in
-      ignore (Trackfm.Pipeline.run config m);
-      let clock = Clock.create () in
-      let store = Memstore.create () in
-      let rt =
-        Trackfm.Runtime.create ~policy Cost_model.default clock store
-          ~object_size:64 ~local_budget:budget
-      in
-      let backend = Backend.trackfm rt store in
-      let backend =
-        (* reuse the driver's blob loader by hand *)
-        {
-          backend with
-          Backend.intrinsic =
-            (fun name args ->
-              match name with
-              | "!load_blob" ->
-                  Memstore.write_bytes store ~addr:args.(0)
-                    (List.assoc args.(1) blobs);
-                  Some 0
-              | _ -> backend.Backend.intrinsic name args);
-        }
-      in
-      let r = Interp.run backend m ~entry:"main" in
-      assert (r.Interp.ret = Memcached.checksum p);
+      assert (o.Driver.ret = Memcached.checksum p);
       Tfm_util.Table.add_rowf t "%s | %.1f | %d" label
-        (kops p.Memcached.gets r.Interp.cycles)
-        (Clock.get clock "aifm.demand_fetches"))
+        (kops p.Memcached.gets o.Driver.cycles)
+        (Driver.counter o "aifm.demand_fetches"))
     [ ("CLOCK (hotness)", Aifm.Pool.Clock_hand); ("FIFO", Aifm.Pool.Fifo) ];
   report_table t;
   print_expectation

@@ -23,7 +23,10 @@ let fig9 () =
       let row =
         List.map
           (fun osz ->
-            let o = tfm ~blobs ~object_size:osz ~budget build in
+            let o, _ =
+              tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = osz }
+                build
+            in
             Printf.sprintf "%.2f" (mops p.Hashmap.lookups o.Driver.cycles))
           object_sizes
       in
@@ -37,7 +40,11 @@ let fig9 () =
   in
   List.iter
     (fun osz ->
-      let o = tfm ~blobs ~object_size:osz ~budget:(budget_of ws 25) build in
+      let o, _ =
+        tfm ~blobs
+          { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
+          build
+      in
       Tfm_util.Table.add_rowf t2 "%dB | %.2f" osz
         (mops p.Hashmap.lookups o.Driver.cycles))
     object_sizes;
@@ -65,7 +72,9 @@ let fig10 () =
       let row =
         List.map
           (fun osz ->
-            let o = tfm ~object_size:osz ~budget build in
+            let o, _ =
+              tfm { (tfm_opts ~budget) with Driver.object_size = osz } build
+            in
             Printf.sprintf "%.0f"
               (float_of_int bytes_processed
               /. cycles_to_seconds o.Driver.cycles /. 1e6))
@@ -80,7 +89,11 @@ let fig10 () =
   in
   List.iter
     (fun osz ->
-      let o = tfm ~object_size:osz ~budget:(budget_of ws 25) build in
+      let o, _ =
+        tfm
+          { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
+          build
+      in
       Tfm_util.Table.add_rowf t2 "%dB | %.0f" osz
         (float_of_int bytes_processed /. cycles_to_seconds o.Driver.cycles /. 1e6))
     object_sizes;
@@ -106,8 +119,11 @@ let fig11 () =
       List.iter
         (fun pct ->
           let budget = budget_of ws pct in
-          let off = (tfm ~prefetch:false ~budget build).Driver.cycles in
-          let on = (tfm ~prefetch:true ~budget build).Driver.cycles in
+          let cycles prefetch =
+            (fst (tfm { (tfm_opts ~budget) with Driver.prefetch } build))
+              .Driver.cycles
+          in
+          let off = cycles false and on = cycles true in
           Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct off on
             (speedup off on))
         pct_sweep;
@@ -137,7 +153,7 @@ let fig12 () =
           List.map
             (fun pct ->
               let budget = budget_of ws pct in
-              let tf = (tfm ~budget build).Driver.cycles in
+              let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
               let fs = (fastswap ~budget build).Driver.cycles in
               Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct tf fs
                 (speedup fs tf);

@@ -30,11 +30,12 @@ let shape_routing () =
   in
 
   (* -- routed-site counts: the upgrade itself ------------------------- *)
-  let budget100 = budget_of ws 100 in
-  let _, rep_with = tfm_with_report ~route:`Static ~budget:budget100 build in
-  let _, rep_without =
-    tfm_with_report ~route:`Static ~shapes:false ~budget:budget100 build
+  let static ~use_shapes budget =
+    tfm { (tfm_opts ~budget) with Driver.route = `Static; use_shapes } build
   in
+  let budget100 = budget_of ws 100 in
+  let _, rep_with = static ~use_shapes:true budget100 in
+  let _, rep_without = static ~use_shapes:false budget100 in
   let routed r = r.Trackfm.Pipeline.routing.Trackfm.Route_pass.routed in
   Printf.printf
     "static routes: %d with shape analysis, %d without (helper-hidden \
@@ -61,12 +62,11 @@ let shape_routing () =
     List.map
       (fun pct ->
         let budget = budget_of ws pct in
-        let tf = (tfm ~budget build).Driver.cycles in
+        let cycles (o, _) = o.Driver.cycles in
+        let tf = cycles (tfm (tfm_opts ~budget) build) in
         let fs = (fastswap ~budget build).Driver.cycles in
-        let hy0 =
-          (tfm ~route:`Static ~shapes:false ~budget build).Driver.cycles
-        in
-        let hy = (tfm ~route:`Static ~budget build).Driver.cycles in
+        let hy0 = cycles (static ~use_shapes:false budget) in
+        let hy = cycles (static ~use_shapes:true budget) in
         (pct, tf, fs, hy0, hy))
       short_sweep
   in
@@ -93,12 +93,13 @@ let shape_routing () =
   (* -- integrity: engines agree and match the host-side oracle -------- *)
   let rets =
     List.map
-      (fun eng ->
-        (Driver.run_trackfm ~engine:eng build
-           { (Driver.tfm_defaults ~local_budget:(budget_of ws 50)) with
-             route = `Static }
-         |> fst)
-          .Driver.ret)
+      (fun engine ->
+        let o, _ =
+          tfm ~engine ~fabric:Run_spec.default_fabric
+            { (tfm_opts ~budget:(budget_of ws 50)) with Driver.route = `Static }
+            build
+        in
+        o.Driver.ret)
       [ Engine.Interp; Engine.Compiled ]
   in
   let oracle = Workloads.Llist.checksum ~nodes ~tnodes in

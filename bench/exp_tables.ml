@@ -242,22 +242,24 @@ let related_dilos () =
          LibOS paging"
       ~columns:[ "local mem %"; "TrackFM"; "Fastswap"; "DiLOS-style" ]
   in
-  let tfm_base = (tfm ~budget:(2 * ws) build).Driver.cycles in
-  let fs_base = (fastswap ~budget:(2 * ws) build).Driver.cycles in
-  let dilos budget =
-    Driver.run_fastswap ~cost:dilos_cost ~readahead:8 ~local_budget:budget
-      build
+  let columns =
+    [
+      (fun budget -> fst (tfm (tfm_opts ~budget) build));
+      (fun budget -> fastswap ~budget build);
+      (fun budget -> fastswap ~cost:dilos_cost ~readahead:8 ~budget build);
+    ]
   in
-  let dl_base = (dilos (2 * ws)).Driver.cycles in
+  let bases = List.map (fun run -> (run (2 * ws)).Driver.cycles) columns in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
-      Tfm_util.Table.add_rowf t "%d | %.2f | %.2f | %.2f" pct
-        (float_of_int (tfm ~budget build).Driver.cycles
-        /. float_of_int tfm_base)
-        (float_of_int (fastswap ~budget build).Driver.cycles
-        /. float_of_int fs_base)
-        (float_of_int (dilos budget).Driver.cycles /. float_of_int dl_base))
+      Tfm_util.Table.add_row t
+        (string_of_int pct
+        :: List.map2
+             (fun run base ->
+               Printf.sprintf "%.2f"
+                 (float_of_int (run budget).Driver.cycles /. float_of_int base))
+             columns bases))
     [ 5; 10; 25; 50; 75; 100 ];
   report_table t;
   print_expectation
@@ -290,13 +292,12 @@ let hw_kona () =
       locality_guard = 40;
     }
   in
-  let kona_opts ~budget =
-    {
-      (tfm_opts ~budget) with
-      Driver.object_size = 64;
-      chunk_mode = `Off;
-      profile_gate = false;
-    }
+  let kona ?blobs ~budget build =
+    (fst
+       (tfm ~cost:kona_cost ?blobs
+          { (tfm_opts ~budget) with Driver.object_size = 64; chunk_mode = `Off }
+          build))
+      .Driver.cycles
   in
   let t =
     Tfm_util.Table.create
@@ -315,15 +316,13 @@ let hw_kona () =
           let build () = Hashmap.build p () in
           let budget = budget_of ws 25 in
           let tf =
-            (tfm ~blobs ~object_size:64 ~budget build).Driver.cycles
-          in
-          let hw =
             (fst
-               (Driver.run_trackfm ~cost:kona_cost ~blobs build
-                  (kona_opts ~budget)))
+               (tfm ~blobs
+                  { (tfm_opts ~budget) with Driver.object_size = 64 }
+                  build))
               .Driver.cycles
           in
-          (tf, hw)) );
+          (tf, kona ~blobs ~budget build)) );
       ( "STREAM sum (compiler knowledge pays)",
         (fun () ->
           let n = scaled 400_000 in
@@ -331,12 +330,8 @@ let hw_kona () =
           let ws = Stream.working_set_bytes ~n ~kernel () in
           let build () = Stream.build ~n ~kernel () in
           let budget = budget_of ws 25 in
-          let tf = (tfm ~budget build).Driver.cycles in
-          let hw =
-            (fst (Driver.run_trackfm ~cost:kona_cost build (kona_opts ~budget)))
-              .Driver.cycles
-          in
-          (tf, hw)) );
+          let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
+          (tf, kona ~budget build)) );
     ]
   in
   List.iter
@@ -372,7 +367,7 @@ let robustness_scale () =
       let ws = Stream.working_set_bytes ~n ~kernel () in
       let build () = Stream.build ~n ~kernel () in
       let budget = budget_of ws 25 in
-      let tf = (tfm ~budget build).Driver.cycles in
+      let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
       let fs = (fastswap ~budget build).Driver.cycles in
       Tfm_util.Table.add_rowf t "%d | %s | %.2f" n
         (Tfm_util.Units.bytes_to_string ws)

@@ -155,8 +155,10 @@ let build_of w o1 =
     m
   else w.build
 
-let local_budget (spec : Run_spec.t) w =
-  max (16 * spec.object_size) (w.working_set * spec.local_pct / 100)
+(* Every command's local-memory budget: [pct] percent of the working set,
+   and at least 16 objects. *)
+let local_budget ?(object_size = 4096) w pct =
+  max (16 * object_size) (w.working_set * pct / 100)
 
 let faults_on (spec : Run_spec.t) =
   Faults.enabled (Run_spec.injector spec.fabric)
@@ -166,7 +168,10 @@ let faults_on (spec : Run_spec.t) =
    to the run's fresh clock inside the driver; the fault injector is fresh
    per run (its random stream is stateful). *)
 let exec_system ?(route_hotspots = []) (spec : Run_spec.t) w ~telemetry build =
-  let engine = spec.engine and local_budget = local_budget spec w in
+  let engine = spec.engine
+  and local_budget =
+    local_budget ~object_size:spec.object_size w spec.local_pct
+  in
   let faults = Run_spec.injector spec.fabric in
   let { Run_spec.replicas; ack; _ } = spec.fabric in
   match spec.system with
@@ -429,7 +434,8 @@ let run_cmd (spec : Run_spec.t) w tel ~counters_json ~attribution ~flight =
     "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
     w.wname w.describe
     (Tfm_util.Units.bytes_to_string w.working_set)
-    (Tfm_util.Units.bytes_to_string (local_budget spec w))
+    (Tfm_util.Units.bytes_to_string
+       (local_budget ~object_size:spec.object_size w spec.local_pct))
     spec.local_pct
     (Run_spec.system_name spec.system);
   if spec.route <> `Off then
@@ -596,7 +602,8 @@ let report_cmd (spec : Run_spec.t) w tel =
   Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
     w.wname
     (Run_spec.system_name spec.system)
-    (Tfm_util.Units.bytes_to_string (local_budget spec w))
+    (Tfm_util.Units.bytes_to_string
+       (local_budget ~object_size:spec.object_size w spec.local_pct))
     spec.local_pct
     (if faults_on spec then
        Printf.sprintf ", faults %s seed %d"
@@ -633,9 +640,10 @@ let report_cmd (spec : Run_spec.t) w tel =
 
 let cyc = Tfm_util.Units.cycles_to_string
 
-(* Both views print from one normalized row shape, filled either from a
-   live span tracker or from an attribution JSON read back with --from.
-   [cq] takes a percentile in (0, 100). *)
+(* Both views print from one row shape, built from an attribution
+   document: the one a live span-traced run holds in memory, or one read
+   back with --from. So a live run and its exported file give the same
+   rows. [cq] takes one of the stored percentiles (50, 90, 99, 99.9). *)
 type cp_class = {
   cname : string;
   cops : int;
@@ -646,36 +654,6 @@ type cp_class = {
   ccats : (string * int) list;
   cslowest : (int * int * (string * int) list) option; (* id, wall, cats *)
 }
-
-let cp_of_span sp =
-  let open Telemetry in
-  let cats_of arr =
-    List.map (fun c -> (Span.cat_name c, arr.(Span.cat_index c))) Span.categories
-  in
-  let rows =
-    List.map
-      (fun (cls, st) ->
-        let h = st.Span.wall_hist in
-        {
-          cname = Span.class_name sp cls;
-          cops = st.Span.ops;
-          cwall_total = Histogram.total h;
-          cwall_mean = Histogram.mean h;
-          cq = (fun p -> Histogram.percentile_opt h p);
-          cwall_max = Histogram.max_value h;
-          ccats = cats_of st.Span.cat_totals;
-          cslowest =
-            Option.map
-              (fun (r : Span.record) ->
-                (r.Span.id, r.Span.wall, cats_of r.Span.cats))
-              st.Span.slowest;
-        })
-      (Span.classes sp)
-  in
-  ( rows,
-    cats_of (Span.background sp),
-    Span.violations sp,
-    Span.violation_note sp )
 
 let cp_of_json j =
   let module J = Telemetry.Json in
@@ -838,8 +816,9 @@ let load_attribution path =
                    path)))
 
 (* The span-based report views read their rows back from an exported
-   attribution file (--from), or take them from a live span-traced run of
-   the workload after [header] introduces it. [k] gets the rows' title. *)
+   attribution file (--from), or from the attribution document of a live
+   span-traced run of the workload after [header] introduces it. [k] gets
+   the rows' title. *)
 let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
   match (from, workload) with
   | Some path, _ -> (
@@ -865,14 +844,14 @@ let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
           if o.Driver.ret <> w.expected then
             Printf.eprintf "warning: checksum %d does not match expected %d\n"
               o.Driver.ret w.expected;
-          match Telemetry.Sink.spans !sink with
+          match Telemetry.Sink.attribution_json !sink ~meta:[] with
           | None ->
               prerr_endline "internal error: span tracker missing";
               1
-          | Some sp ->
+          | Some j ->
               k
                 ~title:(w.wname ^ " under " ^ Run_spec.system_name spec.system)
-                (cp_of_span sp)))
+                (cp_of_json j)))
 
 let critical_path_cmd (spec : Run_spec.t) workload from =
   with_span_rows ~cmd:"critical-path" spec workload from
@@ -1103,7 +1082,7 @@ let sweep_cmd w object_size =
   let tfm_pts = ref [] and fs_pts = ref [] in
   List.iter
     (fun pct ->
-      let budget = max (16 * 4096) (w.working_set * pct / 100) in
+      let budget = local_budget ~object_size w pct in
       let opts =
         { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
       in
@@ -1128,7 +1107,7 @@ let sweep_cmd w object_size =
   0
 
 let autotune_cmd w local_pct =
-  let budget = max 65536 (w.working_set * local_pct / 100) in
+  let budget = local_budget w local_pct in
   Printf.printf
     "autotuning object size for %s at %d%% local memory (Section 3.2's \
      exhaustive recompile-and-run search)\n\n"
@@ -1413,7 +1392,7 @@ let shape_cmd w o1 shadow_mode local_pct =
   if not shadow_mode then 0
   else begin
     let sh = Shadow.create () in
-    let budget = max (16 * 4096) (w.working_set * local_pct / 100) in
+    let budget = local_budget w local_pct in
     let opts =
       {
         (Driver.tfm_defaults ~local_budget:budget) with
@@ -1599,8 +1578,8 @@ let slo_spec_arg =
     & info [ "slo" ] ~docv:"SPEC"
         ~doc:
           "Declarative SLOs: semicolon-separated class:objectives, each \
-           objective metric<=limit (metrics pNN, mean, max; limits in \
-           cycles with k/m/g suffixes), e.g. \
+           objective metric<=limit (metrics p50, p90, p99, p999, mean, max; \
+           limits in cycles with k/m/g suffixes), e.g. \
            'lookup:p99<=250k,p50<=40k;get:p999<=2m'.")
 
 let slo_file_arg =

@@ -1,12 +1,12 @@
 (* The pinned command lines ("cells") that ci/dune replays: the cheap
    groups under `dune runtest`, the slow ones under one alias each
-   (@ci/durability, @ci/tracing, @ci/engines, @ci/hybrid).
+   (@ci/durability, @ci/tracing, @ci/engines, @ci/hybrid, @ci/examples).
 
-   A cell is one command line of trackfm_cli or of the bench harness,
-   and the runs of it that must agree. Every run must exit with the
-   cell's status (0 unless stated), write each of the cell's outputs
-   (its stdout, or a file its arguments name) with the first run's
-   bytes, and pass the cell's checks. A second interpreter run proves
+   A cell is one command line of trackfm_cli, of the bench harness or of
+   an example, and the runs of it that must agree. Every run must exit
+   with the cell's status (0 unless stated), write each of the cell's
+   outputs (its stdout, or a file its arguments name) with the first
+   run's bytes, and pass the cell's checks. A second interpreter run proves
    determinism; a run under --engine compiled proves the compiled engine
    matches the interpreter. Each run's stdout and stderr stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
@@ -35,6 +35,7 @@ type cell = {
 let program = function
   | "trackfm_cli" -> "../bin/trackfm_cli.exe"
   | "bench" -> "../bench/main.exe"
+  | p when String.starts_with ~prefix:"examples/" p -> sprintf "../%s.exe" p
   | p -> failwith ("cells.exe: unknown program " ^ p)
 
 let read path = In_channel.with_open_bin path In_channel.input_all
@@ -95,6 +96,13 @@ let lost_objects ~lost file =
 
 let same_as path output =
   (output, fun got -> same ~from:path output (read path) got)
+
+(* The output ends with the bytes an earlier cell left in [path]. *)
+let ends_with path output =
+  ( output,
+    fun got ->
+      if String.ends_with ~suffix:(read path) got then Ok ()
+      else Error (sprintf "%s does not end with %s" (describe output) path) )
 
 let conforms schema output =
   ( output,
@@ -207,6 +215,15 @@ let rerun_writes flag kind w seed =
     (sprintf "trackfm_cli %s %s %s" (fault_run w seed) flag file)
     ~runs:[ []; [] ] ~outputs:[ File file ]
 
+let slo_spec = "lookup:p50<=100,p90<=30k,p999<=40k,mean<=20k,max<=40k"
+
+let examples =
+  [
+    "quickstart"; "o0_to_far_memory"; "compiler_explorer";
+    "remote_datastructures"; "concurrency_demo"; "autotune";
+    "far_memory_cache";
+  ]
+
 let table =
   [
     fault "stream-sum" 1; fault "stream-sum" 2; fault "stream-sum" 3;
@@ -263,6 +280,21 @@ let table =
       usage_error "missing-faults" "bench table1 --quick --faults";
       usage_error "bad-skew" "trackfm_cli serve --skew 0";
       usage_error "bad-rate" "trackfm_cli serve --rate nan";
+      (* One SLO spec gives the same verdict table live as from the
+         run's exported attribution file (p90 fails: exit 1). *)
+      cell "smoke" "slo-export"
+        "trackfm_cli run -w hashmap -s trackfm -m 25 --attribution \
+         slo-export.json"
+        ~outputs:[ File "slo-export.json" ];
+      cell "smoke" "slo-from"
+        (sprintf "trackfm_cli report slo --from slo-export.json --slo %s"
+           slo_spec)
+        ~status:1;
+      cell "smoke" "slo-live"
+        (sprintf "trackfm_cli report slo -w hashmap -s trackfm -m 25 --slo %s"
+           slo_spec)
+        ~status:1
+        ~checks:[ ends_with "slo-from.out" Stdout ];
     ]
   @ List.concat_map
       (fun w ->
@@ -286,6 +318,9 @@ let table =
       cell "hybrid" "hybrid-routing" "bench hybrid_routing --quick";
       cell "hybrid" "shape-routing" "bench shape_routing --quick";
     ]
+  (* Every example runs to completion. *)
+  @ List.map (fun e -> cell "examples" ("example-" ^ e) ("examples/" ^ e))
+      examples
 
 (* -- the runner --------------------------------------------------------- *)
 

@@ -12,7 +12,10 @@ type t = {
   mutable tick : int;
 }
 
-let create pool ?(streams = 8) ?(depth = 8) () =
+(* Concurrent stride streams tracked. *)
+let streams = 8
+
+let create pool ?(depth = 8) () =
   {
     pool;
     table =

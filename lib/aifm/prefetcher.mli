@@ -9,9 +9,9 @@
 
 type t
 
-val create : Pool.t -> ?streams:int -> ?depth:int -> unit -> t
-(** [streams] concurrent stride streams are tracked (default 8);
-    [depth] objects are prefetched ahead (default 8). *)
+val create : Pool.t -> ?depth:int -> unit -> t
+(** Tracks 8 concurrent stride streams; [depth] objects are prefetched
+    ahead (default 8). *)
 
 val access : t -> int -> unit
 (** Observe an access to an object id, learning strides and issuing

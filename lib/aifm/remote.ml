@@ -16,9 +16,9 @@ type ctx = {
    interpreter's stack/global segments when a context shares a store. *)
 let heap_base = 1 lsl 44
 
-let create_ctx ?(backend = Net.Tcp) ?(faults = Faults.disabled) ?cluster cost
-    clock store ~object_size ~local_budget =
-  let net = Net.create ~faults ?cluster cost clock backend in
+let create_ctx ?(faults = Faults.disabled) ?cluster cost clock store
+    ~object_size ~local_budget =
+  let net = Net.create ~faults ?cluster cost clock Net.Tcp in
   (* Degrade to block-with-yield: when the smart-pointer deref runs
      inside a Shenango task, transport stalls release the core. *)
   Net.set_stall_handler net (fun ~cycles ->

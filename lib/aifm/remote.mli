@@ -14,7 +14,6 @@
 type ctx
 
 val create_ctx :
-  ?backend:Net.backend ->
   ?faults:Faults.t ->
   ?cluster:Cluster.t ->
   Cost_model.t ->
@@ -23,7 +22,7 @@ val create_ctx :
   object_size:int ->
   local_budget:int ->
   ctx
-(** Default backend is [Tcp] (AIFM runs on Shenango's TCP stack).
+(** The transport is [Tcp] (AIFM runs on Shenango's TCP stack).
     [faults] (default {!Faults.disabled}) makes the fabric adversarial;
     dereferences then retry with backoff, stalls block-with-yield when
     inside a Shenango task, and the evacuator defers dirty evictions

@@ -129,7 +129,10 @@ let inline_one (caller : Ir.func) (callee : Ir.func) ~(block : Ir.block)
     (Ir.successors post_block.term);
   caller.blocks <- caller.blocks @ cloned_blocks @ [ post_block ]
 
-let find_inlinable (m : Ir.modul) ~max_size (caller : Ir.func) =
+(* Callees larger than this many instructions stay calls. *)
+let max_size = 100
+
+let find_inlinable (m : Ir.modul) (caller : Ir.func) =
   List.find_map
     (fun (b : Ir.block) ->
       List.find_map
@@ -149,7 +152,7 @@ let find_inlinable (m : Ir.modul) ~max_size (caller : Ir.func) =
         b.instrs)
     caller.blocks
 
-let inline_calls ?(max_size = 100) (m : Ir.modul) =
+let inline_calls (m : Ir.modul) =
   let count = ref 0 in
   let uniq = ref 0 in
   let budget = ref 1000 (* defensive bound on total inlinings *) in
@@ -157,7 +160,7 @@ let inline_calls ?(max_size = 100) (m : Ir.modul) =
     (fun (caller : Ir.func) ->
       let continue_ = ref true in
       while !continue_ && !budget > 0 do
-        match find_inlinable m ~max_size caller with
+        match find_inlinable m caller with
         | Some (block, call, callee, args) ->
             incr uniq;
             incr count;

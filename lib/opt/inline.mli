@@ -10,10 +10,10 @@
 
     Restrictions (skipped call sites): recursive callees, callees
     containing [alloca] (inlining would re-execute the allocation per
-    iteration under our frame model), callees larger than [max_size]
+    iteration under our frame model), callees larger than 100
     instructions, and intrinsics/libc (not IR functions). *)
 
-val inline_calls : ?max_size:int -> Ir.modul -> int
+val inline_calls : Ir.modul -> int
 (** Inline eligible call sites module-wide, repeating until a fixpoint
     (bounded). Returns the number of call sites inlined. The module is
     verified afterwards. *)

@@ -27,11 +27,11 @@ val dce : Ir.func -> int
 (** Remove unused pure instructions. Returns the number removed. *)
 
 val run_o1 : Ir.modul -> int
-(** The full -O1-style pipeline: inline small functions and promote
-    stack slots (see {!Inline} and {!Mem2reg}), then iterate
-    fold/CSE/LICM/phi-simplify/DCE/simplify-cfg to a fixpoint
-    module-wide; returns total instructions eliminated or rewritten.
-    Verifies the module afterwards. *)
+(** The scalar cleanup fixpoint: iterate
+    fold/CSE/LICM/phi-simplify/DCE/simplify-cfg module-wide until no
+    pass changes anything; returns total instructions eliminated or
+    rewritten. Verifies the module afterwards. It neither inlines nor
+    promotes stack slots: {!O1.run} does both first, then calls this. *)
 
 val licm : Ir.func -> int
 (** Loop-invariant code motion for pure arithmetic and loads: an

@@ -107,9 +107,8 @@ let take_sample r =
         trace_counter_groups
   end
 
-let recording ?(trace = true) ?(trace_limit = 1_000_000)
-    ?(series_interval = 250_000) ?(spans = false) ?(op_classes = [])
-    ?(span_ring = 256) ?span_now clock =
+let recording ?(trace = true) ?(series_interval = 250_000) ?(spans = false)
+    ?(op_classes = []) ?span_now clock =
   let r =
     {
       clock;
@@ -120,7 +119,7 @@ let recording ?(trace = true) ?(trace_limit = 1_000_000)
       series =
         (if series_interval > 0 then Some (Series.create ~interval:series_interval)
          else None);
-      trace = (if trace then Some (Trace.create ~limit:trace_limit ()) else None);
+      trace = (if trace then Some (Trace.create ()) else None);
       spans = None;
       epoch_prev = Hashtbl.create 64;
       epochs = [];
@@ -136,7 +135,7 @@ let recording ?(trace = true) ?(trace_limit = 1_000_000)
       match span_now with Some f -> f | None -> fun () -> now r
     in
     r.spans <-
-      Some (Span.create ~ring:span_ring ~classes:op_classes ~now:span_now ())
+      Some (Span.create ~classes:op_classes ~now:span_now ())
   end;
   let wants_sampler =
     match (r.series, r.trace, r.spans) with

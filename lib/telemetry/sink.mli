@@ -51,11 +51,9 @@ val nop : t
 
 val recording :
   ?trace:bool ->
-  ?trace_limit:int ->
   ?series_interval:int ->
   ?spans:bool ->
   ?op_classes:(int * string) list ->
-  ?span_ring:int ->
   ?span_now:(unit -> int) ->
   Memsim.Clock.t ->
   t
@@ -63,9 +61,10 @@ val recording :
     default 250k; [<= 0] disables the series) installs the clock sampler
     that snapshots counters — call {!detach} before reusing the clock
     with another sink. [trace] (default true) enables the Chrome-trace
-    event log. [spans] (default false) enables the causal span tracker
-    and the per-site epoch profiles; [op_classes] names its operation
-    classes and [span_ring] bounds the flight-recorder rings.
+    event log ({!Trace.create}'s default bound). [spans] (default false)
+    enables the causal span tracker and the per-site epoch profiles;
+    [op_classes] names its operation classes, and {!Span.create}'s
+    default ring bounds the flight-recorder rings.
     [span_now] overrides the span tracker's time source (default: the
     reset-corrected clock timestamp) — the serving simulation passes
     Shenango core time so spans measure scheduler wall clock. *)

@@ -5,11 +5,13 @@
      spec  ::= rule (';' rule)*
      rule  ::= class ':' obj (',' obj)*
      obj   ::= metric '<=' limit
-     metric ::= 'p' digits | 'mean' | 'max'
+     metric ::= 'p50' | 'p90' | 'p99' | 'p999' | 'mean' | 'max'
      limit ::= digits ['k' | 'm' | 'g']      (cycles)
 
-   e.g. "lookup:p99<=250k,p50<=40k;get:p999<=2m". Percentile digits read
-   as two integer digits then decimals: p50 -> 50, p999 -> 99.9. *)
+   e.g. "lookup:p99<=250k,p50<=40k;get:p999<=2m"; p999 is the 99.9th
+   percentile. Only the percentiles an attribution file stores are
+   accepted, so a spec means the same live and against an exported
+   file. *)
 
 type metric = P of float | Mean | Max
 
@@ -34,26 +36,19 @@ let metric_name = function
         let s = Printf.sprintf "%g" p in
         "p" ^ String.concat "" (String.split_on_char '.' s)
 
+(* The percentiles an attribution file stores ({!Span}'s wall summary). *)
+let stored = [ ("p50", 50.0); ("p90", 90.0); ("p99", 99.0); ("p999", 99.9) ]
+
 let parse_metric s =
-  match s with
-  | "mean" -> Ok Mean
-  | "max" -> Ok Max
-  | _ ->
-      let n = String.length s in
-      if n >= 2 && s.[0] = 'p' && String.for_all
-           (function '0' .. '9' -> true | _ -> false)
-           (String.sub s 1 (n - 1))
-      then begin
-        let digits = String.sub s 1 (n - 1) in
-        let v = float_of_string digits in
-        let p =
-          if String.length digits <= 2 then v
-          else v /. (10.0 ** float_of_int (String.length digits - 2))
-        in
-        if p > 0.0 && p < 100.0 then Ok (P p)
-        else Error (Printf.sprintf "percentile %s out of range" s)
-      end
-      else Error (Printf.sprintf "unknown metric %S (want pNN, mean, max)" s)
+  match (s, List.assoc_opt s stored) with
+  | "mean", _ -> Ok Mean
+  | "max", _ -> Ok Max
+  | _, Some p -> Ok (P p)
+  | _, None ->
+      Error
+        (Printf.sprintf
+           "metric %S is not recorded (want p50, p90, p99, p999, mean or max)"
+           s)
 
 let parse_limit s =
   let n = String.length s in

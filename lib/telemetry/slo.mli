@@ -3,11 +3,11 @@
     A spec is one CLI-friendly string:
     ["lookup:p99<=250k,p50<=40k;get:p999<=2m"] — semicolon-separated
     rules, each a class name and comma-separated [metric<=limit]
-    objectives. Metrics are [pNN] (two integer digits then decimals, so
-    [p999] is 99.9), [mean], or [max]; limits are cycles with an
-    optional [k]/[m]/[g] suffix. *)
+    objectives. Metrics are [p50], [p90], [p99] and [p999] (99.9), the
+    percentiles an attribution file stores, or [mean] or [max]; limits
+    are cycles with an optional [k]/[m]/[g] suffix. *)
 
-type metric = P of float  (** percentile in (0, 100) *) | Mean | Max
+type metric = P of float  (** 50, 90, 99 or 99.9 *) | Mean | Max
 
 type objective = { metric : metric; limit : int }
 type rule = { cls : string; objectives : objective list }
@@ -22,6 +22,7 @@ type outcome = {
 
 val metric_name : metric -> string
 val parse : string -> (rule list, string) result
+(** A percentile other than the four stored ones is an error naming it. *)
 
 val parse_lines : string list -> (rule list, string) result
 (** Multi-line form ([report slo --slo-file]): each line holds one or

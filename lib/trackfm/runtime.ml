@@ -17,7 +17,6 @@ let c_bytes_out = Clock.counter "net.bytes_out"
 let c_custody_skips = Clock.counter "tfm.custody_skips"
 let c_fast_guards = Clock.counter "tfm.fast_guards"
 let c_slow_guards = Clock.counter "tfm.slow_guards"
-let c_fetches = Clock.counter "net.fetches"
 let c_page_accesses = Clock.counter "tfm.page_accesses"
 let c_chunk_inits = Clock.counter "tfm.chunk_inits"
 let c_boundary_checks = Clock.counter "tfm.boundary_checks"
@@ -38,14 +37,6 @@ type size_class = {
   miss_prefetcher : Prefetcher.t;
 }
 
-type guard_event = {
-  ptr : int;
-  object_id : int;
-  size_class : int;
-  path : [ `Custody_skip | `Fast | `Slow_local | `Slow_remote | `Paged ];
-  write : bool;
-}
-
 type t = {
   cost : Cost_model.t;
   clock : Clock.t;
@@ -56,8 +47,6 @@ type t = {
   prefetch_depth : int;
   meta_cache : int array;
   chunks : (int, chunk_state) Hashtbl.t;
-  mutable debug : bool;
-  debug_ring : guard_event Queue.t;
   mutable telemetry : Telemetry.Sink.t;
   (* Hybrid data plane: accesses the route pass moved to the page path
      swap against this Fastswap-style pager instead of taking a guard.
@@ -74,8 +63,11 @@ type t = {
   mutable swap : Fastswap.Swap.t option;
 }
 
-let make_class ?policy ?telemetry ?faults ?cluster cost clock backend idx
-    ~max_alloc ~object_size ~budget =
+(* AIFM runs on Shenango's TCP stack. *)
+let backend = Net.Tcp
+
+let make_class ?policy ?telemetry ?faults ?cluster cost clock idx ~max_alloc
+    ~object_size ~budget =
   let net = Net.create ?faults ?cluster cost clock backend in
   (* Slow-path guards degrade to block-with-yield: transport stalls
      (retry backoff, open-breaker waits) release the core when the
@@ -96,10 +88,9 @@ let make_class ?policy ?telemetry ?faults ?cluster cost clock backend idx
     miss_prefetcher = Prefetcher.create pool ();
   }
 
-let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
-    ?size_classes ?policy ?(telemetry = Telemetry.Sink.nop)
-    ?(faults = Faults.disabled) ?cluster cost clock store ~object_size
-    ~local_budget =
+let create ?(use_state_table = true) ?(prefetch = true) ?size_classes ?policy
+    ?(telemetry = Telemetry.Sink.nop) ?(faults = Faults.disabled) ?cluster cost
+    clock store ~object_size ~local_budget =
   let specs =
     match size_classes with
     | None | Some [] -> [ (max_int, object_size, 1.0) ]
@@ -121,9 +112,8 @@ let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
     Array.of_list
       (List.mapi
          (fun idx (max_alloc, osize, share) ->
-           make_class ?policy ~telemetry ~faults ?cluster cost clock backend
-             idx ~max_alloc
-             ~object_size:osize
+           make_class ?policy ~telemetry ~faults ?cluster cost clock idx
+             ~max_alloc ~object_size:osize
              ~budget:(max osize (int_of_float (float_of_int local_budget *. share))))
          specs)
   in
@@ -137,27 +127,12 @@ let create ?(backend = Net.Tcp) ?(use_state_table = true) ?(prefetch = true)
     prefetch_depth = 8;
     meta_cache = Array.make meta_cache_slots (-1);
     chunks = Hashtbl.create 16;
-    debug = false;
-    debug_ring = Queue.create ();
     telemetry;
     faults;
     cluster;
     local_budget;
     swap = None;
   }
-
-let debug_ring_capacity = 4096
-
-let set_debug t on = t.debug <- on
-
-let debug_events t = List.of_seq (Queue.to_seq t.debug_ring)
-
-let log_event t ev =
-  if t.debug then begin
-    if Queue.length t.debug_ring >= debug_ring_capacity then
-      ignore (Queue.pop t.debug_ring);
-    Queue.push ev t.debug_ring
-  end
 
 let telemetry t = t.telemetry
 
@@ -282,8 +257,6 @@ let guard t ~ptr ~size ~write =
     Clock.tick t.clock t.cost.Cost_model.custody_check;
     Clock.add t.clock c_custody_skips 1;
     Telemetry.Sink.cat_exit tel;
-    log_event t
-      { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Custody ~write
         ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
@@ -301,9 +274,7 @@ let guard t ~ptr ~size ~write =
       Clock.tick t.clock
         (if write then t.cost.Cost_model.fast_guard_write
          else t.cost.Cost_model.fast_guard_read);
-      Clock.add t.clock c_fast_guards 1;
-      log_event t
-        { ptr; object_id = id; size_class = cls_idx; path = `Fast; write }
+      Clock.add t.clock c_fast_guards 1
     end
     else begin
       Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
@@ -313,35 +284,9 @@ let guard t ~ptr ~size ~write =
       Clock.add t.clock c_slow_guards 1;
       (* The AIFM backend's runtime stride prefetcher watches the miss
          stream and runs ahead of regular strided access patterns. *)
-      if t.prefetch then Prefetcher.access c.miss_prefetcher id;
-      log_event t
-        {
-          ptr;
-          object_id = id;
-          size_class = cls_idx;
-          path = `Slow_local;
-          write;
-        }
+      if t.prefetch then Prefetcher.access c.miss_prefetcher id
     end;
-    (* The fetch count only feeds the debug ring. *)
-    let fetches_before = if t.debug then Clock.value t.clock c_fetches else 0 in
     localize_for_access c id ~write;
-    (if t.debug && Clock.value t.clock c_fetches > fetches_before then
-       (* upgrade the last event: the slow path went remote *)
-       match
-         List.rev (List.of_seq (Queue.to_seq t.debug_ring))
-       with
-       | last :: _ when last.path = `Slow_local ->
-           (* replace tail event *)
-           let all = List.of_seq (Queue.to_seq t.debug_ring) in
-           Queue.clear t.debug_ring;
-           List.iteri
-             (fun i ev ->
-               if i = List.length all - 1 then
-                 Queue.push { ev with path = `Slow_remote } t.debug_ring
-               else Queue.push ev t.debug_ring)
-             all
-       | _ -> ());
     (* An access that straddles an object boundary needs both halves. *)
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -380,8 +325,6 @@ let page_access t ~ptr ~size ~write =
     Clock.tick t.clock t.cost.Cost_model.custody_check;
     Clock.add t.clock c_custody_skips 1;
     Telemetry.Sink.cat_exit tel;
-    log_event t
-      { ptr; object_id = -1; size_class = -1; path = `Custody_skip; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Custody ~write
         ~cycles:(Clock.cycles t.clock - c0) ~bytes_in:0 ~bytes_out:0
@@ -394,7 +337,6 @@ let page_access t ~ptr ~size ~write =
     Clock.tick t.clock t.cost.Cost_model.custody_check;
     Clock.add t.clock c_page_accesses 1;
     Fastswap.Swap.access (swap_of t) ~addr:ptr ~size ~write;
-    log_event t { ptr; object_id = -1; size_class = -1; path = `Paged; write };
     if active then
       Telemetry.Sink.guard_event tel ~path:`Paged ~write
         ~cycles:(Clock.cycles t.clock - c0)

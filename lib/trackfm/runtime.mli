@@ -21,7 +21,6 @@
 type t
 
 val create :
-  ?backend:Net.backend ->
   ?use_state_table:bool ->
   ?prefetch:bool ->
   ?size_classes:(int * int * float) list ->
@@ -43,8 +42,8 @@ val create :
     [use_state_table=false] ablates the Section 3.2 optimization: every
     guard then pays the extra dependent metadata reference. [prefetch]
     enables the compiler-directed stride prefetch issued from chunk
-    boundaries (default true). Backend defaults to [Tcp] (AIFM's
-    Shenango stack).
+    boundaries (default true). Every size class's transport is [Tcp]
+    (AIFM's Shenango stack).
 
     [size_classes] enables the multi-object-size extension the paper
     leaves as future work (Section 3.2): each entry is
@@ -128,30 +127,5 @@ val chunk_end : t -> handle:int -> unit
 
 val fast_guards : t -> int
 val slow_guards : t -> int
-
-(** {2 Debug instrumentation}
-
-    Section 3.3: "we can also enable optional debug instrumentation that
-    indicates when guards take the fast or slow path, and which AIFM code
-    path they trigger". When enabled, the runtime keeps a bounded ring of
-    the most recent guard events. *)
-
-type guard_event = {
-  ptr : int;
-  object_id : int;
-  size_class : int;
-  path : [ `Custody_skip | `Fast | `Slow_local | `Slow_remote | `Paged ];
-      (** which guard path executed, and for the slow path whether the
-          AIFM dereference needed a remote fetch; [`Paged] is a routed
-          access taking the page-fault mechanism *)
-  write : bool;
-}
-
-val set_debug : t -> bool -> unit
-(** Enable/disable guard event recording (off by default; recording has
-    no simulated-cycle cost — it is tooling, not workload). *)
-
-val debug_events : t -> guard_event list
-(** Most recent events, oldest first (bounded to the last 4096). *)
 
 val cost : t -> Cost_model.t

@@ -2,8 +2,7 @@ type series = { label : string; points : (float * float) list }
 
 let markers = [| '*'; 'o'; '+'; 'x'; '#'; '@' |]
 
-let render ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "")
-    ~title series =
+let render ?(width = 64) ?(height = 16) ?(x_label = "") ~title series =
   let all_points = List.concat_map (fun s -> s.points) series in
   if all_points = [] then title ^ "\n(no data)\n"
   else begin
@@ -53,7 +52,6 @@ let render ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "")
     List.iteri plot_series series;
     let buf = Buffer.create 1024 in
     Buffer.add_string buf (title ^ "\n");
-    if y_label <> "" then Buffer.add_string buf (y_label ^ "\n");
     Array.iteri
       (fun row line ->
         let y = ymax -. (float_of_int row /. float_of_int (height - 1) *. yspan) in
@@ -74,8 +72,8 @@ let render ?(width = 64) ?(height = 16) ?(x_label = "") ?(y_label = "")
     Buffer.contents buf
   end
 
-let print ?width ?height ?x_label ?y_label ~title series =
-  print_string (render ?width ?height ?x_label ?y_label ~title series);
+let print ?width ?height ?x_label ~title series =
+  print_string (render ?width ?height ?x_label ~title series);
   print_newline ()
 
 let spark_levels =

@@ -10,7 +10,6 @@ val render :
   ?width:int ->
   ?height:int ->
   ?x_label:string ->
-  ?y_label:string ->
   title:string ->
   series list ->
   string
@@ -23,7 +22,6 @@ val print :
   ?width:int ->
   ?height:int ->
   ?x_label:string ->
-  ?y_label:string ->
   title:string ->
   series list ->
   unit

@@ -15,6 +15,7 @@ type tfm_opts = {
   route : Trackfm.Route_pass.mode;
   route_hotspots : (string * int) list;
   size_classes : (int * int * float) list;
+  policy : Aifm.Pool.policy;
   faults : Faults.t;
   replicas : int;
   ack : int;
@@ -34,6 +35,7 @@ let tfm_defaults ~local_budget =
     route = `Off;
     route_hotspots = [];
     size_classes = [];
+    policy = Aifm.Pool.Clock_hand;
     faults = Faults.disabled;
     replicas = 1;
     ack = 1;
@@ -102,14 +104,17 @@ let profile_of ?(engine = Engine.Interp) ?(cost = Cost_model.default)
 
 let run_trackfm ?(engine = Engine.Interp) ?(cost = Cost_model.default)
     ?(blobs = []) ?(telemetry = no_telemetry) ?shadow build opts =
+  (* Only the gated chunking decision reads the profile. *)
   let profile =
-    if opts.profile_gate then Some (profile_of ~engine ~cost ~blobs build)
+    if opts.chunk_mode = `Gated && opts.profile_gate then
+      Some (profile_of ~engine ~cost ~blobs build)
     else None
   in
   let m = build () in
   let config =
     {
-      Trackfm.Pipeline.object_size = opts.object_size;
+      Trackfm.Pipeline.default_config with
+      object_size = opts.object_size;
       chunk_mode = opts.chunk_mode;
       profile;
       cost;
@@ -118,8 +123,6 @@ let run_trackfm ?(engine = Engine.Interp) ?(cost = Cost_model.default)
       shapes = opts.use_shapes;
       route = opts.route;
       route_hotspots = opts.route_hotspots;
-      check = true;
-      dump_after = None;
     }
   in
   let report = Trackfm.Pipeline.run config m in
@@ -136,8 +139,9 @@ let run_trackfm ?(engine = Engine.Interp) ?(cost = Cost_model.default)
       ~prefetch:opts.prefetch
       ?size_classes:
         (match opts.size_classes with [] -> None | l -> Some l)
-      ~telemetry:sink ~faults:opts.faults ?cluster cost clock store
-      ~object_size:opts.object_size ~local_budget:opts.local_budget
+      ~policy:opts.policy ~telemetry:sink ~faults:opts.faults ?cluster cost
+      clock store ~object_size:opts.object_size
+      ~local_budget:opts.local_budget
   in
   let backend = with_blobs blobs (Backend.trackfm rt store) in
   (finish clock (Engine.run ~engine ?shadow backend m ~entry:"main"), report)

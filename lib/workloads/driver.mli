@@ -3,9 +3,9 @@
     A workload is a thunk producing a fresh IR module (the TrackFM
     pipeline transforms modules in place, so every run needs its own
     copy). The driver assembles the backend, optionally runs the TrackFM
-    compiler (with an optional profiling pre-run on the local backend to
-    feed the chunking gate), executes, and returns the clock so callers
-    can read any counter an experiment plots. *)
+    compiler (with a profiling pre-run on the local backend when the
+    gated chunking decision reads it), executes, and returns the clock
+    so callers can read any counter an experiment plots. *)
 
 type outcome = {
   ret : int;
@@ -23,8 +23,9 @@ type tfm_opts = {
   prefetch : bool;
   use_state_table : bool;
   profile_gate : bool;
-      (** run the workload once uninstrumented on the local backend to
-          collect block frequencies for the cost-model gate *)
+      (** with [`Gated] chunking, run the workload once uninstrumented on
+          the local backend to collect block frequencies for the
+          cost-model gate; the other chunk modes never profile *)
   elide_guards : bool;
       (** run redundant-guard elimination and hoisting
           ({!Trackfm.Elide_pass}); the coverage checker runs either
@@ -46,6 +47,9 @@ type tfm_opts = {
       (** multi-object-size extension: forwarded to
           {!Trackfm.Runtime.create}; empty (default) = single class of
           [object_size] objects *)
+  policy : Aifm.Pool.policy;
+      (** every size class's eviction policy; [Clock_hand] (the default)
+          is AIFM's hotness-tracking evacuator *)
   faults : Faults.t;
       (** fabric fault injector forwarded to every size class's
           transport; {!Faults.disabled} (the default) keeps the exact

@@ -117,30 +117,20 @@ let run_local m =
   let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
   (Interp.run backend m ~entry:"main").Interp.ret
 
-let run_tfm ?size_classes m ~object_size ~budget ~chunk_mode =
-  let config =
+(* The driver's TrackFM run on the interpreter, the oracle engine. The
+   gate stays static (no profiling pre-run), so [m] is built once. *)
+let run_tfm ?(size_classes = []) m ~object_size ~budget ~chunk_mode =
+  let opts =
     {
-      Trackfm.Pipeline.object_size;
+      (Workloads.Driver.tfm_defaults ~local_budget:budget) with
+      object_size;
       chunk_mode;
-      profile = None;
-      cost = Cost_model.default;
-      elide = true;
-      summaries = true;
-      shapes = true;
-      route = `Off;
-      route_hotspots = [];
-      check = true;
-      dump_after = None;
+      profile_gate = false;
+      size_classes;
     }
   in
-  ignore (Trackfm.Pipeline.run config m);
-  let clock = Clock.create () in
-  let store = Memstore.create () in
-  let rt =
-    Trackfm.Runtime.create ?size_classes Cost_model.default clock store
-      ~object_size ~local_budget:budget
-  in
-  (Interp.run (Backend.trackfm rt store) m ~entry:"main").Interp.ret
+  (fst (Workloads.Driver.run_trackfm ~engine:Engine.Interp (fun () -> m) opts))
+    .Workloads.Driver.ret
 
 let prop_differential =
   QCheck.Test.make ~name:"random programs: local = trackfm (all configs)"

@@ -128,7 +128,14 @@ let test_slo_parse_lines_names_bad_line () =
       in
       Alcotest.(check bool)
         (Printf.sprintf "error %S names the 1-based line" e)
-        true (has "line 4")
+        true (has "line 4");
+      (* An attribution file stores p50/p90/p99/p999 only. *)
+      Alcotest.(check (result reject string))
+        "unrecorded percentile"
+        (Error
+           "metric \"p95\" is not recorded (want p50, p90, p99, p999, mean or \
+            max)")
+        (Result.map ignore (Telemetry.Slo.parse "lookup:p95<=40k"))
 
 let test_shed_event_fires_flight_once () =
   let clock = Memsim.Clock.create () in

@@ -442,25 +442,42 @@ let test_reverse_scan_chunks_and_prefetches_backward () =
     > Clock.get clock "aifm.demand_fetches")
 
 
-let test_guard_debug_instrumentation () =
-  (* Section 3.3's optional debug instrumentation: record which path each
-     guard took, including whether the slow path went remote. *)
-  let rt, _, _ = make_rt ~local_budget:4096 () in
-  R.set_debug rt true;
+let test_guard_paths_through_sink () =
+  (* Section 3.3's debug instrumentation is the telemetry sink: per site,
+     which path each guard took and the bytes it brought in. *)
+  let clock = Clock.create () in
+  let sink = Telemetry.Sink.recording ~series_interval:0 clock in
+  let rt =
+    R.create ~telemetry:sink Cost_model.default clock (Memstore.create ())
+      ~object_size:4096 ~local_budget:4096
+  in
+  let guard instr ~ptr ~write =
+    Telemetry.Sink.set_site sink ~func:"t" ~instr;
+    R.guard rt ~ptr ~size:8 ~write
+  in
   let p = R.tfm_malloc rt 64 in
-  R.guard rt ~ptr:p ~size:8 ~write:true;        (* slow, local materialize *)
-  R.guard rt ~ptr:p ~size:8 ~write:false;       (* fast *)
-  R.guard rt ~ptr:(1 lsl 30) ~size:8 ~write:false; (* custody skip *)
-  (* evict p by touching another object, then re-touch: slow + remote *)
+  guard 1 ~ptr:p ~write:true;
+  guard 2 ~ptr:p ~write:false;
+  guard 3 ~ptr:(1 lsl 30) ~write:false;
+  (* evict p by touching another object, then re-touch it *)
   let q = R.tfm_malloc rt 8192 in
-  R.guard rt ~ptr:(q + 4096) ~size:8 ~write:false;
-  R.guard rt ~ptr:p ~size:8 ~write:false;
-  let paths = List.map (fun (e : R.guard_event) -> e.path) (R.debug_events rt) in
-  Alcotest.(check int) "five events" 5 (List.length paths);
-  Alcotest.(check bool) "expected path sequence" true
-    (match paths with
-    | [ `Slow_local; `Fast; `Custody_skip; _; `Slow_remote ] -> true
-    | _ -> false)
+  guard 4 ~ptr:(q + 4096) ~write:false;
+  guard 5 ~ptr:p ~write:false;
+  let sites = (Option.get (Telemetry.Sink.recorder sink)).Telemetry.Sink.sites in
+  let path instr =
+    let s = Telemetry.Site.stat sites { Telemetry.Site.func = "t"; instr } in
+    match (s.fast, s.slow, s.custody) with
+    | 1, 0, 0 -> "fast"
+    | 0, 1, 0 -> if s.bytes_in > 0 then "slow, bytes in" else "slow"
+    | 0, 0, 1 -> "custody"
+    | f, sl, c -> Printf.sprintf "fast %d slow %d custody %d" f sl c
+  in
+  Alcotest.(check (list string))
+    "paths"
+    [ "slow"; "fast"; "custody"; "slow"; "slow, bytes in" ]
+    (List.map path [ 1; 2; 3; 4; 5 ]);
+  Alcotest.(check int) "one site per guard" 5
+    (List.length (Telemetry.Site.rows sites))
 
 let test_pipeline_dump_after () =
   let m = program_with_malloc_loop () in
@@ -521,6 +538,6 @@ let suite =
       Alcotest.test_case "reverse scan chunking" `Quick
         test_reverse_scan_chunks_and_prefetches_backward;
       Alcotest.test_case "guard debug events" `Quick
-        test_guard_debug_instrumentation;
+        test_guard_paths_through_sink;
       Alcotest.test_case "pipeline dump_after" `Quick test_pipeline_dump_after;
     ] )
