@@ -13,14 +13,19 @@
    - faults_goodput sweeps its fault presets, and durability runs its
      crash schedule at its own tier sizes.
    Overriding the cost model (related_dilos's DiLOS column, hw_kona's
-   Kona column) keeps the engine and the fabric. *)
+   Kona column) keeps the engine and the fabric.
+
+   The chunking gate's profile depends only on the module and its
+   blobs, so a sweep that runs one module at several budgets or options
+   profiles it once with [Driver.profile_of] and hands it to [tfm] as
+   [~profile]; without one, every gated run profiles on its own. *)
 
 let quick = ref false
 
 (* The shared run flags every run the harness performs uses:
-   - [engine] (--engine): results are engine-independent (the
-     [--engine compiled] runs of ci/cells.ml prove it), so this only
-     moves wall-clock time — compiled makes full-size sweeps practical;
+   - [engine] (--engine, compiled by default): results are
+     engine-independent (the [--engine interp] runs of ci/cells.ml prove
+     it), so this only moves wall-clock time;
    - [fabric] (--faults/--fault-seed/--replicas/--ack): fault injection
      and the replicated tier for every far-memory run. Each run builds a
      fresh injector, so the fault schedule and the metrics are identical
@@ -28,7 +33,7 @@ let quick = ref false
      code path bit for bit. *)
 type setup = { engine : Engine.t; fabric : Run_spec.fabric }
 
-let setup = ref { engine = Engine.Interp; fabric = Run_spec.default_fabric }
+let setup = ref { engine = Engine.default; fabric = Run_spec.default_fabric }
 
 (* Scale factor applied to workload sizes: full size by default, quartered
    with --quick. *)
@@ -56,7 +61,7 @@ let print_expectation ~paper ~ours =
 let tfm_opts ~budget = Driver.tfm_defaults ~local_budget:budget
 
 let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?blobs
-    ?telemetry (opts : Driver.tfm_opts) build =
+    ?telemetry ?profile (opts : Driver.tfm_opts) build =
   let opts =
     {
       opts with
@@ -65,7 +70,7 @@ let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?blobs
       ack = fabric.ack;
     }
   in
-  Driver.run_trackfm ~engine ?cost ?blobs ?telemetry build opts
+  Driver.run_trackfm ~engine ?cost ?blobs ?telemetry ?profile build opts
 
 let fastswap ?(fabric = !setup.fabric) ?cost ?readahead ?blobs ?telemetry
     ~budget build =

@@ -15,11 +15,14 @@ let fig13 () =
         [ "local mem %"; "TFM time (ms)"; "FS time (ms)"; "TFM GB in"; "FS GB in" ]
   in
   let amp = ref (0.0, 0.0) in
+  let profile = Driver.profile_of ~blobs build in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
       let tf, _ =
-        tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = 64 } build
+        tfm ~blobs ~profile
+          { (tfm_opts ~budget) with Driver.object_size = 64 }
+          build
       in
       let fs = fastswap ~blobs ~budget build in
       let tb = gb (Driver.counter tf "net.bytes_in") in
@@ -48,7 +51,8 @@ let fig14 () =
   let p = Analytics.default_params ~rows:(scaled 250_000) in
   let ws = Analytics.working_set_bytes p in
   let build () = Analytics.build p () in
-  let tfm_at budget = fst (tfm (tfm_opts ~budget) build) in
+  let profile = Driver.profile_of build in
+  let tfm_at budget = fst (tfm ~profile (tfm_opts ~budget) build) in
   let fs_at budget = fastswap ~budget build in
   let aifm_at budget =
     let ck, clock = Analytics.run_aifm ~local_budget:budget p in
@@ -120,8 +124,10 @@ let fig15 () =
   let p = Analytics.default_params ~rows:(scaled 250_000) in
   let ws = Analytics.working_set_bytes p in
   let build () = Analytics.build p () in
+  let profile = Driver.profile_of build in
   let cycles budget chunk_mode =
-    (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build)).Driver.cycles
+    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } build))
+      .Driver.cycles
   in
   let base_local = cycles (2 * ws) `Off in
   let t =

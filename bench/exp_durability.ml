@@ -22,10 +22,10 @@ let crash_cfg () =
   | Ok cfg -> cfg
   | Error e -> failwith ("exp_durability: " ^ e)
 
-let run_one ~system ~build ~blobs ~budget ~replicas ~ack =
+let run_one ~system ~build ~blobs ~profile ~budget ~replicas ~ack =
   let fabric = { !setup.fabric with faults = crash_cfg (); replicas; ack } in
   match system with
-  | `Trackfm -> fst (tfm ~fabric ?blobs (tfm_opts ~budget) build)
+  | `Trackfm -> fst (tfm ~fabric ?blobs ~profile (tfm_opts ~budget) build)
   | `Fastswap -> fastswap ~fabric ?blobs ~budget build
 
 let durability () =
@@ -58,6 +58,7 @@ let durability () =
     (fun (name, mk) ->
       let build, blobs, ws, expected = mk () in
       let budget = budget_of ws 25 in
+      let profile = Driver.profile_of ?blobs build in
       let t =
         Tfm_util.Table.create
           ~title:
@@ -75,7 +76,9 @@ let durability () =
         (fun (sys_name, system) ->
           List.iter
             (fun (replicas, ack) ->
-              let o = run_one ~system ~build ~blobs ~budget ~replicas ~ack in
+              let o =
+                run_one ~system ~build ~blobs ~profile ~budget ~replicas ~ack
+              in
               let lost = Driver.counter o "net.lost_objects" in
               let correct = o.Driver.ret = expected in
               Tfm_util.Table.add_rowf t "%s | %d | %d | %s | %d | %d | %d | %d | %s"

@@ -21,11 +21,12 @@ let cfg_of name =
 (* One run per (system, preset); goodput = fault-free cycles / faulted
    cycles, so "none" is 1.00 by construction and lower is worse. *)
 let goodput_rows ~build ~blobs ~budget ~expected =
+  let profile = Driver.profile_of ?blobs build in
   let run_sys system cfg =
     let fabric = { !setup.fabric with faults = cfg } in
     let o =
       match system with
-      | `Trackfm -> fst (tfm ~fabric ?blobs (tfm_opts ~budget) build)
+      | `Trackfm -> fst (tfm ~fabric ?blobs ~profile (tfm_opts ~budget) build)
       | `Fastswap -> fastswap ~fabric ?blobs ~budget build
     in
     assert (o.Driver.ret = expected);

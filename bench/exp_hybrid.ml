@@ -41,8 +41,11 @@ let hybrid_routing () =
     if not ok then failures := name :: !failures;
     if ok then "yes" else "NO"
   in
-  let cycles route ~budget build =
-    (fst (tfm { (tfm_opts ~budget) with Driver.route } build)).Driver.cycles
+  let chase_profile = Driver.profile_of chase_build in
+  let stream_profile = Driver.profile_of stream_build in
+  let cycles route ~budget ~profile build =
+    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.route } build))
+      .Driver.cycles
   in
 
   (* -- pointer chase: the shape routed to the page path --------------- *)
@@ -59,9 +62,9 @@ let hybrid_routing () =
     List.map
       (fun pct ->
         let budget = budget_of chase_ws pct in
-        let tf = cycles `Off ~budget chase_build in
+        let tf = cycles `Off ~budget ~profile:chase_profile chase_build in
         let fs = (fastswap ~budget chase_build).Driver.cycles in
-        let hy = cycles `Static ~budget chase_build in
+        let hy = cycles `Static ~budget ~profile:chase_profile chase_build in
         (pct, tf, fs, hy))
       short_sweep
   in
@@ -103,9 +106,9 @@ let hybrid_routing () =
   List.iter
     (fun pct ->
       let budget = budget_of stream_ws pct in
-      let tf = cycles `Off ~budget stream_build in
+      let tf = cycles `Off ~budget ~profile:stream_profile stream_build in
       let fs = (fastswap ~budget stream_build).Driver.cycles in
-      let hy = cycles `Static ~budget stream_build in
+      let hy = cycles `Static ~budget ~profile:stream_profile stream_build in
       if pct <= 25 && hy > fs then stream_ok := false;
       Tfm_util.Table.add_rowf t "%d | %d | %d | %d | %s" pct tf fs hy
         (if hy <= fs then "yes" else "no"))
@@ -117,19 +120,25 @@ let hybrid_routing () =
   in
 
   (* -- integrity: engines agree and match the host-side oracle -------- *)
-  let engine_runs build ~budget =
+  let engine_runs build ~budget ~profile =
     List.map
       (fun engine ->
         let o, _ =
-          tfm ~engine ~fabric:Run_spec.default_fabric
+          tfm ~engine ~fabric:Run_spec.default_fabric ~profile
             { (tfm_opts ~budget) with Driver.route = `Static }
             build
         in
         o.Driver.ret)
       [ Engine.Interp; Engine.Compiled ]
   in
-  let chase_rets = engine_runs chase_build ~budget:(budget_of chase_ws 50) in
-  let stream_rets = engine_runs stream_build ~budget:(budget_of stream_ws 50) in
+  let chase_rets =
+    engine_runs chase_build ~budget:(budget_of chase_ws 50)
+      ~profile:chase_profile
+  in
+  let stream_rets =
+    engine_runs stream_build ~budget:(budget_of stream_ws 50)
+      ~profile:stream_profile
+  in
   let identical = function
     | r :: rest -> List.for_all (( = ) r) rest
     | [] -> true

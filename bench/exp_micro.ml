@@ -124,11 +124,13 @@ let fig8 () =
       ~title:"Figure 8: k-means, speedup vs no chunking"
       ~columns:[ "local mem %"; "all loops"; "high-density (gated) only" ]
   in
+  let profile = Driver.profile_of build in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
       let cycles chunk_mode =
-        (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build))
+        (fst
+           (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } build))
           .Driver.cycles
       in
       let base = cycles `Off and all = cycles `All and gated = cycles `Gated in
@@ -137,7 +139,7 @@ let fig8 () =
     short_sweep;
   report_table t;
   (* also report the candidate filtering like the paper's 103 -> 27 *)
-  let _, report = tfm (tfm_opts ~budget:ws) build in
+  let _, report = tfm ~profile (tfm_opts ~budget:ws) build in
   let cands = report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates in
   let selected =
     List.length (List.filter (fun c -> c.Trackfm.Chunk_pass.selected) cands)

@@ -8,54 +8,57 @@ let fig17 () =
       ~title:"Figure 17a: NAS at 25% local memory (slowdown vs local-only)"
       ~columns:[ "kernel"; "Fastswap"; "TrackFM" ]
   in
-  let fs_slows = ref [] and tfm_slows = ref [] in
+  (* Each kernel's local cycles and 25% budget, and the slowdowns of
+     Fastswap and TrackFM there. *)
+  let rows =
+    List.map
+      (fun kernel ->
+        let p = { Nas.kernel; scale = 1 } in
+        let build () = Nas.build p () in
+        let base = (local build).Driver.cycles in
+        let budget = budget_of (Nas.working_set_bytes p) 25 in
+        let slowdown (o : Driver.outcome) =
+          float_of_int o.Driver.cycles /. float_of_int base
+        in
+        ( kernel,
+          base,
+          budget,
+          slowdown (fastswap ~budget build),
+          slowdown (fst (tfm (tfm_opts ~budget) build)) ))
+      Nas.all_kernels
+  in
+  let name kernel = String.uppercase_ascii (Nas.kernel_name kernel) in
   List.iter
-    (fun kernel ->
-      let p = { Nas.kernel; scale = 1 } in
-      let ws = Nas.working_set_bytes p in
-      let build () = Nas.build p () in
-      let base = (local build).Driver.cycles in
-      let budget = budget_of ws 25 in
-      let fs = float_of_int (fastswap ~budget build).Driver.cycles /. float_of_int base in
-      let tf =
-        float_of_int (fst (tfm (tfm_opts ~budget) build)).Driver.cycles
-        /. float_of_int base
-      in
-      fs_slows := fs :: !fs_slows;
-      tfm_slows := tf :: !tfm_slows;
-      Tfm_util.Table.add_rowf t "%s | %.2f | %.2f"
-        (String.uppercase_ascii (Nas.kernel_name kernel))
-        fs tf)
-    Nas.all_kernels;
+    (fun (kernel, _, _, fs, tf) ->
+      Tfm_util.Table.add_rowf t "%s | %.2f | %.2f" (name kernel) fs tf)
+    rows;
+  let geomean f =
+    Tfm_util.Stats.geomean (Array.of_list (List.rev_map f rows))
+  in
   Tfm_util.Table.add_rowf t "GeoM. | %.2f | %.2f"
-    (Tfm_util.Stats.geomean (Array.of_list !fs_slows))
-    (Tfm_util.Stats.geomean (Array.of_list !tfm_slows));
+    (geomean (fun (_, _, _, fs, _) -> fs))
+    (geomean (fun (_, _, _, _, tf) -> tf));
   report_table t;
-  (* 17b: FT and SP with the O1 pre-pass. *)
+  (* 17b: FT and SP with the O1 pre-pass, next to their 17a runs. *)
   let t2 =
     Tfm_util.Table.create
       ~title:"Figure 17b: FT and SP with O1 pre-optimization"
       ~columns:[ "kernel"; "Fastswap"; "TrackFM"; "TrackFM/O1" ]
   in
   List.iter
-    (fun kernel ->
-      let p = { Nas.kernel; scale = 1 } in
-      let ws = Nas.working_set_bytes p in
-      let budget = budget_of ws 25 in
-      let build () = Nas.build p () in
-      let build_o1 () =
-        let m = Nas.build p () in
-        ignore (Tfm_opt.O1.run m);
-        m
-      in
-      let base = (local build).Driver.cycles in
-      let f x = float_of_int x /. float_of_int base in
-      Tfm_util.Table.add_rowf t2 "%s | %.2f | %.2f | %.2f"
-        (String.uppercase_ascii (Nas.kernel_name kernel))
-        (f (fastswap ~budget build).Driver.cycles)
-        (f (fst (tfm (tfm_opts ~budget) build)).Driver.cycles)
-        (f (fst (tfm (tfm_opts ~budget) build_o1)).Driver.cycles))
-    [ Nas.FT; Nas.SP ];
+    (fun (kernel, base, budget, fs, tf) ->
+      if kernel = Nas.FT || kernel = Nas.SP then begin
+        let build_o1 () =
+          let m = Nas.build { Nas.kernel; scale = 1 } () in
+          ignore (Tfm_opt.O1.run m);
+          m
+        in
+        let o1 = fst (tfm (tfm_opts ~budget) build_o1) in
+        Tfm_util.Table.add_rowf t2 "%s | %.2f | %.2f | %.2f" (name kernel) fs
+          tf
+          (float_of_int o1.Driver.cycles /. float_of_int base)
+      end)
+    rows;
   report_table t2;
   (* guard-count reduction from O1, the paper's 6x/4x observation *)
   List.iter
@@ -216,7 +219,8 @@ let ablate_multisize () =
       (gb (Driver.counter o "net.bytes_in"))
       (Driver.counter o "net.fetches")
   in
-  let run opts = fst (tfm ~blobs opts build) in
+  let profile = Driver.profile_of ~blobs build in
+  let run opts = fst (tfm ~blobs ~profile opts build) in
   let opts = tfm_opts ~budget in
   report "single class, 4KiB" (run opts);
   report "single class, 64B" (run { opts with Driver.object_size = 64 });
@@ -255,12 +259,14 @@ let ablate_eviction () =
       ~title:"Ablation: evacuator hotness (CLOCK) vs FIFO, memcached Zipf 1.2"
       ~columns:[ "policy"; "KOps/s"; "demand fetches" ]
   in
+  let build () = Memcached.build p () in
+  let profile = Driver.profile_of ~blobs build in
   List.iter
     (fun (label, policy) ->
       let o, _ =
-        tfm ~blobs
+        tfm ~blobs ~profile
           { (tfm_opts ~budget) with Driver.object_size = 64; policy }
-          (fun () -> Memcached.build p ())
+          build
       in
       assert (o.Driver.ret = Memcached.checksum p);
       Tfm_util.Table.add_rowf t "%s | %.1f | %d" label

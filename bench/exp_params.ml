@@ -17,6 +17,7 @@ let fig9 () =
       ~columns:
         ("local mem %" :: List.map (fun o -> Printf.sprintf "%dB" o) object_sizes)
   in
+  let profile = Driver.profile_of ~blobs build in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
@@ -24,7 +25,8 @@ let fig9 () =
         List.map
           (fun osz ->
             let o, _ =
-              tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = osz }
+              tfm ~blobs ~profile
+                { (tfm_opts ~budget) with Driver.object_size = osz }
                 build
             in
             Printf.sprintf "%.2f" (mops p.Hashmap.lookups o.Driver.cycles))
@@ -41,7 +43,7 @@ let fig9 () =
   List.iter
     (fun osz ->
       let o, _ =
-        tfm ~blobs
+        tfm ~blobs ~profile
           { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
           build
       in
@@ -66,6 +68,7 @@ let fig10 () =
       ~columns:
         ("local mem %" :: List.map (fun o -> Printf.sprintf "%dB" o) object_sizes)
   in
+  let profile = Driver.profile_of build in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
@@ -73,7 +76,9 @@ let fig10 () =
         List.map
           (fun osz ->
             let o, _ =
-              tfm { (tfm_opts ~budget) with Driver.object_size = osz } build
+              tfm ~profile
+                { (tfm_opts ~budget) with Driver.object_size = osz }
+                build
             in
             Printf.sprintf "%.0f"
               (float_of_int bytes_processed
@@ -90,7 +95,7 @@ let fig10 () =
   List.iter
     (fun osz ->
       let o, _ =
-        tfm
+        tfm ~profile
           { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
           build
       in
@@ -116,11 +121,13 @@ let fig11 () =
                (Stream.kernel_name kernel))
           ~columns:[ "local mem %"; "no prefetch"; "prefetch"; "speedup" ]
       in
+      let profile = Driver.profile_of build in
       List.iter
         (fun pct ->
           let budget = budget_of ws pct in
           let cycles prefetch =
-            (fst (tfm { (tfm_opts ~budget) with Driver.prefetch } build))
+            (fst
+               (tfm ~profile { (tfm_opts ~budget) with Driver.prefetch } build))
               .Driver.cycles
           in
           let off = cycles false and on = cycles true in
@@ -149,11 +156,14 @@ let fig12 () =
             ~columns:
               [ "local mem %"; "TrackFM cycles"; "Fastswap cycles"; "speedup" ]
         in
+        let profile = Driver.profile_of build in
         let pts =
           List.map
             (fun pct ->
               let budget = budget_of ws pct in
-              let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
+              let tf =
+                (fst (tfm ~profile (tfm_opts ~budget) build)).Driver.cycles
+              in
               let fs = (fastswap ~budget build).Driver.cycles in
               Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct tf fs
                 (speedup fs tf);

@@ -28,10 +28,13 @@ let shape_routing () =
     if not ok then failures := name :: !failures;
     if ok then "yes" else "NO"
   in
+  let profile = Driver.profile_of build in
 
   (* -- routed-site counts: the upgrade itself ------------------------- *)
   let static ~use_shapes budget =
-    tfm { (tfm_opts ~budget) with Driver.route = `Static; use_shapes } build
+    tfm ~profile
+      { (tfm_opts ~budget) with Driver.route = `Static; use_shapes }
+      build
   in
   let budget100 = budget_of ws 100 in
   let _, rep_with = static ~use_shapes:true budget100 in
@@ -63,7 +66,7 @@ let shape_routing () =
       (fun pct ->
         let budget = budget_of ws pct in
         let cycles (o, _) = o.Driver.cycles in
-        let tf = cycles (tfm (tfm_opts ~budget) build) in
+        let tf = cycles (tfm ~profile (tfm_opts ~budget) build) in
         let fs = (fastswap ~budget build).Driver.cycles in
         let hy0 = cycles (static ~use_shapes:false budget) in
         let hy = cycles (static ~use_shapes:true budget) in
@@ -95,7 +98,7 @@ let shape_routing () =
     List.map
       (fun engine ->
         let o, _ =
-          tfm ~engine ~fabric:Run_spec.default_fabric
+          tfm ~engine ~fabric:Run_spec.default_fabric ~profile
             { (tfm_opts ~budget:(budget_of ws 50)) with Driver.route = `Static }
             build
         in

@@ -242,9 +242,10 @@ let related_dilos () =
          LibOS paging"
       ~columns:[ "local mem %"; "TrackFM"; "Fastswap"; "DiLOS-style" ]
   in
+  let profile = Driver.profile_of build in
   let columns =
     [
-      (fun budget -> fst (tfm (tfm_opts ~budget) build));
+      (fun budget -> fst (tfm ~profile (tfm_opts ~budget) build));
       (fun budget -> fastswap ~budget build);
       (fun budget -> fastswap ~cost:dilos_cost ~readahead:8 ~budget build);
     ]

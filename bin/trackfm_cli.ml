@@ -447,7 +447,7 @@ let run_cmd (spec : Run_spec.t) w tel ~counters_json ~attribution ~flight =
       fabric.fault_seed;
   if fabric.replicas > 1 then
     Printf.printf "replicas %d, ack %d\n" fabric.replicas fabric.ack;
-  if spec.engine <> Engine.Interp then
+  if spec.engine <> Engine.default then
     Printf.printf "engine %s\n" (Engine.to_string spec.engine);
   print_newline ();
   let want_spans = attribution <> None || flight <> None in
@@ -1400,7 +1400,8 @@ let shape_cmd w o1 shadow_mode local_pct =
       }
     in
     let o, report =
-      Driver.run_trackfm ~blobs:w.blobs ~shadow:sh (build_of w o1) opts
+      Driver.run_trackfm ~engine:Engine.Interp ~blobs:w.blobs ~shadow:sh
+        (build_of w o1) opts
     in
     print_newline ();
     print_string (Shadow.dump sh);

@@ -6,9 +6,11 @@
    an example, and the runs of it that must agree. Every run must exit
    with the cell's status (0 unless stated), write each of the cell's
    outputs (its stdout, or a file its arguments name) with the first
-   run's bytes, and pass the cell's checks. A second interpreter run proves
-   determinism; a run under --engine compiled proves the compiled engine
-   matches the interpreter. Each run's stdout and stderr stay behind as
+   run's bytes, and pass the cell's checks. A cell that compares engines
+   runs the interpreter, the differential oracle, first with
+   --engine interp; the runs after it take the default compiled engine,
+   and a second of them proves determinism. Each run's stdout and stderr
+   stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
    them: ci/dune diffs <cell>.json against golden/<cell>.json, and after
    an intended change `dune promote` refreshes the golden.
@@ -17,7 +19,7 @@
    cell of GROUP and reports each failing cell by name. *)
 
 let sprintf = Printf.sprintf
-let compiled = [ "--engine"; "compiled" ]
+let interp = [ "--engine"; "interp" ]
 
 type output = Stdout | File of string
 
@@ -138,10 +140,10 @@ let json ?runs ?(outputs = []) ?checks group name command =
 let fault_run w seed =
   sprintf "run -w %s -s trackfm -m 25 --faults medium --fault-seed %d" w seed
 
-(* Fault cells: interpreter twice, then compiled; goldened. *)
+(* Fault cells: interpreter, then compiled twice; goldened. *)
 let fault w seed =
   json "faults" (sprintf "%s-seed%d" w seed) (fault_run w seed)
-    ~runs:[ []; []; compiled ]
+    ~runs:[ interp; []; [] ]
 
 (* The fault runs without chunking: interpreter, then compiled. *)
 let chunk_off w seed =
@@ -149,14 +151,14 @@ let chunk_off w seed =
     (sprintf "%s-chunk-off-seed%d" w seed)
     (sprintf "run -w %s -s trackfm -m 25 -c off --faults medium --fault-seed %d"
        w seed)
-    ~runs:[ []; compiled ]
+    ~runs:[ interp; [] ]
 
-(* Routed cells: interpreter twice, then compiled; goldened. *)
+(* Routed cells: interpreter, then compiled twice; goldened. *)
 let routed w route pct =
   json "routed"
     (sprintf "hybrid-%s-%s-m%d" w route pct)
     (sprintf "run -w %s -s trackfm -m %d --route %s" w pct route)
-    ~runs:[ []; []; compiled ]
+    ~runs:[ interp; []; [] ]
 
 (* Serving cells: run twice; goldened. *)
 let serving backend rate =
@@ -231,8 +233,10 @@ let table =
     chunk_off "stream-sum" 1; chunk_off "stream-sum" 2;
     chunk_off "stream-sum" 3;
     chunk_off "hashmap" 1; chunk_off "hashmap" 2; chunk_off "hashmap" 3;
-    (* The checker over every workload x configuration. *)
-    cell "check" "check" "trackfm_cli check";
+    (* The checker over every workload x configuration; the engine diff
+       it adds on the compiled engine is check-compiled's, in
+       @ci/engines. *)
+    cell "check" "check" "trackfm_cli check --engine interp";
     routed "pointer-chase" "static" 25; routed "pointer-chase" "static" 100;
     routed "pointer-chase" "profiled" 25;
     routed "pointer-chase" "profiled" 100;
@@ -312,6 +316,22 @@ let table =
   @ List.map (rerun_writes "--flight-recorder" "flight" "hashmap") [ 1; 2 ]
   @ [
       cell "engines" "check-compiled" "trackfm_cli check --engine compiled";
+      (* Full-size NAS, which the tests run at their sub-class size: IS
+         under both engines, fault-free and faulted, and the other four
+         kernels' checksums. *)
+      json "engines" "nas-is-m50" "run -w nas-is -s trackfm -m 50"
+        ~runs:[ interp; [] ];
+      json "engines" "nas-is-m50-seed1"
+        "run -w nas-is -s trackfm -m 50 --faults medium --fault-seed 1"
+        ~runs:[ interp; [] ];
+    ]
+  @ List.map
+      (fun k ->
+        cell "engines" ("nas-" ^ k)
+          (sprintf "trackfm_cli run -w nas-%s -s trackfm -m 30" k)
+          ~checks:[ prints "(correct)" ])
+      [ "cg"; "ft"; "mg"; "sp" ]
+  @ [
       (* Full size, so the ratio is measured on runs long enough to be
          stable. *)
       cell "engines" "engine-speedup" "bench engine_speedup";

@@ -3,8 +3,9 @@
     NOELLE's profiling engine feeds TrackFM's improved loop chunking
     (Section 3.4): loops whose measured iteration behaviour cannot
     amortize the chunking setup are filtered out. Our profile is filled
-    by an instrumented interpreter run and consumed by the chunking
-    pass's gate. *)
+    by an instrumented run on either engine, which count the same blocks
+    (the driver's pre-run uses the compiled one), and consumed by the
+    chunking pass's gate. *)
 
 type t
 

@@ -2,10 +2,13 @@
 
     [Interp] is the tree-walking reference interpreter and the
     differential oracle; [Compiled] is the closure-compiled engine with
-    identical observable behaviour ({!Compile}). The interpreter is the
-    default everywhere so goldens and existing callers are unaffected. *)
+    identical observable behaviour ({!Compile}). *)
 
 type t = Interp | Compiled
+
+val default : t
+(** [Compiled]: the engine of every run that does not name one. The
+    differential tests and the engine-parity cells pass [Interp]. *)
 
 val all : t list
 val to_string : t -> string

@@ -84,7 +84,7 @@ let finish (clock : Clock.t) (r : Interp.result) =
    for reporting. *)
 let no_telemetry : Clock.t -> Telemetry.Sink.t = fun _ -> Telemetry.Sink.nop
 
-let run_local ?(engine = Engine.Interp) ?(cost = Cost_model.default)
+let run_local ?(engine = Engine.default) ?(cost = Cost_model.default)
     ?(blobs = []) ?(telemetry = no_telemetry) build =
   let clock = Clock.create () in
   let store = Memstore.create () in
@@ -93,7 +93,7 @@ let run_local ?(engine = Engine.Interp) ?(cost = Cost_model.default)
   in
   finish clock (Engine.run ~engine backend (build ()) ~entry:"main")
 
-let profile_of ?(engine = Engine.Interp) ?(cost = Cost_model.default)
+let profile_of ?(engine = Engine.default) ?(cost = Cost_model.default)
     ?(blobs = []) build =
   let profile = Profile.create () in
   let clock = Clock.create () in
@@ -102,12 +102,16 @@ let profile_of ?(engine = Engine.Interp) ?(cost = Cost_model.default)
   ignore (Engine.run ~engine ~profile backend (build ()) ~entry:"main");
   profile
 
-let run_trackfm ?(engine = Engine.Interp) ?(cost = Cost_model.default)
-    ?(blobs = []) ?(telemetry = no_telemetry) ?shadow build opts =
-  (* Only the gated chunking decision reads the profile. *)
+let run_trackfm ?(engine = Engine.default) ?(cost = Cost_model.default)
+    ?(blobs = []) ?(telemetry = no_telemetry) ?shadow ?profile build opts =
+  (* Only the gated chunking decision reads the profile. Block counts do
+     not depend on the engine, so the pre-run takes the compiled one
+     whichever engine executes the program. *)
   let profile =
     if opts.chunk_mode = `Gated && opts.profile_gate then
-      Some (profile_of ~engine ~cost ~blobs build)
+      match profile with
+      | Some _ -> profile
+      | None -> Some (profile_of ~engine:Engine.Compiled ~cost ~blobs build)
     else None
   in
   let m = build () in
@@ -146,7 +150,7 @@ let run_trackfm ?(engine = Engine.Interp) ?(cost = Cost_model.default)
   let backend = with_blobs blobs (Backend.trackfm rt store) in
   (finish clock (Engine.run ~engine ?shadow backend m ~entry:"main"), report)
 
-let run_fastswap ?(engine = Engine.Interp) ?(cost = Cost_model.default)
+let run_fastswap ?(engine = Engine.default) ?(cost = Cost_model.default)
     ?readahead ?(faults = Faults.disabled) ?(replicas = 1) ?(ack = 1)
     ?(blobs = []) ?(telemetry = no_telemetry) ~local_budget build =
   let clock = Clock.create () in

@@ -3,9 +3,11 @@
     A workload is a thunk producing a fresh IR module (the TrackFM
     pipeline transforms modules in place, so every run needs its own
     copy). The driver assembles the backend, optionally runs the TrackFM
-    compiler (with a profiling pre-run on the local backend when the
-    gated chunking decision reads it), executes, and returns the clock
-    so callers can read any counter an experiment plots. *)
+    compiler (with a profiling pre-run on the local backend and the
+    compiled engine when the gated chunking decision reads it), executes,
+    and returns the clock so callers can read any counter an experiment
+    plots. Every runner executes on {!Engine.default} (compiled) unless
+    given [~engine]. *)
 
 type outcome = {
   ret : int;
@@ -24,8 +26,9 @@ type tfm_opts = {
   use_state_table : bool;
   profile_gate : bool;
       (** with [`Gated] chunking, run the workload once uninstrumented on
-          the local backend to collect block frequencies for the
-          cost-model gate; the other chunk modes never profile *)
+          the local backend and the compiled engine to collect block
+          frequencies for the cost-model gate; the other chunk modes
+          never profile *)
   elide_guards : bool;
       (** run redundant-guard elimination and hoisting
           ({!Trackfm.Elide_pass}); the coverage checker runs either
@@ -86,11 +89,16 @@ val run_trackfm :
   ?blobs:(int * Bytes.t) list ->
   ?telemetry:(Clock.t -> Telemetry.Sink.t) ->
   ?shadow:Shadow.t ->
+  ?profile:Profile.t ->
   (unit -> Ir.modul) ->
   tfm_opts ->
   outcome * Trackfm.Pipeline.report
 (** [shadow] threads the dynamic depth recorder through the measured
-    run (interpreter engine only) — the shape analysis's audit. *)
+    run (interpreter engine only) — the shape analysis's audit.
+    [profile] is the gate's block profile when the caller already has
+    one for this module and blobs ({!profile_of}); the pre-run is then
+    skipped. The gate reads it only with [`Gated] chunking and
+    [profile_gate]. *)
 
 val run_fastswap :
   ?engine:Engine.t ->
@@ -114,7 +122,9 @@ val profile_of :
   ?blobs:(int * Bytes.t) list ->
   (unit -> Ir.modul) ->
   Profile.t
-(** Block-frequency profile from a local-backend run. *)
+(** Block-frequency profile from a local-backend run. It depends only on
+    the module and its blobs: neither the engine, the cost model nor a
+    TrackFM option changes a block count. *)
 
 (** Workload input data ("datasets read from disk") is passed as [blobs]:
     the program copies blob [id] into simulated memory with the

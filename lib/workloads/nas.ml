@@ -22,33 +22,34 @@ let checksum_mask = 0x3FFFFFFF
 
 (* -- per-kernel geometry -------------------------------------------------- *)
 
-let cg_n scale = 12_000 * scale
-let cg_nnz = 40
-let ft_dim scale = 40 * scale (* nx = ny = nz *)
-let is_n scale = 600_000 * scale
-let is_buckets = 2048
-let mg_dim scale = 40 * scale
-let sp_dim scale = 56 * scale
+(* Each kernel has one size knob: CG's rows, IS's keys, or the edge of
+   FT's, MG's and SP's cubic grid (nx = ny = nz). Class [scale] multiplies
+   class 1's knob. *)
+let class1 = function
+  | CG -> 12_000
+  | FT -> 40
+  | IS -> 600_000
+  | MG -> 40
+  | SP -> 56
 
-let working_set_bytes p =
-  match p.kernel with
-  | CG ->
-      let n = cg_n p.scale in
-      (n * cg_nnz * (8 + 4)) + (5 * n * 8)
-  | FT ->
-      let d = ft_dim p.scale in
-      d * d * d * 16
-  | IS ->
-      let n = is_n p.scale in
-      (2 * n * 4) + (2 * is_buckets * 8)
+let size p = class1 p.kernel * p.scale
+
+let cg_nnz = 40
+let is_buckets = 2048
+
+let working_set kernel size =
+  match kernel with
+  | CG -> (size * cg_nnz * (8 + 4)) + (5 * size * 8)
+  | FT -> size * size * size * 16
+  | IS -> (2 * size * 4) + (2 * is_buckets * 8)
   | MG ->
-      let d = mg_dim p.scale in
+      let d = size in
       let fine = d * d * d * 8 in
       let coarse = d / 2 * (d / 2) * (d / 2) * 8 in
       (2 * fine) + coarse
-  | SP ->
-      let d = sp_dim p.scale in
-      2 * d * d * d * 8
+  | SP -> 2 * size * size * size * 8
+
+let working_set_bytes p = working_set p.kernel (size p)
 
 (* ========================= CG ========================= *)
 
@@ -751,25 +752,47 @@ let checksum_sp ~d =
 
 (* -- dispatch -------------------------------------------------------------- *)
 
-let build p () =
+let build_sized kernel size () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let ck =
-    match p.kernel with
-    | CG -> build_cg ~n:(cg_n p.scale) b
-    | FT -> build_ft ~d:(ft_dim p.scale) b
-    | IS -> build_is ~n:(is_n p.scale) b
-    | MG -> build_mg ~d:(mg_dim p.scale) b
-    | SP -> build_sp ~d:(sp_dim p.scale) b
+    match kernel with
+    | CG -> build_cg ~n:size b
+    | FT -> build_ft ~d:size b
+    | IS -> build_is ~n:size b
+    | MG -> build_mg ~d:size b
+    | SP -> build_sp ~d:size b
   in
   Builder.ret b (Some ck);
   Verifier.check_module m;
   m
 
-let checksum p =
-  match p.kernel with
-  | CG -> checksum_cg ~n:(cg_n p.scale)
-  | FT -> checksum_ft ~d:(ft_dim p.scale)
-  | IS -> checksum_is ~n:(is_n p.scale)
-  | MG -> checksum_mg ~d:(mg_dim p.scale)
-  | SP -> checksum_sp ~d:(sp_dim p.scale)
+let checksum_sized kernel size =
+  match kernel with
+  | CG -> checksum_cg ~n:size
+  | FT -> checksum_ft ~d:size
+  | IS -> checksum_is ~n:size
+  | MG -> checksum_mg ~d:size
+  | SP -> checksum_sp ~d:size
+
+let build p = build_sized p.kernel (size p)
+let checksum p = checksum_sized p.kernel (size p)
+
+type problem = {
+  build : unit -> Ir.modul;
+  working_set : int;
+  checksum : unit -> int;
+}
+
+(* Every dimension of class 1 halved: an eighth of its working set. *)
+let sub_class kernel =
+  let size =
+    match kernel with
+    | CG | IS -> class1 kernel / 8
+    | FT | MG | SP -> class1 kernel / 2
+  in
+  {
+    build = build_sized kernel size;
+    working_set = working_set kernel size;
+    checksum = (fun () -> checksum_sized kernel size);
+  }

@@ -39,6 +39,18 @@ val working_set_bytes : params -> int
 
 val checksum : params -> int
 
+type problem = {
+  build : unit -> Ir.modul;  (** a fresh module per call *)
+  working_set : int;  (** bytes *)
+  checksum : unit -> int;  (** the host reference *)
+}
+
+val sub_class : kernel -> problem
+(** The kernel below class 1, which [params] cannot express: every
+    dimension of [scale = 1] halved (CG's rows and IS's keys divided by
+    eight), an eighth of its working set, with the same loops. For tests
+    that need a kernel's access pattern at a fraction of its run time. *)
+
 val paper_memory_gb : kernel -> int
 (** Table 3's memory column (for reporting). *)
 

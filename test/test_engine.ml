@@ -7,8 +7,6 @@
 
 open Workloads
 
-let engines = [ (Engine.Interp, "interp"); (Engine.Compiled, "compiled") ]
-
 let medium_faults ~seed =
   match Faults.parse "medium" with
   | Ok cfg -> Faults.create ~seed cfg
@@ -24,8 +22,8 @@ type observation = {
   spans : (int * int list) list;
 }
 
-let observe_tfm ?blobs ?(op_classes = []) ~engine ~faults ~elide build
-    ~local_budget =
+let observe_tfm ?blobs ?(op_classes = []) ?profile ~engine ~faults ~elide
+    build ~local_budget =
   let sink = ref Telemetry.Sink.nop in
   let telemetry clock =
     let s =
@@ -42,7 +40,9 @@ let observe_tfm ?blobs ?(op_classes = []) ~engine ~faults ~elide build
       elide_guards = elide;
     }
   in
-  let outcome, _report = Driver.run_trackfm ~engine ?blobs ~telemetry build opts in
+  let outcome, _report =
+    Driver.run_trackfm ~engine ?blobs ~telemetry ?profile build opts
+  in
   let spans =
     match Telemetry.Sink.spans !sink with
     | None -> []
@@ -70,8 +70,9 @@ let check_equal label (a : observation) (b : observation) =
   Alcotest.(check (list (pair int (list int))))
     (label ^ ": span splits") a.spans b.spans
 
-(* The workload matrix at miniature scale. Each entry: name, builder,
-   blobs, span op classes, working-set-derived local budget. *)
+(* The workload matrix at miniature scale (NAS IS at its sub-class size;
+   the full size is the nas-is cells of @ci/engines). Each entry: name,
+   builder, blobs, span op classes, working-set-derived local budget. *)
 let matrix () =
   let stream =
     let n = 20_000 in
@@ -114,14 +115,18 @@ let matrix () =
       Analytics.working_set_bytes p / 3 )
   in
   let nas =
-    let p = { Nas.kernel = Nas.IS; scale = 1 } in
-    ("nas-is", Nas.build p, [], [], Nas.working_set_bytes p / 2)
+    let p = Nas.sub_class Nas.IS in
+    ("nas-is", p.Nas.build, [], [], p.Nas.working_set / 2)
   in
   [ stream; kmeans; hashmap; memcached; analytics; nas ]
 
+(* Both engines compile with the one profile the compiled engine counts,
+   as [Driver.run_trackfm] would; [test_profile_parity] checks the
+   interpreter counts the same. *)
 let test_trackfm_matrix () =
   List.iter
     (fun (name, build, blobs, op_classes, local_budget) ->
+      let profile = Driver.profile_of ~blobs build in
       List.iter
         (fun (faults, fault_tag) ->
           List.iter
@@ -129,8 +134,8 @@ let test_trackfm_matrix () =
               let obs engine =
                 (* a Faults.t carries PRNG state: each run needs a fresh
                    one or the second engine sees a shifted schedule *)
-                observe_tfm ~blobs ~op_classes ~engine ~faults:(faults ())
-                  ~elide build ~local_budget
+                observe_tfm ~blobs ~op_classes ~profile ~engine
+                  ~faults:(faults ()) ~elide build ~local_budget
               in
               let label =
                 Printf.sprintf "%s/%s/elide=%b" name fault_tag elide
@@ -244,14 +249,15 @@ let test_recursion_and_traps () =
   Alcotest.(check string) "trap parity"
     (trap_of Engine.Interp) (trap_of Engine.Compiled)
 
-(* The chunking gate reads block counts, so both engines must count the
-   same blocks. analytics has loops and helper calls, llist a recursive
-   tree walk. *)
+(* The chunking gate reads block counts, and the driver counts them on
+   the compiled engine for an interpreted run too, so both engines must
+   count the same blocks: every matrix workload, blob-fed ones included,
+   and llist's recursive tree walk. *)
 let test_profile_parity () =
   List.iter
-    (fun (name, build) ->
-      let interp = Driver.profile_of ~engine:Engine.Interp build in
-      let compiled = Driver.profile_of ~engine:Engine.Compiled build in
+    (fun (name, build, blobs) ->
+      let interp = Driver.profile_of ~engine:Engine.Interp ~blobs build in
+      let compiled = Driver.profile_of ~engine:Engine.Compiled ~blobs build in
       let total = ref 0 in
       List.iter
         (fun (f : Ir.func) ->
@@ -267,10 +273,10 @@ let test_profile_parity () =
             f.Ir.blocks)
         (build ()).Ir.funcs;
       Alcotest.(check bool) (name ^ ": blocks were counted") true (!total > 0))
-    [
-      ("analytics", Analytics.build (Analytics.default_params ~rows:600));
-      ("llist", Llist.build ~nodes:800 ~tnodes:300);
-    ]
+    (List.map
+       (fun (name, build, blobs, _, _) -> (name, build, blobs))
+       (matrix ())
+    @ [ ("llist", Llist.build ~nodes:800 ~tnodes:300, []) ])
 
 let suite =
   ( "engine",

@@ -30,8 +30,8 @@ let ok term args =
 let test_defaults () =
   let spec = ok Run_spec.term [] in
   Alcotest.(check bool)
-    "engine interp" true
-    (spec.Run_spec.engine = Engine.Interp);
+    "engine compiled" true
+    (spec.Run_spec.engine = Engine.Compiled);
   Alcotest.(check bool)
     "fabric: faults none, seed 1, replicas 1, ack 1" true
     (spec.Run_spec.fabric
@@ -54,7 +54,7 @@ let test_valid_spec () =
     ok Run_spec.term
       [
         "-s"; "fastswap"; "-m"; "50"; "-o"; "64"; "-c"; "off"; "--engine";
-        "compiled"; "--faults"; "medium"; "--fault-seed"; "2"; "--replicas";
+        "interp"; "--faults"; "medium"; "--fault-seed"; "2"; "--replicas";
         "3"; "--ack"; "2"; "--no-prefetch"; "--no-shapes";
       ]
   in
@@ -64,7 +64,7 @@ let test_valid_spec () =
     && spec.Run_spec.local_pct = 50
     && spec.Run_spec.object_size = 64
     && spec.Run_spec.chunk = `Off
-    && spec.Run_spec.engine = Engine.Compiled
+    && spec.Run_spec.engine = Engine.Interp
     && spec.Run_spec.fabric.Run_spec.fault_seed = 2
     && spec.Run_spec.fabric.Run_spec.replicas = 3
     && spec.Run_spec.fabric.Run_spec.ack = 2

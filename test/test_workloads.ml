@@ -170,18 +170,14 @@ let test_analytics_aifm_port_matches () =
     (Clock.get clock "net.bytes_in" > 0)
 
 let test_nas_kernels_all_backends () =
-  (* Tiny scale-downs run the full pipeline for every kernel. *)
+  (* Each kernel at its sub-class size runs the full pipeline; class 1 is
+     the nas-* cells of @ci/engines. *)
   List.iter
     (fun kernel ->
-      let p = { Nas.kernel; scale = 1 } in
-      let tiny =
-        (* shrink each kernel for test speed by rebuilding with scale 1 and
-           reducing via a custom working set fraction *)
-        p
-      in
-      let expected = Nas.checksum tiny in
-      let ws = Nas.working_set_bytes tiny in
-      let build () = Nas.build tiny () in
+      let p = Nas.sub_class kernel in
+      let expected = p.Nas.checksum () in
+      let ws = p.Nas.working_set in
+      let build = p.Nas.build in
       let local = Driver.run_local build in
       Alcotest.(check int)
         (Nas.kernel_name kernel ^ " local")
