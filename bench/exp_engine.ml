@@ -9,10 +9,10 @@
    gate is about. The application workloads (stream-sum, kmeans,
    hashmap, analytics) give the end-to-end picture: there both engines
    share the identical memory-simulator work. Memstore accesses no
-   longer hash a page index (a last-page cache answers page-local
-   streaks) and counters are array slots, but every load and store still
-   goes through Memstore's bounds and byte assembly, the allocator and
-   the clock, so Amdahl's law keeps the visible ratio below the
+   longer hash a page index (a direct-mapped page cache answers every
+   resident page) and counters are array slots, but every load and store
+   still goes through Memstore's bounds and byte assembly, the allocator
+   and the clock, so Amdahl's law keeps the visible ratio below the
    dispatch-only speedup.
 
    Both engines run the identical module on the identical local backend,

@@ -13,6 +13,8 @@ let c_evictions = Clock.counter "aifm.evictions"
 let c_materialized = Clock.counter "aifm.materialized"
 let c_demand_fetches = Clock.counter "aifm.demand_fetches"
 
+module Ring = Tfm_util.Int_ring
+
 exception Out_of_local_memory
 
 type policy = Clock_hand | Fifo
@@ -25,11 +27,11 @@ type t = {
   osize : int;
   addr_of_id : int -> int;
   budget : int;
-  mutable meta : Bytes.t;
+  mutable meta : Bytes.t; (* metadata bits, one byte per object id *)
   mutable used : int;
   mutable nlocal : int;
-  clock_queue : int Queue.t; (* CLOCK second-chance candidate ring *)
-  pins : (int, int) Hashtbl.t;
+  clock_queue : Ring.t; (* CLOCK candidates, oldest first; may be stale *)
+  mutable pins : int array; (* pin count per object id, grown like [meta] *)
   mutable telemetry : Telemetry.Sink.t;
 }
 
@@ -57,8 +59,8 @@ let create ?(policy = Clock_hand) ?(telemetry = Telemetry.Sink.nop)
     meta = Bytes.make 4096 '\000';
     used = 0;
     nlocal = 0;
-    clock_queue = Queue.create ();
-    pins = Hashtbl.create 16;
+    clock_queue = Ring.create ();
+    pins = Array.make 4096 0;
     telemetry;
   }
 
@@ -89,18 +91,20 @@ let set_meta t id m =
   ensure_capacity t id;
   Bytes.set t.meta id (Char.chr m)
 
-let pinned t id =
-  match Hashtbl.find_opt t.pins id with Some n -> n > 0 | None -> false
+let pinned t id = id < Array.length t.pins && t.pins.(id) > 0
 
 let pin t id =
-  let n = try Hashtbl.find t.pins id with Not_found -> 0 in
-  Hashtbl.replace t.pins id (n + 1)
+  let n = Array.length t.pins in
+  if id >= n then begin
+    let pins = Array.make (max (id + 1) (n * 2)) 0 in
+    Array.blit t.pins 0 pins 0 n;
+    t.pins <- pins
+  end;
+  t.pins.(id) <- t.pins.(id) + 1
 
 let unpin t id =
-  match Hashtbl.find_opt t.pins id with
-  | Some n when n > 1 -> Hashtbl.replace t.pins id (n - 1)
-  | Some _ -> Hashtbl.remove t.pins id
-  | None -> invalid_arg "Pool.unpin: not pinned"
+  if not (pinned t id) then invalid_arg "Pool.unpin: not pinned";
+  t.pins.(id) <- t.pins.(id) - 1
 
 let is_local t id = get_meta t id land bit_local <> 0
 
@@ -111,25 +115,25 @@ let is_local t id = get_meta t id land bit_local <> 0
    dirty objects are also skipped: their only copy cannot be pushed out,
    so the evacuator degrades to dropping clean objects. *)
 let evict_one_with ~allow_writeback t =
-  let attempts = ref (2 * Queue.length t.clock_queue) in
+  let attempts = ref (2 * Ring.length t.clock_queue) in
   let rec go () =
-    if Queue.is_empty t.clock_queue || !attempts = 0 then false
+    if Ring.is_empty t.clock_queue || !attempts = 0 then false
     else begin
       decr attempts;
-      let id = Queue.pop t.clock_queue in
+      let id = Ring.pop t.clock_queue in
       let m = get_meta t id in
       if m land bit_local = 0 then go () (* stale entry *)
       else if pinned t id then begin
-        Queue.push id t.clock_queue;
+        Ring.push t.clock_queue id;
         go ()
       end
       else if t.policy = Clock_hand && m land bit_hot <> 0 then begin
         set_meta t id (m land lnot bit_hot);
-        Queue.push id t.clock_queue;
+        Ring.push t.clock_queue id;
         go ()
       end
       else if (not allow_writeback) && m land bit_dirty <> 0 then begin
-        Queue.push id t.clock_queue;
+        Ring.push t.clock_queue id;
         go ()
       end
       else begin
@@ -189,7 +193,7 @@ let make_local t id m =
   set_meta t id (m lor bit_exists lor bit_local lor bit_hot);
   t.used <- t.used + t.osize;
   t.nlocal <- t.nlocal + 1;
-  Queue.push id t.clock_queue;
+  Ring.push t.clock_queue id;
   (* The object being localized is in use by the caller (it is inside a
      guard or DerefScope): the evacuator must not pick it. *)
   pin t id;

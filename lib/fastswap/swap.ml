@@ -7,6 +7,9 @@ let bit_dirty = 0x2
 let bit_hot = 0x4
 let bit_swapped = 0x8 (* has a remote copy *)
 
+module Pages = Tfm_util.Int_table
+module Ring = Tfm_util.Int_ring
+
 (* Counter handles for the fault and reclaim paths. *)
 let c_writebacks = Clock.counter "fastswap.writebacks"
 let c_evictions = Clock.counter "fastswap.evictions"
@@ -20,8 +23,8 @@ type t = {
   net : Net.t;
   budget_pages : int;
   readahead : int;
-  state : (int, int) Hashtbl.t; (* page index -> bits *)
-  lru : int Queue.t;
+  state : int Pages.t; (* page index -> bits; absent = 0 *)
+  lru : Ring.t; (* second-chance candidates, oldest first; may be stale *)
   mutable present : int;
   telemetry : Telemetry.Sink.t;
 }
@@ -41,15 +44,17 @@ let create ?(readahead = 0) ?(faults = Faults.disabled) ?cluster
     net;
     budget_pages = max 1 (local_budget / page_size);
     readahead;
-    state = Hashtbl.create 4096;
-    lru = Queue.create ();
+    state = Pages.create 4096;
+    lru = Ring.create ();
     present = 0;
     telemetry;
   }
 
 let net t = t.net
-let get_state t p = try Hashtbl.find t.state p with Not_found -> 0
-let set_state t p s = Hashtbl.replace t.state p s
+let get_state t p =
+  match Pages.find t.state p with s -> s | exception Not_found -> 0
+
+let set_state t p s = Pages.replace t.state p s
 
 let is_present t ~addr = get_state t (addr lsr page_bits) land bit_present <> 0
 let present_pages t = t.present
@@ -60,21 +65,21 @@ let present_pages t = t.present
    clean pages — the same backpressure absorption as the AIFM
    evacuator's. *)
 let reclaim_one_with ~allow_writeback t =
-  let attempts = ref (2 * Queue.length t.lru) in
+  let attempts = ref (2 * Ring.length t.lru) in
   let rec go () =
-    if Queue.is_empty t.lru || !attempts = 0 then false
+    if Ring.is_empty t.lru || !attempts = 0 then false
     else begin
       decr attempts;
-      let p = Queue.pop t.lru in
+      let p = Ring.pop t.lru in
       let s = get_state t p in
       if s land bit_present = 0 then go ()
       else if s land bit_hot <> 0 then begin
         set_state t p (s land lnot bit_hot);
-        Queue.push p t.lru;
+        Ring.push t.lru p;
         go ()
       end
       else if (not allow_writeback) && s land bit_dirty <> 0 then begin
-        Queue.push p t.lru;
+        Ring.push t.lru p;
         go ()
       end
       else begin
@@ -130,7 +135,7 @@ let map_page t p ~hot ~dirty =
     lor (if hot then bit_hot else 0)
     lor if dirty then bit_dirty else 0);
   t.present <- t.present + 1;
-  Queue.push p t.lru;
+  Ring.push t.lru p;
   reclaim_until_fits t
 
 (* Page faults are the paging analogue of the guard slow path: the
@@ -170,8 +175,13 @@ let fault_page t p ~write =
 
 let touch t p ~write =
   let s = get_state t p in
-  if s land bit_present = 0 then fault_page t p ~write;
-  let s = get_state t p in
+  let s =
+    if s land bit_present <> 0 then s
+    else begin
+      fault_page t p ~write;
+      get_state t p
+    end
+  in
   set_state t p (s lor bit_hot lor if write then bit_dirty else 0)
 
 let access t ~addr ~size ~write =

@@ -15,8 +15,11 @@
    - callee names resolved per call site: libc allocation hooks, direct
      IR calls (bound to the callee's compiled body), or the backend's
      intrinsic dispatcher — the runtime never re-classifies a name;
-   - per-site one-entry page caches for 8-byte loads/stores, skipping
-     the memstore hash lookup on page-local streaks.
+   - a gep that feeds a load or store fused into the access's closure.
+
+   Memory traffic goes through {!Memsim.Memstore}'s own accessors, the
+   same ones the interpreter calls; the store's direct-mapped page cache
+   finds a resident page without hashing.
 
    Blocks become closures driven by an iterative trampoline (loops must
    not grow the OCaml stack), exactly like the interpreter's iterative
@@ -587,32 +590,14 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
   let site = Telemetry.Sink.is_active tel in
   let hook = not (on_access == Backend.no_access) in
   if is_float then begin
-    (* Per-site one-entry page cache; a Memstore page handle is stable
-       for the store's lifetime (see Memstore.page_of). [body] is a
-       known local function: the address-mode match below fuses the
-       address into the closure and the call to [body] compiles to a
-       direct jump, not a closure dispatch. *)
-    let cache_idx = ref (-1) and cache_page = ref Bytes.empty in
+    (* [body] is a known local function: the address-mode match below
+       fuses the address into the closure and the call to [body]
+       compiles to a direct jump, not a closure dispatch. *)
     let body fr addr =
       if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
       if hook then on_access ~addr ~size ~write:false;
       Memsim.Clock.tick clock local_access;
-      let off = addr land Memsim.Memstore.page_mask in
-      if off + 8 <= Memsim.Memstore.page_size then begin
-        let idx = addr lsr Memsim.Memstore.page_bits in
-        let pg =
-          if idx = !cache_idx then !cache_page
-          else begin
-            let pg = Memsim.Memstore.page_of store idx in
-            cache_idx := idx;
-            cache_page := pg;
-            pg
-          end
-        in
-        Array.unsafe_set fr.fenv id
-          (Int64.float_of_bits (Bytes.get_int64_le pg off))
-      end
-      else Array.unsafe_set fr.fenv id (Memsim.Memstore.load_float store ~addr)
+      Memsim.Memstore.load_float_into store ~addr fr.fenv id
     in
     match amode with
     | APlain (ISlot p) -> fun fr -> body fr (Array.unsafe_get fr.ienv p)
@@ -635,28 +620,12 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
         let p = amode_read am in
         fun fr -> body fr (p fr)
   end
-  else if size = 8 then begin
-    let cache_idx = ref (-1) and cache_page = ref Bytes.empty in
+  else
     let body fr addr =
       if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
       if hook then on_access ~addr ~size ~write:false;
       Memsim.Clock.tick clock local_access;
-      let off = addr land Memsim.Memstore.page_mask in
-      if off + 8 <= Memsim.Memstore.page_size then begin
-        let idx = addr lsr Memsim.Memstore.page_bits in
-        let pg =
-          if idx = !cache_idx then !cache_page
-          else begin
-            let pg = Memsim.Memstore.page_of store idx in
-            cache_idx := idx;
-            cache_page := pg;
-            pg
-          end
-        in
-        Array.unsafe_set fr.ienv id
-          (Int64.to_int (Bytes.get_int64_le pg off) land max_int)
-      end
-      else Array.unsafe_set fr.ienv id (Memsim.Memstore.load store ~addr ~size:8)
+      Array.unsafe_set fr.ienv id (Memsim.Memstore.load store ~addr ~size)
     in
     match amode with
     | APlain (ISlot p) -> fun fr -> body fr (Array.unsafe_get fr.ienv p)
@@ -687,19 +656,6 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
     | am ->
         let p = amode_read am in
         fun fr -> body fr (p fr)
-  end
-  else
-    let body fr addr =
-      if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-      if hook then on_access ~addr ~size ~write:false;
-      Memsim.Clock.tick clock local_access;
-      Array.unsafe_set fr.ienv id (Memsim.Memstore.load store ~addr ~size)
-    in
-    match amode with
-    | APlain (ISlot p) -> fun fr -> body fr (Array.unsafe_get fr.ienv p)
-    | am ->
-        let p = amode_read am in
-        fun fr -> body fr (p fr)
 
 let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
     frame -> unit =
@@ -713,36 +669,17 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
   let site = Telemetry.Sink.is_active tel in
   let hook = not (on_access == Backend.no_access) in
   if is_float then begin
-    let sv = fshape ctx f rtys v in
-    let cache_idx = ref (-1) and cache_page = ref Bytes.empty in
-    (* The hot arm is written out in full (rather than through a [body]
-       with a float parameter) so the value never crosses a call
-       boundary — OCaml would box it. *)
-    let slow am sv =
-      let p = amode_read am and x = fread sv in
-      fun fr ->
-        let addr = p fr in
-        if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        if hook then on_access ~addr ~size ~write:true;
-        Memsim.Clock.tick clock local_access;
-        let off = addr land Memsim.Memstore.page_mask in
-        (if off + 8 <= Memsim.Memstore.page_size then begin
-           let idx = addr lsr Memsim.Memstore.page_bits in
-           let pg =
-             if idx = !cache_idx then !cache_page
-             else begin
-               let pg = Memsim.Memstore.page_of store idx in
-               cache_idx := idx;
-               cache_page := pg;
-               pg
-             end
-           in
-           Bytes.set_int64_le pg off (Int64.bits_of_float (x fr))
-         end
-         else Memsim.Memstore.store_float store ~addr (x fr));
-        Array.unsafe_set fr.ienv id 0
+    (* A float register goes to the page through
+       [Memstore.store_float_from], never boxed; other operands are read
+       after the hooks, as the interpreter reads them. *)
+    let body fr addr vi =
+      if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
+      if hook then on_access ~addr ~size ~write:true;
+      Memsim.Clock.tick clock local_access;
+      Memsim.Memstore.store_float_from store ~addr fr.fenv vi;
+      Array.unsafe_set fr.ienv id 0
     in
-    match (amode, sv) with
+    match (amode, fshape ctx f rtys v) with
     | AGep (dst, ISlot bi, ISlot xi, scale, offset), FSlot vi ->
         fun fr ->
           let addr =
@@ -751,77 +688,29 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
             + offset
           in
           Array.unsafe_set fr.ienv dst addr;
-          if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-          if hook then on_access ~addr ~size ~write:true;
-          Memsim.Clock.tick clock local_access;
-          let off = addr land Memsim.Memstore.page_mask in
-          (if off + 8 <= Memsim.Memstore.page_size then begin
-             let idx = addr lsr Memsim.Memstore.page_bits in
-             let pg =
-               if idx = !cache_idx then !cache_page
-               else begin
-                 let pg = Memsim.Memstore.page_of store idx in
-                 cache_idx := idx;
-                 cache_page := pg;
-                 pg
-               end
-             in
-             Bytes.set_int64_le pg off
-               (Int64.bits_of_float (Array.unsafe_get fr.fenv vi))
-           end
-           else
-             Memsim.Memstore.store_float store ~addr
-               (Array.unsafe_get fr.fenv vi));
-          Array.unsafe_set fr.ienv id 0
+          body fr addr vi
     | APlain (ISlot pi), FSlot vi ->
+        fun fr -> body fr (Array.unsafe_get fr.ienv pi) vi
+    | am, FSlot vi ->
+        let p = amode_read am in
+        fun fr -> body fr (p fr) vi
+    | am, sv ->
+        let p = amode_read am and x = fread sv in
         fun fr ->
-          let addr = Array.unsafe_get fr.ienv pi in
+          let addr = p fr in
           if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
           if hook then on_access ~addr ~size ~write:true;
           Memsim.Clock.tick clock local_access;
-          let off = addr land Memsim.Memstore.page_mask in
-          (if off + 8 <= Memsim.Memstore.page_size then begin
-             let idx = addr lsr Memsim.Memstore.page_bits in
-             let pg =
-               if idx = !cache_idx then !cache_page
-               else begin
-                 let pg = Memsim.Memstore.page_of store idx in
-                 cache_idx := idx;
-                 cache_page := pg;
-                 pg
-               end
-             in
-             Bytes.set_int64_le pg off
-               (Int64.bits_of_float (Array.unsafe_get fr.fenv vi))
-           end
-           else
-             Memsim.Memstore.store_float store ~addr
-               (Array.unsafe_get fr.fenv vi));
+          Memsim.Memstore.store_float store ~addr (x fr);
           Array.unsafe_set fr.ienv id 0
-    | am, sv -> slow am sv
   end
-  else if size = 8 then begin
+  else
     let sv = ishape ctx f rtys v in
-    let cache_idx = ref (-1) and cache_page = ref Bytes.empty in
     let body fr addr x =
       if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
       if hook then on_access ~addr ~size ~write:true;
       Memsim.Clock.tick clock local_access;
-      let off = addr land Memsim.Memstore.page_mask in
-      (if off + 8 <= Memsim.Memstore.page_size then begin
-         let idx = addr lsr Memsim.Memstore.page_bits in
-         let pg =
-           if idx = !cache_idx then !cache_page
-           else begin
-             let pg = Memsim.Memstore.page_of store idx in
-             cache_idx := idx;
-             cache_page := pg;
-             pg
-           end
-         in
-         Bytes.set_int64_le pg off (Int64.of_int x)
-       end
-       else Memsim.Memstore.store store ~addr ~size:8 x);
+      Memsim.Memstore.store store ~addr ~size x;
       Array.unsafe_set fr.ienv id 0
     in
     match (amode, sv) with
@@ -857,23 +746,14 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
     | am, sv ->
         let p = amode_read am and x = iread sv in
         fun fr -> body fr (p fr) (x fr)
-  end
-  else
-    let sv = ishape ctx f rtys v in
-    let body fr addr x =
-      if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-      if hook then on_access ~addr ~size ~write:true;
-      Memsim.Clock.tick clock local_access;
-      Memsim.Memstore.store store ~addr ~size x;
-      Array.unsafe_set fr.ienv id 0
-    in
-    match (amode, sv) with
-    | APlain (ISlot pi), ISlot vi ->
-        fun fr ->
-          body fr (Array.unsafe_get fr.ienv pi) (Array.unsafe_get fr.ienv vi)
-    | am, sv ->
-        let p = amode_read am and x = iread sv in
-        fun fr -> body fr (p fr) (x fr)
+
+let compile_access ctx f rtys (i : Ir.instr) ~fname amode =
+  match i.Ir.kind with
+  | Ir.Load { size; is_float; _ } ->
+      compile_load ctx i ~size ~is_float ~fname amode
+  | Ir.Store { size; is_float; v; _ } ->
+      compile_store ctx f rtys i ~size ~is_float ~v ~fname amode
+  | _ -> invalid_arg "Compile.compile_access"
 
 (* -- execution ----------------------------------------------------------- *)
 
@@ -1094,10 +974,8 @@ let compile_instr ctx (f : Ir.func) rtys label_index (i : Ir.instr) :
       | s ->
           let a = fread s in
           fun fr -> seti fr (int_of_float (a fr)))
-  | Ir.Load { ptr; size; is_float } ->
-      compile_load ctx i ~size ~is_float ~fname (APlain (si ptr))
-  | Ir.Store { ptr; size; is_float; v } ->
-      compile_store ctx f rtys i ~size ~is_float ~v ~fname (APlain (si ptr))
+  | Ir.Load { ptr; _ } | Ir.Store { ptr; _ } ->
+      compile_access ctx f rtys i ~fname (APlain (si ptr))
   | Ir.Gep { base; index; scale; offset } -> (
       match (si base, si index) with
       | ISlot b, IConst k ->
@@ -1474,9 +1352,9 @@ let compile_func ctx (f : Ir.func) =
              | (g : Ir.instr) :: rest -> (
                  match (g.Ir.kind, rest) with
                  | ( Ir.Gep { base; index; scale; offset },
-                     ({ Ir.kind = Ir.Load { ptr = Ir.Reg pid; size; is_float };
-                        _
-                      } as li)
+                     (({ Ir.kind = Ir.Load { ptr = Ir.Reg pid; _ }; _ }
+                      | { Ir.kind = Ir.Store { ptr = Ir.Reg pid; _ }; _ }) as
+                      next)
                      :: rest2 )
                    when pid = g.Ir.id ->
                      let am =
@@ -1488,28 +1366,7 @@ let compile_func ctx (f : Ir.func) =
                            offset )
                      in
                      build
-                       (compile_load ctx li ~size ~is_float ~fname:f.Ir.fname
-                          am
-                       :: acc)
-                       rest2
-                 | ( Ir.Gep { base; index; scale; offset },
-                     ({ Ir.kind =
-                          Ir.Store { ptr = Ir.Reg pid; size; is_float; v };
-                        _
-                      } as sti)
-                     :: rest2 )
-                   when pid = g.Ir.id ->
-                     let am =
-                       AGep
-                         ( g.Ir.id,
-                           ishape ctx f rtys base,
-                           ishape ctx f rtys index,
-                           scale,
-                           offset )
-                     in
-                     build
-                       (compile_store ctx f rtys sti ~size ~is_float ~v
-                          ~fname:f.Ir.fname am
+                       (compile_access ctx f rtys next ~fname:f.Ir.fname am
                        :: acc)
                        rest2
                  | _ -> build (compile_instr ctx f rtys label_index g :: acc) rest)

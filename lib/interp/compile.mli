@@ -3,8 +3,8 @@
     Lowers each IR function to OCaml closures once per run — operand
     slots resolved to unboxed int/float array indices, binop/cmp cases
     and callees selected per site, globals resolved to addresses, and
-    per-site page caches for 8-byte memory traffic — then drives blocks
-    through an iterative trampoline. Observable behaviour (return value,
+    address computations fused into the loads and stores they feed —
+    then drives blocks through an iterative trampoline. Observable behaviour (return value,
     cycles, instruction counts, every backend hook and telemetry call,
     and hence guard/fault/span/counter output) is bit-identical to
     {!Interp.run}, which stays around as the differential oracle; the

@@ -2,41 +2,73 @@ let page_size = 4096
 let page_bits = 12
 let page_mask = page_size - 1
 
-(* [last_idx]/[last_page] cache the most recent lookup: accesses run in
-   page-local streaks, so most of them skip the hash. [last_idx] starts
-   at -1, which no [addr lsr page_bits] can equal. *)
+(* A direct-mapped cache of page handles sits in front of the page
+   table: page [idx] can only live in slot [idx land (cache_slots - 1)],
+   so a hit is one compare and one array load, and no access of any size
+   hashes. [tags.(s)] is the page index held by slot [s], or -1 (which no
+   [addr lsr page_bits] can equal) while the slot is empty. *)
+let cache_slots = 4096
+
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;
-  mutable last_idx : int;
-  mutable last_page : Bytes.t;
+  pages : Bytes.t Tfm_util.Int_table.t;
+  tags : int array;
+  cached : Bytes.t array;
 }
 
 let create () =
-  { pages = Hashtbl.create 1024; last_idx = -1; last_page = Bytes.empty }
+  {
+    pages = Tfm_util.Int_table.create 1024;
+    tags = Array.make cache_slots (-1);
+    cached = Array.make cache_slots Bytes.empty;
+  }
 
-(* Pages are only ever created, never dropped or replaced, so a handle
-   returned here stays the backing store of its index for the lifetime of
-   [t] — the last-page cache and the compiled engine's per-site page
-   caches rely on that. *)
-let page t idx =
-  if idx = t.last_idx then t.last_page
-  else begin
-    let p =
-      match Hashtbl.find_opt t.pages idx with
-      | Some p -> p
-      | None ->
-          let p = Bytes.make page_size '\000' in
-          Hashtbl.replace t.pages idx p;
-          p
-    in
-    t.last_idx <- idx;
-    t.last_page <- p;
-    p
-  end
+(* Pages are only ever created, never dropped or replaced, so a cached
+   handle stays the backing store of its index for the lifetime of
+   [t]. *)
+let fill t idx slot =
+  let p =
+    match Tfm_util.Int_table.find t.pages idx with
+    | p -> p
+    | exception Not_found ->
+        let p = Bytes.make page_size '\000' in
+        Tfm_util.Int_table.add t.pages idx p;
+        p
+  in
+  Array.unsafe_set t.tags slot idx;
+  Array.unsafe_set t.cached slot p;
+  p
 
-let page_of t idx = page t idx
+let[@inline] page t idx =
+  let slot = idx land (cache_slots - 1) in
+  if Array.unsafe_get t.tags slot = idx then Array.unsafe_get t.cached slot
+  else fill t idx slot
 
-let rec load t ~addr ~size =
+(* An access that spans a page boundary goes byte by byte, little-endian,
+   as the low [size] bytes of an [int64]. *)
+let load_bytes t ~addr ~size =
+  let v = ref 0L in
+  for k = size - 1 downto 0 do
+    let a = addr + k in
+    let b = Bytes.get_uint8 (page t (a lsr page_bits)) (a land page_mask) in
+    v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int b)
+  done;
+  !v
+
+let store_bytes t ~addr ~size v =
+  for k = 0 to size - 1 do
+    let a = addr + k in
+    Bytes.set_uint8
+      (page t (a lsr page_bits))
+      (a land page_mask)
+      (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF)
+  done
+
+(* A byte access never spans, so the spanning paths check the size
+   themselves and the in-page paths reject a bad one in their match. *)
+let spanning_size fn size =
+  if size <> 2 && size <> 4 && size <> 8 then invalid_arg (fn ^ ": size")
+
+let load t ~addr ~size =
   let off = addr land page_mask in
   if off + size <= page_size then begin
     let p = page t (addr lsr page_bits) in
@@ -50,15 +82,11 @@ let rec load t ~addr ~size =
     | _ -> invalid_arg "Memstore.load: size"
   end
   else begin
-    (* Access spans a page boundary: assemble byte by byte. *)
-    let v = ref 0 in
-    for k = size - 1 downto 0 do
-      v := (!v lsl 8) lor load t ~addr:(addr + k) ~size:1
-    done;
-    !v
+    spanning_size "Memstore.load" size;
+    Int64.to_int (load_bytes t ~addr ~size) land max_int
   end
 
-let rec store t ~addr ~size v =
+let store t ~addr ~size v =
   let off = addr land page_mask in
   if off + size <= page_size then begin
     let p = page t (addr lsr page_bits) in
@@ -69,66 +97,42 @@ let rec store t ~addr ~size v =
     | 8 -> Bytes.set_int64_le p off (Int64.of_int v)
     | _ -> invalid_arg "Memstore.store: size"
   end
-  else
-    for k = 0 to size - 1 do
-      store t ~addr:(addr + k) ~size:1 ((v lsr (k * 8)) land 0xFF)
-    done
-
-let load_float t ~addr =
-  let off = addr land page_mask in
-  if off + 8 <= page_size then
-    Int64.float_of_bits (Bytes.get_int64_le (page t (addr lsr page_bits)) off)
   else begin
-    let bits = ref 0L in
-    for k = 7 downto 0 do
-      bits :=
-        Int64.logor
-          (Int64.shift_left !bits 8)
-          (Int64.of_int (load t ~addr:(addr + k) ~size:1))
-    done;
-    Int64.float_of_bits !bits
+    spanning_size "Memstore.store" size;
+    store_bytes t ~addr ~size (Int64.of_int v)
   end
 
-let store_float t ~addr x =
+(* The 8 bytes at [addr] as an [int64]. Inlined into each 8-byte
+   accessor below, so the word stays unboxed on the way to or from the
+   page. *)
+let[@inline] load_word t ~addr =
   let off = addr land page_mask in
   if off + 8 <= page_size then
-    Bytes.set_int64_le (page t (addr lsr page_bits)) off (Int64.bits_of_float x)
-  else begin
-    let bits = Int64.bits_of_float x in
-    for k = 0 to 7 do
-      store t ~addr:(addr + k) ~size:1
-        (Int64.to_int (Int64.shift_right_logical bits (k * 8)) land 0xFF)
-    done
-  end
+    Bytes.get_int64_le (page t (addr lsr page_bits)) off
+  else load_bytes t ~addr ~size:8
+
+let[@inline] store_word t ~addr v =
+  let off = addr land page_mask in
+  if off + 8 <= page_size then
+    Bytes.set_int64_le (page t (addr lsr page_bits)) off v
+  else store_bytes t ~addr ~size:8 v
 
 (* Full-fidelity 64-bit accessors for byte movers (replication,
    checksums): [load ~size:8] truncates to OCaml's 63-bit int, which
    would silently clear the top bit of every word copied through it —
    e.g. the sign bit of negative doubles. *)
-let load64 t ~addr =
-  let off = addr land page_mask in
-  if off + 8 <= page_size then
-    Bytes.get_int64_le (page t (addr lsr page_bits)) off
-  else begin
-    let v = ref 0L in
-    for k = 7 downto 0 do
-      v :=
-        Int64.logor
-          (Int64.shift_left !v 8)
-          (Int64.of_int (load t ~addr:(addr + k) ~size:1))
-    done;
-    !v
-  end
+let load64 t ~addr = load_word t ~addr
+let store64 t ~addr v = store_word t ~addr v
+let load_float t ~addr = Int64.float_of_bits (load_word t ~addr)
+let store_float t ~addr x = store_word t ~addr (Int64.bits_of_float x)
 
-let store64 t ~addr v =
-  let off = addr land page_mask in
-  if off + 8 <= page_size then
-    Bytes.set_int64_le (page t (addr lsr page_bits)) off v
-  else
-    for k = 0 to 7 do
-      store t ~addr:(addr + k) ~size:1
-        (Int64.to_int (Int64.shift_right_logical v (k * 8)) land 0xFF)
-    done
+(* A float returned from or passed to a function in another module is
+   boxed, one allocation per access; these move it through an array. *)
+let load_float_into t ~addr regs i =
+  regs.(i) <- Int64.float_of_bits (load_word t ~addr)
+
+let store_float_from t ~addr regs i =
+  store_word t ~addr (Int64.bits_of_float regs.(i))
 
 (* Visit [addr, addr + len) one page at a time: [f page off pos n]
    covers [n] bytes from [off] in [page], which are bytes [pos ..] of the

@@ -3,21 +3,39 @@
     Both the "local DRAM" and the "remote server" of the simulated cluster
     store real data here, so workloads compute real results (STREAM sums
     check out, hash lookups return the stored values). Pages materialize
-    lazily and read as zero before the first write, like anonymous mmap. *)
+    lazily and read as zero before the first write, like anonymous mmap.
+
+    Pages live in an int-keyed table behind a direct-mapped cache of
+    4096 page handles: page [i] can only occupy slot [i mod 4096], so
+    pages [i] and [i + 4096 k] evict each other and every other access
+    finds its page by one tag compare, without hashing. The cache costs
+    64 KiB per store and is not configurable. *)
 
 type t
 
 val create : unit -> t
 
 val load : t -> addr:int -> size:int -> int
-(** Little-endian load of 1, 2, 4 or 8 bytes. 8-byte loads fill the OCaml
-    63-bit int; the top byte is truncated to keep values non-negative
-    tags intact (all simulated data fits 63 bits). *)
+(** Little-endian load of 1, 2, 4 or 8 bytes, within a page or across a
+    page boundary alike. 8-byte loads fill the OCaml 63-bit int: the
+    top bit is cleared, so values stay non-negative (all simulated data
+    fits 63 bits). Any other size raises [Invalid_argument]. *)
 
 val store : t -> addr:int -> size:int -> int -> unit
+(** Little-endian store of the low 1, 2, 4 or 8 bytes of the value; any
+    other size raises [Invalid_argument]. *)
 
 val load_float : t -> addr:int -> float
 val store_float : t -> addr:int -> float -> unit
+
+val load_float_into : t -> addr:int -> float array -> int -> unit
+(** [load_float_into t ~addr regs i] is [regs.(i) <- load_float t ~addr]
+    without boxing the float on the way: the compiled engine's float
+    register file takes loads this way. *)
+
+val store_float_from : t -> addr:int -> float array -> int -> unit
+(** [store_float_from t ~addr regs i] is [store_float t ~addr regs.(i)]
+    without boxing. *)
 
 val load64 : t -> addr:int -> int64
 val store64 : t -> addr:int -> int64 -> unit
@@ -42,10 +60,3 @@ val page_bits : int
 
 val page_mask : int
 (** [page_size - 1]. *)
-
-val page_of : t -> int -> Bytes.t
-(** [page_of t idx] is the backing bytes of page [idx], materializing a
-    zeroed page on first touch. Pages are never dropped or replaced, so
-    the handle stays valid (and authoritative) for the lifetime of [t];
-    the compiled execution engine caches it per access site to skip the
-    hash lookup on page-local streaks. *)

@@ -183,11 +183,21 @@ let with_spans t f =
   | Rec { spans = None; _ } -> ()
   | Rec { spans = Some sp; _ } -> f sp
 
-let op_begin t ~cls = with_spans t (fun sp -> Span.op_begin sp ~cls)
-let op_end t = with_spans t (fun sp -> Span.op_end sp)
-let cat_enter t cat = with_spans t (fun sp -> Span.enter sp cat)
-let cat_exit t = with_spans t (fun sp -> Span.exit sp)
-let cat_reclass t cat = with_spans t (fun sp -> Span.reclass sp cat)
+(* The span hooks run on every guard, so they match on the sink
+   directly: a [with_spans] closure would capture its argument and
+   allocate on each call, even on [Nop]. *)
+let op_begin t ~cls =
+  match t with Rec { spans = Some sp; _ } -> Span.op_begin sp ~cls | _ -> ()
+
+let op_end = function Rec { spans = Some sp; _ } -> Span.op_end sp | _ -> ()
+
+let cat_enter t cat =
+  match t with Rec { spans = Some sp; _ } -> Span.enter sp cat | _ -> ()
+
+let cat_exit = function Rec { spans = Some sp; _ } -> Span.exit sp | _ -> ()
+
+let cat_reclass t cat =
+  match t with Rec { spans = Some sp; _ } -> Span.reclass sp cat | _ -> ()
 
 (* -- flight recorder ------------------------------------------------------ *)
 

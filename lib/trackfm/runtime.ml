@@ -22,10 +22,15 @@ let c_chunk_inits = Clock.counter "tfm.chunk_inits"
 let c_boundary_checks = Clock.counter "tfm.boundary_checks"
 let c_locality_guards = Clock.counter "tfm.locality_guards"
 
+(* The object a chunked loop holds pinned: class [cur_cls] (-1 while
+   none is pinned) and object id [cur_id]. *)
 type chunk_state = {
-  mutable cur : (int * int) option; (* pinned (class, object id) *)
+  mutable cur_cls : int;
+  mutable cur_id : int;
   mutable stride_bytes : int;
 }
+
+let no_chunk () = { cur_cls = -1; cur_id = 0; stride_bytes = 0 }
 
 (* One far-memory size class: its own pool (budget share), allocator range
    and object-size exponent. The default configuration has exactly one. *)
@@ -46,7 +51,7 @@ type t = {
   prefetch : bool;
   prefetch_depth : int;
   meta_cache : int array;
-  chunks : (int, chunk_state) Hashtbl.t;
+  mutable chunks : chunk_state array; (* indexed by chunk handle *)
   mutable telemetry : Telemetry.Sink.t;
   (* Hybrid data plane: accesses the route pass moved to the page path
      swap against this Fastswap-style pager instead of taking a guard.
@@ -126,7 +131,7 @@ let create ?(use_state_table = true) ?(prefetch = true) ?size_classes ?policy
     prefetch;
     prefetch_depth = 8;
     meta_cache = Array.make meta_cache_slots (-1);
-    chunks = Hashtbl.create 16;
+    chunks = [||];
     telemetry;
     faults;
     cluster;
@@ -151,7 +156,7 @@ let cls_of_ptr t ptr =
   let idx = Nc_ptr.size_class ptr in
   if idx >= Array.length t.classes then
     invalid_arg "Runtime: pointer with unknown size class"
-  else (idx, t.classes.(idx))
+  else idx
 
 let object_id (c : size_class) ptr =
   Nc_ptr.object_id ptr ~object_size_log2:c.osize_log2
@@ -183,7 +188,7 @@ let tfm_calloc t count size =
 
 let tfm_free t ptr =
   Clock.tick t.clock malloc_cost;
-  let _, c = cls_of_ptr t ptr in
+  let c = t.classes.(cls_of_ptr t ptr) in
   let cls_bytes = Region_alloc.size_of c.alloc ptr in
   Region_alloc.free c.alloc ptr;
   (* Objects fully covered by the dead block are released back to the
@@ -200,7 +205,7 @@ let tfm_free t ptr =
 let tfm_realloc t ptr n =
   if ptr = 0 then tfm_malloc t n
   else begin
-    let _, c = cls_of_ptr t ptr in
+    let c = t.classes.(cls_of_ptr t ptr) in
     let old_req = Region_alloc.requested_size_of c.alloc ptr in
     let cls_size = Region_alloc.size_of c.alloc ptr in
     if n <= cls_size then ptr
@@ -266,7 +271,8 @@ let guard t ~ptr ~size ~write =
        miss is known, so metadata-lookup cycles land with the outcome
        they led to. *)
     Telemetry.Sink.cat_enter tel Telemetry.Span.Guard_fast;
-    let cls_idx, c = cls_of_ptr t ptr in
+    let cls_idx = cls_of_ptr t ptr in
+    let c = t.classes.(cls_idx) in
     let id = object_id c ptr in
     metadata_lookup t cls_idx id;
     let fast = Pool.is_local c.pool id in
@@ -348,24 +354,27 @@ let page_accesses t = Clock.value t.clock c_page_accesses
 
 (* -- loop chunking ------------------------------------------------------- *)
 
+(* Chunk_pass numbers handles densely from 0, so the state table grows to
+   the module's chunk-site count. *)
 let chunk_state t handle =
-  match Hashtbl.find_opt t.chunks handle with
-  | Some s -> s
-  | None ->
-      let s = { cur = None; stride_bytes = 0 } in
-      Hashtbl.replace t.chunks handle s;
-      s
+  let n = Array.length t.chunks in
+  if handle >= n then
+    t.chunks <-
+      Array.init (max (handle + 1) (2 * n)) (fun h ->
+          if h < n then t.chunks.(h) else no_chunk ());
+  t.chunks.(handle)
 
-let unpin_cur t = function
-  | Some (cls_idx, old) -> Pool.unpin t.classes.(cls_idx).pool old
-  | None -> ()
+let unpin_cur t s =
+  if s.cur_cls >= 0 then begin
+    Pool.unpin t.classes.(s.cur_cls).pool s.cur_id;
+    s.cur_cls <- -1
+  end
 
 let chunk_init t ~handle ~stride_bytes =
   let s = chunk_state t handle in
   (* A dangling pin can remain if a previous loop exited via an
      unstructured edge; release it. *)
-  unpin_cur t s.cur;
-  s.cur <- None;
+  unpin_cur t s;
   s.stride_bytes <- stride_bytes;
   (* Loop-entry runtime call; the first access then crosses into its
      object and pays the locality invariant guard, so the total entry
@@ -392,45 +401,46 @@ let chunk_access t ~handle ~ptr ~size ~write =
   end
   else begin
     let s = chunk_state t handle in
-    let cls_idx, c = cls_of_ptr t ptr in
+    let cls_idx = cls_of_ptr t ptr in
+    let c = t.classes.(cls_idx) in
     let id = object_id c ptr in
     (* Per-access overhead is fast-path work; a boundary crossing that
        has to pull the object reclassifies to the slow path below. *)
     Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_fast;
     Clock.tick t.clock t.cost.Cost_model.boundary_check;
     Clock.add t.clock c_boundary_checks 1;
-    (match s.cur with
-    | Some (ci, cur) when ci = cls_idx && cur = id -> ()
-    | prev ->
-        (* Object boundary crossed: the locality invariant guard. Like
-           any guard it resolves the new object's state-table entry, so
-           it shares the metadata-cache model. *)
-        let tel = t.telemetry in
-        let active = Telemetry.Sink.is_active tel in
-        let c0 = Clock.cycles t.clock in
-        let bin0 = if active then Clock.value t.clock c_bytes_in else 0 in
-        let bout0 = if active then Clock.value t.clock c_bytes_out else 0 in
-        unpin_cur t prev;
-        metadata_lookup t cls_idx id;
-        Clock.tick t.clock t.cost.Cost_model.locality_guard;
-        Clock.add t.clock c_locality_guards 1;
-        if not (Pool.is_local c.pool id) then
-          Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
-        Pool.ensure_local c.pool id;
-        Pool.pin c.pool id;
-        s.cur <- Some (cls_idx, id);
-        let stride_objects =
-          if s.stride_bytes = 0 then 0
-          else if s.stride_bytes > 0 then
-            max 1 (s.stride_bytes asr c.osize_log2)
-          else min (-1) (-(-s.stride_bytes asr c.osize_log2))
-        in
-        issue_prefetch t c id stride_objects;
-        if active then
-          Telemetry.Sink.guard_event tel ~path:`Locality ~write
-            ~cycles:(Clock.cycles t.clock - c0)
-            ~bytes_in:(Clock.value t.clock c_bytes_in - bin0)
-            ~bytes_out:(Clock.value t.clock c_bytes_out - bout0));
+    if s.cur_cls <> cls_idx || s.cur_id <> id then begin
+      (* Object boundary crossed: the locality invariant guard. Like
+         any guard it resolves the new object's state-table entry, so
+         it shares the metadata-cache model. *)
+      let tel = t.telemetry in
+      let active = Telemetry.Sink.is_active tel in
+      let c0 = Clock.cycles t.clock in
+      let bin0 = if active then Clock.value t.clock c_bytes_in else 0 in
+      let bout0 = if active then Clock.value t.clock c_bytes_out else 0 in
+      unpin_cur t s;
+      metadata_lookup t cls_idx id;
+      Clock.tick t.clock t.cost.Cost_model.locality_guard;
+      Clock.add t.clock c_locality_guards 1;
+      if not (Pool.is_local c.pool id) then
+        Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
+      Pool.ensure_local c.pool id;
+      Pool.pin c.pool id;
+      s.cur_cls <- cls_idx;
+      s.cur_id <- id;
+      let stride_objects =
+        if s.stride_bytes = 0 then 0
+        else if s.stride_bytes > 0 then
+          max 1 (s.stride_bytes asr c.osize_log2)
+        else min (-1) (-(-s.stride_bytes asr c.osize_log2))
+      in
+      issue_prefetch t c id stride_objects;
+      if active then
+        Telemetry.Sink.guard_event tel ~path:`Locality ~write
+          ~cycles:(Clock.cycles t.clock - c0)
+          ~bytes_in:(Clock.value t.clock c_bytes_in - bin0)
+          ~bytes_out:(Clock.value t.clock c_bytes_out - bout0)
+    end;
     if write then Pool.mark_dirty c.pool id;
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -438,11 +448,7 @@ let chunk_access t ~handle ~ptr ~size ~write =
   end
 
 let chunk_end t ~handle =
-  match Hashtbl.find_opt t.chunks handle with
-  | Some s ->
-      unpin_cur t s.cur;
-      s.cur <- None
-  | None -> ()
+  if handle < Array.length t.chunks then unpin_cur t t.chunks.(handle)
 
 (* -- introspection ------------------------------------------------------- *)
 

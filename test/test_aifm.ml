@@ -90,6 +90,41 @@ let test_pin_counts_nested () =
        false
      with Invalid_argument _ -> true)
 
+(* Pin counts live in an array indexed by object id that grows on
+   demand: an id far past its initial length pins, nests, survives
+   eviction pressure and unpins like a small one. *)
+let test_pin_counts_past_initial_length () =
+  let pool, _ = make_pool ~local_budget:(2 * 4096) () in
+  let id = 100_000 in
+  Alcotest.(check bool) "never pinned" false (Aifm.Pool.pinned pool id);
+  Aifm.Pool.ensure_local pool id;
+  Aifm.Pool.pin pool id;
+  Aifm.Pool.pin pool id;
+  Alcotest.(check bool) "neighbour not pinned" false
+    (Aifm.Pool.pinned pool (id + 1));
+  Alcotest.(check bool) "id past the grown array not pinned" false
+    (Aifm.Pool.pinned pool (100 * id));
+  for other = 0 to 5 do
+    Aifm.Pool.ensure_local pool other
+  done;
+  Alcotest.(check bool) "pinned object survived pressure" true
+    (Aifm.Pool.is_local pool id);
+  Aifm.Pool.unpin pool id;
+  Alcotest.(check bool) "still pinned after one unpin" true
+    (Aifm.Pool.pinned pool id);
+  Aifm.Pool.unpin pool id;
+  Alcotest.(check bool) "fully unpinned" false (Aifm.Pool.pinned pool id);
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (Printf.sprintf "unbalanced unpin of %d rejected" id)
+        true
+        (try
+           Aifm.Pool.unpin pool id;
+           false
+         with Invalid_argument _ -> true))
+    [ id; 100 * id ]
+
 let test_prefetched_fetch_cost () =
   let pool, clock = make_pool ~local_budget:(64 * 4096) () in
   (* Create remote copies: touch, dirty, evict. *)
@@ -386,6 +421,8 @@ let suite =
       Alcotest.test_case "pinned never evicted" `Quick test_pinned_never_evicted;
       Alcotest.test_case "out of local memory" `Quick test_out_of_local_memory;
       Alcotest.test_case "nested pins" `Quick test_pin_counts_nested;
+      Alcotest.test_case "pins past the initial id range" `Quick
+        test_pin_counts_past_initial_length;
       Alcotest.test_case "prefetched fetch" `Quick test_prefetched_fetch_cost;
       Alcotest.test_case "prefetch w/o remote copy" `Quick
         test_prefetch_ignored_without_remote_copy;

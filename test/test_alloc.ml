@@ -1,0 +1,93 @@
+(* The per-access paths below the execution engines allocate nothing.
+
+   Each case calls its path once to warm up (first touches materialize
+   pages, objects and chunk state), then counts minor-heap words over
+   10,000 more calls. Allocation counts are deterministic, so this keeps
+   the hot paths free of hashing, option and closure garbage without a
+   wall-clock gate. *)
+
+module R = Trackfm.Runtime
+module Sink = Telemetry.Sink
+
+let calls = 10_000
+
+let words_per_call f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* A fraction of a word is the two boxed floats [Gc.minor_words]
+   returns; any allocation on the path itself costs at least one word
+   per call. *)
+let zero_alloc what f =
+  let w = words_per_call f in
+  if w >= 0.5 then Alcotest.failf "%s: %.2f words per call, want 0" what w
+
+let test_memstore () =
+  let s = Memstore.create () in
+  let a = (5 * Memstore.page_size) + 8 and b = (9 * Memstore.page_size) + 16 in
+  zero_alloc "loads and stores alternating between two pages" (fun () ->
+      Memstore.store s ~addr:a ~size:8 (Memstore.load s ~addr:b ~size:8 + 1);
+      Memstore.store s ~addr:b ~size:4 (Memstore.load s ~addr:a ~size:4));
+  let regs = [| 1.5; 0.0 |] in
+  zero_alloc "float register loads and stores" (fun () ->
+      Memstore.store_float_from s ~addr:a regs 0;
+      Memstore.load_float_into s ~addr:b regs 1;
+      Memstore.store_float_from s ~addr:b regs 0;
+      Memstore.load_float_into s ~addr:a regs 1)
+
+let make_rt () =
+  let clock = Clock.create () in
+  R.create Cost_model.default clock (Memstore.create ()) ~object_size:4096
+    ~local_budget:(16 * 4096)
+
+let test_guard () =
+  let rt = make_rt () in
+  let p = R.tfm_malloc rt 4096 in
+  zero_alloc "fast read guard" (fun () ->
+      R.guard rt ~ptr:(p + 64) ~size:8 ~write:false);
+  zero_alloc "fast write guard" (fun () ->
+      R.guard rt ~ptr:(p + 64) ~size:8 ~write:true);
+  zero_alloc "custody check" (fun () ->
+      R.guard rt ~ptr:(1 lsl 30) ~size:8 ~write:false)
+
+let test_chunk_access () =
+  let rt = make_rt () in
+  let p = R.tfm_malloc rt 4096 in
+  R.chunk_init rt ~handle:0 ~stride_bytes:8;
+  zero_alloc "chunk access inside the pinned object" (fun () ->
+      R.chunk_access rt ~handle:0 ~ptr:(p + 128) ~size:8 ~write:false;
+      R.chunk_access rt ~handle:0 ~ptr:(p + 136) ~size:8 ~write:true)
+
+let test_pin () =
+  let clock = Clock.create () in
+  let net = Net.create Cost_model.default clock Net.Tcp in
+  let pool =
+    Aifm.Pool.create Cost_model.default clock ~net ~object_size:4096
+      ~local_budget:(4 * 4096)
+  in
+  Aifm.Pool.ensure_local pool 3;
+  zero_alloc "pin then unpin" (fun () ->
+      Aifm.Pool.pin pool 3;
+      Aifm.Pool.unpin pool 3)
+
+let test_span_hooks () =
+  zero_alloc "cat_enter then cat_exit on the nop sink" (fun () ->
+      Sink.cat_enter Sink.nop Telemetry.Span.Guard_fast;
+      Sink.cat_exit Sink.nop);
+  zero_alloc "op_begin then op_end on the nop sink" (fun () ->
+      Sink.op_begin Sink.nop ~cls:1;
+      Sink.op_end Sink.nop)
+
+let suite =
+  ( "zero allocation",
+    [
+      Alcotest.test_case "memstore accesses" `Quick test_memstore;
+      Alcotest.test_case "guards" `Quick test_guard;
+      Alcotest.test_case "chunk access" `Quick test_chunk_access;
+      Alcotest.test_case "pool pins" `Quick test_pin;
+      Alcotest.test_case "span hooks" `Quick test_span_hooks;
+    ] )

@@ -22,4 +22,5 @@ let () =
       Test_engine.suite;
       Test_integration.suite;
       Test_run_spec.suite;
+      Test_alloc.suite;
     ]

@@ -70,6 +70,52 @@ let test_memstore_page_spanning () =
     (0x1122334455667788 land max_int)
     (Memstore.load s ~addr ~size:8)
 
+(* An 8-byte store sign-extends and an 8-byte load truncates to 63 bits
+   on the spanning path as on the in-page path: after a store of -1 both
+   paths hold all-ones bytes and read [max_int]. *)
+let test_memstore_spanning_mask () =
+  let s = Memstore.create () in
+  List.iter
+    (fun addr ->
+      Memstore.store s ~addr ~size:8 (-1);
+      Alcotest.(check int64)
+        (Printf.sprintf "all 64 bits stored at %d" addr)
+        (-1L) (Memstore.load64 s ~addr);
+      Alcotest.(check int)
+        (Printf.sprintf "8-byte load at %d" addr)
+        max_int
+        (Memstore.load s ~addr ~size:8))
+    [ 64; Memstore.page_size - 3 ]
+
+(* Sizes other than 1, 2, 4 and 8 are rejected within a page and across
+   a page boundary alike; a rejected store writes nothing. *)
+let test_memstore_bad_sizes () =
+  let s = Memstore.create () in
+  let rejects what f =
+    Alcotest.(check bool) what true
+      (match f () with () -> false | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun (addr, where) ->
+      List.iter
+        (fun size ->
+          rejects
+            (Printf.sprintf "load ~size:%d %s" size where)
+            (fun () -> ignore (Memstore.load s ~addr ~size));
+          rejects
+            (Printf.sprintf "store ~size:%d %s" size where)
+            (fun () -> Memstore.store s ~addr ~size (-1)))
+        [ 0; 3; 5; 16 ])
+    [ (64, "in a page"); (Memstore.page_size - 1, "across pages") ];
+  for addr = 64 to 80 do
+    Alcotest.(check int) "in-page bytes untouched" 0
+      (Memstore.load s ~addr ~size:1)
+  done;
+  for addr = Memstore.page_size - 1 to Memstore.page_size + 16 do
+    Alcotest.(check int) "spanning bytes untouched" 0
+      (Memstore.load s ~addr ~size:1)
+  done
+
 let test_memstore_floats () =
   let s = Memstore.create () in
   Memstore.store_float s ~addr:64 3.14159;
@@ -117,7 +163,8 @@ let test_memstore_bulk_copy_across_pages () =
 
 (* Random interleaved loads and stores over four pages, checked against
    a flat [Bytes] model: accesses switch pages and span page boundaries,
-   so the last-page cache is exercised on every kind of transition. *)
+   and stored values include negative ones, whose top bit an 8-byte load
+   clears on either path. *)
 let prop_memstore_model =
   let pages = 4 in
   let span = pages * Memstore.page_size in
@@ -125,7 +172,7 @@ let prop_memstore_model =
   let op =
     QCheck.Gen.(
       quad (int_range 0 3) (int_range 0 (span - 8)) (int_range 0 3)
-        (pair (int_range 0 max_int) float))
+        (pair int float))
   in
   let print (kind, off, szi, (v, x)) =
     Printf.sprintf "kind=%d off=%d size=%d v=%d x=%h" kind off
@@ -172,6 +219,79 @@ let prop_memstore_model =
              Memstore.load s ~addr:(base + off) ~size:1
              = Bytes.get_uint8 model off)
            (Seq.init span Fun.id))
+
+(* The same kind of check at addresses that collide in the page cache:
+   pages [i] and [i + k * slots] share a direct-mapped slot, and every
+   address region the simulator uses starts at a slot-0 page — globals,
+   the stack, the local heap and each TrackFM size class (its class bits
+   set). The model is a map from address to byte. *)
+let prop_memstore_aliasing =
+  let slots = 4096 in
+  let ps = Memstore.page_size in
+  let regions =
+    Array.append
+      [| 1 lsl 28 (* globals *); 1 lsl 30 (* stack *); Backend.heap_base |]
+      (Array.init 4 Trackfm.Nc_ptr.class_base)
+  in
+  let addr_gen =
+    QCheck.Gen.(
+      map
+        (fun (r, i, k, off) -> regions.(r) + ((i + (k * slots)) * ps) + off)
+        (quad
+           (int_range 0 (Array.length regions - 1))
+           (int_range 0 2) (int_range 0 3)
+           (oneof [ int_range 0 64; int_range (ps - 64) (ps - 1) ])))
+  in
+  let op =
+    QCheck.Gen.(
+      quad (int_range 0 3) addr_gen (int_range 0 3) (pair int float))
+  in
+  let print (kind, addr, szi, (v, x)) =
+    Printf.sprintf "kind=%d addr=%#x size=%d v=%d x=%h" kind addr
+      (List.nth [ 1; 2; 4; 8 ] szi) v x
+  in
+  QCheck.Test.make ~name:"memstore matches a byte model under slot aliasing"
+    ~count:200
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 1 300) op))
+    (fun ops ->
+      let s = Memstore.create () in
+      let model = Hashtbl.create 1024 in
+      let byte a = Option.value ~default:0 (Hashtbl.find_opt model a) in
+      let bits addr size =
+        let v = ref 0L in
+        for k = size - 1 downto 0 do
+          v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (byte (addr + k)))
+        done;
+        !v
+      in
+      let set_bits addr size v =
+        for k = 0 to size - 1 do
+          Hashtbl.replace model (addr + k)
+            (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xFF)
+        done
+      in
+      List.for_all
+        (fun (kind, addr, szi, (v, x)) ->
+          let size = List.nth [ 1; 2; 4; 8 ] szi in
+          match kind with
+          | 0 ->
+              Memstore.load s ~addr ~size
+              = Int64.to_int (bits addr size) land max_int
+          | 1 ->
+              Memstore.store s ~addr ~size v;
+              set_bits addr size (Int64.of_int v);
+              true
+          | 2 ->
+              Int64.bits_of_float (Memstore.load_float s ~addr) = bits addr 8
+          | _ ->
+              Memstore.store_float s ~addr x;
+              set_bits addr 8 (Int64.bits_of_float x);
+              true)
+        ops
+      && Hashtbl.fold
+           (fun a b ok -> ok && Memstore.load s ~addr:a ~size:1 = b)
+           model true)
 
 let prop_memstore_roundtrip =
   QCheck.Test.make ~name:"memstore store/load roundtrip" ~count:300
@@ -238,6 +358,10 @@ let suite =
       Alcotest.test_case "memstore sizes" `Quick test_memstore_rw_sizes;
       Alcotest.test_case "memstore zero" `Quick test_memstore_zero_default;
       Alcotest.test_case "memstore spanning" `Quick test_memstore_page_spanning;
+      Alcotest.test_case "memstore spanning load masks" `Quick
+        test_memstore_spanning_mask;
+      Alcotest.test_case "memstore rejects bad sizes" `Quick
+        test_memstore_bad_sizes;
       Alcotest.test_case "memstore floats" `Quick test_memstore_floats;
       Alcotest.test_case "memstore blit" `Quick test_memstore_blit;
       Alcotest.test_case "memstore bulk copy across pages" `Quick
@@ -248,4 +372,5 @@ let suite =
       Alcotest.test_case "tcp vs rdma" `Quick test_tcp_slower_than_rdma;
       QCheck_alcotest.to_alcotest prop_memstore_roundtrip;
       QCheck_alcotest.to_alcotest prop_memstore_model;
+      QCheck_alcotest.to_alcotest prop_memstore_aliasing;
     ] )

@@ -264,6 +264,53 @@ let test_table_render_and_csv () =
   let csv = Tfm_util.Table.to_csv t in
   Alcotest.(check string) "csv" "a,b\n1,2\n3,\"x,y\"" csv
 
+(* -- int ring -- *)
+
+module Ring = Tfm_util.Int_ring
+
+(* Growth while the contents wrap around the end of the array must keep
+   FIFO order: 16 pushes fill the initial capacity, 10 pops move the
+   head, and 20 more pushes wrap and then grow. *)
+let test_int_ring_grows_wrapped () =
+  let r = Ring.create () in
+  for x = 1 to 16 do Ring.push r x done;
+  for x = 1 to 10 do Alcotest.(check int) "pop" x (Ring.pop r) done;
+  for x = 17 to 36 do Ring.push r x done;
+  Alcotest.(check int) "length" 26 (Ring.length r);
+  for x = 11 to 36 do Alcotest.(check int) "pop after growth" x (Ring.pop r) done;
+  Alcotest.(check bool) "empty" true (Ring.is_empty r);
+  Alcotest.check_raises "pop on empty" Ring.Empty (fun () ->
+      ignore (Ring.pop r))
+
+(* Random push/pop sequences against [Stdlib.Queue], long enough to grow
+   the ring several times and to wrap around, with pops on an empty
+   ring. *)
+let prop_int_ring_matches_queue =
+  let op = QCheck.Gen.(frequency [ (3, map Option.some int); (2, return None) ]) in
+  let print = function Some x -> Printf.sprintf "push %d" x | None -> "pop" in
+  QCheck.Test.make ~name:"int ring matches Stdlib.Queue" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print)
+       QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+      let r = Ring.create () and q = Queue.create () in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Some x ->
+              Ring.push r x;
+              Queue.push x q;
+              true
+          | None -> (
+              match Queue.pop q with
+              | x -> Ring.pop r = x
+              | exception Queue.Empty -> (
+                  match Ring.pop r with
+                  | _ -> false
+                  | exception Ring.Empty -> true)))
+          && Ring.length r = Queue.length q
+          && Ring.is_empty r = Queue.is_empty q)
+        ops)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   ( "util",
@@ -293,7 +340,10 @@ let suite =
       Alcotest.test_case "ascii plot" `Quick test_ascii_plot_renders;
       Alcotest.test_case "ascii plot empty" `Quick test_ascii_plot_empty;
       Alcotest.test_case "table csv" `Quick test_table_render_and_csv;
+      Alcotest.test_case "int ring grows while wrapped" `Quick
+        test_int_ring_grows_wrapped;
       q prop_rng_int_in_bounds;
       q prop_rng_float_in_bounds;
       q prop_zipf_in_range;
+      q prop_int_ring_matches_queue;
     ] )
