@@ -10,6 +10,7 @@ let bit_swapped = 0x20 (* a remote copy exists *)
 (* Counter handles for the fetch and eviction paths. *)
 let c_writebacks = Clock.counter "aifm.writebacks"
 let c_evictions = Clock.counter "aifm.evictions"
+let c_evictions_deferred = Clock.counter "aifm.evictions_deferred"
 let c_materialized = Clock.counter "aifm.materialized"
 let c_demand_fetches = Clock.counter "aifm.demand_fetches"
 
@@ -108,86 +109,88 @@ let unpin t id =
 
 let is_local t id = get_meta t id land bit_local <> 0
 
-(* One sweep step of the CLOCK hand. Returns true if something was
-   evicted. Hot objects get a second chance; pinned objects are skipped
-   (requeued) — this is the evacuator barrier of Section 3.3. With
+(* One sweep step of the CLOCK hand, given at most [attempts] queue
+   entries to look at. Returns true if something was evicted. Hot
+   objects get a second chance; pinned objects are skipped (requeued) —
+   this is the evacuator barrier of Section 3.3. With
    [allow_writeback:false] (remote unreachable: circuit breaker open)
    dirty objects are also skipped: their only copy cannot be pushed out,
    so the evacuator degrades to dropping clean objects. *)
-let evict_one_with ~allow_writeback t =
-  let attempts = ref (2 * Ring.length t.clock_queue) in
-  let rec go () =
-    if Ring.is_empty t.clock_queue || !attempts = 0 then false
-    else begin
-      decr attempts;
-      let id = Ring.pop t.clock_queue in
-      let m = get_meta t id in
-      if m land bit_local = 0 then go () (* stale entry *)
-      else if pinned t id then begin
-        Ring.push t.clock_queue id;
-        go ()
-      end
-      else if t.policy = Clock_hand && m land bit_hot <> 0 then begin
-        set_meta t id (m land lnot bit_hot);
-        Ring.push t.clock_queue id;
-        go ()
-      end
-      else if (not allow_writeback) && m land bit_dirty <> 0 then begin
-        Ring.push t.clock_queue id;
-        go ()
-      end
-      else begin
-        let swapped =
-          if m land bit_dirty <> 0 then begin
-            Net.writeback_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
-            Clock.add t.clock c_writebacks 1;
-            Telemetry.Sink.writeback_event t.telemetry ~bytes:t.osize;
-            bit_swapped
-          end
-          else m land bit_swapped
-        in
-        set_meta t id (bit_exists lor swapped);
-        t.used <- t.used - t.osize;
-        t.nlocal <- t.nlocal - 1;
-        Clock.tick t.clock t.cost.Cost_model.evict_object;
-        Clock.add t.clock c_evictions 1;
-        Telemetry.Sink.evict_event t.telemetry;
-        true
-      end
+let rec sweep ~allow_writeback t attempts =
+  if Ring.is_empty t.clock_queue || attempts = 0 then false
+  else begin
+    let attempts = attempts - 1 in
+    let id = Ring.pop t.clock_queue in
+    let m = get_meta t id in
+    if m land bit_local = 0 then sweep ~allow_writeback t attempts (* stale *)
+    else if pinned t id then begin
+      Ring.push t.clock_queue id;
+      sweep ~allow_writeback t attempts
     end
-  in
-  go ()
+    else if t.policy = Clock_hand && m land bit_hot <> 0 then begin
+      set_meta t id (m land lnot bit_hot);
+      Ring.push t.clock_queue id;
+      sweep ~allow_writeback t attempts
+    end
+    else if (not allow_writeback) && m land bit_dirty <> 0 then begin
+      Ring.push t.clock_queue id;
+      sweep ~allow_writeback t attempts
+    end
+    else begin
+      let swapped =
+        if m land bit_dirty <> 0 then begin
+          Net.writeback_object t.net ~key:(t.addr_of_id id) ~bytes:t.osize;
+          Clock.add t.clock c_writebacks 1;
+          Telemetry.Sink.writeback_event t.telemetry ~bytes:t.osize;
+          bit_swapped
+        end
+        else m land bit_swapped
+      in
+      set_meta t id (bit_exists lor swapped);
+      t.used <- t.used - t.osize;
+      t.nlocal <- t.nlocal - 1;
+      Clock.tick t.clock t.cost.Cost_model.evict_object;
+      Clock.add t.clock c_evictions 1;
+      Telemetry.Sink.evict_event t.telemetry;
+      true
+    end
+  end
+
+let evict_one_with ~allow_writeback t =
+  sweep ~allow_writeback t (2 * Ring.length t.clock_queue)
 
 let evict_one t = evict_one_with ~allow_writeback:true t
 
 (* The evacuator's degraded mode: while the remote is unreachable it
    sheds clean objects only, and if even that fails it defers — local
    memory absorbs the overshoot, and the next pressure event after
-   recovery drains it back under budget (the [while] re-checks from the
-   top). Only a pinned-everything state with a reachable remote is a
-   genuine OOM. *)
+   recovery drains it back under budget (the budget is re-checked after
+   every eviction). Only a pinned-everything state with a reachable
+   remote is a genuine OOM. *)
+let rec evict_while_over t =
+  if t.used > t.budget then begin
+    let allow_writeback = Net.remote_available t.net in
+    if evict_one_with ~allow_writeback t then evict_while_over t
+    else if allow_writeback then raise Out_of_local_memory
+    else Clock.add t.clock c_evictions_deferred 1
+  end
+
 let evict_until_fits t =
   (* Making room is charged to the eviction-stall category: resync
      orchestration, CLOCK sweeps, writeback enqueues and the eviction
      ticks themselves (transport stalls nested inside keep their own
-     retry/failover attribution). *)
+     retry/failover attribution). The category closes on every exit. *)
   Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Evict_stall;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.Sink.cat_exit t.telemetry)
-    (fun () ->
-      (* The evacuator doubles as the recovery driver: each pressure event
-         advances background re-replication onto any recovering node. *)
-      ignore (Net.resync_step t.net : int);
-      let deferred = ref false in
-      while (not !deferred) && t.used > t.budget do
-        let allow_writeback = Net.remote_available t.net in
-        if evict_one_with ~allow_writeback t then ()
-        else if allow_writeback then raise Out_of_local_memory
-        else begin
-          Clock.count t.clock "aifm.evictions_deferred" 1;
-          deferred := true
-        end
-      done)
+  match
+    (* The evacuator doubles as the recovery driver: each pressure event
+       advances background re-replication onto any recovering node. *)
+    ignore (Net.resync_step t.net : int);
+    evict_while_over t
+  with
+  | () -> Telemetry.Sink.cat_exit t.telemetry
+  | exception e ->
+      Telemetry.Sink.cat_exit t.telemetry;
+      raise e
 
 let make_local t id m =
   set_meta t id (m lor bit_exists lor bit_local lor bit_hot);
@@ -195,9 +198,14 @@ let make_local t id m =
   t.nlocal <- t.nlocal + 1;
   Ring.push t.clock_queue id;
   (* The object being localized is in use by the caller (it is inside a
-     guard or DerefScope): the evacuator must not pick it. *)
+     guard or DerefScope): the evacuator must not pick it, and the pin
+     is dropped on every exit. *)
   pin t id;
-  Fun.protect ~finally:(fun () -> unpin t id) (fun () -> evict_until_fits t)
+  match evict_until_fits t with
+  | () -> unpin t id
+  | exception e ->
+      unpin t id;
+      raise e
 
 let materialize t id =
   let m = get_meta t id in

@@ -35,40 +35,45 @@ let issue t ~from ~stride =
 
 let max_learnable_stride = 64
 
+(* The index of the stream that [id] continues, advancing or training
+   it, or -1 if none does; streams are tried from [i] on. *)
+let rec find_stream t id i =
+  if i >= Array.length t.table then -1
+  else
+    let s = t.table.(i) in
+    if s.last = min_int then find_stream t id (i + 1)
+    else if id = s.last then i (* repeat access: no new info *)
+    else if s.stride <> 0 && id = s.last + s.stride then begin
+      s.last <- id;
+      s.confidence <- s.confidence + 1;
+      s.age <- t.tick;
+      i
+    end
+    else if s.stride = 0 && abs (id - s.last) <= max_learnable_stride then begin
+      s.stride <- id - s.last;
+      s.last <- id;
+      s.confidence <- 1;
+      s.age <- t.tick;
+      i
+    end
+    else find_stream t id (i + 1)
+
 let access t id =
   t.tick <- t.tick + 1;
-  let rec find i =
-    if i >= Array.length t.table then None
-    else
-      let s = t.table.(i) in
-      if s.last = min_int then find (i + 1)
-      else if id = s.last then Some s (* repeat access: no new info *)
-      else if s.stride <> 0 && id = s.last + s.stride then begin
-        s.last <- id;
-        s.confidence <- s.confidence + 1;
-        s.age <- t.tick;
-        Some s
-      end
-      else if s.stride = 0 && abs (id - s.last) <= max_learnable_stride
-      then begin
-        s.stride <- id - s.last;
-        s.last <- id;
-        s.confidence <- 1;
-        s.age <- t.tick;
-        Some s
-      end
-      else find (i + 1)
-  in
-  match find 0 with
-  | Some s -> if s.confidence >= 2 then issue t ~from:id ~stride:s.stride
-  | None ->
-      (* Replace the least recently advanced stream. *)
-      let victim =
-        Array.fold_left
-          (fun best s -> if s.age < best.age then s else best)
-          t.table.(0) t.table
-      in
-      victim.last <- id;
-      victim.stride <- 0;
-      victim.confidence <- 0;
-      victim.age <- t.tick
+  let i = find_stream t id 0 in
+  if i >= 0 then begin
+    let s = t.table.(i) in
+    if s.confidence >= 2 then issue t ~from:id ~stride:s.stride
+  end
+  else begin
+    (* Replace the least recently advanced stream (the first, on ties). *)
+    let v = ref 0 in
+    for k = 1 to Array.length t.table - 1 do
+      if t.table.(k).age < t.table.(!v).age then v := k
+    done;
+    let victim = t.table.(!v) in
+    victim.last <- id;
+    victim.stride <- 0;
+    victim.confidence <- 0;
+    victim.age <- t.tick
+  end

@@ -16,6 +16,7 @@ let c_evictions = Clock.counter "fastswap.evictions"
 let c_major_faults = Clock.counter "fastswap.major_faults"
 let c_readahead_pages = Clock.counter "fastswap.readahead_pages"
 let c_minor_faults = Clock.counter "fastswap.minor_faults"
+let c_reclaim_deferred = Clock.counter "fastswap.reclaim_deferred"
 
 type t = {
   cost : Cost_model.t;
@@ -59,71 +60,73 @@ let set_state t p s = Pages.replace t.state p s
 let is_present t ~addr = get_state t (addr lsr page_bits) land bit_present <> 0
 let present_pages t = t.present
 
-(* Second-chance reclaim, the kernel's approximated LRU. With
-   [allow_writeback:false] (remote unreachable) dirty pages are skipped:
-   their only copy cannot be pushed out, so reclaim degrades to dropping
-   clean pages — the same backpressure absorption as the AIFM
-   evacuator's. *)
-let reclaim_one_with ~allow_writeback t =
-  let attempts = ref (2 * Ring.length t.lru) in
-  let rec go () =
-    if Ring.is_empty t.lru || !attempts = 0 then false
-    else begin
-      decr attempts;
-      let p = Ring.pop t.lru in
-      let s = get_state t p in
-      if s land bit_present = 0 then go ()
-      else if s land bit_hot <> 0 then begin
-        set_state t p (s land lnot bit_hot);
-        Ring.push t.lru p;
-        go ()
-      end
-      else if (not allow_writeback) && s land bit_dirty <> 0 then begin
-        Ring.push t.lru p;
-        go ()
-      end
-      else begin
-        if s land bit_dirty <> 0 then begin
-          Net.writeback_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
-          Clock.add t.clock c_writebacks 1
-        end;
-        set_state t p ((s lor bit_swapped) land lnot (bit_present lor bit_dirty));
-        t.present <- t.present - 1;
-        Clock.tick t.clock t.cost.Cost_model.evict_page;
-        Clock.add t.clock c_evictions 1;
-        true
-      end
+(* Second-chance reclaim, the kernel's approximated LRU, given at most
+   [attempts] queue entries to look at. With [allow_writeback:false]
+   (remote unreachable) dirty pages are skipped: their only copy cannot
+   be pushed out, so reclaim degrades to dropping clean pages — the same
+   backpressure absorption as the AIFM evacuator's. *)
+let rec reclaim_from ~allow_writeback t attempts =
+  if Ring.is_empty t.lru || attempts = 0 then false
+  else begin
+    let attempts = attempts - 1 in
+    let p = Ring.pop t.lru in
+    let s = get_state t p in
+    if s land bit_present = 0 then reclaim_from ~allow_writeback t attempts
+    else if s land bit_hot <> 0 then begin
+      set_state t p (s land lnot bit_hot);
+      Ring.push t.lru p;
+      reclaim_from ~allow_writeback t attempts
     end
-  in
-  go ()
+    else if (not allow_writeback) && s land bit_dirty <> 0 then begin
+      Ring.push t.lru p;
+      reclaim_from ~allow_writeback t attempts
+    end
+    else begin
+      if s land bit_dirty <> 0 then begin
+        Net.writeback_object t.net ~key:(p lsl page_bits) ~bytes:page_size;
+        Clock.add t.clock c_writebacks 1
+      end;
+      set_state t p ((s lor bit_swapped) land lnot (bit_present lor bit_dirty));
+      t.present <- t.present - 1;
+      Clock.tick t.clock t.cost.Cost_model.evict_page;
+      Clock.add t.clock c_evictions 1;
+      true
+    end
+  end
+
+let reclaim_one_with ~allow_writeback t =
+  reclaim_from ~allow_writeback t (2 * Ring.length t.lru)
+
+let rec reclaim_while_over t =
+  if t.present > t.budget_pages then begin
+    let allow_writeback = Net.remote_available t.net in
+    if reclaim_one_with ~allow_writeback t then reclaim_while_over t
+    else if allow_writeback then
+      (* Nothing reclaimable: a kernel would OOM; surface it. *)
+      failwith "Fastswap: local memory exhausted with nothing reclaimable"
+    else
+      (* Outage: every reclaimable page is dirty and the writeback path
+         is down. Defer — present pages overshoot the budget until the
+         remote recovers and the next reclaim drains the excess. *)
+      Clock.add t.clock c_reclaim_deferred 1
+  end
 
 let reclaim_until_fits t =
   (* Reclaim work is the swap path's eviction stall; transport stalls
-     nested inside keep their own retry/failover attribution. *)
+     nested inside keep their own retry/failover attribution. The
+     category closes on every exit. *)
   Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Evict_stall;
-  Fun.protect
-    ~finally:(fun () -> Telemetry.Sink.cat_exit t.telemetry)
-    (fun () ->
-      (* The reclaim core doubles as the recovery driver (Fastswap's
-         dedicated reclaim CPU): each pass advances re-replication onto
-         any recovering remote node. *)
-      ignore (Net.resync_step t.net : int);
-      let deferred = ref false in
-      while (not !deferred) && t.present > t.budget_pages do
-        let allow_writeback = Net.remote_available t.net in
-        if reclaim_one_with ~allow_writeback t then ()
-        else if allow_writeback then
-          (* Nothing reclaimable: a kernel would OOM; surface it. *)
-          failwith "Fastswap: local memory exhausted with nothing reclaimable"
-        else begin
-          (* Outage: every reclaimable page is dirty and the writeback
-             path is down. Defer — present pages overshoot the budget
-             until the remote recovers and the next reclaim drains the
-             excess. *)
-          Clock.count t.clock "fastswap.reclaim_deferred" 1;
-          deferred := true
-        end
-      done)
+  match
+    (* The reclaim core doubles as the recovery driver (Fastswap's
+       dedicated reclaim CPU): each pass advances re-replication onto
+       any recovering remote node. *)
+    ignore (Net.resync_step t.net : int);
+    reclaim_while_over t
+  with
+  | () -> Telemetry.Sink.cat_exit t.telemetry
+  | exception e ->
+      Telemetry.Sink.cat_exit t.telemetry;
+      raise e
 
 (* A write fault maps the PTE dirty immediately (as the kernel does), so
    the map-time reclaim pass already sees the new page as unevictable
@@ -138,13 +141,7 @@ let map_page t p ~hot ~dirty =
   Ring.push t.lru p;
   reclaim_until_fits t
 
-(* Page faults are the paging analogue of the guard slow path: the
-   whole fault (kernel software cost, RDMA read, readahead, map-time
-   reclaim) is one slow-path window on the open span. *)
-let fault_page t p ~write =
-  Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_slow;
-  Fun.protect ~finally:(fun () -> Telemetry.Sink.cat_exit t.telemetry)
-  @@ fun () ->
+let serve_fault t p ~write =
   let s = get_state t p in
   if s land bit_swapped <> 0 then begin
     (* Major fault: kernel software path plus the RDMA page read. *)
@@ -172,6 +169,17 @@ let fault_page t p ~write =
     Clock.add t.clock c_minor_faults 1;
     map_page t p ~hot:true ~dirty:write
   end
+
+(* Page faults are the paging analogue of the guard slow path: the
+   whole fault (kernel software cost, RDMA read, readahead, map-time
+   reclaim) is one slow-path window on the open span. *)
+let fault_page t p ~write =
+  Telemetry.Sink.cat_enter t.telemetry Telemetry.Span.Guard_slow;
+  match serve_fault t p ~write with
+  | () -> Telemetry.Sink.cat_exit t.telemetry
+  | exception e ->
+      Telemetry.Sink.cat_exit t.telemetry;
+      raise e
 
 let touch t p ~write =
   let s = get_state t p in

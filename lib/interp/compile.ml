@@ -15,7 +15,12 @@
    - callee names resolved per call site: libc allocation hooks, direct
      IR calls (bound to the callee's compiled body), or the backend's
      intrinsic dispatcher — the runtime never re-classifies a name;
-   - a gep that feeds a load or store fused into the access's closure.
+   - a gep that feeds a load or store fused into the access's closure;
+   - register frames reused: each function keeps one frame per live
+     activation depth and zero-fills it when the activation returns, so
+     a call allocates only its argument arrays, and those are array
+     literals up to three arguments (inline minor-heap allocations, not
+     [caml_make_vect] calls).
 
    Memory traffic goes through {!Memsim.Memstore}'s own accessors, the
    same ones the interpreter calls; the store's direct-mapped page cache
@@ -52,12 +57,13 @@ type ty = TInt | TFloat
 
 (* Per-call activation record. [prev] is the index of the block that
    branched here (-1 in the entry block) — phi arms are resolved to a
-   predecessor-indexed array at compile time. *)
+   predecessor-indexed array at compile time. Frames are reused across
+   calls (see [take_frame]); only the arguments change per call. *)
 type frame = {
   ienv : int array;
   fenv : float array;
-  iargs : int array;
-  fargs : float array;
+  mutable iargs : int array;
+  mutable fargs : float array;
   mutable prev : int;
 }
 
@@ -87,6 +93,11 @@ type cfunc = {
   mutable cf_ret : ty;
   mutable cf_has_floats : bool; (* any float-typed register slot *)
   mutable cf_blocks : cblock array;
+  (* The function's frames: [cf_frames.(0 .. cf_live - 1)] belong to its
+     live activations, innermost last; the rest are free and zero-filled
+     ([no_frame] where none has been allocated yet). *)
+  mutable cf_frames : frame array;
+  mutable cf_live : int;
 }
 
 type ctx = {
@@ -786,10 +797,59 @@ let exec ctx cfn fr =
         cur := b.cb_step fr
       done
 
+let no_frame =
+  { ienv = [||]; fenv = [||]; iargs = [||]; fargs = [||]; prev = -1 }
+
+(* The free frame just above [cfn]'s live activations, allocated the
+   first time an activation reaches that depth. A free frame is all
+   zeros, so a register read before the activation defines it reads 0,
+   as in a fresh interpreter environment. *)
+let take_frame cfn =
+  let k = cfn.cf_live in
+  if k = Array.length cfn.cf_frames then begin
+    let frames = Array.make (max 1 (2 * k)) no_frame in
+    Array.blit cfn.cf_frames 0 frames 0 k;
+    cfn.cf_frames <- frames
+  end;
+  let fr = Array.unsafe_get cfn.cf_frames k in
+  let fr =
+    if fr != no_frame then fr
+    else begin
+      let n = max 1 cfn.cf_src.Ir.next_id in
+      let fr =
+        {
+          ienv = Array.make n 0;
+          fenv = (if cfn.cf_has_floats then Array.make n 0.0 else [||]);
+          iargs = [||];
+          fargs = [||];
+          prev = -1;
+        }
+      in
+      cfn.cf_frames.(k) <- fr;
+      fr
+    end
+  in
+  cfn.cf_live <- k + 1;
+  fr
+
+(* Zero-fill the innermost live frame and free it. The loops are plain
+   stores: [Array.fill] would be an external call. *)
+let release_frame cfn fr =
+  let ienv = fr.ienv in
+  for j = 0 to Array.length ienv - 1 do
+    Array.unsafe_set ienv j 0
+  done;
+  let fenv = fr.fenv in
+  for j = 0 to Array.length fenv - 1 do
+    Array.unsafe_set fenv j 0.0
+  done;
+  cfn.cf_live <- cfn.cf_live - 1
+
 (* Call a compiled function with already-built argument arrays: the
    interpreter's [call_function] — depth and span accounting, stack
    save/restore — with the arity check hoisted to compile time for
-   direct calls ([checked_arity]). *)
+   direct calls ([checked_arity]). A trap abandons the whole run, so a
+   frame it leaves live is never taken again. *)
 let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
   let st = ctx.st in
   let f = cfn.cf_src in
@@ -801,19 +861,13 @@ let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
   let tel = ctx.backend.Backend.telemetry in
   let span_it = st.depth <= 2 && Telemetry.Sink.is_active tel in
   let t0 = if span_it then Telemetry.Sink.timestamp tel else 0 in
-  let fr =
-    {
-      ienv = Array.make (max 1 f.Ir.next_id) 0;
-      fenv =
-        (if cfn.cf_has_floats then Array.make (max 1 f.Ir.next_id) 0.0
-         else [||]);
-      iargs = ia;
-      fargs = fa;
-      prev = -1;
-    }
-  in
+  let fr = take_frame cfn in
+  fr.iargs <- ia;
+  fr.fargs <- fa;
+  fr.prev <- -1;
   let saved_sp = st.stack_ptr in
   exec ctx cfn fr;
+  release_frame cfn fr;
   if span_it then
     Telemetry.Sink.span tel ~name:f.Ir.fname ~cat:"call" ~start:t0 ();
   st.stack_ptr <- saved_sp;
@@ -876,40 +930,93 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
           Memsim.Clock.tick clock 5;
           trap "%s expects %d arguments, got %d" callee nparams nactual)
       else begin
-        let fillers =
+        (* Parameter [j] is passed in [ia.(j)] or [fa.(j)], by its
+           inferred type; the other array holds 0 there. Up to three
+           parameters the arrays are literals (inline minor-heap
+           allocations), and [fa] is [[||]] for a callee without float
+           parameters. Readers run in argument order, as the
+           interpreter evaluates actuals. *)
+        let is_float j = target.cf_params.(j) = TFloat in
+        let has_float = Array.exists (fun t -> t = TFloat) target.cf_params in
+        let ireads =
           Array.of_list
             (List.mapi
-               (fun j v ->
-                 if j < Array.length target.cf_params
-                    && target.cf_params.(j) = TFloat
-                 then begin
-                   let r = cf v in
-                   fun fr ia fa ->
-                     ignore (ia : int array);
-                     Array.unsafe_set fa j (r fr)
-                 end
-                 else begin
-                   let r = ci v in
-                   fun fr ia fa ->
-                     ignore (fa : float array);
-                     Array.unsafe_set ia j (r fr)
-                 end)
+               (fun j v -> if is_float j then fun _ -> 0 else ci v)
+               cargs)
+        in
+        let freads =
+          Array.of_list
+            (List.mapi
+               (fun j v -> if is_float j then cf v else fun _ -> 0.0)
                cargs)
         in
         let ret_float = target.cf_ret = TFloat in
-        fun fr ->
-          if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-          Memsim.Clock.tick clock 5 (* call overhead *);
-          let ia = Array.make nparams 0 in
-          let fa =
-            if nparams = 0 then [||] else Array.make nparams 0.0
-          in
-          for j = 0 to nparams - 1 do
-            (Array.unsafe_get fillers j) fr ia fa
-          done;
+        let[@inline] call fr ia fa =
           invoke ctx target ~checked_arity:true ia fa;
           if ret_float then Array.unsafe_set fr.fenv id st.fret
           else Array.unsafe_set fr.ienv id st.iret
+        in
+        let[@inline] enter () =
+          if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
+          Memsim.Clock.tick clock 5 (* call overhead *)
+        in
+        match (has_float, ireads, freads) with
+        | _, [||], _ ->
+            fun fr ->
+              enter ();
+              call fr [||] [||]
+        | false, [| i0 |], _ ->
+            fun fr ->
+              enter ();
+              call fr [| i0 fr |] [||]
+        | false, [| i0; i1 |], _ ->
+            fun fr ->
+              enter ();
+              let a0 = i0 fr in
+              let a1 = i1 fr in
+              call fr [| a0; a1 |] [||]
+        | false, [| i0; i1; i2 |], _ ->
+            fun fr ->
+              enter ();
+              let a0 = i0 fr in
+              let a1 = i1 fr in
+              let a2 = i2 fr in
+              call fr [| a0; a1; a2 |] [||]
+        | true, [| i0 |], [| f0 |] ->
+            fun fr ->
+              enter ();
+              let a0 = i0 fr in
+              let x0 = f0 fr in
+              call fr [| a0 |] [| x0 |]
+        | true, [| i0; i1 |], [| f0; f1 |] ->
+            fun fr ->
+              enter ();
+              let a0 = i0 fr in
+              let x0 = f0 fr in
+              let a1 = i1 fr in
+              let x1 = f1 fr in
+              call fr [| a0; a1 |] [| x0; x1 |]
+        | true, [| i0; i1; i2 |], [| f0; f1; f2 |] ->
+            fun fr ->
+              enter ();
+              let a0 = i0 fr in
+              let x0 = f0 fr in
+              let a1 = i1 fr in
+              let x1 = f1 fr in
+              let a2 = i2 fr in
+              let x2 = f2 fr in
+              call fr [| a0; a1; a2 |] [| x0; x1; x2 |]
+        | _ ->
+            fun fr ->
+              enter ();
+              let ia = Array.make nparams 0 in
+              let fa = if has_float then Array.make nparams 0.0 else [||] in
+              for j = 0 to nparams - 1 do
+                Array.unsafe_set ia j ((Array.unsafe_get ireads j) fr);
+                if has_float then
+                  Array.unsafe_set fa j ((Array.unsafe_get freads j) fr)
+              done;
+              call fr ia fa
       end
   | _ ->
       (* Runtime intrinsic (guards, chunk accesses, spans, bookkeeping
@@ -920,32 +1027,63 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
       let n = Array.length readers in
       let intrinsic = b.Backend.intrinsic in
       let is_hook = String.length callee > 0 && callee.[0] = '!' in
-      fun fr ->
-        if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        let a = Array.make n 0 in
-        for j = 0 to n - 1 do
-          Array.unsafe_set a j ((Array.unsafe_get readers j) fr)
-        done;
+      let unhandled fr a =
+        if is_hook then trap "unknown runtime hook %s" callee
+        else begin
+          Memsim.Clock.tick clock 5 (* call overhead *);
+          match Hashtbl.find_opt ctx.cfuncs callee with
+          | None -> trap "unknown function %s" callee
+          | Some target ->
+              let fa = if n = 0 then [||] else Array.make n 0.0 in
+              invoke ctx target ~checked_arity:false a fa;
+              if target.cf_ret = TFloat then
+                (* Inference could not see this dynamically-resolved
+                   callee, so the result slot may be int-typed. *)
+                if id < Array.length fr.fenv then fr.fenv.(id) <- st.fret
+                else trap "expected int, got float"
+              else Array.unsafe_set fr.ienv id st.iret
+        end
+      in
+      let[@inline] enter () =
+        if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id
+      in
+      let[@inline] call fr a =
         match intrinsic callee a with
         | Some r -> Array.unsafe_set fr.ienv id r
-        | None ->
-            if is_hook then trap "unknown runtime hook %s" callee
-            else begin
-              Memsim.Clock.tick clock 5 (* call overhead *);
-              match Hashtbl.find_opt ctx.cfuncs callee with
-              | None -> trap "unknown function %s" callee
-              | Some target ->
-                  let fa =
-                    if n = 0 then [||] else Array.make n 0.0
-                  in
-                  invoke ctx target ~checked_arity:false a fa;
-                  if target.cf_ret = TFloat then
-                    (* Inference could not see this dynamically-resolved
-                       callee, so the result slot may be int-typed. *)
-                    if id < Array.length fr.fenv then fr.fenv.(id) <- st.fret
-                    else trap "expected int, got float"
-                  else Array.unsafe_set fr.ienv id st.iret
-            end
+        | None -> unhandled fr a
+      in
+      (* Every TrackFM intrinsic takes at most three arguments: their
+         array is a literal, read in argument order. *)
+      match readers with
+      | [||] ->
+          fun fr ->
+            enter ();
+            call fr [||]
+      | [| r0 |] ->
+          fun fr ->
+            enter ();
+            call fr [| r0 fr |]
+      | [| r0; r1 |] ->
+          fun fr ->
+            enter ();
+            let a0 = r0 fr in
+            let a1 = r1 fr in
+            call fr [| a0; a1 |]
+      | [| r0; r1; r2 |] ->
+          fun fr ->
+            enter ();
+            let a0 = r0 fr in
+            let a1 = r1 fr in
+            let a2 = r2 fr in
+            call fr [| a0; a1; a2 |]
+      | _ ->
+          fun fr ->
+            enter ();
+            let a = Array.make n 0 in
+            for j = 0 to n - 1 do
+              Array.unsafe_set a j ((Array.unsafe_get readers j) fr)
+            done;
+            call fr a
 
 let compile_instr ctx (f : Ir.func) rtys label_index (i : Ir.instr) :
     frame -> unit =
@@ -1399,6 +1537,8 @@ let compile_module ctx =
           cf_ret = TInt;
           cf_has_floats = false;
           cf_blocks = [||];
+          cf_frames = [||];
+          cf_live = 0;
         };
       Hashtbl.replace ctx.reg_tys f.fname (Array.make (max 1 f.next_id) TInt))
     ctx.m.Ir.funcs;

@@ -4,9 +4,12 @@
     slots resolved to unboxed int/float array indices, binop/cmp cases
     and callees selected per site, globals resolved to addresses, and
     address computations fused into the loads and stores they feed —
-    then drives blocks through an iterative trampoline. Observable behaviour (return value,
-    cycles, instruction counts, every backend hook and telemetry call,
-    and hence guard/fault/span/counter output) is bit-identical to
+    then drives blocks through an iterative trampoline. A call reuses
+    a zero-filled register frame of its callee and passes its arguments
+    in array literals (up to three), so it allocates only those.
+    Observable behaviour (return value, cycles, instruction counts,
+    every backend hook and telemetry call, and hence
+    guard/fault/span/counter output) is bit-identical to
     {!Interp.run}, which stays around as the differential oracle; the
     [--engine compiled] runs of [ci/cells.ml] and [test/test_engine.ml]
     enforce the equivalence.

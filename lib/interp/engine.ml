@@ -1,6 +1,7 @@
 (* Execution-engine selection: the tree-walking interpreter (reference
    semantics, the differential oracle) or the compiled closure engine
-   (same observable behaviour, 3-7x faster). The compiled engine is the
+   (same observable behaviour and several times faster; EXPERIMENTS.md's
+   engine_speedup row has the measured ratios). The compiled engine is the
    default; the differential tests and the engine-parity cells name the
    interpreter explicitly. *)
 

@@ -1,12 +1,32 @@
 type backend = Tcp | Rdma
 
-(* Counter handles for the fault-free transfer paths; the fault paths
-   are rare enough to count by name. *)
+(* Counter handles, resolved once: the transfer paths' and the fault,
+   retry and replication paths'. *)
 let c_bytes_in = Clock.counter "net.bytes_in"
 let c_bytes_out = Clock.counter "net.bytes_out"
 let c_fetches = Clock.counter "net.fetches"
 let c_prefetched_fetches = Clock.counter "net.prefetched_fetches"
 let c_writebacks = Clock.counter "net.writebacks"
+let c_backoff_cycles = Clock.counter "net.backoff_cycles"
+let c_breaker_opens = Clock.counter "net.breaker_opens"
+let c_breaker_probes = Clock.counter "net.breaker_probes"
+let c_corruptions_detected = Clock.counter "net.corruptions_detected"
+let c_fail_fast = Clock.counter "net.fail_fast"
+let c_failovers = Clock.counter "net.failovers"
+let c_fetch_failures = Clock.counter "net.fetch_failures"
+let c_latency_spikes = Clock.counter "net.latency_spikes"
+let c_lost_objects = Clock.counter "net.lost_objects"
+let c_lost_reads = Clock.counter "net.lost_reads"
+let c_nacks = Clock.counter "net.nacks"
+let c_repairs = Clock.counter "net.repairs"
+let c_replica_lag = Clock.counter "net.replica_lag"
+let c_replica_skips = Clock.counter "net.replica_skips"
+let c_resync_objects = Clock.counter "net.resync_objects"
+let c_retries = Clock.counter "net.retries"
+let c_spike_cycles = Clock.counter "net.spike_cycles"
+let c_stale_drops = Clock.counter "net.stale_drops"
+let c_stall_cycles = Clock.counter "net.stall_cycles"
+let c_timeouts = Clock.counter "net.timeouts"
 
 type retry_policy = {
   max_attempts : int;
@@ -112,7 +132,7 @@ let remote_available t = t.breaker = Closed
 let stall t cycles =
   if cycles > 0 then begin
     Clock.tick t.clock cycles;
-    Clock.count t.clock "net.stall_cycles" cycles;
+    Clock.add t.clock c_stall_cycles cycles;
     t.stall_handler ~cycles
   end
 
@@ -136,7 +156,7 @@ let open_breaker t =
   (match t.breaker with
   | Open _ -> ()
   | Closed ->
-      Clock.count t.clock "net.breaker_opens" 1;
+      Clock.add t.clock c_breaker_opens 1;
       t.on_event (Breaker_opened { at = now; probe_at }));
   (match t.breaker with
   | Open { opened_at; _ } -> t.breaker <- Open { opened_at; probe_at }
@@ -158,7 +178,7 @@ let wire_attempt t ~bytes ~success_latency ~prefetched =
   if Faults.in_outage t.faults ~now then
     in_scope t `Retry (fun () ->
         Clock.tick t.clock t.policy.attempt_timeout;
-        Clock.count t.clock "net.timeouts" 1;
+        Clock.add t.clock c_timeouts 1;
         `Failed `Timeout)
   else
     match Faults.attempt t.faults with
@@ -167,8 +187,8 @@ let wire_attempt t ~bytes ~success_latency ~prefetched =
           (Cost_model.transfer_cycles t.cost ~latency:success_latency ~bytes
           + extra);
         if extra > 0 then begin
-          Clock.count t.clock "net.latency_spikes" 1;
-          Clock.count t.clock "net.spike_cycles" extra
+          Clock.add t.clock c_latency_spikes 1;
+          Clock.add t.clock c_spike_cycles extra
         end;
         account_success t ~bytes ~prefetched;
         `Delivered
@@ -176,12 +196,12 @@ let wire_attempt t ~bytes ~success_latency ~prefetched =
         (* The remote answered with a refusal: one round trip burned. *)
         in_scope t `Retry (fun () ->
             Clock.tick t.clock t.latency;
-            Clock.count t.clock "net.nacks" 1;
+            Clock.add t.clock c_nacks 1;
             `Failed `Nack)
     | Faults.Timeout ->
         in_scope t `Retry (fun () ->
             Clock.tick t.clock t.policy.attempt_timeout;
-            Clock.count t.clock "net.timeouts" 1;
+            Clock.add t.clock c_timeouts 1;
             `Failed `Timeout)
 
 (* Exponential backoff with deterministic decorrelating jitter: sleep in
@@ -200,11 +220,11 @@ let try_fetch_faulted t ~bytes ~success_latency ~prefetched =
       (* Fail fast: no wire traffic while the breaker is open. *)
       in_scope t `Retry (fun () ->
           Clock.tick t.clock t.policy.fail_fast_cycles);
-      Clock.count t.clock "net.fail_fast" 1;
+      Clock.add t.clock c_fail_fast 1;
       Error (Unreachable { probe_at })
   | Open _ -> (
       (* Half-open: one probe attempt, no retry ladder. *)
-      Clock.count t.clock "net.breaker_probes" 1;
+      Clock.add t.clock c_breaker_probes 1;
       match wire_attempt t ~bytes ~success_latency ~prefetched with
       | `Delivered ->
           close_breaker t;
@@ -227,7 +247,7 @@ let try_fetch_faulted t ~bytes ~success_latency ~prefetched =
             if attempt >= t.policy.max_attempts
                || spent >= t.policy.op_deadline
             then begin
-              Clock.count t.clock "net.fetch_failures" 1;
+              Clock.add t.clock c_fetch_failures 1;
               t.on_event (Fetch_failed { attempts = attempt });
               (* A fully exhausted ladder is the breaker's trip signal:
                  flip to fail-fast and probe for recovery. *)
@@ -243,8 +263,8 @@ let try_fetch_faulted t ~bytes ~success_latency ~prefetched =
             end
             else begin
               let backoff = backoff_cycles t ~attempt in
-              Clock.count t.clock "net.retries" 1;
-              Clock.count t.clock "net.backoff_cycles" backoff;
+              Clock.add t.clock c_retries 1;
+              Clock.add t.clock c_backoff_cycles backoff;
               t.on_event (Retry { attempt; backoff; reason });
               in_scope t `Retry (fun () -> stall t backoff);
               attempt_loop (attempt + 1)
@@ -337,16 +357,16 @@ let replicated_fetch t c ~key ~bytes ~success_latency ~prefetched =
             in_scope t `Failover (fun () -> Clock.tick t.clock t.latency);
             (match Cluster.declare_lost c ~key with
             | `Lost ->
-                Clock.count t.clock "net.lost_objects" 1;
+                Clock.add t.clock c_lost_objects 1;
                 t.on_event (Object_lost { key })
             | `Stale ->
                 (* Only a stale shadow of a freed/rewritten range was
                    wiped; the live bytes are in main. *)
-                Clock.count t.clock "net.stale_drops" 1))
+                Clock.add t.clock c_stale_drops 1))
     | node :: _ -> (
         if node <> primary && not !failed_over then begin
           failed_over := true;
-          Clock.count t.clock "net.failovers" 1;
+          Clock.add t.clock c_failovers 1;
           t.on_event (Failover { key; primary; replica = node })
         end;
         match try_fetch_with t ~bytes ~success_latency ~prefetched with
@@ -362,24 +382,24 @@ let replicated_fetch t c ~key ~bytes ~success_latency ~prefetched =
               (* Checksum mismatch on the delivered payload: count the
                  detection, drop this replica for the moment and re-fetch
                  (the wire cost of the bad read is already charged). *)
-              Clock.count t.clock "net.corruptions_detected" 1;
+              Clock.add t.clock c_corruptions_detected 1;
               t.on_event (Corruption_detected { key; node });
               corrupted := true;
               go ~excluded:(node :: excluded) ~success_latency:t.latency
             end
             else begin
               if !corrupted then begin
-                Clock.count t.clock "net.repairs" 1;
+                Clock.add t.clock c_repairs 1;
                 t.on_event (Repaired { key; node })
               end;
               match Cluster.deliver c ~key ~node with
               | `Delivered -> ()
-              | `Stale -> Clock.count t.clock "net.stale_drops" 1
+              | `Stale -> Clock.add t.clock c_stale_drops 1
               | `Lost ->
                   (* Lost mid-fetch: the stall that got us to this node
                      crossed a crash window that took the last copy. The
                      loss is already counted and main zeroed. *)
-                  Clock.count t.clock "net.lost_reads" 1
+                  Clock.add t.clock c_lost_reads 1
             end)
   in
   go ~excluded:[] ~success_latency
@@ -415,9 +435,9 @@ let writeback_object t ~key ~bytes =
       (* The async reclaim path ships one copy per replica written. *)
       Clock.add t.clock c_bytes_out (bytes * r.Cluster.written);
       if r.Cluster.lagged > 0 then
-        Clock.count t.clock "net.replica_lag" r.Cluster.lagged;
+        Clock.add t.clock c_replica_lag r.Cluster.lagged;
       if r.Cluster.skipped > 0 then
-        Clock.count t.clock "net.replica_skips" r.Cluster.skipped
+        Clock.add t.clock c_replica_skips r.Cluster.skipped
 
 let resync_batch = 512
 let resync_orchestration_cycles = 120
@@ -431,7 +451,7 @@ let resync_step t =
         (* Replica-to-replica traffic: the compute node only pays the
            orchestration cost and yields while the copies stream. *)
         Clock.tick t.clock resync_orchestration_cycles;
-        Clock.count t.clock "net.resync_objects" moved;
+        Clock.add t.clock c_resync_objects moved;
         t.stall_handler ~cycles:resync_orchestration_cycles
       end;
       moved

@@ -65,14 +65,35 @@ let test_pinned_never_evicted () =
     (Aifm.Pool.is_local pool 0)
 
 let test_out_of_local_memory () =
-  let pool, _ = make_pool ~local_budget:4096 () in
+  let cost = Cost_model.default in
+  let clock = Clock.create () in
+  let sink =
+    Telemetry.Sink.recording ~trace:false ~series_interval:0 ~spans:true clock
+  in
+  let net = Net.create cost clock Net.Tcp in
+  let pool =
+    Aifm.Pool.create ~telemetry:sink cost clock ~net ~object_size:4096
+      ~local_budget:4096
+  in
   Aifm.Pool.ensure_local pool 0;
   Aifm.Pool.pin pool 0;
+  Telemetry.Sink.op_begin sink ~cls:0;
   Alcotest.(check bool) "raises when all pinned" true
     (try
        Aifm.Pool.ensure_local pool 1;
        false
-     with Aifm.Pool.Out_of_local_memory -> true)
+     with Aifm.Pool.Out_of_local_memory -> true);
+  (* The exception leaves nothing behind: the object being localized is
+     unpinned and the eviction-stall frame is closed before the span. *)
+  Telemetry.Sink.op_end sink;
+  Alcotest.(check bool) "localized object unpinned" false
+    (Aifm.Pool.pinned pool 1);
+  match Telemetry.Sink.spans sink with
+  | None -> Alcotest.fail "recording sink without spans"
+  | Some sp ->
+      Alcotest.(check string) "no span violations" ""
+        (Telemetry.Span.violation_note sp);
+      Alcotest.(check int) "span violations" 0 (Telemetry.Span.violations sp)
 
 let test_pin_counts_nested () =
   let pool, _ = make_pool () in

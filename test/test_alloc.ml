@@ -1,9 +1,11 @@
-(* The per-access paths below the execution engines allocate nothing.
+(* The per-access paths below the execution engines allocate nothing,
+   and neither do the slow paths behind them: a guard miss that evicts
+   and fetches, a prefetcher that fires, a Fastswap major fault.
 
    Each case calls its path once to warm up (first touches materialize
    pages, objects and chunk state), then counts minor-heap words over
    10,000 more calls. Allocation counts are deterministic, so this keeps
-   the hot paths free of hashing, option and closure garbage without a
+   these paths free of hashing, option and closure garbage without a
    wall-clock gate. *)
 
 module R = Trackfm.Runtime
@@ -39,10 +41,22 @@ let test_memstore () =
       Memstore.store_float_from s ~addr:b regs 0;
       Memstore.load_float_into s ~addr:a regs 1)
 
-let make_rt () =
+let make_rt ?(objects = 16) () =
   let clock = Clock.create () in
   R.create Cost_model.default clock (Memstore.create ()) ~object_size:4096
-    ~local_budget:(16 * 4096)
+    ~local_budget:(objects * 4096)
+
+(* [f] must bump each named counter at least once per call. *)
+let zero_alloc_counting clock counters what f =
+  let before = List.map (Clock.get clock) counters in
+  zero_alloc what f;
+  List.iter2
+    (fun name b ->
+      let moved = Clock.get clock name - b in
+      if moved < calls then
+        Alcotest.failf "%s: %s moved %d times in %d calls" what name moved
+          calls)
+    counters before
 
 let test_guard () =
   let rt = make_rt () in
@@ -53,6 +67,48 @@ let test_guard () =
       R.guard rt ~ptr:(p + 64) ~size:8 ~write:true);
   zero_alloc "custody check" (fun () ->
       R.guard rt ~ptr:(1 lsl 30) ~size:8 ~write:false)
+
+(* One object of local memory, two objects in use: every guard misses,
+   evicts the other (dirty) object and fetches its own. *)
+let test_guard_miss () =
+  let rt = make_rt ~objects:1 () in
+  let p = R.tfm_malloc rt (2 * 4096) in
+  let counters = [ "tfm.slow_guards"; "aifm.writebacks"; "net.fetches" ] in
+  zero_alloc_counting (R.clock rt) counters "write misses" (fun () ->
+      R.guard rt ~ptr:p ~size:8 ~write:true;
+      R.guard rt ~ptr:(p + 4096) ~size:8 ~write:true);
+  zero_alloc_counting (R.clock rt) counters
+    "a read miss evicting a dirty object" (fun () ->
+      R.guard rt ~ptr:p ~size:8 ~write:true;
+      R.guard rt ~ptr:(p + 4096) ~size:8 ~write:false)
+
+(* A stride-2 write stream over 16 objects with room for 4: every guard
+   misses, the prefetcher learns the stride and marks the objects ahead,
+   and their fetches are the prefetched kind. *)
+let test_prefetching_misses () =
+  let rt = make_rt ~objects:4 () in
+  let p = R.tfm_malloc rt (32 * 4096) in
+  zero_alloc_counting (R.clock rt)
+    [ "tfm.slow_guards"; "net.prefetched_fetches" ]
+    "strided misses" (fun () ->
+      for k = 0 to 15 do
+        R.guard rt ~ptr:(p + (k * 2 * 4096)) ~size:8 ~write:true
+      done)
+
+(* One page of local memory, two pages written in turn: every access is
+   a major fault that reclaims the other, dirty page. *)
+let test_major_fault () =
+  let clock = Clock.create () in
+  let swap =
+    Fastswap.Swap.create Cost_model.default clock
+      ~local_budget:Memstore.page_size
+  in
+  let a = Backend.heap_base and b = Backend.heap_base + Memstore.page_size in
+  zero_alloc_counting clock
+    [ "fastswap.major_faults"; "fastswap.evictions"; "fastswap.writebacks" ]
+    "major faults that reclaim" (fun () ->
+      Fastswap.Swap.access swap ~addr:a ~size:8 ~write:true;
+      Fastswap.Swap.access swap ~addr:b ~size:8 ~write:true)
 
 let test_chunk_access () =
   let rt = make_rt () in
@@ -87,6 +143,9 @@ let suite =
     [
       Alcotest.test_case "memstore accesses" `Quick test_memstore;
       Alcotest.test_case "guards" `Quick test_guard;
+      Alcotest.test_case "guard misses" `Quick test_guard_miss;
+      Alcotest.test_case "prefetching misses" `Quick test_prefetching_misses;
+      Alcotest.test_case "fastswap major faults" `Quick test_major_fault;
       Alcotest.test_case "chunk access" `Quick test_chunk_access;
       Alcotest.test_case "pool pins" `Quick test_pin;
       Alcotest.test_case "span hooks" `Quick test_span_hooks;

@@ -228,6 +228,54 @@ let test_recursion_and_traps () =
   Alcotest.(check int) "fib cycles" a.Interp.cycles b.Interp.cycles;
   Alcotest.(check int) "fib instrs" a.Interp.instrs_executed
     b.Interp.instrs_executed;
+  (* [sum_down n] reads [v] before its activation defines it (the
+     verifier allows that, and both engines read 0), keeps [pre] live
+     across its recursive call, and returns n + (n-1) + ... + 0. Called
+     three times, it catches a reused frame that is not zero-filled or
+     that a live activation still holds. *)
+  let pre_m =
+    let m = Ir.create_module () in
+    let h = Builder.create m ~name:"sum_down" ~nparams:1 in
+    let n = Builder.arg 0 in
+    let recb = Builder.add_block h "rec" in
+    let doneb = Builder.add_block h "done" in
+    Builder.set_block h doneb;
+    let res = Builder.phi h [] in
+    let v = Builder.add h res (Ir.Const 1000) in
+    Builder.ret h (Some res);
+    Builder.set_block h "entry";
+    let pre = Builder.add h v n in
+    let c = Builder.icmp h Ir.Lt n (Ir.Const 1) in
+    Builder.cbr h c doneb recb;
+    Builder.set_block h recb;
+    let r = Builder.call h "sum_down" [ Builder.sub h n (Ir.Const 1) ] in
+    let sum = Builder.add h pre r in
+    Builder.br h doneb;
+    Builder.patch_phi h res "entry" pre;
+    Builder.patch_phi h res recb sum;
+    let bm = Builder.create m ~name:"main" ~nparams:0 in
+    let calls =
+      List.map
+        (fun k -> Builder.call bm "sum_down" [ Ir.Const k ])
+        [ 10; 10; 12 ]
+    in
+    let total =
+      List.fold_left (fun acc x -> Builder.add bm acc x) (Ir.Const 0) calls
+    in
+    Builder.ret bm (Some total);
+    Verifier.check_module m;
+    m
+  in
+  let run_pre engine =
+    Engine.run ~engine
+      (Backend.local Cost_model.default (clock ()) (Memstore.create ()))
+      pre_m ~entry:"main"
+  in
+  let a = run_pre Engine.Interp and b = run_pre Engine.Compiled in
+  Alcotest.(check int) "read-before-define ret" (55 + 55 + 78) a.Interp.ret;
+  Alcotest.(check int) "read-before-define parity" a.Interp.ret b.Interp.ret;
+  Alcotest.(check int) "read-before-define cycles" a.Interp.cycles
+    b.Interp.cycles;
   (* trap parity: division by zero surfaces identically *)
   let div_m =
     let m = Ir.create_module () in
@@ -248,6 +296,41 @@ let test_recursion_and_traps () =
   in
   Alcotest.(check string) "trap parity"
     (trap_of Engine.Interp) (trap_of Engine.Compiled)
+
+(* A direct call allocates its argument array, not its callee's
+   registers: minor words per call are the same for a helper with 200
+   registers as for one with 4. Each side is the difference of two runs,
+   so compiling the helper, which grows with it, cancels out. *)
+let test_call_frames_reused () =
+  let module_with ~regs =
+    let m = Ir.create_module () in
+    let h = Builder.create m ~name:"helper" ~nparams:1 in
+    let v = ref (Builder.arg 0) in
+    for _ = 1 to regs do
+      v := Builder.add h !v (Ir.Const 1)
+    done;
+    Builder.ret h (Some !v);
+    let b = Builder.create m ~name:"main" ~nparams:1 in
+    Builder.for_loop b ~init:(Ir.Const 0) ~bound:(Builder.arg 0) (fun b iv ->
+        ignore (Builder.call b "helper" [ iv ]));
+    Builder.ret b (Some (Ir.Const 0));
+    m
+  in
+  let words m n =
+    let backend =
+      Backend.local Cost_model.default (Clock.create ()) (Memstore.create ())
+    in
+    let before = Gc.minor_words () in
+    ignore
+      (Engine.run ~engine:Engine.Compiled ~args:[ n ] backend m ~entry:"main");
+    Gc.minor_words () -. before
+  in
+  let per_call m = (words m 11_000 -. words m 1_000) /. 10_000. in
+  let small = per_call (module_with ~regs:4)
+  and big = per_call (module_with ~regs:200) in
+  if big > small +. 0.5 then
+    Alcotest.failf "%.1f words per call to a 200-register helper, %.1f to a \
+                    4-register one" big small
 
 (* The chunking gate reads block counts, and the driver counts them on
    the compiled engine for an interpreted run too, so both engines must
@@ -290,5 +373,7 @@ let suite =
         test_miscompile_is_caught;
       Alcotest.test_case "recursion and trap parity" `Quick
         test_recursion_and_traps;
+      Alcotest.test_case "call frames are reused" `Quick
+        test_call_frames_reused;
       Alcotest.test_case "block profiles agree" `Quick test_profile_parity;
     ] )
