@@ -76,23 +76,25 @@ let local_budget t = t.budget
 let local_used t = t.used
 let local_count t = t.nlocal
 
-let ensure_capacity t id =
+(* The accessors below are [@inline] so that a guard's hit path is a
+   probe of [meta] inside the guard; growing the tables and every miss
+   path stay out of line. *)
+let grow_meta t id =
   let n = Bytes.length t.meta in
-  if id >= n then begin
-    let n' = max (id + 1) (n * 2) in
-    let meta' = Bytes.make n' '\000' in
-    Bytes.blit t.meta 0 meta' 0 n;
-    t.meta <- meta'
-  end
+  let meta' = Bytes.make (max (id + 1) (n * 2)) '\000' in
+  Bytes.blit t.meta 0 meta' 0 n;
+  t.meta <- meta'
 
-let get_meta t id =
+let[@inline] get_meta t id =
   if id < Bytes.length t.meta then Char.code (Bytes.get t.meta id) else 0
 
-let set_meta t id m =
-  ensure_capacity t id;
-  Bytes.set t.meta id (Char.chr m)
+(* [Char.chr m], with its range check written out so that it inlines. *)
+let[@inline] set_meta t id m =
+  if id >= Bytes.length t.meta then grow_meta t id;
+  if m land lnot 0xff <> 0 then invalid_arg "Char.chr";
+  Bytes.set t.meta id (Char.unsafe_chr m)
 
-let pinned t id = id < Array.length t.pins && t.pins.(id) > 0
+let[@inline] pinned t id = id < Array.length t.pins && t.pins.(id) > 0
 
 let pin t id =
   let n = Array.length t.pins in
@@ -107,7 +109,12 @@ let unpin t id =
   if not (pinned t id) then invalid_arg "Pool.unpin: not pinned";
   t.pins.(id) <- t.pins.(id) - 1
 
-let is_local t id = get_meta t id land bit_local <> 0
+let[@inline] resident m = m land bit_local <> 0
+let[@inline] probe t id = get_meta t id
+let[@inline] is_local t id = resident (get_meta t id)
+
+let[@inline] touch t id m ~write =
+  set_meta t id (if write then m lor bit_hot lor bit_dirty else m lor bit_hot)
 
 (* One sweep step of the CLOCK hand, given at most [attempts] queue
    entries to look at. Returns true if something was evicted. Hot
@@ -214,11 +221,9 @@ let materialize t id =
     make_local t id (m lor bit_dirty)
   end
 
-let ensure_local t id =
-  let m = get_meta t id in
-  if m land bit_local <> 0 then
-    set_meta t id (m lor bit_hot)
-  else if m land bit_swapped = 0 then begin
+(* [ensure_local]'s miss: object [id], metadata [m], is not local. *)
+let localize t id m =
+  if m land bit_swapped = 0 then begin
     (* Never written (or never existed): fresh backing, no remote copy to
        fetch — the analogue of an anonymous first-touch fault. *)
     Clock.tick t.clock 50;
@@ -238,9 +243,11 @@ let ensure_local t id =
     make_local t id (m land lnot bit_prefetched)
   end
 
-let mark_dirty t id =
+let[@inline] ensure_local t id =
   let m = get_meta t id in
-  set_meta t id (m lor bit_dirty)
+  if resident m then set_meta t id (m lor bit_hot) else localize t id m
+
+let[@inline] mark_dirty t id = set_meta t id (get_meta t id lor bit_dirty)
 
 let mark_prefetched t id =
   let m = get_meta t id in

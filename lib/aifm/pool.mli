@@ -63,6 +63,20 @@ val materialize : t -> int -> unit
 
 val is_local : t -> int -> bool
 
+val probe : t -> int -> int
+(** [probe t id] is object [id]'s metadata byte (0 if never allocated):
+    a guard's hit path reads it once, tests it with [resident], and on a
+    hit records the access with [touch]. *)
+
+val resident : int -> bool
+(** Whether a metadata byte from [probe] says the object is local. *)
+
+val touch : t -> int -> int -> write:bool -> unit
+(** [touch t id m ~write] records an access to the local object [id]
+    whose byte [probe] read as [m]: it marks the object hot, and dirty on
+    a write, in one write of the byte. On a local object this is what
+    [ensure_local] and then [mark_dirty] do. *)
+
 val ensure_local : t -> int -> unit
 (** Demand-localize. First touch of an object with no remote copy
     materializes it locally at a small fixed cost (the analogue of an

@@ -109,8 +109,8 @@ let engine_term =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "Execution engine: compiled (the default: closure-compiled, \
-           same observable behaviour as the interpreter, measured 5.3-6.9x \
-           faster on dispatch-bound microkernels and 4.2-6.5x on the \
+           same observable behaviour as the interpreter, measured 6.1-7.7x \
+           faster on dispatch-bound microkernels and 4.2-6.3x on the \
            applications) or interp (the tree-walking reference \
            interpreter, the differential oracle).")
 

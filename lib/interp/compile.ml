@@ -14,7 +14,8 @@
    - global symbols resolved to their laid-out addresses;
    - callee names resolved per call site: libc allocation hooks, direct
      IR calls (bound to the callee's compiled body), or the backend's
-     intrinsic dispatcher — the runtime never re-classifies a name;
+     intrinsic dispatcher — the runtime never re-classifies a name — with
+     register and constant arguments read inline, not through closures;
    - a gep that feeds a load or store fused into the access's closure;
    - register frames reused: each function keeps one frame per live
      activation depth and zero-fills it when the activation returns, so
@@ -26,16 +27,25 @@
    same ones the interpreter calls; the store's direct-mapped page cache
    finds a resident page without hashing.
 
-   Blocks become closures driven by an iterative trampoline (loops must
-   not grow the OCaml stack), exactly like the interpreter's iterative
-   block dispatch. Everything observable is kept bit-identical to the
-   interpreter: the same clock ticks in the same order (straight-line
-   batching, local-access charges, call overhead), the same backend
-   hooks ([on_access], allocation, intrinsics — hence the same guard,
-   fault, Shenango-yield and span behaviour), the same telemetry site
-   attribution, the same fuel and instruction accounting. CI and the
-   test suite enforce that equivalence differentially, which is why the
-   interpreter stays around as the oracle.
+   Blocks are threaded. Each block compiles to one entry closure that
+   charges the block (profile cell, fuel, clock tick), runs its body and
+   tail-calls a successor's entry; OCaml guarantees those tail calls, so
+   a loop runs in constant OCaml stack and the OCaml stack grows by one
+   call chain per IR call, not per block. Each CFG edge carries its
+   successor's phis for that predecessor as moves, resolved at compile
+   time and applied in phi order, which is the interpreter's sequential
+   semantics (a phi reads what the block's earlier phis just wrote).
+
+   Everything observable is kept bit-identical to the interpreter: the
+   same clock ticks in the same order (straight-line batching,
+   local-access charges, call overhead), the same backend hooks
+   ([on_access], allocation, intrinsics — hence the same guard, fault,
+   Shenango-yield and span behaviour), the same telemetry site
+   attribution, the same fuel and instruction accounting, the same phi
+   arm choice (the first arm for the predecessor; a function's entry
+   block is entered from ["<entry>"]). CI and the test suite enforce
+   that equivalence differentially, which is why the interpreter stays
+   around as the oracle.
 
    The type assignment is conservative: any slot or operand whose
    static type disagrees with its use compiles to a closure that raises
@@ -55,44 +65,38 @@ let stack_base = 1 lsl 30
 
 type ty = TInt | TFloat
 
-(* Per-call activation record. [prev] is the index of the block that
-   branched here (-1 in the entry block) — phi arms are resolved to a
-   predecessor-indexed array at compile time. Frames are reused across
-   calls (see [take_frame]); only the arguments change per call. *)
+(* Per-call activation record. Frames are reused across calls (see
+   [take_frame]); only the arguments change per call. *)
 type frame = {
   ienv : int array;
   fenv : float array;
   mutable iargs : int array;
   mutable fargs : float array;
-  mutable prev : int;
 }
 
 type state = {
+  (* Every block charges its instruction units here before it runs, so
+     the units spent are the run's [instrs_executed]. *)
   mutable fuel : int;
-  mutable instrs : int;
   mutable depth : int;
   mutable stack_ptr : int;
   (* Return-value slots, written by the callee's [Ret] terminator and
-     read by the caller immediately after the trampoline exits. *)
+     read by the caller when the callee's entry closure returns. *)
   mutable iret : int;
   mutable fret : float;
 }
 
-type cblock = {
-  cb_step : frame -> int;
-      (* the block body fused with its terminator: runs every instruction
-         closure, then returns the next block index (-1 = return) *)
-  cb_cost : int; (* instruction-count units per execution: n + 1 *)
-  cb_tick : int; (* straight-line cycles per execution: (n + 4) / 4 *)
-  cb_cell : int ref; (* the block's profile counter, when profiling *)
-}
+(* A block's entry closure. Edges reach their successor through this
+   record, patched once every block of the function is compiled, so a
+   back edge needs no forward reference. *)
+type entry = { mutable enter : frame -> unit }
 
 type cfunc = {
   cf_src : Ir.func;
   cf_params : ty array; (* mutated during inference, read at compile *)
   mutable cf_ret : ty;
   mutable cf_has_floats : bool; (* any float-typed register slot *)
-  mutable cf_blocks : cblock array;
+  mutable cf_enter : frame -> unit; (* block 0, entered from "<entry>" *)
   (* The function's frames: [cf_frames.(0 .. cf_live - 1)] belong to its
      live activations, innermost last; the rest are free and zero-filled
      ([no_frame] where none has been allocated yet). *)
@@ -208,8 +212,10 @@ let infer_types ctx =
    closure (a direct array index instead of a nested closure call on the
    execution path). [IFn]/[FFn] is the general fallback and carries the
    type-mismatch traps, unknown globals, and out-of-range argument
-   indices; [iread]/[fread] convert any shape back into a plain reader
-   for the cold consumers. *)
+   indices, so reading one always raises. [read_int]/[read_float] switch
+   on a shape inline (a jump on its tag, no closure call), and
+   [iread]/[fread] turn a shape back into a plain reader for the cold
+   consumers. *)
 
 type ishape =
   | IConst of int
@@ -264,8 +270,17 @@ let fread : fshape -> frame -> float = function
   | FArg i -> fun fr -> Array.unsafe_get fr.fargs i
   | FFn g -> g
 
-let compile_int ctx f rtys v = iread (ishape ctx f rtys v)
-let compile_float ctx f rtys v = fread (fshape ctx f rtys v)
+let[@inline] read_int fr = function
+  | IConst n -> n
+  | ISlot i -> Array.unsafe_get fr.ienv i
+  | IArg i -> Array.unsafe_get fr.iargs i
+  | IFn g -> g fr
+
+let[@inline] read_float fr = function
+  | FConst x -> x
+  | FSlot i -> Array.unsafe_get fr.fenv i
+  | FArg i -> Array.unsafe_get fr.fargs i
+  | FFn g -> g fr
 
 (* -- fused arithmetic and comparison closures ----------------------------
 
@@ -511,54 +526,60 @@ let compile_fcmp op sa sb id : frame -> unit =
   | Ir.Ne, _, _ -> gen ( <> )
   | Ir.Ge, _, _ -> gen ( >= )
 
-(* An [Icmp] whose result feeds the block's own [Cbr] compiles into the
-   terminator: compare, store the 0/1 result (later blocks may still
-   read the slot), and pick the successor — one closure instead of two.
-   [fin] is a known local function, so the calls below are direct. *)
-let compile_icmp_br op sa sb id bidx kt ke : frame -> int =
-  let fin fr v =
-    Array.unsafe_set fr.ienv id (if v then 1 else 0);
-    fr.prev <- bidx;
-    if v then kt else ke
-  in
-  let gen cmp =
-    let a = iread sa and b = iread sb in
-    fun fr -> fin fr (cmp (a fr) (b fr))
-  in
-  match (op, sa, sb) with
-  | Ir.Eq, ISlot i, ISlot j ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i = Array.unsafe_get fr.ienv j)
-  | Ir.Eq, ISlot i, IConst c -> fun fr -> fin fr (Array.unsafe_get fr.ienv i = c)
-  | Ir.Eq, _, _ -> gen ( = )
-  | Ir.Ne, ISlot i, ISlot j ->
-      fun fr ->
-        fin fr (Array.unsafe_get fr.ienv i <> Array.unsafe_get fr.ienv j)
-  | Ir.Ne, ISlot i, IConst c ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i <> c)
-  | Ir.Ne, _, _ -> gen ( <> )
-  | Ir.Lt, ISlot i, ISlot j ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i < Array.unsafe_get fr.ienv j)
-  | Ir.Lt, ISlot i, IConst c -> fun fr -> fin fr (Array.unsafe_get fr.ienv i < c)
-  | Ir.Lt, ISlot i, IArg j ->
-      fun fr ->
-        fin fr (Array.unsafe_get fr.ienv i < Array.unsafe_get fr.iargs j)
-  | Ir.Lt, _, _ -> gen ( < )
-  | Ir.Le, ISlot i, ISlot j ->
-      fun fr ->
-        fin fr (Array.unsafe_get fr.ienv i <= Array.unsafe_get fr.ienv j)
-  | Ir.Le, ISlot i, IConst c ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i <= c)
-  | Ir.Le, _, _ -> gen ( <= )
-  | Ir.Gt, ISlot i, ISlot j ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i > Array.unsafe_get fr.ienv j)
-  | Ir.Gt, ISlot i, IConst c -> fun fr -> fin fr (Array.unsafe_get fr.ienv i > c)
-  | Ir.Gt, _, _ -> gen ( > )
-  | Ir.Ge, ISlot i, ISlot j ->
-      fun fr ->
-        fin fr (Array.unsafe_get fr.ienv i >= Array.unsafe_get fr.ienv j)
-  | Ir.Ge, ISlot i, IConst c ->
-      fun fr -> fin fr (Array.unsafe_get fr.ienv i >= c)
-  | Ir.Ge, _, _ -> gen ( >= )
+(* -- control flow ----------------------------------------------------------
+
+   An edge applies its successor's phis for this predecessor as moves
+   and tail-calls the successor's entry. Moves run in phi order, so a
+   phi reads what its block's earlier phis just wrote, as in the
+   interpreter. Int phis read only int sources and float phis only
+   float ones, so the int moves can all go first. An int move is three
+   ints in [imoves]: the phi's slot, the source's kind (0 a register, 1
+   a constant, 2 an argument) and its slot, value or index, so the loop
+   over them makes no call; float moves are rare. An edge whose phi
+   would trap (no arm for the predecessor, or an arm that cannot be
+   read) and a branch to an unknown label get an entry of their own
+   that raises where the interpreter would. *)
+
+type edge = { imoves : int array; fmoves : (int * fshape) array; dst : entry }
+
+let float_moves fr fmoves =
+  for k = 0 to Array.length fmoves - 1 do
+    let d, s = Array.unsafe_get fmoves k in
+    Array.unsafe_set fr.fenv d (read_float fr s)
+  done
+
+let[@inline] take fr e =
+  let im = e.imoves in
+  for k = 0 to (Array.length im / 3) - 1 do
+    let j = 3 * k in
+    let x = Array.unsafe_get im (j + 2) in
+    Array.unsafe_set fr.ienv (Array.unsafe_get im j)
+      (match Array.unsafe_get im (j + 1) with
+      | 0 -> Array.unsafe_get fr.ienv x
+      | 1 -> x
+      | _ -> Array.unsafe_get fr.iargs x)
+  done;
+  if Array.length e.fmoves > 0 then float_moves fr e.fmoves;
+  e.dst.enter fr
+
+(* How a block ends. The common transfers are data, so the block's
+   entry closure takes them inline; everything else is a closure. *)
+type tail =
+  | Jump of edge (* br *)
+  | Branch of int * edge * edge (* cbr on an int register slot *)
+  | Tail of (frame -> unit)
+
+let[@inline] branch fr i et ee =
+  if Array.unsafe_get fr.ienv i <> 0 then take fr et else take fr ee
+
+(* The interpreter's block prologue: the profile cell, then fuel (the
+   units are the block's instruction count plus its terminator), then
+   the straight-line cycles. *)
+let[@inline] charge st clock ~profiled cell ~units ~tick =
+  if profiled then incr cell;
+  st.fuel <- st.fuel - units;
+  if st.fuel < 0 then trap "out of fuel (infinite loop?)";
+  Memsim.Clock.tick clock tick
 
 (* -- memory access compilation -------------------------------------------
 
@@ -766,39 +787,9 @@ let compile_access ctx f rtys (i : Ir.instr) ~fname amode =
       compile_store ctx f rtys i ~size ~is_float ~v ~fname amode
   | _ -> invalid_arg "Compile.compile_access"
 
-(* -- execution ----------------------------------------------------------- *)
+(* -- calls ------------------------------------------------------------------ *)
 
-let exec ctx cfn fr =
-  let st = ctx.st in
-  let clock = ctx.backend.Backend.clock in
-  let blocks = cfn.cf_blocks in
-  if Array.length blocks = 0 then invalid_arg "index out of bounds";
-  let cur = ref 0 in
-  (* The profiled loop is split out so the common (unprofiled) path pays
-     no per-block option match. *)
-  match ctx.profile with
-  | None ->
-      while !cur >= 0 do
-        let b = Array.unsafe_get blocks !cur in
-        st.fuel <- st.fuel - b.cb_cost;
-        if st.fuel < 0 then trap "out of fuel (infinite loop?)";
-        st.instrs <- st.instrs + b.cb_cost;
-        Memsim.Clock.tick clock b.cb_tick;
-        cur := b.cb_step fr
-      done
-  | Some _ ->
-      while !cur >= 0 do
-        let b = Array.unsafe_get blocks !cur in
-        incr b.cb_cell;
-        st.fuel <- st.fuel - b.cb_cost;
-        if st.fuel < 0 then trap "out of fuel (infinite loop?)";
-        st.instrs <- st.instrs + b.cb_cost;
-        Memsim.Clock.tick clock b.cb_tick;
-        cur := b.cb_step fr
-      done
-
-let no_frame =
-  { ienv = [||]; fenv = [||]; iargs = [||]; fargs = [||]; prev = -1 }
+let no_frame = { ienv = [||]; fenv = [||]; iargs = [||]; fargs = [||] }
 
 (* The free frame just above [cfn]'s live activations, allocated the
    first time an activation reaches that depth. A free frame is all
@@ -822,7 +813,6 @@ let take_frame cfn =
           fenv = (if cfn.cf_has_floats then Array.make n 0.0 else [||]);
           iargs = [||];
           fargs = [||];
-          prev = -1;
         }
       in
       cfn.cf_frames.(k) <- fr;
@@ -864,9 +854,8 @@ let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
   let fr = take_frame cfn in
   fr.iargs <- ia;
   fr.fargs <- fa;
-  fr.prev <- -1;
   let saved_sp = st.stack_ptr in
-  exec ctx cfn fr;
+  cfn.cf_enter fr;
   release_frame cfn fr;
   if span_it then
     Telemetry.Sink.span tel ~name:f.Ir.fname ~cat:"call" ~start:t0 ();
@@ -885,38 +874,42 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
   let id = i.Ir.id in
   (* Compile-time constant for this run: a Nop sink ignores [set_site]. *)
   let site = Telemetry.Sink.is_active tel in
-  let ci = compile_int ctx f rtys in
-  let cf = compile_float ctx f rtys in
-  let oob : frame -> int =
-   (* Mirrors the interpreter indexing actuals past the argument list. *)
-   fun _ -> invalid_arg "index out of bounds"
+  let si = ishape ctx f rtys in
+  let arg n =
+    match List.nth_opt cargs n with
+    | Some v -> si v
+    | None ->
+        (* Mirrors the interpreter indexing actuals past the argument
+           list. *)
+        IFn (fun _ -> invalid_arg "index out of bounds")
   in
-  let arg n = match List.nth_opt cargs n with Some v -> ci v | None -> oob in
   match callee with
   | "malloc" ->
       let a0 = arg 0 in
       let malloc = b.Backend.malloc in
       fun fr ->
         if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        Array.unsafe_set fr.ienv id (malloc (a0 fr))
+        Array.unsafe_set fr.ienv id (malloc (read_int fr a0))
   | "calloc" ->
       let a0 = arg 0 and a1 = arg 1 in
       let malloc = b.Backend.malloc in
       fun fr ->
         if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        Array.unsafe_set fr.ienv id (malloc (a0 fr * a1 fr))
+        let n = read_int fr a0 in
+        Array.unsafe_set fr.ienv id (malloc (n * read_int fr a1))
   | "realloc" ->
       let a0 = arg 0 and a1 = arg 1 in
       let realloc = b.Backend.realloc in
       fun fr ->
         if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        Array.unsafe_set fr.ienv id (realloc (a0 fr) (a1 fr))
+        let p = read_int fr a0 in
+        Array.unsafe_set fr.ienv id (realloc p (read_int fr a1))
   | "free" ->
       let a0 = arg 0 in
       let free = b.Backend.free in
       fun fr ->
         if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
-        free (a0 fr);
+        free (read_int fr a0);
         Array.unsafe_set fr.ienv id 0
   | _ when is_direct_call ctx callee ->
       (* Direct call to a defined IR function: target, arity, and the
@@ -934,20 +927,18 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
            inferred type; the other array holds 0 there. Up to three
            parameters the arrays are literals (inline minor-heap
            allocations), and [fa] is [[||]] for a callee without float
-           parameters. Readers run in argument order, as the
-           interpreter evaluates actuals. *)
+           parameters. Arguments are read in order, as the interpreter
+           evaluates actuals. *)
         let is_float j = target.cf_params.(j) = TFloat in
         let has_float = Array.exists (fun t -> t = TFloat) target.cf_params in
-        let ireads =
+        let ishapes =
           Array.of_list
-            (List.mapi
-               (fun j v -> if is_float j then fun _ -> 0 else ci v)
-               cargs)
+            (List.mapi (fun j v -> if is_float j then IConst 0 else si v) cargs)
         in
-        let freads =
+        let fshapes =
           Array.of_list
             (List.mapi
-               (fun j v -> if is_float j then cf v else fun _ -> 0.0)
+               (fun j v -> if is_float j then fshape ctx f rtys v else FConst 0.0)
                cargs)
         in
         let ret_float = target.cf_ret = TFloat in
@@ -960,7 +951,7 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
           if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
           Memsim.Clock.tick clock 5 (* call overhead *)
         in
-        match (has_float, ireads, freads) with
+        match (has_float, ishapes, fshapes) with
         | _, [||], _ ->
             fun fr ->
               enter ();
@@ -968,43 +959,43 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
         | false, [| i0 |], _ ->
             fun fr ->
               enter ();
-              call fr [| i0 fr |] [||]
+              call fr [| read_int fr i0 |] [||]
         | false, [| i0; i1 |], _ ->
             fun fr ->
               enter ();
-              let a0 = i0 fr in
-              let a1 = i1 fr in
+              let a0 = read_int fr i0 in
+              let a1 = read_int fr i1 in
               call fr [| a0; a1 |] [||]
         | false, [| i0; i1; i2 |], _ ->
             fun fr ->
               enter ();
-              let a0 = i0 fr in
-              let a1 = i1 fr in
-              let a2 = i2 fr in
+              let a0 = read_int fr i0 in
+              let a1 = read_int fr i1 in
+              let a2 = read_int fr i2 in
               call fr [| a0; a1; a2 |] [||]
         | true, [| i0 |], [| f0 |] ->
             fun fr ->
               enter ();
-              let a0 = i0 fr in
-              let x0 = f0 fr in
+              let a0 = read_int fr i0 in
+              let x0 = read_float fr f0 in
               call fr [| a0 |] [| x0 |]
         | true, [| i0; i1 |], [| f0; f1 |] ->
             fun fr ->
               enter ();
-              let a0 = i0 fr in
-              let x0 = f0 fr in
-              let a1 = i1 fr in
-              let x1 = f1 fr in
+              let a0 = read_int fr i0 in
+              let x0 = read_float fr f0 in
+              let a1 = read_int fr i1 in
+              let x1 = read_float fr f1 in
               call fr [| a0; a1 |] [| x0; x1 |]
         | true, [| i0; i1; i2 |], [| f0; f1; f2 |] ->
             fun fr ->
               enter ();
-              let a0 = i0 fr in
-              let x0 = f0 fr in
-              let a1 = i1 fr in
-              let x1 = f1 fr in
-              let a2 = i2 fr in
-              let x2 = f2 fr in
+              let a0 = read_int fr i0 in
+              let x0 = read_float fr f0 in
+              let a1 = read_int fr i1 in
+              let x1 = read_float fr f1 in
+              let a2 = read_int fr i2 in
+              let x2 = read_float fr f2 in
               call fr [| a0; a1; a2 |] [| x0; x1; x2 |]
         | _ ->
             fun fr ->
@@ -1012,9 +1003,10 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
               let ia = Array.make nparams 0 in
               let fa = if has_float then Array.make nparams 0.0 else [||] in
               for j = 0 to nparams - 1 do
-                Array.unsafe_set ia j ((Array.unsafe_get ireads j) fr);
+                Array.unsafe_set ia j (read_int fr (Array.unsafe_get ishapes j));
                 if has_float then
-                  Array.unsafe_set fa j ((Array.unsafe_get freads j) fr)
+                  Array.unsafe_set fa j
+                    (read_float fr (Array.unsafe_get fshapes j))
               done;
               call fr ia fa
       end
@@ -1023,8 +1015,8 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
          hooks) through the backend's dispatcher, with the interpreter's
          fallbacks for names the backend does not handle. Arguments are
          coerced to ints exactly like the interpreter's [as_int] map. *)
-      let readers = Array.of_list (List.map ci cargs) in
-      let n = Array.length readers in
+      let shapes = Array.of_list (List.map si cargs) in
+      let n = Array.length shapes in
       let intrinsic = b.Backend.intrinsic in
       let is_hook = String.length callee > 0 && callee.[0] = '!' in
       let unhandled fr a =
@@ -1054,38 +1046,38 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
       in
       (* Every TrackFM intrinsic takes at most three arguments: their
          array is a literal, read in argument order. *)
-      match readers with
+      match shapes with
       | [||] ->
           fun fr ->
             enter ();
             call fr [||]
-      | [| r0 |] ->
+      | [| s0 |] ->
           fun fr ->
             enter ();
-            call fr [| r0 fr |]
-      | [| r0; r1 |] ->
+            call fr [| read_int fr s0 |]
+      | [| s0; s1 |] ->
           fun fr ->
             enter ();
-            let a0 = r0 fr in
-            let a1 = r1 fr in
+            let a0 = read_int fr s0 in
+            let a1 = read_int fr s1 in
             call fr [| a0; a1 |]
-      | [| r0; r1; r2 |] ->
+      | [| s0; s1; s2 |] ->
           fun fr ->
             enter ();
-            let a0 = r0 fr in
-            let a1 = r1 fr in
-            let a2 = r2 fr in
+            let a0 = read_int fr s0 in
+            let a1 = read_int fr s1 in
+            let a2 = read_int fr s2 in
             call fr [| a0; a1; a2 |]
       | _ ->
           fun fr ->
             enter ();
             let a = Array.make n 0 in
             for j = 0 to n - 1 do
-              Array.unsafe_set a j ((Array.unsafe_get readers j) fr)
+              Array.unsafe_set a j (read_int fr (Array.unsafe_get shapes j))
             done;
             call fr a
 
-let compile_instr ctx (f : Ir.func) rtys label_index (i : Ir.instr) :
+let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
     frame -> unit =
   let st = ctx.st in
   let fname = f.Ir.fname in
@@ -1150,138 +1142,19 @@ let compile_instr ctx (f : Ir.func) rtys label_index (i : Ir.instr) :
         st.stack_ptr <- addr + aligned;
         seti fr addr
   | Ir.Call { callee; args } -> compile_call ctx f rtys i callee args
-  | Ir.Phi incoming ->
-      (* Arms stay as shapes: selecting by predecessor index then
-         switching on the shape tag is a jump table, not a closure
-         call. Missing arms keep a trap closure naming the
-         predecessor. *)
-      let nblocks = List.length f.Ir.blocks in
-      let labels = Array.make nblocks "<?>" in
-      List.iteri (fun k (b : Ir.block) -> labels.(k) <- b.label) f.Ir.blocks;
-      let miss p =
-        if p < 0 then trap "%s: phi has no arm for predecessor <entry>" fname
-        else trap "%s: phi has no arm for predecessor %s" fname labels.(p)
-      in
-      if rtys.(id) = TInt then begin
-        let resolved =
-          List.filter_map
-            (fun (l, v) ->
-              match Hashtbl.find_opt label_index l with
-              | Some k -> Some (k, si v)
-              | None -> None)
-            incoming
-        in
-        match resolved with
-        (* The ubiquitous loop-header phi: one entry arm, one latch arm.
-           A pair of compare-and-reads beats the arms-array tag switch. *)
-        | [ (k0, s0); (k1, s1) ] when k0 <> k1 -> (
-            match (s0, s1) with
-            | ISlot i0, ISlot i1 ->
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then seti fr (Array.unsafe_get fr.ienv i0)
-                  else if p = k1 then seti fr (Array.unsafe_get fr.ienv i1)
-                  else miss p
-            | IConst c0, ISlot i1 ->
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then seti fr c0
-                  else if p = k1 then seti fr (Array.unsafe_get fr.ienv i1)
-                  else miss p
-            | ISlot i0, IConst c1 ->
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then seti fr (Array.unsafe_get fr.ienv i0)
-                  else if p = k1 then seti fr c1
-                  else miss p
-            | s0, s1 ->
-                let g0 = iread s0 and g1 = iread s1 in
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then seti fr (g0 fr)
-                  else if p = k1 then seti fr (g1 fr)
-                  else miss p)
-        | _ ->
-            let arms =
-              Array.init nblocks (fun k ->
-                  IFn
-                    (fun _ ->
-                      trap "%s: phi has no arm for predecessor %s" fname
-                        labels.(k)))
-            in
-            List.iter
-              (fun (l, v) ->
-                match Hashtbl.find_opt label_index l with
-                | Some k -> arms.(k) <- si v
-                | None -> ())
-              incoming;
-            fun fr ->
-              let p = fr.prev in
-              if p < 0 then
-                trap "%s: phi has no arm for predecessor <entry>" fname
-              else
-                match Array.unsafe_get arms p with
-                | ISlot i -> seti fr (Array.unsafe_get fr.ienv i)
-                | IConst c -> seti fr c
-                | IArg i -> seti fr (Array.unsafe_get fr.iargs i)
-                | IFn g -> seti fr (g fr)
-      end
-      else begin
-        let resolved =
-          List.filter_map
-            (fun (l, v) ->
-              match Hashtbl.find_opt label_index l with
-              | Some k -> Some (k, sf v)
-              | None -> None)
-            incoming
-        in
-        match resolved with
-        | [ (k0, s0); (k1, s1) ] when k0 <> k1 -> (
-            match (s0, s1) with
-            | FSlot i0, FSlot i1 ->
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then setf fr (Array.unsafe_get fr.fenv i0)
-                  else if p = k1 then setf fr (Array.unsafe_get fr.fenv i1)
-                  else miss p
-            | FConst c0, FSlot i1 ->
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then setf fr c0
-                  else if p = k1 then setf fr (Array.unsafe_get fr.fenv i1)
-                  else miss p
-            | s0, s1 ->
-                let g0 = fread s0 and g1 = fread s1 in
-                fun fr ->
-                  let p = fr.prev in
-                  if p = k0 then setf fr (g0 fr)
-                  else if p = k1 then setf fr (g1 fr)
-                  else miss p)
-        | _ ->
-            let arms =
-              Array.init nblocks (fun k ->
-                  FFn
-                    (fun _ ->
-                      trap "%s: phi has no arm for predecessor %s" fname
-                        labels.(k)))
-            in
-            List.iter
-              (fun (l, v) ->
-                match Hashtbl.find_opt label_index l with
-                | Some k -> arms.(k) <- sf v
-                | None -> ())
-              incoming;
-            fun fr ->
-              let p = fr.prev in
-              if p < 0 then
-                trap "%s: phi has no arm for predecessor <entry>" fname
-              else
-                match Array.unsafe_get arms p with
-                | FSlot i -> setf fr (Array.unsafe_get fr.fenv i)
-                | FConst c -> setf fr c
-                | FArg i -> setf fr (Array.unsafe_get fr.fargs i)
-                | FFn g -> setf fr (g fr)
-      end
+  | Ir.Phi incoming -> (
+      (* Only a phi after a non-phi instruction gets here (the verifier
+         rejects those; leading phis are edge moves): its block is
+         compiled once per predecessor label, so the arm is fixed. *)
+      match List.find_opt (fun (l, _) -> String.equal l pred) incoming with
+      | None -> fun _ -> trap "%s: phi has no arm for predecessor %s" fname pred
+      | Some (_, v) ->
+          if rtys.(id) = TInt then
+            let s = si v in
+            fun fr -> seti fr (read_int fr s)
+          else
+            let s = sf v in
+            fun fr -> setf fr (read_float fr s))
   | Ir.Select (c, a, b) ->
       if rtys.(id) = TInt then begin
         match (si c, si a, si b) with
@@ -1308,78 +1181,39 @@ let compile_instr ctx (f : Ir.func) rtys label_index (i : Ir.instr) :
             fun fr -> setf fr (if c fr <> 0 then a fr else b fr)
       end
 
-let compile_term ctx (f : Ir.func) cfn rtys label_index bidx
-    (t : Ir.terminator) : frame -> int =
+(* [edge l] is the edge from this block to the block labelled [l]. *)
+let compile_term ctx (f : Ir.func) cfn rtys ~edge ~label (t : Ir.terminator) :
+    tail =
   let st = ctx.st in
-  let ci = compile_int ctx f rtys in
-  let cf = compile_float ctx f rtys in
-  let target l = Hashtbl.find_opt label_index l in
   match t with
-  | Ir.Br l -> (
-      match target l with
-      | Some k ->
-          fun fr ->
-            fr.prev <- bidx;
-            k
-      | None ->
-          (* Mirrors the interpreter's [Hashtbl.find]: the unknown label
-             only faults if the branch actually executes. *)
-          fun _ -> raise Not_found)
+  | Ir.Br l -> Jump (edge l)
   | Ir.Cbr (c, t, e) -> (
-      let sc = ishape ctx f rtys c in
-      match (target t, target e) with
-      | Some kt, Some ke -> (
-          match sc with
-          | ISlot i ->
-              fun fr ->
-                fr.prev <- bidx;
-                if Array.unsafe_get fr.ienv i <> 0 then kt else ke
-          | _ ->
-              let c = iread sc in
-              fun fr ->
-                fr.prev <- bidx;
-                if c fr <> 0 then kt else ke)
-      | ot, oe -> (
-          let c = iread sc in
-          fun fr ->
-            fr.prev <- bidx;
-            match if c fr <> 0 then ot else oe with
-            | Some k -> k
-            | None -> raise Not_found))
+      let et = edge t and ee = edge e in
+      match ishape ctx f rtys c with
+      | ISlot i -> Branch (i, et, ee)
+      | sc ->
+          Tail (fun fr -> if read_int fr sc <> 0 then take fr et else take fr ee))
   | Ir.Ret None ->
-      if cfn.cf_ret = TFloat then fun _ -> trap "expected float, got int"
-      else fun _ ->
-        st.iret <- 0;
-        -1
+      if cfn.cf_ret = TFloat then Tail (fun _ -> trap "expected float, got int")
+      else Tail (fun _ -> st.iret <- 0)
   | Ir.Ret (Some v) ->
-      if cfn.cf_ret = TFloat then begin
-        let r = cf v in
-        fun fr ->
-          st.fret <- r fr;
-          -1
-      end
-      else begin
-        let r = ci v in
-        fun fr ->
-          st.iret <- r fr;
-          -1
-      end
+      if cfn.cf_ret = TFloat then
+        let s = fshape ctx f rtys v in
+        Tail (fun fr -> st.fret <- read_float fr s)
+      else
+        let s = ishape ctx f rtys v in
+        Tail (fun fr -> st.iret <- read_int fr s)
   | Ir.Unreachable ->
       let fname = f.Ir.fname in
-      let label =
-        match List.nth_opt f.Ir.blocks bidx with
-        | Some b -> b.Ir.label
-        | None -> "<?>"
-      in
-      fun _ -> trap "%s: reached unreachable in %s" fname label
+      Tail (fun _ -> trap "%s: reached unreachable in %s" fname label)
 
 (* Straight-line chaining: a block's instruction closures become one
-   closure calling them in sequence, so the trampoline pays no
-   per-instruction loop counter or array bound. *)
+   closure calling them in sequence, so a block pays no per-instruction
+   loop counter or array bound. Four calls per link; the last one is a
+   tail call. *)
 let rec chain (code : (frame -> unit) array) lo n : frame -> unit =
   match n with
-  | 0 -> fun _ -> ()
-  | 1 -> Array.unsafe_get code lo
+  | 1 -> code.(lo)
   | 2 ->
       let a = code.(lo) and b = code.(lo + 1) in
       fun fr ->
@@ -1391,140 +1225,205 @@ let rec chain (code : (frame -> unit) array) lo n : frame -> unit =
         a fr;
         b fr;
         c fr
-  | 4 ->
-      let a = code.(lo)
-      and b = code.(lo + 1)
-      and c = code.(lo + 2)
-      and d = code.(lo + 3) in
+  | n ->
+      let a = code.(lo) and b = code.(lo + 1) and c = code.(lo + 2) in
+      let rest = chain code (lo + 3) (n - 3) in
       fun fr ->
         a fr;
         b fr;
         c fr;
-        d fr
-  | n ->
-      let h = n / 2 in
-      let a = chain code lo h and b = chain code (lo + h) (n - h) in
-      fun fr ->
-        a fr;
-        b fr
+        rest fr
 
-(* Fuse the body chain with the terminator into one step closure, so the
-   trampoline pays a single indirect call per block execution. *)
-let chain_step (code : (frame -> unit) array) (term : frame -> int) :
-    frame -> int =
-  match Array.length code with
-  | 0 -> term
-  | 1 ->
-      let a = code.(0) in
+(* A block's entry closure: charge the block, run its body and take its
+   tail, whose transfer is a tail call. [charge], [take] and [branch]
+   inline into each closure below. *)
+let block_entry st clock ~profiled cell ~units ~tick code tail : frame -> unit
+    =
+  match (code, tail) with
+  | [||], Jump e ->
       fun fr ->
-        a fr;
-        term fr
-  | 2 ->
-      let a = code.(0) and b = code.(1) in
+        charge st clock ~profiled cell ~units ~tick;
+        take fr e
+  | [||], Branch (i, et, ee) ->
       fun fr ->
-        a fr;
-        b fr;
-        term fr
-  | 3 ->
-      let a = code.(0) and b = code.(1) and c = code.(2) in
+        charge st clock ~profiled cell ~units ~tick;
+        branch fr i et ee
+  | [||], Tail t ->
       fun fr ->
-        a fr;
-        b fr;
-        c fr;
-        term fr
-  | 4 ->
-      let a = code.(0) and b = code.(1) and c = code.(2) and d = code.(3) in
+        charge st clock ~profiled cell ~units ~tick;
+        t fr
+  | code, Jump e ->
+      let body = chain code 0 (Array.length code) in
       fun fr ->
-        a fr;
-        b fr;
-        c fr;
-        d fr;
-        term fr
-  | n ->
-      let body = chain code 0 n in
-      fun fr ->
+        charge st clock ~profiled cell ~units ~tick;
         body fr;
-        term fr
+        take fr e
+  | code, Branch (i, et, ee) ->
+      let body = chain code 0 (Array.length code) in
+      fun fr ->
+        charge st clock ~profiled cell ~units ~tick;
+        body fr;
+        branch fr i et ee
+  | code, Tail t ->
+      let body = chain code 0 (Array.length code) in
+      fun fr ->
+        charge st clock ~profiled cell ~units ~tick;
+        body fr;
+        t fr
+
+let is_phi (i : Ir.instr) = match i.Ir.kind with Ir.Phi _ -> true | _ -> false
+
+let rec split_phis acc = function
+  | i :: rest when is_phi i -> split_phis (i :: acc) rest
+  | rest -> (List.rev acc, rest)
+
+(* The edge from predecessor [pred] into a block with leading [phis]:
+   each phi takes its first arm for [pred], as the interpreter's
+   [List.find_opt] does. [Error] holds the read that traps first. *)
+let phi_edge ctx (f : Ir.func) rtys phis ~pred dst =
+  let rec go im fm = function
+    | [] ->
+        Ok
+          {
+            imoves = Array.of_list (List.concat (List.rev im));
+            fmoves = Array.of_list (List.rev fm);
+            dst;
+          }
+    | (i : Ir.instr) :: rest -> (
+        let id = i.Ir.id in
+        let incoming = match i.Ir.kind with Ir.Phi l -> l | _ -> [] in
+        match List.find_opt (fun (l, _) -> String.equal l pred) incoming with
+        | None ->
+            Error
+              (fun _ ->
+                trap "%s: phi has no arm for predecessor %s" f.Ir.fname pred)
+        | Some (_, v) -> (
+            if rtys.(id) = TInt then
+              match ishape ctx f rtys v with
+              | ISlot x -> go ([ id; 0; x ] :: im) fm rest
+              | IConst x -> go ([ id; 1; x ] :: im) fm rest
+              | IArg x -> go ([ id; 2; x ] :: im) fm rest
+              | IFn g -> Error (fun fr -> ignore (g fr : int))
+            else
+              match fshape ctx f rtys v with
+              | FFn g -> Error (fun fr -> ignore (g fr : float))
+              | s -> go im ((id, s) :: fm) rest))
+  in
+  go [] [] phis
 
 let compile_func ctx (f : Ir.func) =
   let cfn = Hashtbl.find ctx.cfuncs f.fname in
   let rtys = Hashtbl.find ctx.reg_tys f.fname in
+  let st = ctx.st and clock = ctx.backend.Backend.clock in
+  let fname = f.Ir.fname in
+  let blocks = Array.of_list f.Ir.blocks in
   let label_index = Hashtbl.create 16 in
-  List.iteri
+  Array.iteri
     (fun k (b : Ir.block) -> Hashtbl.replace label_index b.label k)
-    f.blocks;
-  cfn.cf_blocks <-
-    Array.of_list
-      (List.mapi
-         (fun bidx (b : Ir.block) ->
-           (* Cost accounting is over the *source* instruction count —
-              fusion below merges closures, never changes what the run
-              charges or reports. *)
-           let n_ir = List.length b.instrs in
-           (* icmp → cbr fusion: when the block's last instruction is
-              the compare feeding its own conditional branch, both
-              compile into the terminator. *)
-           let instrs, fused_term =
-             match (b.term, List.rev b.instrs) with
-             | ( Ir.Cbr (Ir.Reg cid, tl, el),
-                 { Ir.kind = Ir.Icmp (op, x, y); id } :: rest )
-               when id = cid && rtys.(cid) = TInt -> (
-                 match
-                   ( Hashtbl.find_opt label_index tl,
-                     Hashtbl.find_opt label_index el )
-                 with
-                 | Some kt, Some ke ->
-                     ( List.rev rest,
-                       Some
-                         (compile_icmp_br op
-                            (ishape ctx f rtys x)
-                            (ishape ctx f rtys y)
-                            cid bidx kt ke) )
-                 | _ -> (b.instrs, None))
-             | _ -> (b.instrs, None)
-           in
-           (* gep → load/store fusion: an address computation consumed
-              by the immediately following access folds into it. *)
-           let rec build acc = function
-             | [] -> List.rev acc
-             | (g : Ir.instr) :: rest -> (
-                 match (g.Ir.kind, rest) with
-                 | ( Ir.Gep { base; index; scale; offset },
-                     (({ Ir.kind = Ir.Load { ptr = Ir.Reg pid; _ }; _ }
-                      | { Ir.kind = Ir.Store { ptr = Ir.Reg pid; _ }; _ }) as
-                      next)
-                     :: rest2 )
-                   when pid = g.Ir.id ->
-                     let am =
-                       AGep
-                         ( g.Ir.id,
-                           ishape ctx f rtys base,
-                           ishape ctx f rtys index,
-                           scale,
-                           offset )
-                     in
-                     build
-                       (compile_access ctx f rtys next ~fname:f.Ir.fname am
-                       :: acc)
-                       rest2
-                 | _ -> build (compile_instr ctx f rtys label_index g :: acc) rest)
-           in
-           let code = Array.of_list (build [] instrs) in
-           let term =
-             match fused_term with
-             | Some t -> t
-             | None -> compile_term ctx f cfn rtys label_index bidx b.term
-           in
-           {
-             cb_step = chain_step code term;
-             cb_cost = n_ir + 1;
-             cb_tick = (n_ir + 4) / 4;
-             cb_cell =
-               (match ctx.profile with
-               | Some prof -> Profile.cell prof ~func:f.Ir.fname ~block:b.label
-               | None -> ref 0);
-           })
-         f.blocks)
+    blocks;
+  (* A block's leading phis become moves on its incoming edges. A phi
+     after a non-phi instruction has to run in place, so a block with
+     one is compiled once per predecessor label, with every phi's arm
+     fixed ([entered]). *)
+  let phis = Array.map (fun (b : Ir.block) -> split_phis [] b.instrs) blocks in
+  let in_place = Array.map (fun (_, rest) -> List.exists is_phi rest) phis in
+  let entries = Array.map (fun _ -> { enter = (fun _ -> ()) }) blocks in
+  let entered = Hashtbl.create 4 in
+  let entry_from k ~pred =
+    if not in_place.(k) then entries.(k)
+    else
+      match Hashtbl.find_opt entered (k, pred) with
+      | Some e -> e
+      | None ->
+          let e = { enter = (fun _ -> ()) } in
+          Hashtbl.replace entered (k, pred) e;
+          e
+  in
+  (* Cost accounting is over the *source* instruction count — fusion
+     below merges closures, never changes what the run charges. *)
+  let profiled = Option.is_some ctx.profile in
+  let cells =
+    Array.map
+      (fun (b : Ir.block) ->
+        match ctx.profile with
+        | Some prof -> Profile.cell prof ~func:fname ~block:b.label
+        | None -> ref 0)
+      blocks
+  in
+  let units k = List.length blocks.(k).Ir.instrs + 1 in
+  let ticks k = (List.length blocks.(k).Ir.instrs + 4) / 4 in
+  let jump dst = { imoves = [||]; fmoves = [||]; dst } in
+  let edge_at k ~pred =
+    if in_place.(k) then jump (entry_from k ~pred)
+    else
+      match phi_edge ctx f rtys (fst phis.(k)) ~pred entries.(k) with
+      | Ok e -> e
+      | Error fail ->
+          (* The interpreter charges the block before its phi traps. *)
+          let cell = cells.(k) and units = units k and tick = ticks k in
+          let enter fr =
+            charge st clock ~profiled cell ~units ~tick;
+            fail fr
+          in
+          jump { enter }
+  in
+  let edge ~pred l =
+    match Hashtbl.find_opt label_index l with
+    | Some k -> edge_at k ~pred
+    | None ->
+        (* Mirrors the interpreter's [Hashtbl.find]: the unknown label
+           only faults if the branch actually executes. *)
+        jump { enter = (fun _ -> raise Not_found) }
+  in
+  let start =
+    if Array.length blocks = 0 then None else Some (edge_at 0 ~pred:"<entry>")
+  in
+  (* Terminators first: they create the per-predecessor entries that the
+     bodies below fill in. *)
+  let bodies_terms =
+    Array.mapi
+      (fun k (b : Ir.block) ->
+        let instrs = if in_place.(k) then b.instrs else snd phis.(k) in
+        let edge = edge ~pred:b.label in
+        (instrs, compile_term ctx f cfn rtys ~edge ~label:b.label b.term))
+      blocks
+  in
+  (* gep → load/store fusion: an address computation consumed by the
+     immediately following access folds into it. *)
+  let rec build ~pred acc = function
+    | [] -> Array.of_list (List.rev acc)
+    | (g : Ir.instr) :: rest -> (
+        match (g.Ir.kind, rest) with
+        | ( Ir.Gep { base; index; scale; offset },
+            (({ Ir.kind = Ir.Load { ptr = Ir.Reg pid; _ }; _ }
+             | { Ir.kind = Ir.Store { ptr = Ir.Reg pid; _ }; _ }) as next)
+            :: rest2 )
+          when pid = g.Ir.id ->
+            let am =
+              AGep
+                ( g.Ir.id,
+                  ishape ctx f rtys base,
+                  ishape ctx f rtys index,
+                  scale,
+                  offset )
+            in
+            build ~pred (compile_access ctx f rtys next ~fname am :: acc) rest2
+        | _ -> build ~pred (compile_instr ctx f rtys ~pred g :: acc) rest)
+  in
+  let compile k ~pred =
+    let instrs, tail = bodies_terms.(k) in
+    block_entry st clock ~profiled cells.(k) ~units:(units k) ~tick:(ticks k)
+      (build ~pred [] instrs) tail
+  in
+  Array.iteri
+    (fun k e -> if not in_place.(k) then e.enter <- compile k ~pred:"")
+    entries;
+  Hashtbl.iter (fun (k, pred) e -> e.enter <- compile k ~pred) entered;
+  cfn.cf_enter <-
+    (match start with
+    | None -> fun _ -> invalid_arg "index out of bounds"
+    | Some { imoves = [||]; fmoves = [||]; dst } -> dst.enter
+    | Some e -> fun fr -> take fr e)
 
 let compile_module ctx =
   (* Phase 1: register shells so recursion and mutual calls resolve. *)
@@ -1536,7 +1435,7 @@ let compile_module ctx =
           cf_params = Array.make f.nparams TInt;
           cf_ret = TInt;
           cf_has_floats = false;
-          cf_blocks = [||];
+          cf_enter = (fun _ -> ());
           cf_frames = [||];
           cf_live = 0;
         };
@@ -1553,7 +1452,6 @@ let run ?profile ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry =
       st =
         {
           fuel;
-          instrs = 0;
           depth = 0;
           stack_ptr = stack_base;
           iret = 0;
@@ -1583,5 +1481,5 @@ let run ?profile ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry =
   {
     Interp.ret = ctx.st.iret;
     cycles = Memsim.Clock.cycles backend.Backend.clock;
-    instrs_executed = ctx.st.instrs;
+    instrs_executed = fuel - ctx.st.fuel;
   }

@@ -3,16 +3,23 @@
     Lowers each IR function to OCaml closures once per run — operand
     slots resolved to unboxed int/float array indices, binop/cmp cases
     and callees selected per site, globals resolved to addresses, and
-    address computations fused into the loads and stores they feed —
-    then drives blocks through an iterative trampoline. A call reuses
-    a zero-filled register frame of its callee and passes its arguments
-    in array literals (up to three), so it allocates only those.
-    Observable behaviour (return value, cycles, instruction counts,
-    every backend hook and telemetry call, and hence
-    guard/fault/span/counter output) is bit-identical to
-    {!Interp.run}, which stays around as the differential oracle; the
-    [--engine compiled] runs of [ci/cells.ml] and [test/test_engine.ml]
-    enforce the equivalence.
+    address computations fused into the loads and stores they feed.
+    Blocks are threaded: each block's entry closure charges the block,
+    runs its body and tail-calls its successor's entry, and each CFG
+    edge applies the successor's phis for that predecessor as moves,
+    resolved at compile time and applied in phi order. A loop therefore
+    runs in constant OCaml stack; the stack grows per IR call, not per
+    block. A call reuses a zero-filled register frame of its callee and
+    passes its arguments in array literals (up to three), so it
+    allocates only those. Observable behaviour (return value, cycles,
+    instruction counts, every backend hook and telemetry call, and
+    hence guard/fault/span/counter output) is bit-identical to
+    {!Interp.run}, which stays around as the differential oracle,
+    including on modules the verifier rejects: a phi takes its first
+    arm for the predecessor, and a function's entry block is entered
+    from ["<entry>"]. The [--engine compiled] runs of [ci/cells.ml],
+    [test/test_engine.ml] and [test/test_differential.ml] enforce the
+    equivalence.
 
     Known, deliberate divergence: programs that mix int and float types
     in one SSA slot (e.g. a function returning [1] on one path and

@@ -191,12 +191,16 @@ let op_begin t ~cls =
 
 let op_end = function Rec { spans = Some sp; _ } -> Span.op_end sp | _ -> ()
 
-let cat_enter t cat =
+(* [@inline]: every guard enters and leaves a category, and with spans
+   off that is one match on the sink. *)
+let[@inline] cat_enter t cat =
   match t with Rec { spans = Some sp; _ } -> Span.enter sp cat | _ -> ()
 
-let cat_exit = function Rec { spans = Some sp; _ } -> Span.exit sp | _ -> ()
+let[@inline] cat_exit = function
+  | Rec { spans = Some sp; _ } -> Span.exit sp
+  | _ -> ()
 
-let cat_reclass t cat =
+let[@inline] cat_reclass t cat =
   match t with Rec { spans = Some sp; _ } -> Span.reclass sp cat | _ -> ()
 
 (* -- flight recorder ------------------------------------------------------ *)

@@ -152,13 +152,16 @@ let clock t = t.clock
 let object_size t = Pool.object_size t.classes.(0).pool
 let size_class_count t = Array.length t.classes
 
-let cls_of_ptr t ptr =
-  let idx = Nc_ptr.size_class ptr in
-  if idx >= Array.length t.classes then
-    invalid_arg "Runtime: pointer with unknown size class"
-  else idx
+(* [cls_of_ptr], [object_id], [metadata_lookup] and [chunk_state] are
+   [@inline]: a guard or chunk access that hits runs them in place, and
+   only their miss and grow paths are calls. *)
+let unknown_class () = invalid_arg "Runtime: pointer with unknown size class"
 
-let object_id (c : size_class) ptr =
+let[@inline] cls_of_ptr t ptr =
+  let idx = Nc_ptr.size_class ptr in
+  if idx >= Array.length t.classes then unknown_class () else idx
+
+let[@inline] object_id (c : size_class) ptr =
   Nc_ptr.object_id ptr ~object_size_log2:c.osize_log2
 
 (* -- allocation ---------------------------------------------------------- *)
@@ -234,14 +237,15 @@ let state_table_bytes t =
    cache-miss penalty on a metadata cache miss, and the extra dependent
    load when the state table optimization is ablated. Class and id are
    combined so entries from different classes do not alias. *)
-let metadata_lookup t cls_idx id =
+let meta_cache_miss t slot key =
+  t.meta_cache.(slot) <- key;
+  Clock.tick t.clock t.cost.Cost_model.cache_miss_penalty;
+  Clock.add t.clock c_state_table_misses 1
+
+let[@inline] metadata_lookup t cls_idx id =
   let key = (id * 4) + cls_idx in
   let slot = key land (meta_cache_slots - 1) in
-  if t.meta_cache.(slot) <> key then begin
-    t.meta_cache.(slot) <- key;
-    Clock.tick t.clock t.cost.Cost_model.cache_miss_penalty;
-    Clock.add t.clock c_state_table_misses 1
-  end;
+  if t.meta_cache.(slot) <> key then meta_cache_miss t slot key;
   if not t.use_state_table then
     (* Without the table: find the object, then dereference its metadata —
        one more dependent memory reference on every guard. *)
@@ -275,12 +279,16 @@ let guard t ~ptr ~size ~write =
     let c = t.classes.(cls_idx) in
     let id = object_id c ptr in
     metadata_lookup t cls_idx id;
-    let fast = Pool.is_local c.pool id in
+    (* A hit reads the object's metadata byte once and writes it once
+       (hot, and dirty on a write); a miss takes the pool's slow path. *)
+    let m = Pool.probe c.pool id in
+    let fast = Pool.resident m in
     if fast then begin
       Clock.tick t.clock
         (if write then t.cost.Cost_model.fast_guard_write
          else t.cost.Cost_model.fast_guard_read);
-      Clock.add t.clock c_fast_guards 1
+      Clock.add t.clock c_fast_guards 1;
+      Pool.touch c.pool id m ~write
     end
     else begin
       Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
@@ -290,9 +298,9 @@ let guard t ~ptr ~size ~write =
       Clock.add t.clock c_slow_guards 1;
       (* The AIFM backend's runtime stride prefetcher watches the miss
          stream and runs ahead of regular strided access patterns. *)
-      if t.prefetch then Prefetcher.access c.miss_prefetcher id
+      if t.prefetch then Prefetcher.access c.miss_prefetcher id;
+      localize_for_access c id ~write
     end;
-    localize_for_access c id ~write;
     (* An access that straddles an object boundary needs both halves. *)
     let id_last = object_id c (ptr + size - 1) in
     if id_last <> id then localize_for_access c id_last ~write;
@@ -356,12 +364,14 @@ let page_accesses t = Clock.value t.clock c_page_accesses
 
 (* Chunk_pass numbers handles densely from 0, so the state table grows to
    the module's chunk-site count. *)
-let chunk_state t handle =
+let grow_chunks t handle =
   let n = Array.length t.chunks in
-  if handle >= n then
-    t.chunks <-
-      Array.init (max (handle + 1) (2 * n)) (fun h ->
-          if h < n then t.chunks.(h) else no_chunk ());
+  t.chunks <-
+    Array.init (max (handle + 1) (2 * n)) (fun h ->
+        if h < n then t.chunks.(h) else no_chunk ())
+
+let[@inline] chunk_state t handle =
+  if handle >= Array.length t.chunks then grow_chunks t handle;
   t.chunks.(handle)
 
 let unpin_cur t s =
@@ -422,9 +432,12 @@ let chunk_access t ~handle ~ptr ~size ~write =
       metadata_lookup t cls_idx id;
       Clock.tick t.clock t.cost.Cost_model.locality_guard;
       Clock.add t.clock c_locality_guards 1;
-      if not (Pool.is_local c.pool id) then
+      let m = Pool.probe c.pool id in
+      if Pool.resident m then Pool.touch c.pool id m ~write:false
+      else begin
         Telemetry.Sink.cat_reclass tel Telemetry.Span.Guard_slow;
-      Pool.ensure_local c.pool id;
+        Pool.ensure_local c.pool id
+      end;
       Pool.pin c.pool id;
       s.cur_cls <- cls_idx;
       s.cur_id <- id;

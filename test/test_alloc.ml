@@ -2,6 +2,9 @@
    and neither do the slow paths behind them: a guard miss that evicts
    and fetches, a prefetcher that fires, a Fastswap major fault.
 
+   The compiled engine's dispatch allocates nothing either: a loop's
+   block entries, phi moves and branches.
+
    Each case calls its path once to warm up (first touches materialize
    pages, objects and chunk state), then counts minor-heap words over
    10,000 more calls. Allocation counts are deterministic, so this keeps
@@ -138,6 +141,47 @@ let test_span_hooks () =
       Sink.op_begin Sink.nop ~cls:1;
       Sink.op_end Sink.nop)
 
+(* A compiled loop whose body branches on the low bit of its induction
+   variable and joins through a phi: loop-header phis, a join phi, [cbr]
+   and [br] all run on edges and block entries that allocate nothing, so
+   a run's minor words do not grow with its iteration count. The two
+   runs' difference cancels compiling the module and setting up. *)
+let test_compiled_loop () =
+  let m = Ir.create_module () in
+  let b = Builder.create m ~name:"main" ~nparams:1 in
+  let acc =
+    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Builder.arg 0)
+      ~accs:[ Ir.Const 1 ]
+      (fun b ~iv ~accs ->
+        let a = List.hd accs in
+        let odd = Builder.add_block b "odd" in
+        let even = Builder.add_block b "even" in
+        let join = Builder.add_block b "join" in
+        Builder.cbr b (Builder.binop b Ir.And iv (Ir.Const 1)) odd even;
+        Builder.set_block b odd;
+        let x = Builder.add b a iv in
+        Builder.br b join;
+        Builder.set_block b even;
+        let y = Builder.mul b a (Ir.Const 3) in
+        Builder.br b join;
+        Builder.set_block b join;
+        let z = Builder.phi b [ (odd, x); (even, y) ] in
+        [ Builder.binop b Ir.And z (Ir.Const 0xFFFFFF) ])
+  in
+  Builder.ret b (Some (List.hd acc));
+  Verifier.check_module m;
+  let words n =
+    let backend =
+      Backend.local Cost_model.default (Clock.create ()) (Memstore.create ())
+    in
+    let before = Gc.minor_words () in
+    ignore (Engine.run ~engine:Engine.Compiled ~args:[ n ] backend m ~entry:"main");
+    Gc.minor_words () -. before
+  in
+  let w = (words (calls + 1_000) -. words 1_000) /. float_of_int calls in
+  if w >= 0.5 then
+    Alcotest.failf "compiled loop: %.2f words per iteration, want 0" w
+
 let suite =
   ( "zero allocation",
     [
@@ -149,4 +193,5 @@ let suite =
       Alcotest.test_case "chunk access" `Quick test_chunk_access;
       Alcotest.test_case "pool pins" `Quick test_pin;
       Alcotest.test_case "span hooks" `Quick test_span_hooks;
+      Alcotest.test_case "compiled loop" `Quick test_compiled_loop;
     ] )

@@ -169,6 +169,37 @@ let prop_differential =
         ~chunk_mode:`Gated
       = reference)
 
+(* The compiled engine on generated control flow: strided loops,
+   data-dependent conditionals and short nests put phi moves on many
+   kinds of edges. Untransformed on the local backend, and TrackFM with
+   gated chunking and a profile, every observable must equal the
+   interpreter's. *)
+let observe engine run =
+  let o : Workloads.Driver.outcome = run engine in
+  ( o.ret,
+    o.cycles,
+    o.instrs,
+    List.sort compare (Clock.counters o.Workloads.Driver.clock) )
+
+let prop_engines_agree =
+  QCheck.Test.make ~name:"random programs: compiled = interpreter" ~count:25
+    QCheck.(int_range 1 1_000_000)
+    (fun seed ->
+      let rng = Tfm_util.Rng.create seed in
+      let build () = fst (random_program (Tfm_util.Rng.copy rng)) in
+      let ws = snd (random_program (Tfm_util.Rng.copy rng)) in
+      let opts =
+        Workloads.Driver.tfm_defaults ~local_budget:(max 16384 (ws / 4))
+      in
+      let profile = Workloads.Driver.profile_of build in
+      let local engine = Workloads.Driver.run_local ~engine build in
+      let tfm engine =
+        fst (Workloads.Driver.run_trackfm ~engine ~profile build opts)
+      in
+      List.for_all
+        (fun run -> observe Engine.Interp run = observe Engine.Compiled run)
+        [ local; tfm ])
+
 let prop_differential_fastswap =
   QCheck.Test.make ~name:"random programs: local = fastswap" ~count:15
     QCheck.(int_range 1 1_000_000)
@@ -251,6 +282,7 @@ let suite =
   ( "differential",
     [
       q prop_differential;
+      q prop_engines_agree;
       q prop_differential_fastswap;
       q prop_differential_o1;
       q prop_tracer_telemetry_roundtrip;

@@ -295,7 +295,197 @@ let test_recursion_and_traps () =
     with Interp.Trap msg -> msg
   in
   Alcotest.(check string) "trap parity"
-    (trap_of Engine.Interp) (trap_of Engine.Compiled)
+    (trap_of Engine.Interp) (trap_of Engine.Compiled);
+  (* Phi arm choice on modules the verifier rejects: both engines take
+     the first arm for the predecessor, a function's entry block is
+     entered from "<entry>", and a phi after a non-phi instruction reads
+     its block's earlier results. [phi_main arms] branches entry ->
+     next, where [x = phi arms] is returned; block "other" is
+     unreachable. *)
+  let phi_main ?(in_entry = false) ?(after_add = false) arms =
+    let m = Ir.create_module () in
+    let b = Builder.create m ~name:"main" ~nparams:0 in
+    if in_entry then Builder.ret b (Some (Builder.phi b arms))
+    else begin
+      let next = Builder.add_block b "next" in
+      let other = Builder.add_block b "other" in
+      Builder.br b next;
+      Builder.set_block b other;
+      Builder.br b next;
+      Builder.set_block b next;
+      let arms =
+        if after_add then
+          (* a phi after a non-phi instruction, reading it *)
+          ("entry", Builder.add b (Ir.Const 40) (Ir.Const 2)) :: arms
+        else arms
+      in
+      Builder.ret b (Some (Builder.phi b arms))
+    end;
+    m
+  in
+  let outcome engine m =
+    match
+      Engine.run ~engine
+        (Backend.local Cost_model.default (clock ()) (Memstore.create ()))
+        m ~entry:"main"
+    with
+    | r -> Printf.sprintf "ret %d" r.Interp.ret
+    | exception Interp.Trap msg -> "trap: " ^ msg
+  in
+  List.iter
+    (fun (what, m, want) ->
+      Alcotest.(check string) (what ^ ", interpreter") want
+        (outcome Engine.Interp m);
+      Alcotest.(check string) (what ^ ", compiled") want
+        (outcome Engine.Compiled m))
+    [
+      ( "two arms for one predecessor",
+        phi_main [ ("entry", Ir.Const 1); ("entry", Ir.Const 2) ],
+        "ret 1" );
+      ( "three arms, two for one predecessor",
+        phi_main
+          [ ("entry", Ir.Const 3); ("other", Ir.Const 5); ("entry", Ir.Const 4) ],
+        "ret 3" );
+      ( "entry-block phi with an <entry> arm",
+        phi_main ~in_entry:true [ ("<entry>", Ir.Const 7) ],
+        "ret 7" );
+      ( "no arm for the predecessor",
+        phi_main [ ("other", Ir.Const 5) ],
+        "trap: main: phi has no arm for predecessor entry" );
+      ( "phi after a non-phi instruction",
+        phi_main ~after_add:true [ ("other", Ir.Const 5) ],
+        "ret 42" );
+    ]
+
+(* [count_loop n]: header (phis [i] and [acc]) -> body -> latch ->
+   header, n times; returns the sum of [i * 3 + 1] masked to 30 bits.
+   Three blocks, two phis, a conditional and an unconditional branch. *)
+let count_loop n =
+  let m = Ir.create_module () in
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let acc =
+    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const n)
+      ~accs:[ Ir.Const 0 ]
+      (fun b ~iv ~accs ->
+        let t = Builder.add b (Builder.mul b iv (Ir.Const 3)) (Ir.Const 1) in
+        [ Builder.binop b Ir.And (Builder.add b (List.hd accs) t)
+            (Ir.Const 0x3FFFFFFF) ])
+  in
+  Builder.ret b (Some (List.hd acc));
+  Verifier.check_module m;
+  m
+
+let run_local ?fuel engine m =
+  Engine.run ?fuel ~engine
+    (Backend.local Cost_model.default (Clock.create ()) (Memstore.create ()))
+    m ~entry:"main"
+
+(* Blocks end in tail calls, so a loop runs in constant OCaml stack: a
+   million iterations fit in a 16K-word stack, where one OCaml frame per
+   executed block would overflow it. *)
+let test_bounded_stack () =
+  let n = 1_000_000 in
+  let m = count_loop n in
+  let want = ref 0 in
+  for i = 0 to n - 1 do
+    want := (!want + (i * 3) + 1) land 0x3FFFFFFF
+  done;
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.stack_limit = 16 * 1024 };
+  let r =
+    match run_local Engine.Compiled m with
+    | r ->
+        Gc.set saved;
+        r
+    | exception e ->
+        Gc.set saved;
+        raise e
+  in
+  Alcotest.(check int) "ret" !want r.Interp.ret
+
+(* Each block charges its instruction units to the fuel before it runs,
+   and the units spent are the instruction count: with exactly that much
+   fuel both engines finish and agree, with one unit less both trap. *)
+let test_fuel_parity () =
+  let m = count_loop 37 in
+  let full = run_local Engine.Interp m in
+  let need = full.Interp.instrs_executed in
+  List.iter
+    (fun engine ->
+      let name = Engine.to_string engine in
+      let r = run_local ~fuel:need engine m in
+      Alcotest.(check int) (name ^ ": instrs with exact fuel") need
+        r.Interp.instrs_executed;
+      Alcotest.(check int) (name ^ ": ret") full.Interp.ret r.Interp.ret;
+      Alcotest.(check int) (name ^ ": cycles") full.Interp.cycles
+        r.Interp.cycles;
+      match run_local ~fuel:(need - 1) engine m with
+      | _ -> Alcotest.failf "%s: ran on one unit less fuel" name
+      | exception Interp.Trap msg ->
+          Alcotest.(check string) (name ^ ": trap") "out of fuel (infinite loop?)"
+            msg)
+    Engine.all
+
+(* Phis run in order, each reading what the block's earlier phis just
+   wrote: the swap [a = phi b'], [b' = phi a] leaves both equal to the
+   old [b'], and [c = phi a] reads the new [a]. *)
+let test_phi_order () =
+  let n = 9 in
+  let m = Ir.create_module () in
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let entry = Builder.current_label b in
+  let header = Builder.add_block b "header" in
+  let latch = Builder.add_block b "latch" in
+  let exit = Builder.add_block b "exit" in
+  Builder.br b header;
+  Builder.set_block b header;
+  let i = Builder.phi b [ (entry, Ir.Const 0) ] in
+  let a = Builder.phi b [ (entry, Ir.Const 1) ] in
+  let b' = Builder.phi b [ (entry, Ir.Const 2) ] in
+  let c = Builder.phi b [ (entry, Ir.Const 3) ] in
+  let s = Builder.phi b [ (entry, Ir.Const 0) ] in
+  let more = Builder.icmp b Ir.Lt i (Ir.Const n) in
+  Builder.cbr b more latch exit;
+  Builder.set_block b latch;
+  let i' = Builder.add b i (Ir.Const 1) in
+  let mix =
+    Builder.add b
+      (Builder.add b (Builder.mul b a (Ir.Const 7)) (Builder.mul b b' (Ir.Const 5)))
+      (Builder.add b c i)
+  in
+  let s' =
+    Builder.binop b Ir.And
+      (Builder.add b (Builder.mul b s (Ir.Const 31)) mix)
+      (Ir.Const 0x3FFFFFFF)
+  in
+  Builder.br b header;
+  Builder.patch_phi b i latch i';
+  Builder.patch_phi b a latch b';
+  Builder.patch_phi b b' latch a;
+  Builder.patch_phi b c latch a;
+  Builder.patch_phi b s latch s';
+  Builder.set_block b exit;
+  Builder.ret b
+    (Some
+       (Builder.add b (Builder.mul b s (Ir.Const 1000))
+          (Builder.add b (Builder.mul b b' (Ir.Const 10)) c)));
+  Verifier.check_module m;
+  (* The same loop in OCaml, one phi after another. *)
+  let i = ref 0 and a = ref 1 and b = ref 2 and c = ref 3 and s = ref 0 in
+  while !i < n do
+    let mix = (!a * 7) + (!b * 5) + !c + !i in
+    s := ((!s * 31) + mix) land 0x3FFFFFFF;
+    i := !i + 1;
+    a := !b;
+    b := !a;
+    c := !a
+  done;
+  let want = (!s * 1000) + (!b * 10) + !c in
+  List.iter
+    (fun engine ->
+      Alcotest.(check int) (Engine.to_string engine) want
+        (run_local engine m).Interp.ret)
+    Engine.all
 
 (* A direct call allocates its argument array, not its callee's
    registers: minor words per call are the same for a helper with 200
@@ -373,6 +563,11 @@ let suite =
         test_miscompile_is_caught;
       Alcotest.test_case "recursion and trap parity" `Quick
         test_recursion_and_traps;
+      Alcotest.test_case "threaded loop in bounded stack" `Quick
+        test_bounded_stack;
+      Alcotest.test_case "fuel is the instruction count" `Quick
+        test_fuel_parity;
+      Alcotest.test_case "phis read in order" `Quick test_phi_order;
       Alcotest.test_case "call frames are reused" `Quick
         test_call_frames_reused;
       Alcotest.test_case "block profiles agree" `Quick test_profile_parity;
