@@ -101,6 +101,7 @@ let fastswap ?readahead ?faults ?cluster ?(telemetry = Telemetry.Sink.nop)
 let trackfm rt store =
   let module R = Trackfm.Runtime in
   let clock = R.clock rt in
+  let telemetry = R.telemetry rt in
   let untransformed name =
     failwith
       (Printf.sprintf
@@ -120,61 +121,102 @@ let trackfm rt store =
             pass missing?)"
            name)
   in
+  (* Every handler is bound once, here, and the dispatcher below only
+     picks one by name, so a compiled call site resolves its handler
+     before the run and a match allocates nothing. What a handler checks
+     about the run (the init flag above all) it checks when it runs. *)
+  let base name = base_intrinsics ~telemetry clock name in
+  let bench_begin = base "!bench_begin"
+  and cpu_work = base "!cpu_work"
+  and op_begin = base "!op_begin"
+  and op_end = base "!op_end" in
+  let tfm_init _ =
+    initialized := true;
+    Some 0
+  in
+  let tfm_malloc args =
+    require_init "tfm_malloc";
+    Some (R.tfm_malloc rt args.(0))
+  in
+  let tfm_calloc args =
+    require_init "tfm_calloc";
+    Some (R.tfm_calloc rt args.(0) args.(1))
+  in
+  let tfm_realloc args =
+    require_init "tfm_realloc";
+    Some (R.tfm_realloc rt args.(0) args.(1))
+  in
+  let tfm_free args =
+    require_init "tfm_free";
+    R.tfm_free rt args.(0);
+    Some 0
+  in
+  let guard_read args =
+    R.guard rt ~ptr:args.(0) ~size:args.(1) ~write:false;
+    Some args.(0)
+  in
+  let guard_write args =
+    R.guard rt ~ptr:args.(0) ~size:args.(1) ~write:true;
+    Some args.(0)
+  in
+  let page_read args =
+    require_init "tfm_page_read";
+    R.page_access rt ~ptr:args.(0) ~size:args.(1) ~write:false;
+    Some args.(0)
+  in
+  let page_write args =
+    require_init "tfm_page_write";
+    R.page_access rt ~ptr:args.(0) ~size:args.(1) ~write:true;
+    Some args.(0)
+  in
+  let chunk_init args =
+    R.chunk_init rt ~handle:args.(0) ~stride_bytes:args.(1);
+    Some 0
+  in
+  let chunk_read args =
+    R.chunk_access rt ~handle:args.(0) ~ptr:args.(1) ~size:args.(2)
+      ~write:false;
+    Some args.(1)
+  in
+  let chunk_write args =
+    R.chunk_access rt ~handle:args.(0) ~ptr:args.(1) ~size:args.(2)
+      ~write:true;
+    Some args.(1)
+  in
+  let chunk_end args =
+    R.chunk_end rt ~handle:args.(0);
+    Some 0
+  in
+  let unknown _ = None in
   {
     name = "trackfm";
     store;
     clock;
     cost = R.cost rt;
-    telemetry = R.telemetry rt;
+    telemetry;
     malloc = (fun _ -> untransformed "malloc");
     free = (fun _ -> untransformed "free");
     realloc = (fun _ _ -> untransformed "realloc");
     on_access = no_access;
     intrinsic =
-      (fun name args ->
+      (fun name ->
         match name with
-        | "!tfm_init" ->
-            initialized := true;
-            Some 0
-        | "!bench_begin" | "!cpu_work" | "!op_begin" | "!op_end" ->
-            base_intrinsics ~telemetry:(R.telemetry rt) clock name args
-        | "tfm_malloc" ->
-            require_init name;
-            Some (R.tfm_malloc rt args.(0))
-        | "tfm_calloc" ->
-            require_init name;
-            Some (R.tfm_calloc rt args.(0) args.(1))
-        | "tfm_realloc" -> Some (R.tfm_realloc rt args.(0) args.(1))
-        | "tfm_free" ->
-            R.tfm_free rt args.(0);
-            Some 0
-        | "tfm_guard_read" ->
-            R.guard rt ~ptr:args.(0) ~size:args.(1) ~write:false;
-            Some args.(0)
-        | "tfm_guard_write" ->
-            R.guard rt ~ptr:args.(0) ~size:args.(1) ~write:true;
-            Some args.(0)
-        | "tfm_page_read" ->
-            require_init name;
-            R.page_access rt ~ptr:args.(0) ~size:args.(1) ~write:false;
-            Some args.(0)
-        | "tfm_page_write" ->
-            require_init name;
-            R.page_access rt ~ptr:args.(0) ~size:args.(1) ~write:true;
-            Some args.(0)
-        | "!tfm_chunk_init" ->
-            R.chunk_init rt ~handle:args.(0) ~stride_bytes:args.(1);
-            Some 0
-        | "tfm_chunk_access_read" ->
-            R.chunk_access rt ~handle:args.(0) ~ptr:args.(1) ~size:args.(2)
-              ~write:false;
-            Some args.(1)
-        | "tfm_chunk_access_write" ->
-            R.chunk_access rt ~handle:args.(0) ~ptr:args.(1) ~size:args.(2)
-              ~write:true;
-            Some args.(1)
-        | "!tfm_chunk_end" ->
-            R.chunk_end rt ~handle:args.(0);
-            Some 0
-        | _ -> None);
+        | "!tfm_init" -> tfm_init
+        | "!bench_begin" -> bench_begin
+        | "!cpu_work" -> cpu_work
+        | "!op_begin" -> op_begin
+        | "!op_end" -> op_end
+        | "tfm_malloc" -> tfm_malloc
+        | "tfm_calloc" -> tfm_calloc
+        | "tfm_realloc" -> tfm_realloc
+        | "tfm_free" -> tfm_free
+        | "tfm_guard_read" -> guard_read
+        | "tfm_guard_write" -> guard_write
+        | "tfm_page_read" -> page_read
+        | "tfm_page_write" -> page_write
+        | "!tfm_chunk_init" -> chunk_init
+        | "tfm_chunk_access_read" -> chunk_read
+        | "tfm_chunk_access_write" -> chunk_write
+        | "!tfm_chunk_end" -> chunk_end
+        | _ -> unknown);
   }

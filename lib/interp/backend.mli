@@ -27,7 +27,20 @@ type t = {
   realloc : int -> int -> int;
   on_access : addr:int -> size:int -> write:bool -> unit;
   intrinsic : string -> int array -> int option;
-      (** Handle a runtime call; [None] means unknown intrinsic. *)
+      (** Handle a runtime call; [None] means unknown intrinsic.
+
+          The compiled engine applies [intrinsic name] once per call
+          site, when it compiles the module, and calls the handler it
+          gets on every execution of the site; the interpreter applies
+          [intrinsic name args] on every call. So a dispatcher should
+          match the name before it takes the arguments and return a
+          handler bound when the backend is built ({!trackfm} and
+          [Driver.with_blobs] do), and every check that reads run state
+          (such as {!trackfm}'s "!tfm_init ran first") belongs inside
+          the handler: the compiled engine resolves handlers before the
+          run starts. A wrapper written [fun name args -> ...] still
+          sees every call on both engines, at the cost of a partial
+          application per call on the compiled one. *)
 }
 
 val local :
@@ -50,7 +63,10 @@ val fastswap :
 
 val trackfm : Trackfm.Runtime.t -> Memstore.t -> t
 (** Wraps an existing TrackFM runtime (whose clock/cost/telemetry sink
-    the result shares). *)
+    the result shares). Its dispatcher picks one of a fixed set of
+    handlers by name. Every allocation and page handler fails, naming
+    the missing runtime-initialization pass, when it runs before
+    [!tfm_init]. *)
 
 val heap_base : int
 (** Base address of the untracked (local/fastswap) heap segment. *)

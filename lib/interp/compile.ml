@@ -13,10 +13,16 @@
      closure per instruction instead of a [match] per execution);
    - global symbols resolved to their laid-out addresses;
    - callee names resolved per call site: libc allocation hooks, direct
-     IR calls (bound to the callee's compiled body), or the backend's
-     intrinsic dispatcher — the runtime never re-classifies a name — with
-     register and constant arguments read inline, not through closures;
-   - a gep that feeds a load or store fused into the access's closure;
+     IR calls (bound to the callee's compiled body), or the handler the
+     backend's intrinsic dispatcher returns for the name, asked for once
+     per site when the module compiles — the runtime never re-classifies
+     a name — with register and constant arguments read inline, not
+     through closures;
+   - a gep that feeds a load or store fused into the access's closure,
+     and with it the guard, chunk or page call that the TrackFM passes
+     put between the two (or right before a plain access): one closure
+     computes the address, calls the site's handler with the address
+     and its constant arguments, and performs the access;
    - register frames reused: each function keeps one frame per live
      activation depth and zero-fills it when the activation returns, so
      a call allocates only its argument arrays, and those are array
@@ -581,15 +587,89 @@ let[@inline] charge st clock ~profiled cell ~units ~tick =
   if st.fuel < 0 then trap "out of fuel (infinite loop?)";
   Memsim.Clock.tick clock tick
 
+(* -- runtime intrinsic call sites -----------------------------------------
+
+   A call that goes to the backend's dispatcher (guards, chunk and page
+   accesses, TrackFM allocation, spans, bookkeeping hooks) compiles to a
+   [site]: the handler the dispatcher returns for the callee's name (the
+   dispatcher is applied once, when the call is compiled), how the call
+   reads its arguments, its own slot and telemetry tag, and the
+   interpreter's fallback for a handler that answers [None].
+
+   The TrackFM passes put a guard, chunk or page call right before each
+   access they cover, on the access's own address with a constant size
+   (and chunk handle). When such a call is fused into its access (see
+   [amode] below), its argument array is built from the address the
+   access computes; any other call reads its argument shapes in order. *)
+
+type args =
+  | Addr of int (* [| addr; size |]: a guard or page call *)
+  | Handle_addr of int * int (* [| handle; addr; size |]: a chunk access *)
+  | Shapes of ishape array
+
+type site = {
+  handler : int array -> int option;
+  args : args;
+  sid : int;
+  sfunc : string;
+  tel : Telemetry.Sink.t;
+  tagged : bool; (* the sink is active: [set_site] is not a no-op *)
+  unhandled : frame -> int array -> unit;
+}
+
+(* Arguments read in order into an array literal (every TrackFM
+   intrinsic takes at most three), coerced to ints exactly like the
+   interpreter's [as_int] map. *)
+let read_args fr = function
+  | [||] -> [||]
+  | [| s0 |] -> [| read_int fr s0 |]
+  | [| s0; s1 |] ->
+      let a0 = read_int fr s0 in
+      let a1 = read_int fr s1 in
+      [| a0; a1 |]
+  | [| s0; s1; s2 |] ->
+      let a0 = read_int fr s0 in
+      let a1 = read_int fr s1 in
+      let a2 = read_int fr s2 in
+      [| a0; a1; a2 |]
+  | sargs ->
+      let a = Array.make (Array.length sargs) 0 in
+      for j = 0 to Array.length sargs - 1 do
+        Array.unsafe_set a j (read_int fr (Array.unsafe_get sargs j))
+      done;
+      a
+
+(* Tag the site, build its arguments, call its handler and write the
+   result. [addr] is the address of the access the call is fused into;
+   only [Addr] and [Handle_addr] sites read it. *)
+let[@inline] run_site fr s addr =
+  if s.tagged then Telemetry.Sink.set_site s.tel ~func:s.sfunc ~instr:s.sid;
+  let a =
+    match s.args with
+    | Addr size -> [| addr; size |]
+    | Handle_addr (handle, size) -> [| handle; addr; size |]
+    | Shapes sargs -> read_args fr sargs
+  in
+  match s.handler a with
+  | Some r -> Array.unsafe_set fr.ienv s.sid r
+  | None -> s.unhandled fr a
+
 (* -- memory access compilation -------------------------------------------
 
    Loads and stores take their address through an *address mode*: either
    the pointer operand itself ([APlain]), or — when a [Gep] immediately
-   feeds the access and nothing executes in between — the fused address
-   computation [AGep], which evaluates base + index*scale + offset
-   inline, stores it in the gep's own slot (later instructions may reuse
-   the pointer), and hands it to the access. One closure replaces the
-   gep/access pair. *)
+   feeds the access — the fused address computation [AGep], which
+   evaluates base + index*scale + offset inline, stores it in the gep's
+   own slot (later instructions may reuse the pointer), and hands it to
+   the access. An intrinsic call between the two, or right before a
+   plain access — the guard, chunk or page call that the TrackFM passes
+   put before every access they cover — fuses as well, as the access's
+   [call]: it runs after the gep writes its slot and before the access
+   reads its stored value, which the call may produce. (An access
+   through the call's own result is not fused, so a register pointer
+   may be read before the call.) One closure replaces the
+   gep/call/access triple, and every slot write, site tag, tick and
+   trap keeps its order. *)
 
 type amode =
   | APlain of ishape
@@ -607,7 +687,44 @@ let amode_read = function
         Array.unsafe_set fr.ienv dst addr;
         addr
 
-let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
+(* [amode_read] with the fused call in its place: a gep's address and a
+   register pointer (never the call's own result) are read before the
+   call, which may take them as its address; any other pointer is read
+   after it, as the interpreter reads it, and its call reads its
+   argument shapes. *)
+let address call am : frame -> int =
+  match (call, am) with
+  | None, am -> amode_read am
+  | Some s, APlain (IConst _ | IArg _ | IFn _ as sp) ->
+      let p = iread sp in
+      fun fr ->
+        run_site fr s 0;
+        p fr
+  | Some s, am ->
+      let p = amode_read am in
+      fun fr ->
+        let addr = p fr in
+        run_site fr s addr;
+        addr
+
+(* The address shapes the access arms below specialise, each in two
+   closures picked when the access compiles: without a fused call
+   ([call = None]) the plain access, with one [s] the access after
+   [called s]. So an access no call fuses into never tests for one. *)
+let[@inline] reg fr i = Array.unsafe_get fr.ienv i
+let[@inline] arg fr i = Array.unsafe_get fr.iargs i
+
+(* A gep's address, written to its slot. *)
+let[@inline] gep_at fr dst addr =
+  Array.unsafe_set fr.ienv dst addr;
+  addr
+
+(* [addr], after the fused call [s] ran on it. *)
+let[@inline] called s fr addr =
+  run_site fr s addr;
+  addr
+
+let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname ~call amode :
     frame -> unit =
   let b = ctx.backend in
   let clock = b.Backend.clock in
@@ -631,25 +748,25 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
       Memsim.Clock.tick clock local_access;
       Memsim.Memstore.load_float_into store ~addr fr.fenv id
     in
-    match amode with
-    | APlain (ISlot p) -> fun fr -> body fr (Array.unsafe_get fr.ienv p)
-    | AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
+    match (call, amode) with
+    | None, APlain (ISlot p) -> fun fr -> body fr (reg fr p)
+    | Some s, APlain (ISlot p) -> fun fr -> body fr (called s fr (reg fr p))
+    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
         fun fr ->
-          let addr =
-            Array.unsafe_get fr.ienv bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
-          in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr
-    | AGep (dst, ISlot bi, IConst k, scale, offset) ->
+          body fr (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset))
+    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
+        fun fr ->
+          body fr
+            (called s fr
+               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
+    | None, AGep (dst, ISlot bi, IConst k, scale, offset) ->
         let add = (k * scale) + offset in
-        fun fr ->
-          let addr = Array.unsafe_get fr.ienv bi + add in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr
-    | am ->
-        let p = amode_read am in
+        fun fr -> body fr (gep_at fr dst (reg fr bi + add))
+    | Some s, AGep (dst, ISlot bi, IConst k, scale, offset) ->
+        let add = (k * scale) + offset in
+        fun fr -> body fr (called s fr (gep_at fr dst (reg fr bi + add)))
+    | call, am ->
+        let p = address call am in
         fun fr -> body fr (p fr)
   end
   else
@@ -659,38 +776,43 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname amode :
       Memsim.Clock.tick clock local_access;
       Array.unsafe_set fr.ienv id (Memsim.Memstore.load store ~addr ~size)
     in
-    match amode with
-    | APlain (ISlot p) -> fun fr -> body fr (Array.unsafe_get fr.ienv p)
-    | AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
+    match (call, amode) with
+    | None, APlain (ISlot p) -> fun fr -> body fr (reg fr p)
+    | Some s, APlain (ISlot p) -> fun fr -> body fr (called s fr (reg fr p))
+    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
         fun fr ->
-          let addr =
-            Array.unsafe_get fr.ienv bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
-          in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr
-    | AGep (dst, ISlot bi, IConst k, scale, offset) ->
+          body fr (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset))
+    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset) ->
+        fun fr ->
+          body fr
+            (called s fr
+               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
+    | None, AGep (dst, ISlot bi, IConst k, scale, offset) ->
         let add = (k * scale) + offset in
+        fun fr -> body fr (gep_at fr dst (reg fr bi + add))
+    | Some s, AGep (dst, ISlot bi, IConst k, scale, offset) ->
+        let add = (k * scale) + offset in
+        fun fr -> body fr (called s fr (gep_at fr dst (reg fr bi + add)))
+    | None, AGep (dst, IArg bi, ISlot xi, scale, offset) ->
         fun fr ->
-          let addr = Array.unsafe_get fr.ienv bi + add in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr
-    | AGep (dst, IArg bi, ISlot xi, scale, offset) ->
+          body fr (gep_at fr dst (arg fr bi + (reg fr xi * scale) + offset))
+    | Some s, AGep (dst, IArg bi, ISlot xi, scale, offset) ->
         fun fr ->
-          let addr =
-            Array.unsafe_get fr.iargs bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
-          in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr
-    | am ->
-        let p = amode_read am in
+          body fr
+            (called s fr
+               (gep_at fr dst (arg fr bi + (reg fr xi * scale) + offset)))
+    | None, AGep (dst, IArg bi, IConst k, scale, offset) ->
+        let add = (k * scale) + offset in
+        fun fr -> body fr (gep_at fr dst (arg fr bi + add))
+    | Some s, AGep (dst, IArg bi, IConst k, scale, offset) ->
+        let add = (k * scale) + offset in
+        fun fr -> body fr (called s fr (gep_at fr dst (arg fr bi + add)))
+    | call, am ->
+        let p = address call am in
         fun fr -> body fr (p fr)
 
-let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
-    frame -> unit =
+let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname ~call
+    amode : frame -> unit =
   let b = ctx.backend in
   let clock = b.Backend.clock in
   let store = b.Backend.store in
@@ -700,6 +822,8 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
   let id = i.Ir.id in
   let site = Telemetry.Sink.is_active tel in
   let hook = not (on_access == Backend.no_access) in
+  (* The stored value is read after the address, and so after the fused
+     call, which may produce it. *)
   if is_float then begin
     (* A float register goes to the page through
        [Memstore.store_float_from], never boxed; other operands are read
@@ -711,23 +835,24 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
       Memsim.Memstore.store_float_from store ~addr fr.fenv vi;
       Array.unsafe_set fr.ienv id 0
     in
-    match (amode, fshape ctx f rtys v) with
-    | AGep (dst, ISlot bi, ISlot xi, scale, offset), FSlot vi ->
+    match (call, amode, fshape ctx f rtys v) with
+    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset), FSlot vi ->
         fun fr ->
-          let addr =
-            Array.unsafe_get fr.ienv bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
-          in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr vi
-    | APlain (ISlot pi), FSlot vi ->
-        fun fr -> body fr (Array.unsafe_get fr.ienv pi) vi
-    | am, FSlot vi ->
-        let p = amode_read am in
+          body fr (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)) vi
+    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset), FSlot vi ->
+        fun fr ->
+          body fr
+            (called s fr
+               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
+            vi
+    | None, APlain (ISlot pi), FSlot vi -> fun fr -> body fr (reg fr pi) vi
+    | Some s, APlain (ISlot pi), FSlot vi ->
+        fun fr -> body fr (called s fr (reg fr pi)) vi
+    | call, am, FSlot vi ->
+        let p = address call am in
         fun fr -> body fr (p fr) vi
-    | am, sv ->
-        let p = amode_read am and x = fread sv in
+    | call, am, sv ->
+        let p = address call am and x = fread sv in
         fun fr ->
           let addr = p fr in
           if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
@@ -737,7 +862,6 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
           Array.unsafe_set fr.ienv id 0
   end
   else
-    let sv = ishape ctx f rtys v in
     let body fr addr x =
       if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
       if hook then on_access ~addr ~size ~write:true;
@@ -745,46 +869,58 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname amode :
       Memsim.Memstore.store store ~addr ~size x;
       Array.unsafe_set fr.ienv id 0
     in
-    match (amode, sv) with
-    | AGep (dst, ISlot bi, ISlot xi, scale, offset), ISlot vi ->
+    match (call, amode, ishape ctx f rtys v) with
+    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset), ISlot vi ->
+        fun fr ->
+          let addr = gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset) in
+          body fr addr (reg fr vi)
+    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset), ISlot vi ->
         fun fr ->
           let addr =
-            Array.unsafe_get fr.ienv bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
+            called s fr
+              (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset))
           in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr (Array.unsafe_get fr.ienv vi)
-    | AGep (dst, ISlot bi, IConst k, scale, offset), ISlot vi ->
+          body fr addr (reg fr vi)
+    | None, AGep (dst, ISlot bi, IConst k, scale, offset), ISlot vi ->
         let add = (k * scale) + offset in
         fun fr ->
-          let addr = Array.unsafe_get fr.ienv bi + add in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr (Array.unsafe_get fr.ienv vi)
-    | AGep (dst, ISlot bi, ISlot xi, scale, offset), IConst c ->
+          let addr = gep_at fr dst (reg fr bi + add) in
+          body fr addr (reg fr vi)
+    | Some s, AGep (dst, ISlot bi, IConst k, scale, offset), ISlot vi ->
+        let add = (k * scale) + offset in
         fun fr ->
-          let addr =
-            Array.unsafe_get fr.ienv bi
-            + (Array.unsafe_get fr.ienv xi * scale)
-            + offset
-          in
-          Array.unsafe_set fr.ienv dst addr;
-          body fr addr c
-    | APlain (ISlot pi), ISlot vi ->
+          let addr = called s fr (gep_at fr dst (reg fr bi + add)) in
+          body fr addr (reg fr vi)
+    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset), IConst c ->
         fun fr ->
-          body fr (Array.unsafe_get fr.ienv pi) (Array.unsafe_get fr.ienv vi)
-    | APlain (ISlot pi), IConst c ->
-        fun fr -> body fr (Array.unsafe_get fr.ienv pi) c
-    | am, sv ->
-        let p = amode_read am and x = iread sv in
-        fun fr -> body fr (p fr) (x fr)
+          body fr (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)) c
+    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset), IConst c ->
+        fun fr ->
+          body fr
+            (called s fr
+               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
+            c
+    | None, APlain (ISlot pi), ISlot vi ->
+        fun fr -> body fr (reg fr pi) (reg fr vi)
+    | Some s, APlain (ISlot pi), ISlot vi ->
+        fun fr ->
+          let addr = called s fr (reg fr pi) in
+          body fr addr (reg fr vi)
+    | None, APlain (ISlot pi), IConst c -> fun fr -> body fr (reg fr pi) c
+    | Some s, APlain (ISlot pi), IConst c ->
+        fun fr -> body fr (called s fr (reg fr pi)) c
+    | call, am, sv ->
+        let p = address call am and x = iread sv in
+        fun fr ->
+          let addr = p fr in
+          body fr addr (x fr)
 
-let compile_access ctx f rtys (i : Ir.instr) ~fname amode =
+let compile_access ctx f rtys (i : Ir.instr) ~fname ~call amode =
   match i.Ir.kind with
   | Ir.Load { size; is_float; _ } ->
-      compile_load ctx i ~size ~is_float ~fname amode
+      compile_load ctx i ~size ~is_float ~fname ~call amode
   | Ir.Store { size; is_float; v; _ } ->
-      compile_store ctx f rtys i ~size ~is_float ~v ~fname amode
+      compile_store ctx f rtys i ~size ~is_float ~v ~fname ~call amode
   | _ -> invalid_arg "Compile.compile_access"
 
 (* -- calls ------------------------------------------------------------------ *)
@@ -861,6 +997,55 @@ let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
     Telemetry.Sink.span tel ~name:f.Ir.fname ~cat:"call" ~start:t0 ();
   st.stack_ptr <- saved_sp;
   st.depth <- st.depth - 1
+
+(* The site of an intrinsic call [i]; [addr] is the register that holds
+   the address of the access it is fused into. Its handler is the
+   backend's dispatcher applied to [callee], here, when the call is
+   compiled (a block compiled once per predecessor does this once per
+   copy); a name the backend does not handle gets the interpreter's
+   fallbacks: a trap for a [!] hook, else a call of the IR function of
+   that name. *)
+let intrinsic_site ?addr ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs =
+  let st = ctx.st in
+  let b = ctx.backend in
+  let clock = b.Backend.clock in
+  let id = i.Ir.id in
+  let sargs = Array.of_list (List.map (ishape ctx f rtys) cargs) in
+  let n = Array.length sargs in
+  let args =
+    match (addr, sargs) with
+    | Some r, [| ISlot p; IConst size |] when p = r -> Addr size
+    | Some r, [| IConst handle; ISlot p; IConst size |] when p = r ->
+        Handle_addr (handle, size)
+    | _ -> Shapes sargs
+  in
+  let is_hook = String.length callee > 0 && callee.[0] = '!' in
+  let unhandled fr a =
+    if is_hook then trap "unknown runtime hook %s" callee
+    else begin
+      Memsim.Clock.tick clock 5 (* call overhead *);
+      match Hashtbl.find_opt ctx.cfuncs callee with
+      | None -> trap "unknown function %s" callee
+      | Some target ->
+          let fa = if n = 0 then [||] else Array.make n 0.0 in
+          invoke ctx target ~checked_arity:false a fa;
+          if target.cf_ret = TFloat then
+            (* Inference could not see this dynamically-resolved
+               callee, so the result slot may be int-typed. *)
+            if id < Array.length fr.fenv then fr.fenv.(id) <- st.fret
+            else trap "expected int, got float"
+          else Array.unsafe_set fr.ienv id st.iret
+    end
+  in
+  {
+    handler = b.Backend.intrinsic callee;
+    args;
+    sid = id;
+    sfunc = f.Ir.fname;
+    tel = b.Backend.telemetry;
+    tagged = Telemetry.Sink.is_active b.Backend.telemetry;
+    unhandled;
+  }
 
 (* -- instruction compilation --------------------------------------------- *)
 
@@ -1012,70 +1197,9 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
       end
   | _ ->
       (* Runtime intrinsic (guards, chunk accesses, spans, bookkeeping
-         hooks) through the backend's dispatcher, with the interpreter's
-         fallbacks for names the backend does not handle. Arguments are
-         coerced to ints exactly like the interpreter's [as_int] map. *)
-      let shapes = Array.of_list (List.map si cargs) in
-      let n = Array.length shapes in
-      let intrinsic = b.Backend.intrinsic in
-      let is_hook = String.length callee > 0 && callee.[0] = '!' in
-      let unhandled fr a =
-        if is_hook then trap "unknown runtime hook %s" callee
-        else begin
-          Memsim.Clock.tick clock 5 (* call overhead *);
-          match Hashtbl.find_opt ctx.cfuncs callee with
-          | None -> trap "unknown function %s" callee
-          | Some target ->
-              let fa = if n = 0 then [||] else Array.make n 0.0 in
-              invoke ctx target ~checked_arity:false a fa;
-              if target.cf_ret = TFloat then
-                (* Inference could not see this dynamically-resolved
-                   callee, so the result slot may be int-typed. *)
-                if id < Array.length fr.fenv then fr.fenv.(id) <- st.fret
-                else trap "expected int, got float"
-              else Array.unsafe_set fr.ienv id st.iret
-        end
-      in
-      let[@inline] enter () =
-        if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id
-      in
-      let[@inline] call fr a =
-        match intrinsic callee a with
-        | Some r -> Array.unsafe_set fr.ienv id r
-        | None -> unhandled fr a
-      in
-      (* Every TrackFM intrinsic takes at most three arguments: their
-         array is a literal, read in argument order. *)
-      match shapes with
-      | [||] ->
-          fun fr ->
-            enter ();
-            call fr [||]
-      | [| s0 |] ->
-          fun fr ->
-            enter ();
-            call fr [| read_int fr s0 |]
-      | [| s0; s1 |] ->
-          fun fr ->
-            enter ();
-            let a0 = read_int fr s0 in
-            let a1 = read_int fr s1 in
-            call fr [| a0; a1 |]
-      | [| s0; s1; s2 |] ->
-          fun fr ->
-            enter ();
-            let a0 = read_int fr s0 in
-            let a1 = read_int fr s1 in
-            let a2 = read_int fr s2 in
-            call fr [| a0; a1; a2 |]
-      | _ ->
-          fun fr ->
-            enter ();
-            let a = Array.make n 0 in
-            for j = 0 to n - 1 do
-              Array.unsafe_set a j (read_int fr (Array.unsafe_get shapes j))
-            done;
-            call fr a
+         hooks). *)
+      let s = intrinsic_site ctx f rtys i callee cargs in
+      fun fr -> run_site fr s 0
 
 let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
     frame -> unit =
@@ -1105,7 +1229,7 @@ let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
           let a = fread s in
           fun fr -> seti fr (int_of_float (a fr)))
   | Ir.Load { ptr; _ } | Ir.Store { ptr; _ } ->
-      compile_access ctx f rtys i ~fname (APlain (si ptr))
+      compile_access ctx f rtys i ~fname ~call:None (APlain (si ptr))
   | Ir.Gep { base; index; scale; offset } -> (
       match (si base, si index) with
       | ISlot b, IConst k ->
@@ -1388,27 +1512,56 @@ let compile_func ctx (f : Ir.func) =
         (instrs, compile_term ctx f cfn rtys ~edge ~label:b.label b.term))
       blocks
   in
-  (* gep → load/store fusion: an address computation consumed by the
-     immediately following access folds into it. *)
+  (* Fusion: a gep folds into the access right after it that takes its
+     address from it, and an intrinsic call into the access right after
+     it, past such a gep if there is one. *)
+  let ptr_of (i : Ir.instr) =
+    match i.Ir.kind with
+    | Ir.Load { ptr; _ } | Ir.Store { ptr; _ } -> Some ptr
+    | _ -> None
+  in
+  (* A call [compile_call] sends to the backend's dispatcher. *)
+  let is_site (c : Ir.instr) =
+    match c.Ir.kind with
+    | Ir.Call { callee = "malloc" | "calloc" | "realloc" | "free"; _ } -> false
+    | Ir.Call { callee; _ } -> not (is_direct_call ctx callee)
+    | _ -> false
+  in
+  let site ?addr (c : Ir.instr) =
+    match c.Ir.kind with
+    | Ir.Call { callee; args } -> intrinsic_site ?addr ctx f rtys c callee args
+    | _ -> invalid_arg "Compile.site"
+  in
+  let agep id base index scale offset =
+    AGep (id, ishape ctx f rtys base, ishape ctx f rtys index, scale, offset)
+  in
   let rec build ~pred acc = function
     | [] -> Array.of_list (List.rev acc)
-    | (g : Ir.instr) :: rest -> (
-        match (g.Ir.kind, rest) with
-        | ( Ir.Gep { base; index; scale; offset },
-            (({ Ir.kind = Ir.Load { ptr = Ir.Reg pid; _ }; _ }
-             | { Ir.kind = Ir.Store { ptr = Ir.Reg pid; _ }; _ }) as next)
-            :: rest2 )
-          when pid = g.Ir.id ->
-            let am =
-              AGep
-                ( g.Ir.id,
-                  ishape ctx f rtys base,
-                  ishape ctx f rtys index,
-                  scale,
-                  offset )
-            in
-            build ~pred (compile_access ctx f rtys next ~fname am :: acc) rest2
-        | _ -> build ~pred (compile_instr ctx f rtys ~pred g :: acc) rest)
+    | (i : Ir.instr) :: rest -> (
+        let fuse ?call next am rest =
+          build ~pred (compile_access ctx f rtys next ~fname ~call am :: acc) rest
+        in
+        let feeds next = ptr_of next = Some (Ir.Reg i.Ir.id) in
+        match (i.Ir.kind, rest) with
+        | Ir.Gep { base; index; scale; offset }, next :: rest when feeds next ->
+            fuse next (agep i.Ir.id base index scale offset) rest
+        | Ir.Gep { base; index; scale; offset }, c :: next :: rest
+          when is_site c && feeds next ->
+            fuse
+              ~call:(site ~addr:i.Ir.id c)
+              next
+              (agep i.Ir.id base index scale offset)
+              rest
+        | ( Ir.Call _,
+            (( { Ir.kind = Ir.Load { ptr; _ }; _ }
+             | { Ir.kind = Ir.Store { ptr; _ }; _ } ) as next)
+            :: rest )
+          when is_site i && not (feeds next) ->
+            (* Not through the call's own result: a register pointer is
+               read before the call runs. *)
+            let addr = match ptr with Ir.Reg p -> Some p | _ -> None in
+            fuse ~call:(site ?addr i) next (APlain (ishape ctx f rtys ptr)) rest
+        | _ -> build ~pred (compile_instr ctx f rtys ~pred i :: acc) rest)
   in
   let compile k ~pred =
     let instrs, tail = bodies_terms.(k) in

@@ -2,8 +2,14 @@
 
     Lowers each IR function to OCaml closures once per run — operand
     slots resolved to unboxed int/float array indices, binop/cmp cases
-    and callees selected per site, globals resolved to addresses, and
-    address computations fused into the loads and stores they feed.
+    and callees selected per site, each runtime call site's handler
+    taken from {!Backend.t.intrinsic} once, globals resolved to
+    addresses, and address computations fused into the loads and
+    stores they feed. A guarded access — [[gep;] call <intrinsic>;
+    load|store], the sequence the TrackFM guard, chunk and routing
+    passes emit — runs as one closure that computes the address, calls
+    the site's handler and performs the access, with every slot write,
+    site tag, tick and trap in the interpreter's order.
     Blocks are threaded: each block's entry closure charges the block,
     runs its body and tail-calls its successor's entry, and each CFG
     edge applies the successor's phis for that predecessor as moves,

@@ -52,28 +52,30 @@ let make_cluster ~clock ~store ~replicas ~ack ~faults =
 
 (* Wrap a backend so the [!load_blob ptr id] intrinsic copies registered
    input data into simulated memory (the moral equivalent of reading a
-   dataset from disk during setup; no cycles are charged). *)
+   dataset from disk during setup; no cycles are charged). Like
+   {!Backend.trackfm}'s, the dispatcher matches the name before it takes
+   the arguments, so a compiled call site resolves its handler once. *)
 let with_blobs blobs (backend : Backend.t) =
   match blobs with
   | [] -> backend
   | _ ->
       let table = Hashtbl.create 4 in
       List.iter (fun (id, bytes) -> Hashtbl.replace table id bytes) blobs;
+      let load_blob args =
+        let dst = args.(0) and id = args.(1) in
+        match Hashtbl.find_opt table id with
+        | Some bytes ->
+            Memstore.write_bytes backend.Backend.store ~addr:dst bytes;
+            Some 0
+        | None -> failwith (Printf.sprintf "unknown blob %d" id)
+      in
       {
         backend with
         Backend.intrinsic =
-          (fun name args ->
+          (fun name ->
             match name with
-            | "!load_blob" -> begin
-                let dst = args.(0) and id = args.(1) in
-                match Hashtbl.find_opt table id with
-                | Some bytes ->
-                    Memstore.write_bytes backend.Backend.store ~addr:dst bytes;
-                    Some 0
-                | None ->
-                    failwith (Printf.sprintf "unknown blob %d" id)
-              end
-            | _ -> backend.Backend.intrinsic name args);
+            | "!load_blob" -> load_blob
+            | _ -> backend.Backend.intrinsic name);
       }
 
 let finish (clock : Clock.t) (r : Interp.result) =

@@ -1,9 +1,10 @@
 (* Differential tests between the tree-walking interpreter (the oracle)
    and the compiled closure engine: every workload, faults on and off,
    guard elision on and off, must produce identical results, identical
-   clock counters, and identical span-attribution category splits. A
-   negative test proves the diff actually bites: a deliberately
-   miscompiled closure (Compile.test_miscompile) must be caught. *)
+   clock counters, identical span-attribution category splits and
+   identical per-site hotspot rows. A negative test proves the diff
+   actually bites: a deliberately miscompiled closure
+   (Compile.test_miscompile) must be caught. *)
 
 open Workloads
 
@@ -13,13 +14,16 @@ let medium_faults ~seed =
   | Error e -> Alcotest.failf "faults spec: %s" e
 
 (* Everything observable from one run: result triple, every clock
-   counter, and the per-class span category decomposition. *)
+   counter, the per-class span category decomposition, and each guard
+   site's hotspot row (fast, slow, locality, custody, paged, writes,
+   bytes in and out, guard cycles). *)
 type observation = {
   ret : int;
   cycles : int;
   instrs : int;
   counters : (string * int) list;
   spans : (int * int list) list;
+  sites : (string * int list) list;
 }
 
 let observe_tfm ?blobs ?(op_classes = []) ?profile ~engine ~faults ~elide
@@ -52,6 +56,20 @@ let observe_tfm ?blobs ?(op_classes = []) ?profile ~engine ~faults ~elide
             (cls, Array.to_list st.Telemetry.Span.cat_totals))
           (Telemetry.Span.classes sp)
   in
+  let sites =
+    match Telemetry.Sink.recorder !sink with
+    | None -> []
+    | Some r ->
+        List.sort compare
+          (List.map
+             (fun (key, (st : Telemetry.Site.stat)) ->
+               ( Telemetry.Site.key_to_string key,
+                 [
+                   st.fast; st.slow; st.locality; st.custody; st.paged;
+                   st.writes; st.bytes_in; st.bytes_out; st.guard_cycles;
+                 ] ))
+             (Telemetry.Site.rows r.Telemetry.Sink.sites))
+  in
   {
     ret = outcome.Driver.ret;
     cycles = outcome.Driver.cycles;
@@ -59,6 +77,7 @@ let observe_tfm ?blobs ?(op_classes = []) ?profile ~engine ~faults ~elide
     counters =
       List.sort compare (Clock.counters outcome.Driver.clock);
     spans;
+    sites;
   }
 
 let check_equal label (a : observation) (b : observation) =
@@ -68,7 +87,9 @@ let check_equal label (a : observation) (b : observation) =
   Alcotest.(check (list (pair string int)))
     (label ^ ": counters") a.counters b.counters;
   Alcotest.(check (list (pair int (list int))))
-    (label ^ ": span splits") a.spans b.spans
+    (label ^ ": span splits") a.spans b.spans;
+  Alcotest.(check (list (pair string (list int))))
+    (label ^ ": site rows") a.sites b.sites
 
 (* The workload matrix at miniature scale (NAS IS at its sub-class size;
    the full size is the nas-is cells of @ci/engines). Each entry: name,
@@ -140,13 +161,105 @@ let test_trackfm_matrix () =
               let label =
                 Printf.sprintf "%s/%s/elide=%b" name fault_tag elide
               in
-              check_equal label (obs Engine.Interp) (obs Engine.Compiled))
+              let interp = obs Engine.Interp in
+              Alcotest.(check bool) (label ^ ": sites recorded") true
+                (interp.sites <> []);
+              check_equal label interp (obs Engine.Compiled))
             [ true; false ])
         [
           ((fun () -> Faults.disabled), "nofault");
           ((fun () -> medium_faults ~seed:1), "medium");
         ])
     (matrix ())
+
+(* Stores through a pointer register that no gep computes right before
+   them, of an int argument, a float constant and a float argument: the
+   guard pass puts [tfm_guard_write(%p, 8)] right before each, and the
+   compiled engine fuses that call into a store it compiles through the
+   generic address path. Each object gets [i + 1] at offset 0 and [i] as
+   a float at offset 8, so [main] returns [n * n]. *)
+let plain_register_stores ~n () =
+  let m = Ir.create_module () in
+  (* [name(v, cell)] stores [value] through the pointer [cell] holds. *)
+  let store_through name ~is_float value =
+    let b = Builder.create m ~name ~nparams:2 in
+    let p = Builder.load b (Builder.arg 1) in
+    Builder.store b ~is_float value ~ptr:p;
+    Builder.ret b None
+  in
+  store_through "put" ~is_float:false (Builder.arg 0);
+  store_through "putf" ~is_float:true (Ir.Constf 1.5);
+  store_through "putfa" ~is_float:true (Builder.arg 0);
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let cells = Builder.call b "malloc" [ Ir.Const (8 * n) ] in
+  let fcells = Builder.call b "malloc" [ Ir.Const (8 * n) ] in
+  let cell b cells i = Builder.gep b cells ~index:i ~scale:8 () in
+  Builder.for_loop b ~init:(Ir.Const 0) ~bound:(Ir.Const n) (fun b i ->
+      let o = Builder.call b "malloc" [ Ir.Const 4096 ] in
+      Builder.store b o ~ptr:(cell b cells i);
+      Builder.store b
+        (Builder.gep b o ~index:(Ir.Const 1) ~scale:8 ())
+        ~ptr:(cell b fcells i));
+  Builder.for_loop b ~init:(Ir.Const 0) ~bound:(Ir.Const n) (fun b i ->
+      let call f args = ignore (Builder.call b f args) in
+      call "put" [ Builder.add b i (Ir.Const 1); cell b cells i ];
+      call "putf" [ Ir.Const 0; cell b fcells i ];
+      call "putfa" [ Builder.si_to_fp b i; cell b fcells i ]);
+  let sum =
+    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const n)
+      ~accs:[ Ir.Const 0 ] (fun b ~iv ~accs ->
+        let o = Builder.load b (cell b cells iv) in
+        let f =
+          Builder.load b ~is_float:true
+            (Builder.gep b o ~index:(Ir.Const 1) ~scale:8 ())
+        in
+        [
+          Builder.add b (List.hd accs)
+            (Builder.add b (Builder.load b o) (Builder.fp_to_si b f));
+        ])
+  in
+  Builder.ret b (Some (List.hd sum));
+  m
+
+let test_plain_register_stores () =
+  let n = 16 in
+  let build = plain_register_stores ~n in
+  let m = build () in
+  ignore (Trackfm.Pipeline.run Trackfm.Pipeline.default_config m);
+  List.iter
+    (fun name ->
+      let rec guarded = function
+        | {
+            Ir.kind =
+              Ir.Call
+                { callee = "tfm_guard_write"; args = [ Ir.Reg p; Ir.Const 8 ] };
+            _;
+          }
+          :: { Ir.kind = Ir.Store { ptr = Ir.Reg p'; _ }; _ }
+          :: _
+          when p = p' ->
+            true
+        | _ :: rest -> guarded rest
+        | [] -> false
+      in
+      Alcotest.(check bool)
+        (name ^ ": guard right before a store through a register")
+        true
+        (guarded (Ir.entry (Ir.find_func m name)).Ir.instrs))
+    [ "put"; "putf"; "putfa" ];
+  let local_budget = 4 * 4096 in
+  let profile = Driver.profile_of build in
+  List.iter
+    (fun elide ->
+      let label = Printf.sprintf "plain-register stores/elide=%b" elide in
+      let obs engine =
+        observe_tfm ~profile ~engine ~faults:Faults.disabled ~elide build
+          ~local_budget
+      in
+      let interp = obs Engine.Interp in
+      Alcotest.(check int) (label ^ ": ret") (n * n) interp.ret;
+      check_equal label interp (obs Engine.Compiled))
+    [ true; false ]
 
 let test_local_and_fastswap () =
   let n = 20_000 in
@@ -355,7 +468,179 @@ let test_recursion_and_traps () =
       ( "phi after a non-phi instruction",
         phi_main ~after_add:true [ ("other", Ir.Const 5) ],
         "ret 42" );
+    ];
+  (* A runtime call between a gep and the access it feeds, or right
+     before an access, compiles into the access's closure. Around that
+     fusion: an access through the call's own result, a store of the
+     call's result, a callee without [!] that the backend does not
+     handle and that names an IR function (which stores 99 through its
+     pointer), and an unknown [!] hook, which traps with the same message
+     and cycles. The local backend gets one more hook, [!id p] = p. *)
+  let with_id (b : Backend.t) =
+    {
+      b with
+      Backend.intrinsic =
+        (fun name ->
+          match name with
+          | "!id" -> fun a -> Some a.(0)
+          | _ -> b.Backend.intrinsic name);
+    }
+  in
+  let fused_main body =
+    let m = Ir.create_module () in
+    let h = Builder.create m ~name:"tfm_guard_read" ~nparams:2 in
+    Builder.store h (Ir.Const 99) ~ptr:(Builder.arg 0);
+    Builder.ret h (Some (Builder.arg 0));
+    let b = Builder.create m ~name:"main" ~nparams:0 in
+    let p = Builder.call b "malloc" [ Ir.Const 64 ] in
+    Builder.ret b (Some (body b p));
+    m
+  in
+  let fused_outcome engine m =
+    let clock = clock () in
+    let backend =
+      with_id (Backend.local Cost_model.default clock (Memstore.create ()))
+    in
+    let what =
+      match Engine.run ~engine backend m ~entry:"main" with
+      | r -> Printf.sprintf "ret %d" r.Interp.ret
+      | exception Interp.Trap msg -> "trap: " ^ msg
+    in
+    Printf.sprintf "%s, %d cycles" what (Clock.cycles clock)
+  in
+  List.iter
+    (fun (what, m, want) ->
+      let interp = fused_outcome Engine.Interp m in
+      Alcotest.(check bool)
+        (what ^ ": " ^ interp) true
+        (String.starts_with ~prefix:(want ^ ",") interp);
+      Alcotest.(check string) (what ^ ", compiled") interp
+        (fused_outcome Engine.Compiled m))
+    [
+      ( "access through the call's result",
+        fused_main (fun b p ->
+            let g = Builder.gep b p ~index:(Ir.Const 1) ~scale:8 () in
+            let c = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            Builder.store b (Ir.Const 7) ~ptr:c;
+            let c' = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            Builder.load b c'),
+        "ret 7" );
+      ( "store of the call's result",
+        fused_main (fun b p ->
+            let g = Builder.gep b p ~index:(Ir.Const 2) ~scale:8 () in
+            let c = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            Builder.store b c ~ptr:g;
+            Builder.sub b (Builder.load b g) p),
+        "ret 16" );
+      ( "unhandled callee that names an IR function",
+        fused_main (fun b p ->
+            let g = Builder.gep b p ~index:(Ir.Const 3) ~scale:8 () in
+            let c = Builder.call b "tfm_guard_read" [ g; Ir.Const 8 ] in
+            Builder.add b (Builder.load b g) (Builder.sub b c g)),
+        "ret 99" );
+      ( "unknown hook",
+        fused_main (fun b p ->
+            let g = Builder.gep b p ~index:(Ir.Const 4) ~scale:8 () in
+            ignore (Builder.call b "!nope" [ g; Ir.Const 8 ]);
+            Builder.load b g),
+        "trap: unknown runtime hook !nope" );
     ]
+
+(* The compiled engine applies a backend's dispatcher to each call
+   site's name once, when it compiles the module, and calls the handler
+   it got on every execution; the interpreter applies it on every call.
+   A dispatcher that counts its name matches sees 3 on the compiled
+   engine however long the loop runs. A 2-ary counting wrapper, the
+   shape bench/perf's traced run puts around the dispatcher, still sees
+   every call: the same per-callee counts on both engines for NAS IS,
+   guards and chunk accesses included. *)
+let test_staged_handlers () =
+  let loop n =
+    let m = Ir.create_module () in
+    let b = Builder.create m ~name:"main" ~nparams:0 in
+    let p = Builder.call b "malloc" [ Ir.Const (8 * n) ] in
+    ignore (Builder.call b "!bench_begin" []);
+    Builder.for_loop b ~init:(Ir.Const 0) ~bound:(Ir.Const n) (fun b iv ->
+        ignore (Builder.call b "!count" [ iv ]);
+        let g = Builder.gep b p ~index:iv ~scale:8 () in
+        ignore (Builder.call b "!count" [ g; Ir.Const 8 ]);
+        Builder.store b iv ~ptr:g);
+    Builder.ret b (Some (Ir.Const 0));
+    m
+  in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun engine ->
+          let label =
+            Printf.sprintf "%s, %d iterations" (Engine.to_string engine) n
+          in
+          let matches = ref 0 and calls = ref 0 in
+          let base =
+            Backend.local Cost_model.default (Clock.create ())
+              (Memstore.create ())
+          in
+          let backend =
+            {
+              base with
+              Backend.intrinsic =
+                (fun name ->
+                  incr matches;
+                  match name with
+                  | "!count" ->
+                      fun _ ->
+                        incr calls;
+                        Some 0
+                  | _ -> base.Backend.intrinsic name);
+            }
+          in
+          ignore (Engine.run ~engine backend (loop n) ~entry:"main");
+          let want =
+            match engine with Engine.Compiled -> 3 | Engine.Interp -> (2 * n) + 1
+          in
+          Alcotest.(check int) (label ^ ": name matches") want !matches;
+          Alcotest.(check int) (label ^ ": handler calls") (2 * n) !calls)
+        Engine.all)
+    [ 5; 50 ];
+  let p = Nas.sub_class Nas.IS in
+  let profile = Driver.profile_of p.Nas.build in
+  let counts engine =
+    let m = p.Nas.build () in
+    ignore
+      (Trackfm.Pipeline.run
+         { Trackfm.Pipeline.default_config with profile = Some profile }
+         m);
+    let clock = Clock.create () and store = Memstore.create () in
+    let rt =
+      Trackfm.Runtime.create Cost_model.default clock store ~object_size:4096
+        ~local_budget:(p.Nas.working_set / 2)
+    in
+    let backend = Backend.trackfm rt store in
+    let tally = Hashtbl.create 16 in
+    let counted =
+      {
+        backend with
+        Backend.intrinsic =
+          (fun name args ->
+            let k = Option.value ~default:0 (Hashtbl.find_opt tally name) in
+            Hashtbl.replace tally name (k + 1);
+            backend.Backend.intrinsic name args);
+      }
+    in
+    ignore (Engine.run ~engine counted m ~entry:"main");
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tally [])
+  in
+  let interp = counts Engine.Interp in
+  let calls prefix =
+    List.fold_left
+      (fun acc (k, v) -> if String.starts_with ~prefix k then acc + v else acc)
+      0 interp
+  in
+  Alcotest.(check bool) "guard calls counted" true (calls "tfm_guard_" > 0);
+  Alcotest.(check bool) "chunk calls counted" true
+    (calls "tfm_chunk_access_" > 0);
+  Alcotest.(check (list (pair string int)))
+    "per-callee calls, compiled = interpreter" interp (counts Engine.Compiled)
 
 (* [count_loop n]: header (phis [i] and [acc]) -> body -> latch ->
    header, n times; returns the sum of [i * 3 + 1] masked to 30 bits.
@@ -556,6 +841,8 @@ let suite =
     [
       Alcotest.test_case "trackfm matrix: engines agree" `Slow
         test_trackfm_matrix;
+      Alcotest.test_case "guarded stores through a plain register" `Quick
+        test_plain_register_stores;
       Alcotest.test_case "local/fastswap: engines agree" `Quick
         test_local_and_fastswap;
       Alcotest.test_case "compiled float checksum" `Quick test_float_checksum;
@@ -571,4 +858,6 @@ let suite =
       Alcotest.test_case "call frames are reused" `Quick
         test_call_frames_reused;
       Alcotest.test_case "block profiles agree" `Quick test_profile_parity;
+      Alcotest.test_case "intrinsic handlers staged per call site" `Slow
+        test_staged_handlers;
     ] )

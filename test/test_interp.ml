@@ -252,23 +252,54 @@ let test_tracer_get_bounds () =
 
 let test_trackfm_backend_requires_init () =
   (* A transformed program whose runtime-initialization hook was somehow
-     dropped must fail loudly, like a real binary without runtime setup. *)
-  let m = Ir.create_module () in
-  let b = Builder.create m ~name:"main" ~nparams:0 in
-  ignore (Builder.call b "tfm_malloc" [ Ir.Const 64 ]);
-  Builder.ret b None;
-  let clock = Clock.create () in
-  let store = Memstore.create () in
-  let rt =
-    Trackfm.Runtime.create Cost_model.default clock store ~object_size:4096
-      ~local_budget:65536
+     dropped must fail loudly, like a real binary without runtime setup:
+     every allocation and page entry point names the missing pass, and
+     an untransformed libc call names the libc pass, on both engines
+     (the compiled one resolves each site's handler before the run, so
+     the check has to run inside the handler). *)
+  let before_init name =
+    Printf.sprintf
+      "trackfm backend: %s before !tfm_init (runtime-initialization pass \
+       missing?)"
+      name
   in
-  Alcotest.(check bool) "rejected" true
-    (try
-       ignore (Interp.run (Backend.trackfm rt store) m ~entry:"main");
-       false
-     with Failure _ -> true)
-
+  List.iter
+    (fun (callee, args, want) ->
+      let m = Ir.create_module () in
+      let b = Builder.create m ~name:"main" ~nparams:0 in
+      ignore (Builder.call b callee (List.map (fun n -> Ir.Const n) args));
+      Builder.ret b None;
+      List.iter
+        (fun engine ->
+          let clock = Clock.create () in
+          let store = Memstore.create () in
+          let rt =
+            Trackfm.Runtime.create Cost_model.default clock store
+              ~object_size:4096 ~local_budget:65536
+          in
+          let got =
+            match
+              Engine.run ~engine (Backend.trackfm rt store) m ~entry:"main"
+            with
+            | _ -> "ran"
+            | exception Failure msg -> msg
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s on %s" callee (Engine.to_string engine))
+            want got)
+        Engine.all)
+    [
+      ("tfm_malloc", [ 64 ], before_init "tfm_malloc");
+      ("tfm_calloc", [ 4; 16 ], before_init "tfm_calloc");
+      ("tfm_realloc", [ 0; 16 ], before_init "tfm_realloc");
+      ("tfm_free", [ 0 ], before_init "tfm_free");
+      ("tfm_page_read", [ 4096; 8 ], before_init "tfm_page_read");
+      ("tfm_page_write", [ 4096; 8 ], before_init "tfm_page_write");
+      ( "malloc",
+        [ 64 ],
+        "trackfm backend: untransformed libc call malloc reached the runtime \
+         (libc pass missing?)" );
+    ]
 
 let test_recursion_depth_limited () =
   let m = Ir.create_module () in
