@@ -1212,25 +1212,32 @@ let check_cmd workload engine =
             [ true; false ])
         [ ("off", `Off); ("gated", `Gated) ])
     selected;
-  (* With --engine compiled, also run each workload's raw module under
-     both engines and require identical results: the static lint plus
-     a runtime differential against the interpreter oracle. *)
+  (* With --engine compiled, also run each workload's raw module and its
+     O1 build (what --o1 runs) under both engines and require identical
+     results: the static lint plus a runtime differential against the
+     interpreter oracle. *)
   if engine = Engine.Compiled then begin
     print_newline ();
     List.iter
       (fun w ->
-        let run engine =
-          let o = Driver.run_local ~engine ~blobs:w.blobs w.build in
-          ( o.Driver.ret,
-            o.Driver.cycles,
-            o.Driver.instrs,
-            List.sort compare (Clock.counters o.Driver.clock) )
-        in
-        let oracle = run Engine.Interp and compiled = run Engine.Compiled in
-        let ok = oracle = compiled in
-        Printf.printf "%-14s engine-diff %s\n" w.wname
-          (if ok then "OK" else "DIVERGED");
-        if not ok then incr failures)
+        List.iter
+          (fun o1 ->
+            let run engine =
+              let o =
+                Driver.run_local ~engine ~blobs:w.blobs (build_of w o1)
+              in
+              ( o.Driver.ret,
+                o.Driver.cycles,
+                o.Driver.instrs,
+                List.sort compare (Clock.counters o.Driver.clock) )
+            in
+            let oracle = run Engine.Interp and compiled = run Engine.Compiled in
+            let ok = oracle = compiled in
+            Printf.printf "%-14s engine-diff%s %s\n" w.wname
+              (if o1 then " o1" else "")
+              (if ok then "OK" else "DIVERGED");
+            if not ok then incr failures)
+          [ false; true ])
       selected
   end;
   if !failures > 0 then begin
@@ -1659,8 +1666,9 @@ let check_info =
       "Compile every workload and run the guard-coverage verifier and \
        elision-witness re-check over the transformed IR, with and without \
        interprocedural summaries (a dune runtest cell). With --engine \
-       compiled, also run each workload under both engines and require \
-       identical results and counters (runtime differential)."
+       compiled, also run each workload's raw module and its O1 build under \
+       both engines and require identical results and counters (runtime \
+       differential)."
 
 let ir_arg =
   Arg.(

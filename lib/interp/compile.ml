@@ -25,8 +25,9 @@
      and its constant arguments, and performs the access;
    - register frames reused: each function keeps one frame per live
      activation depth and zero-fills it when the activation returns, so
-     a call allocates only its argument arrays, and those are array
-     literals up to three arguments (inline minor-heap allocations, not
+     a call allocates only its argument arrays, and for the calls hot
+     loops make (one int argument, or two with a float parameter) those
+     are array literals (inline minor-heap allocations, not
      [caml_make_vect] calls).
 
    Memory traffic goes through {!Memsim.Memstore}'s own accessors, the
@@ -42,16 +43,20 @@
    time and applied in phi order, which is the interpreter's sequential
    semantics (a phi reads what the block's earlier phis just wrote).
 
+   The engine runs only verified IR: [run] calls
+   {!Verifier.check_module} first, as {!Interp.run} does, so every phi
+   leads its block with exactly one arm per predecessor, the entry
+   block has none, every branch target exists and every argument index
+   is in range. Nothing below handles a module that breaks those rules.
+
    Everything observable is kept bit-identical to the interpreter: the
    same clock ticks in the same order (straight-line batching,
    local-access charges, call overhead), the same backend hooks
    ([on_access], allocation, intrinsics — hence the same guard, fault,
    Shenango-yield and span behaviour), the same telemetry site
-   attribution, the same fuel and instruction accounting, the same phi
-   arm choice (the first arm for the predecessor; a function's entry
-   block is entered from ["<entry>"]). CI and the test suite enforce
-   that equivalence differentially, which is why the interpreter stays
-   around as the oracle.
+   attribution, the same fuel and instruction accounting. CI and the
+   test suite enforce that equivalence differentially, which is why the
+   interpreter stays around as the oracle.
 
    The type assignment is conservative: any slot or operand whose
    static type disagrees with its use compiles to a closure that raises
@@ -64,10 +69,6 @@ let trap fmt = Format.kasprintf (fun s -> raise (Interp.Trap s)) fmt
    The differential oracle in the test suite flips this to prove a
    miscompiled closure cannot survive the interp/compiled diff. *)
 let test_miscompile = ref false
-
-let max_call_depth = 10_000
-let global_base = 1 lsl 28
-let stack_base = 1 lsl 30
 
 type ty = TInt | TFloat
 
@@ -102,7 +103,7 @@ type cfunc = {
   cf_params : ty array; (* mutated during inference, read at compile *)
   mutable cf_ret : ty;
   mutable cf_has_floats : bool; (* any float-typed register slot *)
-  mutable cf_enter : frame -> unit; (* block 0, entered from "<entry>" *)
+  mutable cf_enter : frame -> unit; (* the entry block's entry closure *)
   (* The function's frames: [cf_frames.(0 .. cf_live - 1)] belong to its
      live activations, innermost last; the rest are free and zero-filled
      ([no_frame] where none has been allocated yet). *)
@@ -119,14 +120,6 @@ type ctx = {
   reg_tys : (string, ty array) Hashtbl.t;
   profile : Profile.t option;
 }
-
-let layout_globals ctx =
-  let cursor = ref global_base in
-  List.iter
-    (fun (name, size) ->
-      Hashtbl.replace ctx.globals name !cursor;
-      cursor := !cursor + ((size + 15) land lnot 15))
-    (List.rev ctx.m.Ir.globals)
 
 (* Mirrors the interpreter's callee dispatch: only names the intrinsic
    table knows nothing about resolve to defined IR functions. *)
@@ -145,9 +138,7 @@ let value_ty ctx (f : Ir.func) rtys = function
   | Ir.Const _ | Ir.Sym _ -> TInt
   | Ir.Constf _ -> TFloat
   | Ir.Reg id -> rtys.(id)
-  | Ir.Arg i ->
-      let params = (Hashtbl.find ctx.cfuncs f.Ir.fname).cf_params in
-      if i >= 0 && i < Array.length params then params.(i) else TInt
+  | Ir.Arg i -> (Hashtbl.find ctx.cfuncs f.Ir.fname).cf_params.(i)
 
 let infer_types ctx =
   let changed = ref true in
@@ -217,8 +208,8 @@ let infer_types ctx =
    compilers below can fuse the read straight into the instruction
    closure (a direct array index instead of a nested closure call on the
    execution path). [IFn]/[FFn] is the general fallback and carries the
-   type-mismatch traps, unknown globals, and out-of-range argument
-   indices, so reading one always raises. [read_int]/[read_float] switch
+   type-mismatch traps and unknown globals, so reading one always
+   raises. [read_int]/[read_float] switch
    on a shape inline (a jump on its tag, no closure call), and
    [iread]/[fread] turn a shape back into a plain reader for the cold
    consumers. *)
@@ -244,9 +235,7 @@ let ishape ctx (f : Ir.func) rtys v : ishape =
   | Ir.Constf _ -> IFn int_trap
   | Ir.Reg id -> if rtys.(id) = TInt then ISlot id else IFn int_trap
   | Ir.Arg i ->
-      let params = (Hashtbl.find ctx.cfuncs f.fname).cf_params in
-      if i < 0 || i >= Array.length params then IFn (fun fr -> fr.iargs.(i))
-      else if params.(i) = TInt then IArg i
+      if (Hashtbl.find ctx.cfuncs f.fname).cf_params.(i) = TInt then IArg i
       else IFn int_trap
   | Ir.Sym s -> (
       match Hashtbl.find_opt ctx.globals s with
@@ -259,9 +248,7 @@ let fshape ctx (f : Ir.func) rtys v : fshape =
   | Ir.Const _ | Ir.Sym _ -> FFn float_trap
   | Ir.Reg id -> if rtys.(id) = TFloat then FSlot id else FFn float_trap
   | Ir.Arg i ->
-      let params = (Hashtbl.find ctx.cfuncs f.fname).cf_params in
-      if i < 0 || i >= Array.length params then FFn (fun fr -> fr.fargs.(i))
-      else if params.(i) = TFloat then FArg i
+      if (Hashtbl.find ctx.cfuncs f.fname).cf_params.(i) = TFloat then FArg i
       else FFn float_trap
 
 let iread : ishape -> frame -> int = function
@@ -292,11 +279,12 @@ let[@inline] read_float fr = function
 
    Without flambda, a generic [lift2 op sa sb] would keep the operator
    an indirect call per executed instruction, so the hot operators are
-   monomorphized by hand: for each one, the dominant shape pairs get a
-   closure that reads both operands inline (pure loads and ALU ops, no
-   nested calls, no float boxing). Rare shapes fall back to reader
-   closures — same behaviour, one extra call. The divisions stay on the
-   fallback path; they trap on zero divisors anyway. *)
+   monomorphized by hand: for each one, the shape pairs that programs
+   run hot get a closure that reads both operands inline (pure loads
+   and ALU ops, no nested calls, no float boxing). Other shapes fall
+   back to reader closures — same behaviour, one extra call. The
+   divisions stay on the fallback path; they trap on zero divisors
+   anyway. *)
 
 let compile_binop op sa sb id : frame -> unit =
   let gen op2 =
@@ -316,28 +304,14 @@ let compile_binop op sa sb id : frame -> unit =
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i + c)
   | Ir.Add, IConst c, ISlot j ->
       fun fr -> Array.unsafe_set fr.ienv id (c + Array.unsafe_get fr.ienv j)
-  | Ir.Add, ISlot i, IArg j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i + Array.unsafe_get fr.iargs j)
   | Ir.Add, _, _ -> gen ( + )
   | Ir.Sub, ISlot i, ISlot j ->
       fun fr ->
         Array.unsafe_set fr.ienv id
           (Array.unsafe_get fr.ienv i - Array.unsafe_get fr.ienv j)
-  | Ir.Sub, ISlot i, IConst c ->
-      fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i - c)
-  | Ir.Sub, IConst c, ISlot j ->
-      fun fr -> Array.unsafe_set fr.ienv id (c - Array.unsafe_get fr.ienv j)
   | Ir.Sub, _, _ -> gen ( - )
-  | Ir.Mul, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i * Array.unsafe_get fr.ienv j)
   | Ir.Mul, ISlot i, IConst c ->
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i * c)
-  | Ir.Mul, IConst c, ISlot j ->
-      fun fr -> Array.unsafe_set fr.ienv id (c * Array.unsafe_get fr.ienv j)
   | Ir.Mul, _, _ -> gen ( * )
   | Ir.And, ISlot i, ISlot j ->
       fun fr ->
@@ -346,10 +320,6 @@ let compile_binop op sa sb id : frame -> unit =
   | Ir.And, ISlot i, IConst c ->
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i land c)
   | Ir.And, _, _ -> gen ( land )
-  | Ir.Or, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i lor Array.unsafe_get fr.ienv j)
   | Ir.Or, ISlot i, IConst c ->
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i lor c)
   | Ir.Or, _, _ -> gen ( lor )
@@ -357,29 +327,13 @@ let compile_binop op sa sb id : frame -> unit =
       fun fr ->
         Array.unsafe_set fr.ienv id
           (Array.unsafe_get fr.ienv i lxor Array.unsafe_get fr.ienv j)
-  | Ir.Xor, ISlot i, IConst c ->
-      fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i lxor c)
   | Ir.Xor, _, _ -> gen ( lxor )
   | Ir.Shl, ISlot i, IConst c ->
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i lsl c)
-  | Ir.Shl, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i lsl Array.unsafe_get fr.ienv j)
   | Ir.Shl, _, _ -> gen ( lsl )
   | Ir.Lshr, ISlot i, IConst c ->
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i lsr c)
-  | Ir.Lshr, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i lsr Array.unsafe_get fr.ienv j)
   | Ir.Lshr, _, _ -> gen ( lsr )
-  | Ir.Ashr, ISlot i, IConst c ->
-      fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i asr c)
-  | Ir.Ashr, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (Array.unsafe_get fr.ienv i asr Array.unsafe_get fr.ienv j)
   | Ir.Ashr, _, _ -> gen ( asr )
   | Ir.Sdiv, _, _ ->
       let a = iread sa and b = iread sb in
@@ -400,15 +354,6 @@ let compile_icmp op sa sb id : frame -> unit =
     fun fr -> Array.unsafe_set fr.ienv id (if cmp (a fr) (b fr) then 1 else 0)
   in
   match (op, sa, sb) with
-  | Ir.Eq, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i = Array.unsafe_get fr.ienv j then 1
-           else 0)
-  | Ir.Eq, ISlot i, IConst c ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i = c then 1 else 0)
   | Ir.Eq, _, _ -> gen ( = )
   | Ir.Ne, ISlot i, ISlot j ->
       fun fr ->
@@ -429,41 +374,13 @@ let compile_icmp op sa sb id : frame -> unit =
       fun fr ->
         Array.unsafe_set fr.ienv id
           (if Array.unsafe_get fr.ienv i < c then 1 else 0)
-  | Ir.Lt, ISlot i, IArg j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i < Array.unsafe_get fr.iargs j then 1
-           else 0)
   | Ir.Lt, _, _ -> gen ( < )
-  | Ir.Le, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i <= Array.unsafe_get fr.ienv j then 1
-           else 0)
-  | Ir.Le, ISlot i, IConst c ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i <= c then 1 else 0)
   | Ir.Le, _, _ -> gen ( <= )
-  | Ir.Gt, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i > Array.unsafe_get fr.ienv j then 1
-           else 0)
   | Ir.Gt, ISlot i, IConst c ->
       fun fr ->
         Array.unsafe_set fr.ienv id
           (if Array.unsafe_get fr.ienv i > c then 1 else 0)
   | Ir.Gt, _, _ -> gen ( > )
-  | Ir.Ge, ISlot i, ISlot j ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i >= Array.unsafe_get fr.ienv j then 1
-           else 0)
-  | Ir.Ge, ISlot i, IConst c ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.ienv i >= c then 1 else 0)
   | Ir.Ge, _, _ -> gen ( >= )
 
 let compile_fbinop op sa sb id : frame -> unit =
@@ -476,15 +393,11 @@ let compile_fbinop op sa sb id : frame -> unit =
       fun fr ->
         Array.unsafe_set fr.fenv id
           (Array.unsafe_get fr.fenv i +. Array.unsafe_get fr.fenv j)
-  | Ir.Fadd, FSlot i, FConst c ->
-      fun fr -> Array.unsafe_set fr.fenv id (Array.unsafe_get fr.fenv i +. c)
   | Ir.Fadd, _, _ -> gen ( +. )
   | Ir.Fsub, FSlot i, FSlot j ->
       fun fr ->
         Array.unsafe_set fr.fenv id
           (Array.unsafe_get fr.fenv i -. Array.unsafe_get fr.fenv j)
-  | Ir.Fsub, FSlot i, FConst c ->
-      fun fr -> Array.unsafe_set fr.fenv id (Array.unsafe_get fr.fenv i -. c)
   | Ir.Fsub, _, _ -> gen ( -. )
   | Ir.Fmul, FSlot i, FSlot j ->
       fun fr ->
@@ -512,10 +425,6 @@ let compile_fcmp op sa sb id : frame -> unit =
         Array.unsafe_set fr.ienv id
           (if Array.unsafe_get fr.fenv i < Array.unsafe_get fr.fenv j then 1
            else 0)
-  | Ir.Lt, FSlot i, FConst c ->
-      fun fr ->
-        Array.unsafe_set fr.ienv id
-          (if Array.unsafe_get fr.fenv i < c then 1 else 0)
   | Ir.Lt, _, _ -> gen ( < )
   | Ir.Le, _, _ -> gen ( <= )
   | Ir.Gt, FSlot i, FSlot j ->
@@ -541,9 +450,8 @@ let compile_fcmp op sa sb id : frame -> unit =
    float ones, so the int moves can all go first. An int move is three
    ints in [imoves]: the phi's slot, the source's kind (0 a register, 1
    a constant, 2 an argument) and its slot, value or index, so the loop
-   over them makes no call; float moves are rare. An edge whose phi
-   would trap (no arm for the predecessor, or an arm that cannot be
-   read) and a branch to an unknown label get an entry of their own
+   over them makes no call; float moves are rare. An edge with a phi
+   arm that cannot be read (an ill-typed slot) gets an entry of its own
    that raises where the interpreter would. *)
 
 type edge = { imoves : int array; fmoves : (int * fshape) array; dst : entry }
@@ -556,14 +464,16 @@ let float_moves fr fmoves =
 
 let[@inline] take fr e =
   let im = e.imoves in
-  for k = 0 to (Array.length im / 3) - 1 do
-    let j = 3 * k in
-    let x = Array.unsafe_get im (j + 2) in
-    Array.unsafe_set fr.ienv (Array.unsafe_get im j)
-      (match Array.unsafe_get im (j + 1) with
+  let j = ref 0 in
+  while !j < Array.length im do
+    let x = Array.unsafe_get im (!j + 2) in
+    Array.unsafe_set fr.ienv
+      (Array.unsafe_get im !j)
+      (match Array.unsafe_get im (!j + 1) with
       | 0 -> Array.unsafe_get fr.ienv x
       | 1 -> x
-      | _ -> Array.unsafe_get fr.iargs x)
+      | _ -> Array.unsafe_get fr.iargs x);
+    j := !j + 3
   done;
   if Array.length e.fmoves > 0 then float_moves fr e.fmoves;
   e.dst.enter fr
@@ -759,12 +669,6 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname ~call amode :
           body fr
             (called s fr
                (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
-    | None, AGep (dst, ISlot bi, IConst k, scale, offset) ->
-        let add = (k * scale) + offset in
-        fun fr -> body fr (gep_at fr dst (reg fr bi + add))
-    | Some s, AGep (dst, ISlot bi, IConst k, scale, offset) ->
-        let add = (k * scale) + offset in
-        fun fr -> body fr (called s fr (gep_at fr dst (reg fr bi + add)))
     | call, am ->
         let p = address call am in
         fun fr -> body fr (p fr)
@@ -793,14 +697,6 @@ let compile_load ctx (i : Ir.instr) ~size ~is_float ~fname ~call amode :
     | Some s, AGep (dst, ISlot bi, IConst k, scale, offset) ->
         let add = (k * scale) + offset in
         fun fr -> body fr (called s fr (gep_at fr dst (reg fr bi + add)))
-    | None, AGep (dst, IArg bi, ISlot xi, scale, offset) ->
-        fun fr ->
-          body fr (gep_at fr dst (arg fr bi + (reg fr xi * scale) + offset))
-    | Some s, AGep (dst, IArg bi, ISlot xi, scale, offset) ->
-        fun fr ->
-          body fr
-            (called s fr
-               (gep_at fr dst (arg fr bi + (reg fr xi * scale) + offset)))
     | None, AGep (dst, IArg bi, IConst k, scale, offset) ->
         let add = (k * scale) + offset in
         fun fr -> body fr (gep_at fr dst (arg fr bi + add))
@@ -825,9 +721,10 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname ~call
   (* The stored value is read after the address, and so after the fused
      call, which may produce it. *)
   if is_float then begin
-    (* A float register goes to the page through
-       [Memstore.store_float_from], never boxed; other operands are read
-       after the hooks, as the interpreter reads them. *)
+    (* A float register stored through a register or a gep of two
+       registers goes to the page through [Memstore.store_float_from],
+       never boxed; other stores read their operand after the hooks, as
+       the interpreter reads it. *)
     let body fr addr vi =
       if site then Telemetry.Sink.set_site tel ~func:fname ~instr:id;
       if hook then on_access ~addr ~size ~write:true;
@@ -848,9 +745,6 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname ~call
     | None, APlain (ISlot pi), FSlot vi -> fun fr -> body fr (reg fr pi) vi
     | Some s, APlain (ISlot pi), FSlot vi ->
         fun fr -> body fr (called s fr (reg fr pi)) vi
-    | call, am, FSlot vi ->
-        let p = address call am in
-        fun fr -> body fr (p fr) vi
     | call, am, sv ->
         let p = address call am and x = fread sv in
         fun fr ->
@@ -881,34 +775,12 @@ let compile_store ctx f rtys (i : Ir.instr) ~size ~is_float ~v ~fname ~call
               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset))
           in
           body fr addr (reg fr vi)
-    | None, AGep (dst, ISlot bi, IConst k, scale, offset), ISlot vi ->
-        let add = (k * scale) + offset in
-        fun fr ->
-          let addr = gep_at fr dst (reg fr bi + add) in
-          body fr addr (reg fr vi)
-    | Some s, AGep (dst, ISlot bi, IConst k, scale, offset), ISlot vi ->
-        let add = (k * scale) + offset in
-        fun fr ->
-          let addr = called s fr (gep_at fr dst (reg fr bi + add)) in
-          body fr addr (reg fr vi)
-    | None, AGep (dst, ISlot bi, ISlot xi, scale, offset), IConst c ->
-        fun fr ->
-          body fr (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)) c
-    | Some s, AGep (dst, ISlot bi, ISlot xi, scale, offset), IConst c ->
-        fun fr ->
-          body fr
-            (called s fr
-               (gep_at fr dst (reg fr bi + (reg fr xi * scale) + offset)))
-            c
     | None, APlain (ISlot pi), ISlot vi ->
         fun fr -> body fr (reg fr pi) (reg fr vi)
     | Some s, APlain (ISlot pi), ISlot vi ->
         fun fr ->
           let addr = called s fr (reg fr pi) in
           body fr addr (reg fr vi)
-    | None, APlain (ISlot pi), IConst c -> fun fr -> body fr (reg fr pi) c
-    | Some s, APlain (ISlot pi), IConst c ->
-        fun fr -> body fr (called s fr (reg fr pi)) c
     | call, am, sv ->
         let p = address call am and x = iread sv in
         fun fr ->
@@ -983,7 +855,8 @@ let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
     trap "%s expects %d arguments, got %d" f.Ir.fname f.Ir.nparams
       (Array.length ia);
   st.depth <- st.depth + 1;
-  if st.depth > max_call_depth then trap "call depth exceeded (recursion?)";
+  if st.depth > Interp.max_call_depth then
+    trap "call depth exceeded (recursion?)";
   let tel = ctx.backend.Backend.telemetry in
   let span_it = st.depth <= 2 && Telemetry.Sink.is_active tel in
   let t0 = if span_it then Telemetry.Sink.timestamp tel else 0 in
@@ -1000,9 +873,8 @@ let invoke ctx cfn ~checked_arity (ia : int array) (fa : float array) =
 
 (* The site of an intrinsic call [i]; [addr] is the register that holds
    the address of the access it is fused into. Its handler is the
-   backend's dispatcher applied to [callee], here, when the call is
-   compiled (a block compiled once per predecessor does this once per
-   copy); a name the backend does not handle gets the interpreter's
+   backend's dispatcher applied to [callee], here, once, when the call
+   is compiled; a name the backend does not handle gets the interpreter's
    fallbacks: a trap for a [!] hook, else a call of the IR function of
    that name. *)
 let intrinsic_site ?addr ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs =
@@ -1109,11 +981,11 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
           trap "%s expects %d arguments, got %d" callee nparams nactual)
       else begin
         (* Parameter [j] is passed in [ia.(j)] or [fa.(j)], by its
-           inferred type; the other array holds 0 there. Up to three
-           parameters the arrays are literals (inline minor-heap
-           allocations), and [fa] is [[||]] for a callee without float
-           parameters. Arguments are read in order, as the interpreter
-           evaluates actuals. *)
+           inferred type; the other array holds 0 there. For one int
+           parameter, or two with a float one, the arrays are literals
+           (inline minor-heap allocations), and [fa] is [[||]] for a
+           callee without float parameters. Arguments are read in order,
+           as the interpreter evaluates actuals. *)
         let is_float j = target.cf_params.(j) = TFloat in
         let has_float = Array.exists (fun t -> t = TFloat) target.cf_params in
         let ishapes =
@@ -1137,33 +1009,10 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
           Memsim.Clock.tick clock 5 (* call overhead *)
         in
         match (has_float, ishapes, fshapes) with
-        | _, [||], _ ->
-            fun fr ->
-              enter ();
-              call fr [||] [||]
         | false, [| i0 |], _ ->
             fun fr ->
               enter ();
               call fr [| read_int fr i0 |] [||]
-        | false, [| i0; i1 |], _ ->
-            fun fr ->
-              enter ();
-              let a0 = read_int fr i0 in
-              let a1 = read_int fr i1 in
-              call fr [| a0; a1 |] [||]
-        | false, [| i0; i1; i2 |], _ ->
-            fun fr ->
-              enter ();
-              let a0 = read_int fr i0 in
-              let a1 = read_int fr i1 in
-              let a2 = read_int fr i2 in
-              call fr [| a0; a1; a2 |] [||]
-        | true, [| i0 |], [| f0 |] ->
-            fun fr ->
-              enter ();
-              let a0 = read_int fr i0 in
-              let x0 = read_float fr f0 in
-              call fr [| a0 |] [| x0 |]
         | true, [| i0; i1 |], [| f0; f1 |] ->
             fun fr ->
               enter ();
@@ -1172,16 +1021,6 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
               let a1 = read_int fr i1 in
               let x1 = read_float fr f1 in
               call fr [| a0; a1 |] [| x0; x1 |]
-        | true, [| i0; i1; i2 |], [| f0; f1; f2 |] ->
-            fun fr ->
-              enter ();
-              let a0 = read_int fr i0 in
-              let x0 = read_float fr f0 in
-              let a1 = read_int fr i1 in
-              let x1 = read_float fr f1 in
-              let a2 = read_int fr i2 in
-              let x2 = read_float fr f2 in
-              call fr [| a0; a1; a2 |] [| x0; x1; x2 |]
         | _ ->
             fun fr ->
               enter ();
@@ -1201,8 +1040,7 @@ let compile_call ctx (f : Ir.func) rtys (i : Ir.instr) callee cargs :
       let s = intrinsic_site ctx f rtys i callee cargs in
       fun fr -> run_site fr s 0
 
-let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
-    frame -> unit =
+let compile_instr ctx (f : Ir.func) rtys (i : Ir.instr) : frame -> unit =
   let st = ctx.st in
   let fname = f.Ir.fname in
   let id = i.Ir.id in
@@ -1241,21 +1079,6 @@ let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
               (Array.unsafe_get fr.ienv b
               + (Array.unsafe_get fr.ienv i * scale)
               + offset)
-      | IArg b, ISlot i ->
-          fun fr ->
-            seti fr
-              (Array.unsafe_get fr.iargs b
-              + (Array.unsafe_get fr.ienv i * scale)
-              + offset)
-      | IArg b, IConst k ->
-          let add = (k * scale) + offset in
-          fun fr -> seti fr (Array.unsafe_get fr.iargs b + add)
-      | IConst b, ISlot i ->
-          fun fr -> seti fr (b + (Array.unsafe_get fr.ienv i * scale) + offset)
-      | sb, IConst k ->
-          let bs = iread sb in
-          let add = (k * scale) + offset in
-          fun fr -> seti fr (bs fr + add)
       | sb, sx ->
           let bs = iread sb and ix = iread sx in
           fun fr -> seti fr (bs fr + (ix fr * scale) + offset))
@@ -1266,19 +1089,10 @@ let compile_instr ctx (f : Ir.func) rtys ~pred (i : Ir.instr) :
         st.stack_ptr <- addr + aligned;
         seti fr addr
   | Ir.Call { callee; args } -> compile_call ctx f rtys i callee args
-  | Ir.Phi incoming -> (
-      (* Only a phi after a non-phi instruction gets here (the verifier
-         rejects those; leading phis are edge moves): its block is
-         compiled once per predecessor label, so the arm is fixed. *)
-      match List.find_opt (fun (l, _) -> String.equal l pred) incoming with
-      | None -> fun _ -> trap "%s: phi has no arm for predecessor %s" fname pred
-      | Some (_, v) ->
-          if rtys.(id) = TInt then
-            let s = si v in
-            fun fr -> seti fr (read_int fr s)
-          else
-            let s = sf v in
-            fun fr -> setf fr (read_float fr s))
+  | Ir.Phi _ ->
+      (* The verifier puts every phi first in its block, and those are
+         edge moves. *)
+      invalid_arg "Compile.compile_instr: phi"
   | Ir.Select (c, a, b) ->
       if rtys.(id) = TInt then begin
         match (si c, si a, si b) with
@@ -1395,15 +1209,15 @@ let block_entry st clock ~profiled cell ~units ~tick code tail : frame -> unit
         body fr;
         t fr
 
-let is_phi (i : Ir.instr) = match i.Ir.kind with Ir.Phi _ -> true | _ -> false
-
+(* A block's leading phis, as (slot, arms). *)
 let rec split_phis acc = function
-  | i :: rest when is_phi i -> split_phis (i :: acc) rest
+  | { Ir.kind = Ir.Phi incoming; id; _ } :: rest ->
+      split_phis ((id, incoming) :: acc) rest
   | rest -> (List.rev acc, rest)
 
 (* The edge from predecessor [pred] into a block with leading [phis]:
-   each phi takes its first arm for [pred], as the interpreter's
-   [List.find_opt] does. [Error] holds the read that traps first. *)
+   each phi moves its arm for [pred]. [Error] holds the read that traps
+   first. *)
 let phi_edge ctx (f : Ir.func) rtys phis ~pred dst =
   let rec go im fm = function
     | [] ->
@@ -1413,25 +1227,18 @@ let phi_edge ctx (f : Ir.func) rtys phis ~pred dst =
             fmoves = Array.of_list (List.rev fm);
             dst;
           }
-    | (i : Ir.instr) :: rest -> (
-        let id = i.Ir.id in
-        let incoming = match i.Ir.kind with Ir.Phi l -> l | _ -> [] in
-        match List.find_opt (fun (l, _) -> String.equal l pred) incoming with
-        | None ->
-            Error
-              (fun _ ->
-                trap "%s: phi has no arm for predecessor %s" f.Ir.fname pred)
-        | Some (_, v) -> (
-            if rtys.(id) = TInt then
-              match ishape ctx f rtys v with
-              | ISlot x -> go ([ id; 0; x ] :: im) fm rest
-              | IConst x -> go ([ id; 1; x ] :: im) fm rest
-              | IArg x -> go ([ id; 2; x ] :: im) fm rest
-              | IFn g -> Error (fun fr -> ignore (g fr : int))
-            else
-              match fshape ctx f rtys v with
-              | FFn g -> Error (fun fr -> ignore (g fr : float))
-              | s -> go im ((id, s) :: fm) rest))
+    | (id, incoming) :: rest -> (
+        let v = List.assoc pred incoming in
+        if rtys.(id) = TInt then
+          match ishape ctx f rtys v with
+          | ISlot x -> go ([ id; 0; x ] :: im) fm rest
+          | IConst x -> go ([ id; 1; x ] :: im) fm rest
+          | IArg x -> go ([ id; 2; x ] :: im) fm rest
+          | IFn g -> Error (fun fr -> ignore (g fr : int))
+        else
+          match fshape ctx f rtys v with
+          | FFn g -> Error (fun fr -> ignore (g fr : float))
+          | s -> go im ((id, s) :: fm) rest)
   in
   go [] [] phis
 
@@ -1445,24 +1252,10 @@ let compile_func ctx (f : Ir.func) =
   Array.iteri
     (fun k (b : Ir.block) -> Hashtbl.replace label_index b.label k)
     blocks;
-  (* A block's leading phis become moves on its incoming edges. A phi
-     after a non-phi instruction has to run in place, so a block with
-     one is compiled once per predecessor label, with every phi's arm
-     fixed ([entered]). *)
+  (* A block's phis, which the verifier puts first, become moves on its
+     incoming edges. *)
   let phis = Array.map (fun (b : Ir.block) -> split_phis [] b.instrs) blocks in
-  let in_place = Array.map (fun (_, rest) -> List.exists is_phi rest) phis in
   let entries = Array.map (fun _ -> { enter = (fun _ -> ()) }) blocks in
-  let entered = Hashtbl.create 4 in
-  let entry_from k ~pred =
-    if not in_place.(k) then entries.(k)
-    else
-      match Hashtbl.find_opt entered (k, pred) with
-      | Some e -> e
-      | None ->
-          let e = { enter = (fun _ -> ()) } in
-          Hashtbl.replace entered (k, pred) e;
-          e
-  in
   (* Cost accounting is over the *source* instruction count — fusion
      below merges closures, never changes what the run charges. *)
   let profiled = Option.is_some ctx.profile in
@@ -1476,41 +1269,18 @@ let compile_func ctx (f : Ir.func) =
   in
   let units k = List.length blocks.(k).Ir.instrs + 1 in
   let ticks k = (List.length blocks.(k).Ir.instrs + 4) / 4 in
-  let jump dst = { imoves = [||]; fmoves = [||]; dst } in
-  let edge_at k ~pred =
-    if in_place.(k) then jump (entry_from k ~pred)
-    else
-      match phi_edge ctx f rtys (fst phis.(k)) ~pred entries.(k) with
-      | Ok e -> e
-      | Error fail ->
-          (* The interpreter charges the block before its phi traps. *)
-          let cell = cells.(k) and units = units k and tick = ticks k in
-          let enter fr =
-            charge st clock ~profiled cell ~units ~tick;
-            fail fr
-          in
-          jump { enter }
-  in
   let edge ~pred l =
-    match Hashtbl.find_opt label_index l with
-    | Some k -> edge_at k ~pred
-    | None ->
-        (* Mirrors the interpreter's [Hashtbl.find]: the unknown label
-           only faults if the branch actually executes. *)
-        jump { enter = (fun _ -> raise Not_found) }
-  in
-  let start =
-    if Array.length blocks = 0 then None else Some (edge_at 0 ~pred:"<entry>")
-  in
-  (* Terminators first: they create the per-predecessor entries that the
-     bodies below fill in. *)
-  let bodies_terms =
-    Array.mapi
-      (fun k (b : Ir.block) ->
-        let instrs = if in_place.(k) then b.instrs else snd phis.(k) in
-        let edge = edge ~pred:b.label in
-        (instrs, compile_term ctx f cfn rtys ~edge ~label:b.label b.term))
-      blocks
+    let k = Hashtbl.find label_index l in
+    match phi_edge ctx f rtys (fst phis.(k)) ~pred entries.(k) with
+    | Ok e -> e
+    | Error fail ->
+        (* The interpreter charges the block before its phi traps. *)
+        let cell = cells.(k) and units = units k and tick = ticks k in
+        let enter fr =
+          charge st clock ~profiled cell ~units ~tick;
+          fail fr
+        in
+        { imoves = [||]; fmoves = [||]; dst = { enter } }
   in
   (* Fusion: a gep folds into the access right after it that takes its
      address from it, and an intrinsic call into the access right after
@@ -1535,11 +1305,11 @@ let compile_func ctx (f : Ir.func) =
   let agep id base index scale offset =
     AGep (id, ishape ctx f rtys base, ishape ctx f rtys index, scale, offset)
   in
-  let rec build ~pred acc = function
+  let rec build acc = function
     | [] -> Array.of_list (List.rev acc)
     | (i : Ir.instr) :: rest -> (
         let fuse ?call next am rest =
-          build ~pred (compile_access ctx f rtys next ~fname ~call am :: acc) rest
+          build (compile_access ctx f rtys next ~fname ~call am :: acc) rest
         in
         let feeds next = ptr_of next = Some (Ir.Reg i.Ir.id) in
         match (i.Ir.kind, rest) with
@@ -1561,22 +1331,24 @@ let compile_func ctx (f : Ir.func) =
                read before the call runs. *)
             let addr = match ptr with Ir.Reg p -> Some p | _ -> None in
             fuse ~call:(site ?addr i) next (APlain (ishape ctx f rtys ptr)) rest
-        | _ -> build ~pred (compile_instr ctx f rtys ~pred i :: acc) rest)
-  in
-  let compile k ~pred =
-    let instrs, tail = bodies_terms.(k) in
-    block_entry st clock ~profiled cells.(k) ~units:(units k) ~tick:(ticks k)
-      (build ~pred [] instrs) tail
+        | _ -> build (compile_instr ctx f rtys i :: acc) rest)
   in
   Array.iteri
-    (fun k e -> if not in_place.(k) then e.enter <- compile k ~pred:"")
-    entries;
-  Hashtbl.iter (fun (k, pred) e -> e.enter <- compile k ~pred) entered;
+    (fun k (b : Ir.block) ->
+      let tail =
+        compile_term ctx f cfn rtys ~edge:(edge ~pred:b.label) ~label:b.label
+          b.term
+      in
+      entries.(k).enter <-
+        block_entry st clock ~profiled cells.(k) ~units:(units k)
+          ~tick:(ticks k)
+          (build [] (snd phis.(k)))
+          tail)
+    blocks;
+  (* The entry block has no phis: a call enters it directly. *)
   cfn.cf_enter <-
-    (match start with
-    | None -> fun _ -> invalid_arg "index out of bounds"
-    | Some { imoves = [||]; fmoves = [||]; dst } -> dst.enter
-    | Some e -> fun fr -> take fr e)
+    (if Array.length blocks = 0 then fun _ -> invalid_arg "index out of bounds"
+     else entries.(0).enter)
 
 let compile_module ctx =
   (* Phase 1: register shells so recursion and mutual calls resolve. *)
@@ -1600,25 +1372,25 @@ let compile_module ctx =
   List.iter (compile_func ctx) ctx.m.Ir.funcs
 
 let run ?profile ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry =
+  Verifier.check_module m;
   let ctx =
     {
       st =
         {
           fuel;
           depth = 0;
-          stack_ptr = stack_base;
+          stack_ptr = Interp.stack_base;
           iret = 0;
           fret = 0.0;
         };
       backend;
       m;
-      globals = Hashtbl.create 8;
+      globals = Interp.layout_globals m;
       cfuncs = Hashtbl.create 8;
       reg_tys = Hashtbl.create 8;
       profile;
     }
   in
-  layout_globals ctx;
   compile_module ctx;
   let cfn =
     match Hashtbl.find_opt ctx.cfuncs entry with

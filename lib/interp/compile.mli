@@ -16,16 +16,17 @@
     resolved at compile time and applied in phi order. A loop therefore
     runs in constant OCaml stack; the stack grows per IR call, not per
     block. A call reuses a zero-filled register frame of its callee and
-    passes its arguments in array literals (up to three), so it
-    allocates only those. Observable behaviour (return value, cycles,
-    instruction counts, every backend hook and telemetry call, and
-    hence guard/fault/span/counter output) is bit-identical to
-    {!Interp.run}, which stays around as the differential oracle,
-    including on modules the verifier rejects: a phi takes its first
-    arm for the predecessor, and a function's entry block is entered
-    from ["<entry>"]. The [--engine compiled] runs of [ci/cells.ml],
-    [test/test_engine.ml] and [test/test_differential.ml] enforce the
-    equivalence.
+    passes its arguments in fresh arrays, so it allocates only those.
+    Observable behaviour (return value, cycles, instruction counts,
+    every backend hook and telemetry call, and hence
+    guard/fault/span/counter output) is bit-identical to {!Interp.run},
+    which stays around as the differential oracle. The
+    [--engine compiled] runs of [ci/cells.ml], [test/test_engine.ml] and
+    [test/test_differential.ml] enforce the equivalence.
+
+    Both engines run only verified IR: like {!Interp.run}, [run] calls
+    {!Verifier.check_module} before compiling anything and raises its
+    {!Verifier.Ill_formed} on a module that fails it.
 
     Known, deliberate divergence: programs that mix int and float types
     in one SSA slot (e.g. a function returning [1] on one path and
@@ -41,7 +42,8 @@ val run :
   Ir.modul ->
   entry:string ->
   Interp.result
-(** Same contract as {!Interp.run}, including {!Interp.Trap} on runtime
+(** Same contract as {!Interp.run}, including {!Verifier.Ill_formed}
+    on a module the verifier rejects and {!Interp.Trap} on runtime
     faults. Compilation happens eagerly at call time. *)
 
 val test_miscompile : bool ref

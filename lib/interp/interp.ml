@@ -51,6 +51,16 @@ let max_call_depth = 10_000
 let global_base = 1 lsl 28
 let stack_base = 1 lsl 30
 
+let layout_globals (m : Ir.modul) =
+  let globals = Hashtbl.create 8 in
+  let cursor = ref global_base in
+  List.iter
+    (fun (name, size) ->
+      Hashtbl.replace globals name !cursor;
+      cursor := !cursor + ((size + 15) land lnot 15))
+    (List.rev m.Ir.globals);
+  globals
+
 let rec prepare st fname =
   match Hashtbl.find_opt st.prepared fname with
   | Some p -> p
@@ -98,14 +108,6 @@ let rec prepare st fname =
             blk.pinstrs)
         blocks;
       p
-
-let layout_globals st =
-  let cursor = ref global_base in
-  List.iter
-    (fun (name, size) ->
-      Hashtbl.replace st.globals name !cursor;
-      cursor := !cursor + ((size + 15) land lnot 15))
-    (List.rev st.m.Ir.globals)
 
 (* Ticks for non-memory instructions are batched per block for speed. *)
 
@@ -400,12 +402,13 @@ and exec_blocks st p env args ~dargs =
 
 let run ?profile ?shadow ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry
     =
+  Verifier.check_module m;
   let st =
     {
       backend;
       m;
       prepared = Hashtbl.create 8;
-      globals = Hashtbl.create 8;
+      globals = layout_globals m;
       profile;
       shadow;
       stack_ptr = stack_base;
@@ -414,7 +417,6 @@ let run ?profile ?shadow ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry
       depth = 0;
     }
   in
-  layout_globals st;
   let actuals = Array.of_list (List.map (fun n -> I n) args) in
   let ret = call_function st entry actuals in
   {

@@ -32,4 +32,25 @@ val run :
     [profile] accumulates block execution counts for the chunking gate.
     [shadow] records per-site dependent-load depths (the shape
     analysis's dynamic audit). [fuel] bounds total executed instructions
-    (default 2_000_000_000). *)
+    (default 2_000_000_000).
+
+    @raise Verifier.Ill_formed if [m] fails {!Verifier.check_module},
+    before anything runs: both engines execute only verified IR. *)
+
+(** {2 Memory layout}
+
+    Shared by both engines, so they place globals and stack frames at
+    the same simulated addresses. *)
+
+val max_call_depth : int
+(** A call nested deeper than this traps ("call depth exceeded"). *)
+
+val global_base : int
+(** Address of the first global. *)
+
+val stack_base : int
+(** Initial stack pointer; [alloca] bumps it. *)
+
+val layout_globals : Ir.modul -> (string, int) Hashtbl.t
+(** Each global's address: laid out from {!global_base} in declaration
+    order, each rounded up to 16 bytes. *)

@@ -261,27 +261,133 @@ let test_plain_register_stores () =
       check_equal label interp (obs Engine.Compiled))
     [ true; false ]
 
+(* One verified module that runs, at least once each, the operand
+   shapes the compiled engine reads through its generic closures rather
+   than a closure of their own: arithmetic and comparisons on argument,
+   constant and mixed operands, geps that feed no access, loads and
+   stores through those addresses with and without a runtime call fused
+   into them, and direct calls with 0-3 arguments. [shapes p 7] returns
+   3002. *)
+let generic_shapes () =
+  let m = Ir.create_module () in
+  let fn name nparams body =
+    let b = Builder.create m ~name ~nparams in
+    Builder.ret b (Some (body b))
+  in
+  let a = Builder.arg in
+  fn "k0" 0 (fun _ -> Ir.Const 5);
+  fn "i2" 2 (fun b -> Builder.sub b (a 0) (a 1));
+  fn "i3" 3 (fun b ->
+      let hi = Builder.mul b (a 0) (Ir.Const 100) in
+      let mid = Builder.mul b (a 1) (Ir.Const 10) in
+      Builder.add b (Builder.add b hi mid) (a 2));
+  fn "f1" 1 (fun b ->
+      Builder.fp_to_si b (Builder.fbinop b Ir.Fmul (a 0) (Ir.Constf 2.0)));
+  fn "f3" 3 (fun b ->
+      Builder.add b (Builder.add b (a 0) (Builder.fp_to_si b (a 1))) (a 2));
+  fn "shapes" 2 (fun b ->
+      let p = a 0 and n = a 1 in
+      let op o x y = Builder.binop b o x y in
+      let cmp c x y = Builder.icmp b c x y in
+      let x = Builder.add b n (Ir.Const 5) in
+      let y = Builder.add b n (Ir.Const 2) in
+      let s = Builder.sub b y (Ir.Const 7) in
+      let negx = Builder.sub b (Ir.Const 0) x in
+      let ints =
+        [
+          Builder.add b x n; Builder.sub b x (Ir.Const 4);
+          Builder.sub b (Ir.Const 100) x; Builder.mul b (Ir.Const 3) y;
+          Builder.mul b x y; op Ir.Or x y; op Ir.Xor x (Ir.Const 6);
+          op Ir.Shl x s; op Ir.Lshr x s; op Ir.Ashr negx (Ir.Const 1);
+          op Ir.Ashr negx s; cmp Ir.Eq x y; cmp Ir.Eq x (Ir.Const 12);
+          cmp Ir.Lt y n; cmp Ir.Le y x; cmp Ir.Le x (Ir.Const 12);
+          cmp Ir.Gt x y; cmp Ir.Ge y x; cmp Ir.Ge x (Ir.Const 13);
+        ]
+      in
+      let fx = Builder.si_to_fp b x in
+      let fa = Builder.fbinop b Ir.Fadd fx (Ir.Constf 0.5) in
+      let fs = Builder.fbinop b Ir.Fsub fx (Ir.Constf 2.25) in
+      let flt = Builder.fcmp b Ir.Lt fx (Ir.Constf 20.0) in
+      (* A runtime call between a gep and its access fuses into the
+         access; [!cpu_work] charges its argument in cycles. *)
+      let work () = ignore (Builder.call b "!cpu_work" [ Ir.Const 1 ]) in
+      let q = Builder.add b p (Ir.Const 0) in
+      let word ?(called = false) base index =
+        let g = Builder.gep b base ~index ~scale:8 () in
+        if called then work ();
+        g
+      in
+      let t = Builder.sub b y (Ir.Const 4) in
+      let u = Builder.add b t (Ir.Const 1) in
+      let v = Builder.add b t (Ir.Const 2) in
+      Builder.store b ~is_float:true fx ~ptr:(word q (Ir.Const 1));
+      Builder.store b ~is_float:true fa ~ptr:(word ~called:true q (Ir.Const 2));
+      let lf1 = Builder.load b ~is_float:true (word q (Ir.Const 1)) in
+      let lf2 =
+        Builder.load b ~is_float:true (word ~called:true q (Ir.Const 2))
+      in
+      Builder.store b y ~ptr:(word q (Ir.Const 3));
+      Builder.store b x ~ptr:(word ~called:true q (Ir.Const 4));
+      Builder.store b (Ir.Const 5) ~ptr:(word q t);
+      Builder.store b (Ir.Const 6) ~ptr:(word ~called:true q u);
+      let li1 = Builder.load b (word p t) in
+      let li2 = Builder.load b (word ~called:true p u) in
+      (* Geps that feed no access right after them. *)
+      let g1 = Builder.gep b p ~index:v ~scale:8 () in
+      let g2 = Builder.gep b p ~index:(Ir.Const 8) ~scale:8 () in
+      let g3 = Builder.gep b (Ir.Const 64) ~index:s ~scale:4 () in
+      let g4 = Builder.gep b (Ir.Const 1000) ~index:(Ir.Const 2) ~scale:8 () in
+      Builder.store b (Ir.Const 77) ~ptr:g2;
+      work ();
+      Builder.store b (Ir.Const 78) ~ptr:g1;
+      let loads =
+        [
+          li1; li2; Builder.load b g1; Builder.load b g2;
+          Builder.load b (word q (Ir.Const 3));
+          Builder.load b (word q (Ir.Const 4));
+        ]
+      in
+      let calls =
+        [
+          Builder.call b "k0" []; Builder.call b "i2" [ x; y ];
+          Builder.call b "i3" [ x; y; n ]; Builder.call b "f1" [ fx ];
+          Builder.call b "f3" [ x; fx; y ];
+        ]
+      in
+      let floats = List.map (Builder.fp_to_si b) [ fa; fs; lf1; lf2 ] in
+      List.fold_left (Builder.add b) (Ir.Const 0)
+        (ints @ [ flt; g3; g4 ] @ floats @ loads @ calls));
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let p = Builder.call b "malloc" [ Ir.Const 128 ] in
+  Builder.ret b (Some (Builder.call b "shapes" [ p; Ir.Const 7 ]));
+  m
+
 let test_local_and_fastswap () =
   let n = 20_000 in
-  let build () = Stream.build ~n ~kernel:Stream.Sum () in
+  let stream () = Stream.build ~n ~kernel:Stream.Sum () in
   let budget = Stream.working_set_bytes ~n ~kernel:Stream.Sum () / 4 in
-  let local engine =
+  let local build engine =
     let o = Driver.run_local ~engine build in
     (o.Driver.ret, o.Driver.cycles, o.Driver.instrs,
      List.sort compare (Clock.counters o.Driver.clock))
   in
-  let fastswap engine =
+  let fastswap build engine =
     let o = Driver.run_fastswap ~engine ~local_budget:budget build in
     (o.Driver.ret, o.Driver.cycles, o.Driver.instrs,
      List.sort compare (Clock.counters o.Driver.clock))
   in
-  Alcotest.(check bool) "local engines agree" true
-    (local Engine.Interp = local Engine.Compiled);
-  Alcotest.(check bool) "fastswap engines agree" true
-    (fastswap Engine.Interp = fastswap Engine.Compiled);
+  List.iter
+    (fun (what, build) ->
+      Alcotest.(check bool) (what ^ ": local engines agree") true
+        (local build Engine.Interp = local build Engine.Compiled);
+      Alcotest.(check bool) (what ^ ": fastswap engines agree") true
+        (fastswap build Engine.Interp = fastswap build Engine.Compiled))
+    [ ("stream-sum", stream); ("generic shapes", generic_shapes) ];
   let expected = Stream.checksum ~n ~kernel:Stream.Sum () in
-  let ret, _, _, _ = local Engine.Compiled in
-  Alcotest.(check int) "compiled checksum" expected ret
+  let ret, _, _, _ = local stream Engine.Compiled in
+  Alcotest.(check int) "compiled checksum" expected ret;
+  let ret, _, _, _ = local generic_shapes Engine.Interp in
+  Alcotest.(check int) "generic shapes ret" 3002 ret
 
 (* The float path deserves its own direct check: kmeans is the only
    heavily-float workload, and its checksum is a bit-exact reference. *)
@@ -409,12 +515,11 @@ let test_recursion_and_traps () =
   in
   Alcotest.(check string) "trap parity"
     (trap_of Engine.Interp) (trap_of Engine.Compiled);
-  (* Phi arm choice on modules the verifier rejects: both engines take
-     the first arm for the predecessor, a function's entry block is
-     entered from "<entry>", and a phi after a non-phi instruction reads
-     its block's earlier results. [phi_main arms] branches entry ->
-     next, where [x = phi arms] is returned; block "other" is
-     unreachable. *)
+  (* Both engines run only verified IR: on a module with a malformed phi,
+     [Interp.run], [Compile.run] and [Engine.run] on either engine raise
+     the verifier's [Ill_formed] before the first block runs, so the
+     clock stays at 0. [phi_main arms] branches entry -> next, where
+     [x = phi arms] is returned; block "other" is unreachable. *)
   let phi_main ?(in_entry = false) ?(after_add = false) arms =
     let m = Ir.create_module () in
     let b = Builder.create m ~name:"main" ~nparams:0 in
@@ -436,38 +541,53 @@ let test_recursion_and_traps () =
     end;
     m
   in
-  let outcome engine m =
-    match
-      Engine.run ~engine
-        (Backend.local Cost_model.default (clock ()) (Memstore.create ()))
-        m ~entry:"main"
-    with
-    | r -> Printf.sprintf "ret %d" r.Interp.ret
-    | exception Interp.Trap msg -> "trap: " ^ msg
+  let rejection run m =
+    let clock = clock () in
+    let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
+    let what =
+      match run backend m with
+      | r -> Printf.sprintf "ret %d" r.Interp.ret
+      | exception Verifier.Ill_formed msg -> "ill-formed: " ^ msg
+    in
+    Printf.sprintf "%s, %d cycles" what (Clock.cycles clock)
+  in
+  let runs =
+    [
+      ("Interp.run", fun b m -> Interp.run b m ~entry:"main");
+      ("Compile.run", fun b m -> Compile.run b m ~entry:"main");
+      ( "Engine.run interp",
+        fun b m -> Engine.run ~engine:Engine.Interp b m ~entry:"main" );
+      ( "Engine.run compiled",
+        fun b m -> Engine.run ~engine:Engine.Compiled b m ~entry:"main" );
+    ]
   in
   List.iter
     (fun (what, m, want) ->
-      Alcotest.(check string) (what ^ ", interpreter") want
-        (outcome Engine.Interp m);
-      Alcotest.(check string) (what ^ ", compiled") want
-        (outcome Engine.Compiled m))
+      List.iter
+        (fun (path, run) ->
+          Alcotest.(check string) (what ^ ", " ^ path)
+            ("ill-formed: " ^ want ^ ", 0 cycles")
+            (rejection run m))
+        runs)
     [
       ( "two arms for one predecessor",
         phi_main [ ("entry", Ir.Const 1); ("entry", Ir.Const 2) ],
-        "ret 1" );
+        "main/next1: phi %0 arms [entry;entry] do not match preds \
+         [entry;other2]" );
       ( "three arms, two for one predecessor",
         phi_main
           [ ("entry", Ir.Const 3); ("other", Ir.Const 5); ("entry", Ir.Const 4) ],
-        "ret 3" );
-      ( "entry-block phi with an <entry> arm",
+        "main/next1: phi %0 arms [entry;entry;other] do not match preds \
+         [entry;other2]" );
+      ( "entry-block phi",
         phi_main ~in_entry:true [ ("<entry>", Ir.Const 7) ],
-        "ret 7" );
+        "main: phi in entry block" );
       ( "no arm for the predecessor",
         phi_main [ ("other", Ir.Const 5) ],
-        "trap: main: phi has no arm for predecessor entry" );
+        "main/next1: phi %0 arms [other] do not match preds [entry;other2]" );
       ( "phi after a non-phi instruction",
         phi_main ~after_add:true [ ("other", Ir.Const 5) ],
-        "ret 42" );
+        "main/next1: phi %1 after non-phi instruction" );
     ];
   (* A runtime call between a gep and the access it feeds, or right
      before an access, compiles into the access's closure. Around that
@@ -475,14 +595,14 @@ let test_recursion_and_traps () =
      call's result, a callee without [!] that the backend does not
      handle and that names an IR function (which stores 99 through its
      pointer), and an unknown [!] hook, which traps with the same message
-     and cycles. The local backend gets one more hook, [!id p] = p. *)
+     and cycles. The local backend gets one more intrinsic, [id p] = p. *)
   let with_id (b : Backend.t) =
     {
       b with
       Backend.intrinsic =
         (fun name ->
           match name with
-          | "!id" -> fun a -> Some a.(0)
+          | "id" -> fun a -> Some a.(0)
           | _ -> b.Backend.intrinsic name);
     }
   in
@@ -520,15 +640,15 @@ let test_recursion_and_traps () =
       ( "access through the call's result",
         fused_main (fun b p ->
             let g = Builder.gep b p ~index:(Ir.Const 1) ~scale:8 () in
-            let c = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            let c = Builder.call b "id" [ g; Ir.Const 8 ] in
             Builder.store b (Ir.Const 7) ~ptr:c;
-            let c' = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            let c' = Builder.call b "id" [ g; Ir.Const 8 ] in
             Builder.load b c'),
         "ret 7" );
       ( "store of the call's result",
         fused_main (fun b p ->
             let g = Builder.gep b p ~index:(Ir.Const 2) ~scale:8 () in
-            let c = Builder.call b "!id" [ g; Ir.Const 8 ] in
+            let c = Builder.call b "id" [ g; Ir.Const 8 ] in
             Builder.store b c ~ptr:g;
             Builder.sub b (Builder.load b g) p),
         "ret 16" );
