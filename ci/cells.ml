@@ -160,6 +160,13 @@ let routed w route pct =
     (sprintf "run -w %s -s trackfm -m %d --route %s" w pct route)
     ~runs:[ interp; []; [] ]
 
+(* Pure Fastswap cells: interpreter, then compiled twice; goldened. *)
+let fastswap w =
+  json "fastswap"
+    (sprintf "fastswap-%s-m25" w)
+    (sprintf "run -w %s -s fastswap -m 25" w)
+    ~runs:[ interp; []; [] ]
+
 (* Serving cells: run twice; goldened. *)
 let serving backend rate =
   json "serving"
@@ -249,6 +256,9 @@ let table =
       ~runs:[ [ "--route"; "off" ]; [ "--route"; "static" ] ];
     (* The shadow audit of statically routed llist: exit 1 on a mismatch. *)
     cell "routed" "llist-shadow" "trackfm_cli shape -w llist --shadow -m 100";
+    (* The swap path alone: sequential faults (stream-sum) and random
+       ones (pointer-chase). *)
+    fastswap "stream-sum"; fastswap "pointer-chase";
     serving "trackfm" 40; serving "trackfm" 130;
     serving "fastswap" 40; serving "fastswap" 130;
     serving "aifm" 40; serving "aifm" 130;
