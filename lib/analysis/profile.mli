@@ -5,7 +5,8 @@
     amortize the chunking setup are filtered out. Our profile is filled
     by an instrumented run on either engine, which count the same blocks
     (the driver's pre-run uses the compiled one), and consumed by the
-    chunking pass's gate. *)
+    chunking pass's gate only. So the driver makes the pre-run only for
+    a module with a loop the gate decides. *)
 
 type t
 

@@ -282,9 +282,9 @@ let[@inline] read_float fr = function
    monomorphized by hand: for each one, the shape pairs that programs
    run hot get a closure that reads both operands inline (pure loads
    and ALU ops, no nested calls, no float boxing). Other shapes fall
-   back to reader closures — same behaviour, one extra call. The
-   divisions stay on the fallback path; they trap on zero divisors
-   anyway. *)
+   back to reader closures — same behaviour, one extra call. A division
+   by a nonzero constant tests its divisor here, once; any other
+   division tests it on every execution and traps on zero. *)
 
 let compile_binop op sa sb id : frame -> unit =
   let gen op2 =
@@ -335,6 +335,10 @@ let compile_binop op sa sb id : frame -> unit =
       fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i lsr c)
   | Ir.Lshr, _, _ -> gen ( lsr )
   | Ir.Ashr, _, _ -> gen ( asr )
+  | Ir.Sdiv, ISlot i, IConst c when c <> 0 ->
+      fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i / c)
+  | Ir.Srem, ISlot i, IConst c when c <> 0 ->
+      fun fr -> Array.unsafe_set fr.ienv id (Array.unsafe_get fr.ienv i mod c)
   | Ir.Sdiv, _, _ ->
       let a = iread sa and b = iread sb in
       fun fr ->
@@ -1346,9 +1350,7 @@ let compile_func ctx (f : Ir.func) =
           tail)
     blocks;
   (* The entry block has no phis: a call enters it directly. *)
-  cfn.cf_enter <-
-    (if Array.length blocks = 0 then fun _ -> invalid_arg "index out of bounds"
-     else entries.(0).enter)
+  cfn.cf_enter <- entries.(0).enter
 
 let compile_module ctx =
   (* Phase 1: register shells so recursion and mutual calls resolve. *)

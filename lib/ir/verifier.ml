@@ -3,6 +3,7 @@ exception Ill_formed of string
 let fail fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
 let check_func (f : Ir.func) =
+  if f.blocks = [] then fail "%s: function has no blocks" f.fname;
   let labels = Hashtbl.create 16 in
   List.iter
     (fun (b : Ir.block) ->

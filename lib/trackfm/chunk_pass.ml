@@ -72,6 +72,37 @@ let insert_after_phis (b : Ir.block) instr =
   in
   b.instrs <- phis @ (instr :: rest)
 
+(* The chunking candidates of [f], in the order [run] decides them: for
+   each loop with a preheader, each group of its strided accesses whose
+   stride is nonzero. A loop's accesses are read when the loop is
+   reached, so [visit] may rewrite the loops it has already seen. *)
+let iter_candidates (f : Ir.func) visit =
+  let loop_info = Tfm_analysis.Loops.analyze f in
+  let ind = Tfm_analysis.Induction.analyze f in
+  List.iter
+    (fun (loop : Tfm_analysis.Loops.loop) ->
+      match loop.preheader with
+      | None -> ()
+      | Some preheader ->
+          List.iter
+            (fun ((base, byte_stride, _gep_offset), group) ->
+              if byte_stride <> 0 then
+                visit loop ~preheader ~base ~byte_stride group)
+            (group_accesses
+               (Tfm_analysis.Induction.strided_accesses ind loop)))
+    (Tfm_analysis.Loops.loops loop_info)
+
+let needs_profile (m : Ir.modul) =
+  match
+    List.iter
+      (fun f ->
+        iter_candidates f (fun _ ~preheader:_ ~base:_ ~byte_stride:_ _ ->
+            raise_notrace Exit))
+      m.funcs
+  with
+  | () -> false
+  | exception Exit -> true
+
 let run cost ~object_size ~mode ?profile (m : Ir.modul) =
   let covered = Hashtbl.create 64 in
   let candidates = ref [] in
@@ -79,117 +110,96 @@ let run cost ~object_size ~mode ?profile (m : Ir.modul) =
   if mode <> `Off then
     List.iter
       (fun (f : Ir.func) ->
-        let loop_info = Tfm_analysis.Loops.analyze f in
-        let ind = Tfm_analysis.Induction.analyze f in
-        List.iter
-          (fun (loop : Tfm_analysis.Loops.loop) ->
-            match loop.preheader with
-            | None -> ()
-            | Some preheader_label ->
-                let accesses =
-                  Tfm_analysis.Induction.strided_accesses ind loop
-                in
-                List.iter
-                  (fun ((base, byte_stride, _gep_offset), group) ->
-                    if byte_stride <> 0 then begin
-                      let density = object_size / abs byte_stride in
-                      let avg_trip =
-                        match profile with
-                        | Some p ->
-                            Tfm_analysis.Profile.avg_trip_count p
-                              ~func:f.fname ~header:loop.header
-                              ~preheader:preheader_label
-                        | None -> None
-                      in
-                      let selected = decide cost ~mode ~density ~avg_trip in
-                      let access_ids =
-                        List.map
-                          (fun (a : Tfm_analysis.Induction.strided_access) ->
-                            a.instr_id)
-                          group
-                      in
-                      candidates :=
-                        {
-                          func = f.fname;
-                          header = loop.header;
-                          base;
-                          byte_stride;
-                          density;
-                          accesses = access_ids;
-                          avg_trip;
-                          selected;
-                        }
-                        :: !candidates;
-                      if selected then begin
-                        let handle = !next_handle in
-                        incr next_handle;
-                        (* Preheader: initialize the chunk stream. *)
-                        let preheader = Ir.find_block f preheader_label in
-                        append_to_block preheader
-                          {
-                            Ir.id = Ir.fresh_id f;
-                            kind =
-                              Ir.Call
-                                {
-                                  callee = chunk_init_name;
-                                  args =
-                                    [ Ir.Const handle; Ir.Const byte_stride ];
-                                };
-                          };
-                        (* Each access: boundary-checked chunk access. *)
-                        List.iter
-                          (fun (a : Tfm_analysis.Induction.strided_access) ->
-                            Hashtbl.replace covered a.instr_id ();
-                            let ptr_of (i : Ir.instr) =
-                              match i.kind with
-                              | Ir.Load { ptr; _ } | Ir.Store { ptr; _ } ->
-                                  ptr
-                              | _ -> assert false
-                            in
-                            let blk = Ir.find_block f a.block in
-                            let target =
-                              List.find
-                                (fun (i : Ir.instr) -> i.id = a.instr_id)
-                                blk.instrs
-                            in
-                            let callee =
-                              if a.is_store then chunk_access_write_name
-                              else chunk_access_read_name
-                            in
-                            insert_before f a.instr_id (fun () ->
-                                {
-                                  Ir.id = Ir.fresh_id f;
-                                  kind =
-                                    Ir.Call
-                                      {
-                                        callee;
-                                        args =
-                                          [
-                                            Ir.Const handle;
-                                            ptr_of target;
-                                            Ir.Const a.access_size;
-                                          ];
-                                      };
-                                }))
-                          group;
-                        (* Exits: release the pinned chunk. *)
-                        List.iter
-                          (fun exit_label ->
-                            let exit_block = Ir.find_block f exit_label in
-                            insert_after_phis exit_block
-                              {
-                                Ir.id = Ir.fresh_id f;
-                                kind =
-                                  Ir.Call
-                                    {
-                                      callee = chunk_end_name;
-                                      args = [ Ir.Const handle ];
-                                    };
-                              })
-                          loop.exits
-                      end
-                    end)
-                  (group_accesses accesses))
-          (Tfm_analysis.Loops.loops loop_info))
+        iter_candidates f
+          (fun loop ~preheader:preheader_label ~base ~byte_stride group ->
+            let density = object_size / abs byte_stride in
+            let avg_trip =
+              match profile with
+              | Some p ->
+                  Tfm_analysis.Profile.avg_trip_count p ~func:f.fname
+                    ~header:loop.header ~preheader:preheader_label
+              | None -> None
+            in
+            let selected = decide cost ~mode ~density ~avg_trip in
+            let access_ids =
+              List.map
+                (fun (a : Tfm_analysis.Induction.strided_access) -> a.instr_id)
+                group
+            in
+            candidates :=
+              {
+                func = f.fname;
+                header = loop.header;
+                base;
+                byte_stride;
+                density;
+                accesses = access_ids;
+                avg_trip;
+                selected;
+              }
+              :: !candidates;
+            if selected then begin
+              let handle = !next_handle in
+              incr next_handle;
+              (* Preheader: initialize the chunk stream. *)
+              let preheader = Ir.find_block f preheader_label in
+              append_to_block preheader
+                {
+                  Ir.id = Ir.fresh_id f;
+                  kind =
+                    Ir.Call
+                      {
+                        callee = chunk_init_name;
+                        args = [ Ir.Const handle; Ir.Const byte_stride ];
+                      };
+                };
+              (* Each access: boundary-checked chunk access. *)
+              List.iter
+                (fun (a : Tfm_analysis.Induction.strided_access) ->
+                  Hashtbl.replace covered a.instr_id ();
+                  let ptr_of (i : Ir.instr) =
+                    match i.kind with
+                    | Ir.Load { ptr; _ } | Ir.Store { ptr; _ } -> ptr
+                    | _ -> assert false
+                  in
+                  let blk = Ir.find_block f a.block in
+                  let target =
+                    List.find
+                      (fun (i : Ir.instr) -> i.id = a.instr_id)
+                      blk.instrs
+                  in
+                  let callee =
+                    if a.is_store then chunk_access_write_name
+                    else chunk_access_read_name
+                  in
+                  insert_before f a.instr_id (fun () ->
+                      {
+                        Ir.id = Ir.fresh_id f;
+                        kind =
+                          Ir.Call
+                            {
+                              callee;
+                              args =
+                                [
+                                  Ir.Const handle;
+                                  ptr_of target;
+                                  Ir.Const a.access_size;
+                                ];
+                            };
+                      }))
+                group;
+              (* Exits: release the pinned chunk. *)
+              List.iter
+                (fun exit_label ->
+                  let exit_block = Ir.find_block f exit_label in
+                  insert_after_phis exit_block
+                    {
+                      Ir.id = Ir.fresh_id f;
+                      kind =
+                        Ir.Call
+                          { callee = chunk_end_name; args = [ Ir.Const handle ] };
+                    })
+                loop.exits
+            end))
       m.funcs;
   { candidates = List.rev !candidates; covered; chunk_sites = !next_handle }

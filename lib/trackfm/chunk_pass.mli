@@ -41,6 +41,12 @@ val run :
   Ir.modul ->
   report
 
+val needs_profile : Ir.modul -> bool
+(** Whether [run] would find a candidate in the module, and so whether
+    a [`Gated] run reads its profile: true exactly when some loop with a
+    preheader has a strided access with a nonzero stride. It walks the
+    candidates as [run] does, stopping at the first. *)
+
 (** Runtime call names emitted by the transform. *)
 
 val chunk_init_name : string

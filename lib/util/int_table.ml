@@ -1,6 +1,6 @@
-(* Keys are page indices and object ids, dense within each address
-   region, so the identity spreads them over buckets as well as a real
-   hash would, without a C call per probe. *)
+(* Keys are page indices, dense within each address region, so the
+   identity spreads them over buckets as well as a real hash would,
+   without a C call per probe. *)
 include Hashtbl.Make (struct
   type t = int
 

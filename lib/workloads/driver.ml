@@ -95,25 +95,35 @@ let run_local ?(engine = Engine.default) ?(cost = Cost_model.default)
   in
   finish clock (Engine.run ~engine backend (build ()) ~entry:"main")
 
-let profile_of ?(engine = Engine.default) ?(cost = Cost_model.default)
-    ?(blobs = []) build =
+(* The block counts of one local-backend run of [m]. *)
+let profile_module ~engine ~cost ~blobs m =
   let profile = Profile.create () in
   let clock = Clock.create () in
   let store = Memstore.create () in
   let backend = with_blobs blobs (Backend.local cost clock store) in
-  ignore (Engine.run ~engine ~profile backend (build ()) ~entry:"main");
+  ignore (Engine.run ~engine ~profile backend m ~entry:"main");
   profile
+
+let profile_of ?(engine = Engine.default) ?(cost = Cost_model.default)
+    ?(blobs = []) build =
+  profile_module ~engine ~cost ~blobs (build ())
 
 let run_trackfm ?(engine = Engine.default) ?(cost = Cost_model.default)
     ?(blobs = []) ?(telemetry = no_telemetry) ?shadow ?profile build opts =
-  (* Only the gated chunking decision reads the profile. Block counts do
-     not depend on the engine, so the pre-run takes the compiled one
-     whichever engine executes the program. *)
+  (* Only the gated chunking decision reads the profile, and only for a
+     loop that is a chunking candidate: a module without one is built for
+     the pre-run but not run. Block counts do not depend on the engine,
+     so the pre-run takes the compiled one whichever engine executes the
+     program. *)
   let profile =
     if opts.chunk_mode = `Gated && opts.profile_gate then
       match profile with
       | Some _ -> profile
-      | None -> Some (profile_of ~engine:Engine.Compiled ~cost ~blobs build)
+      | None ->
+          let m = build () in
+          if Trackfm.Chunk_pass.needs_profile m then
+            Some (profile_module ~engine:Engine.Compiled ~cost ~blobs m)
+          else None
     else None
   in
   let m = build () in

@@ -4,7 +4,7 @@
     pipeline transforms modules in place, so every run needs its own
     copy). The driver assembles the backend, optionally runs the TrackFM
     compiler (with a profiling pre-run on the local backend and the
-    compiled engine when the gated chunking decision reads it), executes,
+    compiled engine when a gated chunking decision reads it), executes,
     and returns the clock so callers can read any counter an experiment
     plots. Every runner executes on {!Engine.default} (compiled) unless
     given [~engine]. *)
@@ -27,8 +27,9 @@ type tfm_opts = {
   profile_gate : bool;
       (** with [`Gated] chunking, run the workload once uninstrumented on
           the local backend and the compiled engine to collect block
-          frequencies for the cost-model gate; the other chunk modes
-          never profile *)
+          frequencies for the cost-model gate, if it has a loop for the
+          gate to decide ({!Trackfm.Chunk_pass.needs_profile}); the other
+          chunk modes never profile *)
   elide_guards : bool;
       (** run redundant-guard elimination and hoisting
           ({!Trackfm.Elide_pass}); the coverage checker runs either
@@ -98,7 +99,14 @@ val run_trackfm :
     [profile] is the gate's block profile when the caller already has
     one for this module and blobs ({!profile_of}); the pre-run is then
     skipped. The gate reads it only with [`Gated] chunking and
-    [profile_gate]. *)
+    [profile_gate].
+
+    Without [profile], those two settings make [run_trackfm] call
+    [build] once for the pre-run and once for the measured run, as
+    always; but it runs the pre-run's module only when a gated loop
+    reads the profile ({!Trackfm.Chunk_pass.needs_profile}), and
+    otherwise compiles with no profile, which no loop would have
+    read. *)
 
 val run_fastswap :
   ?engine:Engine.t ->
@@ -122,9 +130,11 @@ val profile_of :
   ?blobs:(int * Bytes.t) list ->
   (unit -> Ir.modul) ->
   Profile.t
-(** Block-frequency profile from a local-backend run. It depends only on
-    the module and its blobs: neither the engine, the cost model nor a
-    TrackFM option changes a block count. *)
+(** Block-frequency profile from a local-backend run, counting every
+    block whether or not a loop reads it (the profiler [run_trackfm]'s
+    pre-run uses). It depends only on the module and its blobs: neither
+    the engine, the cost model nor a TrackFM option changes a block
+    count. *)
 
 (** Workload input data ("datasets read from disk") is passed as [blobs]:
     the program copies blob [id] into simulated memory with the

@@ -113,6 +113,19 @@ let test_major_fault () =
       Fastswap.Swap.access swap ~addr:a ~size:8 ~write:true;
       Fastswap.Swap.access swap ~addr:b ~size:8 ~write:true)
 
+(* A page already resident: its state is read and written back, with no
+   fault. The two pages' state bytes sit in one 4,096-page chunk. *)
+let test_resident_page () =
+  let clock = Clock.create () in
+  let swap =
+    Fastswap.Swap.create Cost_model.default clock
+      ~local_budget:(4 * Memstore.page_size)
+  in
+  let a = Backend.heap_base and b = Backend.heap_base + Memstore.page_size in
+  zero_alloc "resident pages" (fun () ->
+      Fastswap.Swap.access swap ~addr:a ~size:8 ~write:true;
+      Fastswap.Swap.access swap ~addr:(b + 8) ~size:8 ~write:false)
+
 let test_chunk_access () =
   let rt = make_rt () in
   let p = R.tfm_malloc rt 4096 in
@@ -190,6 +203,7 @@ let suite =
       Alcotest.test_case "guard misses" `Quick test_guard_miss;
       Alcotest.test_case "prefetching misses" `Quick test_prefetching_misses;
       Alcotest.test_case "fastswap major faults" `Quick test_major_fault;
+      Alcotest.test_case "fastswap resident pages" `Quick test_resident_page;
       Alcotest.test_case "chunk access" `Quick test_chunk_access;
       Alcotest.test_case "pool pins" `Quick test_pin;
       Alcotest.test_case "span hooks" `Quick test_span_hooks;

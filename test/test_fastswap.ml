@@ -94,6 +94,57 @@ let test_readahead () =
   Fastswap.Swap.access swap ~addr:(4 * page) ~size:8 ~write:false;
   Alcotest.(check int) "neighbour access free" c (Clock.cycles clock)
 
+(* Page states are one byte per page index, and the heap's pages and
+   the tracked pages of TrackFM's size classes 0 and 1 fall in chunks
+   that share a slot of the state store's page cache. With one page of
+   local memory: x and y are written (y's fault evicts x, dirty), then
+   z of the other class is read, which must be a first touch, not the
+   major fault x's state would give; x comes back by a major fault. *)
+let test_page_state_regions () =
+  let swap, clock = make ~local_budget:page () in
+  let x = Backend.heap_base
+  and y = Trackfm.Nc_ptr.class_base 0
+  and z = Trackfm.Nc_ptr.class_base 1 in
+  let access addr ~write = Fastswap.Swap.access swap ~addr ~size:8 ~write in
+  let faults () =
+    ( Clock.get clock "fastswap.minor_faults",
+      Clock.get clock "fastswap.major_faults" )
+  in
+  access x ~write:true;
+  access y ~write:true;
+  Alcotest.(check (pair int int)) "x and y first touches" (2, 0) (faults ());
+  Alcotest.(check (list bool)) "y evicted x" [ false; true; false ]
+    (List.map (fun addr -> Fastswap.Swap.is_present swap ~addr) [ x; y; z ]);
+  access z ~write:false;
+  Alcotest.(check (pair int int)) "z first touch" (3, 0) (faults ());
+  access x ~write:false;
+  Alcotest.(check (pair int int)) "x major fault" (3, 1) (faults ());
+  Alcotest.(check int) "x and y written back" 2
+    (Clock.get clock "fastswap.writebacks");
+  Alcotest.(check (list bool)) "x back" [ true; false; false ]
+    (List.map (fun addr -> Fastswap.Swap.is_present swap ~addr) [ x; y; z ])
+
+(* Readahead reads the state of the pages after a fault: a swapped-out
+   neighbour comes in, a never-touched one (here in the next 4,096-page
+   chunk of states, never written) is absent and stays out. *)
+let test_readahead_untouched_neighbour () =
+  let swap, clock = make ~readahead:2 ~local_budget:(2 * page) () in
+  let a = 4094 * page and b = 4095 * page and c = 4096 * page in
+  List.iter
+    (fun addr -> Fastswap.Swap.access swap ~addr ~size:8 ~write:true)
+    [ a; b; 0; page ];
+  Alcotest.(check (list bool)) "a and b swapped out" [ false; false ]
+    (List.map (fun addr -> Fastswap.Swap.is_present swap ~addr) [ a; b ]);
+  Clock.reset clock;
+  Fastswap.Swap.access swap ~addr:a ~size:8 ~write:false;
+  Alcotest.(check int) "one major" 1 (Clock.get clock "fastswap.major_faults");
+  Alcotest.(check int) "b read ahead, c not" 1
+    (Clock.get clock "fastswap.readahead_pages");
+  Alcotest.(check int) "two pages fetched" (2 * page)
+    (Clock.get clock "net.bytes_in");
+  Alcotest.(check bool) "c absent" false
+    (Fastswap.Swap.is_present swap ~addr:c)
+
 let prop_budget_invariant =
   QCheck.Test.make ~name:"fastswap never exceeds budget" ~count:50
     QCheck.(list_of_size (Gen.return 150) (pair (int_range 0 63) bool))
@@ -135,6 +186,10 @@ let suite =
       Alcotest.test_case "page spanning" `Quick test_page_spanning_access;
       Alcotest.test_case "clean drop" `Quick test_clean_page_dropped_silently;
       Alcotest.test_case "readahead" `Quick test_readahead;
+      Alcotest.test_case "page states by region" `Quick
+        test_page_state_regions;
+      Alcotest.test_case "readahead skips untouched pages" `Quick
+        test_readahead_untouched_neighbour;
       q prop_budget_invariant;
       q prop_swapped_data_refaults;
     ] )

@@ -215,6 +215,117 @@ let test_driver_counters_exposed () =
   Alcotest.(check bool) "pipeline saw the libc call" true
     (report.Trackfm.Pipeline.libc_rewrites >= 1)
 
+(* Every workload [trackfm_cli list] names, built as the CLI builds it
+   (blobs are only read when a program runs). *)
+let listed_workloads () =
+  List.map
+    (fun kernel ->
+      ( "stream-" ^ Stream.kernel_name kernel,
+        fun () -> Stream.build ~n:200_000 ~kernel () ))
+    [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
+  @ [
+      ("kmeans", Kmeans.build (Kmeans.default_params ~n:15_000));
+      ( "hashmap",
+        Hashmap.build (Hashmap.default_params ~keys:80_000 ~lookups:100_000) );
+      ( "memcached",
+        Memcached.build
+          (Memcached.default_params ~keys:80_000 ~gets:50_000 ~skew:1.1) );
+      ("analytics", Analytics.build (Analytics.default_params ~rows:150_000));
+      ("pointer-chase", fun () -> Chase.build ~nodes:60_000 ());
+      ("llist", fun () -> Llist.build ~nodes:40_000 ~tnodes:16_000 ());
+    ]
+  @ List.map
+      (fun kernel ->
+        ( "nas-" ^ Nas.kernel_name kernel,
+          Nas.build { Nas.kernel; scale = 1 } ))
+      Nas.all_kernels
+
+(* [Chunk_pass.needs_profile] asks of the raw build what the pipeline's
+   chunking stage finds: the loops of [Chunk_pass.run]'s candidates on a
+   raw build, the enumeration the predicate walks, are the loops of the
+   pipeline's candidates, and the predicate holds exactly when there
+   are some. Only the two pointer-chasing workloads have none. *)
+let test_gate_loops_on_raw_build () =
+  let loops (r : Trackfm.Chunk_pass.report) =
+    List.sort_uniq compare
+      (List.map
+         (fun (c : Trackfm.Chunk_pass.candidate) -> (c.func, c.header))
+         r.candidates)
+  in
+  List.iter
+    (fun (name, build) ->
+      let raw = build () in
+      let needs = Trackfm.Chunk_pass.needs_profile raw in
+      let behind =
+        loops
+          (Trackfm.Chunk_pass.run Cost_model.default ~object_size:4096
+             ~mode:`Gated raw)
+      in
+      let piped =
+        loops
+          (Trackfm.Pipeline.run Trackfm.Pipeline.default_config (build ()))
+            .Trackfm.Pipeline.chunks
+      in
+      Alcotest.(check (list (pair string string)))
+        (name ^ ": pipeline candidates") behind piped;
+      Alcotest.(check bool) (name ^ ": predicate") (behind <> []) needs;
+      Alcotest.(check bool)
+        (name ^ ": has gated loops")
+        (not (List.mem name [ "pointer-chase"; "llist" ]))
+        needs)
+    (listed_workloads ())
+
+(* Without a gated loop [run_trackfm] builds the pre-run's module, asks
+   the predicate and runs nothing: still two builds, and the same run as
+   one handed the full profile. Stream-sum's loops still get theirs. *)
+let test_prerun_only_for_gated_loops () =
+  let observe ((o : Driver.outcome), report) =
+    ( (o.ret, o.cycles, o.instrs),
+      (Clock.counters o.clock, Trackfm.Pipeline.code_growth report) )
+  in
+  let same =
+    Alcotest.(
+      pair (triple int int int) (pair (list (pair string int)) (float 0.0)))
+  in
+  List.iter
+    (fun (name, build, ws) ->
+      let opts = Driver.tfm_defaults ~local_budget:(budget_frac ws 30) in
+      let builds = ref 0 in
+      let counted () =
+        incr builds;
+        build ()
+      in
+      let run = Driver.run_trackfm counted opts in
+      Alcotest.(check int) (name ^ ": builds") 2 !builds;
+      Alcotest.check same
+        (name ^ ": as with a profile")
+        (observe
+           (Driver.run_trackfm ~profile:(Driver.profile_of build) build opts))
+        (observe run))
+    [
+      ( "llist",
+        (fun () -> Llist.build ~nodes:600 ~tnodes:257 ()),
+        Llist.working_set_bytes ~nodes:600 ~tnodes:257 );
+      ( "pointer-chase",
+        (fun () -> Chase.build ~nodes:2_000 ()),
+        Chase.working_set_bytes ~nodes:2_000 );
+    ];
+  let n = 5_000 in
+  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
+  let _, report =
+    Driver.run_trackfm
+      (fun () -> Stream.build ~n ~kernel:Stream.Sum ())
+      (Driver.tfm_defaults ~local_budget:(budget_frac ws 25))
+  in
+  let candidates = report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates in
+  Alcotest.(check bool) "stream-sum has candidates" true (candidates <> []);
+  List.iter
+    (fun (c : Trackfm.Chunk_pass.candidate) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "stream-sum %s/%s profiled" c.func c.header)
+        true (c.avg_trip <> None))
+    candidates
+
 let suite =
   ( "workloads",
     [
@@ -240,4 +351,8 @@ let suite =
       Alcotest.test_case "nas x backends" `Slow test_nas_kernels_all_backends;
       Alcotest.test_case "nas table3 metadata" `Quick test_nas_table3_metadata;
       Alcotest.test_case "driver counters" `Quick test_driver_counters_exposed;
+      Alcotest.test_case "gate loops on the raw build" `Quick
+        test_gate_loops_on_raw_build;
+      Alcotest.test_case "pre-run only for gated loops" `Quick
+        test_prerun_only_for_gated_loops;
     ] )
