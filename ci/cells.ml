@@ -240,9 +240,10 @@ let table =
     chunk_off "stream-sum" 1; chunk_off "stream-sum" 2;
     chunk_off "stream-sum" 3;
     chunk_off "hashmap" 1; chunk_off "hashmap" 2; chunk_off "hashmap" 3;
-    (* The checker over every workload x configuration; the engine diff
-       it adds on the compiled engine is check-compiled's, in
-       @ci/engines. *)
+    (* The checker over every workload x configuration, one line of
+       guard, elision, hoisting and routing counts per configuration,
+       diffed against golden/check.out; the engine diff it adds on the
+       compiled engine is check-compiled's, in @ci/engines. *)
     cell "check" "check" "trackfm_cli check --engine interp";
     routed "pointer-chase" "static" 25; routed "pointer-chase" "static" 100;
     routed "pointer-chase" "profiled" 25;
