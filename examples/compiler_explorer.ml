@@ -53,7 +53,6 @@ let () =
         b.instrs)
     f.blocks;
 
-  let li = Loops.analyze f in
   let ind = Induction.analyze f in
   Printf.printf "\n=== loops and induction variables ===\n";
   List.iter
@@ -62,7 +61,7 @@ let () =
         l.Loops.header l.Loops.depth
         (List.length (Induction.ivs_of_loop ind l))
         (List.length (Induction.strided_accesses ind l)))
-    (Loops.loops li);
+    (Loops.loops (Induction.loops ind));
 
   (* Run the full pipeline with a profile so the gate has trip counts. *)
   let profile = Workloads.Driver.profile_of build in

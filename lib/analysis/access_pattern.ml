@@ -161,9 +161,8 @@ let classify_access ?summaries ?shapes du strided_tbl ~fname (b : Ir.block)
 
 let analyze ?summaries ?shapes (f : Ir.func) =
   let alias = Alias.analyze ?summaries f in
-  let du = Defuse.build f in
-  let loop_info = Loops.analyze f in
   let ind = Induction.analyze f in
+  let du = Induction.du ind in
   (* One table of every strided access in the function, keyed by the
      access instruction (strided_accesses reports only the innermost
      loop's own accesses, so ids never collide across loops). *)
@@ -175,7 +174,7 @@ let analyze ?summaries ?shapes (f : Ir.func) =
           if sa.Induction.byte_stride <> 0 then
             Hashtbl.replace strided_tbl sa.Induction.instr_id sa)
         (Induction.strided_accesses ind loop))
-    (Loops.loops loop_info);
+    (Loops.loops (Induction.loops ind));
   let sites = ref [] in
   List.iter
     (fun (b : Ir.block) ->

@@ -1,30 +1,20 @@
 type t = {
   defs : (int, Ir.instr) Hashtbl.t;
   blocks : (int, string) Hashtbl.t;
-  users : (int, int list) Hashtbl.t;
 }
 
 let build (f : Ir.func) =
   let defs = Hashtbl.create 64 in
   let blocks = Hashtbl.create 64 in
-  let users = Hashtbl.create 64 in
-  let note_use user = function
-    | Ir.Reg id ->
-        let cur = try Hashtbl.find users id with Not_found -> [] in
-        Hashtbl.replace users id (user :: cur)
-    | Ir.Const _ | Ir.Constf _ | Ir.Arg _ | Ir.Sym _ -> ()
-  in
   List.iter
     (fun (b : Ir.block) ->
       List.iter
         (fun (i : Ir.instr) ->
           Hashtbl.replace defs i.id i;
-          Hashtbl.replace blocks i.id b.label;
-          List.iter (note_use i.id) (Ir.instr_operands i.kind))
+          Hashtbl.replace blocks i.id b.label)
         b.instrs)
     f.blocks;
-  { defs; blocks; users }
+  { defs; blocks }
 
 let def t id = Hashtbl.find_opt t.defs id
 let block_of t id = Hashtbl.find_opt t.blocks id
-let uses t id = try Hashtbl.find t.users id with Not_found -> []

@@ -9,6 +9,3 @@ val def : t -> int -> Ir.instr option
 
 val block_of : t -> int -> string option
 (** Label of the block containing the instruction with this id. *)
-
-val uses : t -> int -> int list
-(** Ids of instructions that use register [id] as an operand. *)

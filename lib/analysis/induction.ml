@@ -186,6 +186,10 @@ let analyze (f : Ir.func) =
     (Loops.loops loop_info);
   { f; du; loop_info; ivs }
 
+let func t = t.f
+let loops t = t.loop_info
+let du t = t.du
+
 let ivs_of_loop t (loop : Loops.loop) =
   try Hashtbl.find t.ivs loop.header with Not_found -> []
 

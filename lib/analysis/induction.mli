@@ -38,6 +38,21 @@ val increment_of : Defuse.t -> int -> Ir.value -> int option
     Returns the net constant increment. *)
 
 val analyze : Ir.func -> t
+(** The one structural analysis of a function: its def-use maps, its
+    loops with their CFG and dominators ({!Loops.analyze}), and each
+    loop's induction variables. The TrackFM passes and the checker read
+    a function's structure from here instead of building their own. The
+    result belongs to the snapshot it was built from: deleting or
+    editing calls that define no value (the elision sweep's guard
+    deletions, widenings and upgrades) keeps it exact, and a pass that
+    changes blocks must build it again. *)
+
+val func : t -> Ir.func
+(** The analyzed function. Instruction positions are read from it, not
+    kept in the structure. *)
+
+val loops : t -> Loops.t
+val du : t -> Defuse.t
 
 val ivs_of_loop : t -> Loops.loop -> iv list
 

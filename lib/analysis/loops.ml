@@ -9,6 +9,8 @@ type loop = {
 }
 
 type t = {
+  cfg : Cfg.t;
+  dom : Dominators.t;
   all : loop list;
   by_block : (string, loop) Hashtbl.t; (* innermost loop per block *)
 }
@@ -102,8 +104,10 @@ let analyze (f : Ir.func) =
   List.iter
     (fun l -> List.iter (fun blk -> Hashtbl.replace by_block blk l) l.body)
     all;
-  { all; by_block }
+  { cfg; dom; all; by_block }
 
+let cfg t = t.cfg
+let dominators t = t.dom
 let loops t = t.all
 let loop_of_block t blk = Hashtbl.find_opt t.by_block blk
 

@@ -17,8 +17,13 @@ type loop = {
 }
 
 type t
+(** The loops of one function snapshot, with the CFG and dominator tree
+    they were found in. A pass that adds a block or changes a terminator
+    must analyze the function again. *)
 
 val analyze : Ir.func -> t
+val cfg : t -> Cfg.t
+val dominators : t -> Dominators.t
 
 val loops : t -> loop list
 (** All loops, outermost first. *)

@@ -239,7 +239,28 @@ let rule_to_string = function
   | Range -> "loop-range"
   | Hoist -> "hoisted"
 
-let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
+(* Where each instruction of [f] sits now: id -> (block, index, instr). *)
+let positions (f : Ir.func) =
+  let where = Hashtbl.create 64 in
+  List.iter
+    (fun (b : Ir.block) ->
+      List.iteri
+        (fun pos (i : Ir.instr) -> Hashtbl.replace where i.id (b.label, pos, i))
+        b.instrs)
+    f.blocks;
+  where
+
+let records_of (f : Ir.func) records =
+  List.filter_map
+    (fun (fname, r) -> if fname = f.fname then Some r else None)
+    records
+
+(* Dominators, loops, def-use and induction variables come from [ind];
+   instruction positions are read from its function on every call, since
+   the elision sweep checks against a structure built before its
+   deletions. *)
+let check_witnesses_func ~call_clobbers ind (els : elision list) =
+  let f = Induction.func ind in
   let errors = ref [] in
   let err access fmt =
     Format.kasprintf
@@ -252,17 +273,13 @@ let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
           :: !errors)
       fmt
   in
-  let where = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iteri
-        (fun pos (i : Ir.instr) -> Hashtbl.replace where i.id (b.label, pos, i))
-        b.instrs)
-    f.blocks;
-  let cfg = Cfg.build f in
-  let dom = Dominators.compute cfg in
-  let loop_info = Loops.analyze f in
-  let du = Defuse.build f in
+  let where = positions f in
+  let loop_info = Induction.loops ind in
+  let dom = Loops.dominators loop_info in
+  let du = Induction.du ind in
+  let clobbers (i : Ir.instr) =
+    match i.kind with Ir.Call { callee; _ } -> call_clobbers callee | _ -> false
+  in
   let clobbers_between ~from_block ~from_pos ~to_block ~to_pos =
     (* Scan the dominator chain from the access up to the witness: the
        tail of the witness block, all chain blocks strictly between, and
@@ -271,12 +288,7 @@ let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
     let block_clobbers lbl lo hi =
       let b = Ir.find_block f lbl in
       List.exists
-        (fun (idx, (i : Ir.instr)) ->
-          idx > lo && idx < hi
-          &&
-          match i.kind with
-          | Ir.Call { callee; _ } -> call_clobbers callee
-          | _ -> false)
+        (fun (idx, i) -> idx > lo && idx < hi && clobbers i)
         (List.mapi (fun idx i -> (idx, i)) b.instrs)
     in
     if from_block = to_block then block_clobbers from_block from_pos to_pos
@@ -358,14 +370,8 @@ let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
                                 let body_clobbers =
                                   List.exists
                                     (fun lbl ->
-                                      let b = Ir.find_block f lbl in
-                                      List.exists
-                                        (fun (i : Ir.instr) ->
-                                          match i.kind with
-                                          | Ir.Call { callee; _ } ->
-                                              call_clobbers callee
-                                          | _ -> false)
-                                        b.instrs)
+                                      List.exists clobbers
+                                        (Ir.find_block f lbl).instrs)
                                     loop.body
                                 in
                                 if body_clobbers then
@@ -378,17 +384,13 @@ let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
                                     (fun (iv : Induction.iv) ->
                                       match
                                         ( Induction.const_of du iv.init,
-                                          iv.bound )
+                                          Option.bind iv.bound
+                                            (Induction.const_of du) )
                                       with
-                                      | Some i0, Some b -> begin
-                                          match Induction.const_of du b with
-                                          | Some bnd ->
-                                              iv.step > 0 && i0 < bnd
-                                          | None -> false
-                                        end
+                                      | Some i0, Some bnd ->
+                                          iv.step > 0 && i0 < bnd
                                       | _ -> false)
-                                    (Induction.ivs_of_loop
-                                       (Induction.analyze f) loop)
+                                    (Induction.ivs_of_loop ind loop)
                                 in
                                 if not positive_trip then
                                   err e.access
@@ -409,9 +411,10 @@ let check_witnesses_func ~call_clobbers (f : Ir.func) (els : elision list) =
 
 (* [call_clobbers] defaults to the module-derived reachability predicate
    above — an independent path from the summaries that licensed the
-   elisions, so a summary bug cannot self-certify. Tests (and the elide
-   pass's pre-validation, which deliberately trusts its own analysis)
-   can substitute their own predicate. *)
+   elisions, so a summary bug cannot self-certify. Tests can substitute
+   their own predicate; the elide pass's pre-validation, which
+   deliberately trusts its own analysis, calls [check_witnesses_func]
+   with one. *)
 let check_witnesses ?call_clobbers (m : Ir.modul) (els : (string * elision) list)
     =
   let call_clobbers =
@@ -419,11 +422,9 @@ let check_witnesses ?call_clobbers (m : Ir.modul) (els : (string * elision) list
   in
   List.concat_map
     (fun (f : Ir.func) ->
-      let mine = List.filter_map
-          (fun (fname, e) -> if fname = f.fname then Some e else None)
-          els
-      in
-      if mine = [] then [] else check_witnesses_func ~call_clobbers f mine)
+      match records_of f els with
+      | [] -> []
+      | mine -> check_witnesses_func ~call_clobbers (Induction.analyze f) mine)
     m.funcs
 
 let enforce_witnesses m els =
@@ -458,13 +459,7 @@ let check_routing_func (f : Ir.func) (routes : routing list) =
           :: !errors)
       fmt
   in
-  let where = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iteri
-        (fun pos (i : Ir.instr) -> Hashtbl.replace where i.id (b.label, pos, i))
-        b.instrs)
-    f.blocks;
+  let where = positions f in
   List.iter
     (fun r ->
       match (Hashtbl.find_opt where r.routed_access,
@@ -551,15 +546,7 @@ let check_routing_func (f : Ir.func) (routes : routing list) =
 (* Functions with no witnesses still get scanned: a page call in a
    witness-free function is exactly the smuggling case. *)
 let check_routing (m : Ir.modul) (routes : (string * routing) list) =
-  List.concat_map
-    (fun (f : Ir.func) ->
-      let mine =
-        List.filter_map
-          (fun (fname, r) -> if fname = f.fname then Some r else None)
-          routes
-      in
-      check_routing_func f mine)
-    m.funcs
+  List.concat_map (fun f -> check_routing_func f (records_of f routes)) m.funcs
 
 let enforce_routing m routes =
   match check_routing m routes with [] -> () | errs -> raise (Unsound errs)

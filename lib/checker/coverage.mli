@@ -79,6 +79,14 @@ val check_witnesses :
     an independent re-derivation, so a bug in the summaries that
     licensed an elision cannot vouch for itself. *)
 
+val check_witnesses_func :
+  call_clobbers:(string -> bool) -> Induction.t -> elision list -> string list
+(** {!check_witnesses} for one function's records, over the dominators,
+    loops, def-use and induction variables of a structure the caller
+    built, which a pass that changes blocks must rebuild. Instruction
+    positions are read from {!Induction.func} on each call, so guard
+    deletions since the structure was built do not change the verdict. *)
+
 val enforce_witnesses : Ir.modul -> (string * elision) list -> unit
 (** Raises {!Unsound} when any witness record fails re-checking. *)
 

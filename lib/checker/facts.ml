@@ -68,10 +68,6 @@ type t = {
          stop clobbering the fact state *)
 }
 
-let func t = t.func
-let du t = t.du
-let dominators t = t.dom
-let loop_info t = t.loop_info
 let induction t = t.ind
 
 (* -- fact-set algebra --------------------------------------------------- *)
@@ -405,17 +401,15 @@ let along_edge t ~src ~dst out_state =
       List.fold_left (fun st (a, f) -> add_fact st a f) out_state facts
 
 let analyze ?summaries (f : Ir.func) : t =
-  let du = Defuse.build f in
-  let cfg = Cfg.build f in
-  let dom = Dominators.compute cfg in
-  let loop_info = Loops.analyze f in
   let ind = Induction.analyze f in
+  let loop_info = Induction.loops ind in
+  let cfg = Loops.cfg loop_info in
   let t =
     {
       func = f;
-      du;
+      du = Induction.du ind;
       cfg;
-      dom;
+      dom = Loops.dominators loop_info;
       loop_info;
       ind;
       edge_gen = Hashtbl.create 8;

@@ -26,10 +26,11 @@ type state
 type t
 
 val analyze : ?summaries:Summary.env -> Ir.func -> t
-(** Run the fixpoint (rebuilds def-use, CFG, dominators, loops and
-    induction info for the function snapshot). With [summaries], calls
-    whose interprocedural summary proves custody preservation no longer
-    clobber the fact state, so custody survives across helper calls. *)
+(** Run the fixpoint over the function snapshot's structure, which it
+    builds with one {!Induction.analyze} and keeps ({!induction}). With
+    [summaries], calls whose interprocedural summary proves custody
+    preservation no longer clobber the fact state, so custody survives
+    across helper calls. *)
 
 val in_state : t -> string -> state
 (** Facts available on entry to the labelled block. *)
@@ -66,8 +67,5 @@ val query :
     the induction-range interval when the pointer strides a counted
     loop. *)
 
-val dominators : t -> Dominators.t
-val loop_info : t -> Loops.t
 val induction : t -> Induction.t
-val du : t -> Defuse.t
-val func : t -> Ir.func
+(** The structure the fixpoint ran over. *)

@@ -77,7 +77,6 @@ let insert_after_phis (b : Ir.block) instr =
    stride is nonzero. A loop's accesses are read when the loop is
    reached, so [visit] may rewrite the loops it has already seen. *)
 let iter_candidates (f : Ir.func) visit =
-  let loop_info = Tfm_analysis.Loops.analyze f in
   let ind = Tfm_analysis.Induction.analyze f in
   List.iter
     (fun (loop : Tfm_analysis.Loops.loop) ->
@@ -90,7 +89,7 @@ let iter_candidates (f : Ir.func) visit =
                 visit loop ~preheader ~base ~byte_stride group)
             (group_accesses
                (Tfm_analysis.Induction.strided_accesses ind loop)))
-    (Tfm_analysis.Loops.loops loop_info)
+    (Tfm_analysis.Loops.loops (Tfm_analysis.Induction.loops ind))
 
 let needs_profile (m : Ir.modul) =
   match

@@ -95,7 +95,6 @@ let find_access ptr rest ~fallback =
 (* -- loop-invariant hoisting -------------------------------------------- *)
 
 let hoist_func ?summaries (cnt : counters) (f : Ir.func) =
-  let loop_info = Loops.analyze f in
   let ind = Tfm_analysis.Induction.analyze f in
   let body_clobber_free (loop : Loops.loop) =
     List.for_all
@@ -115,7 +114,7 @@ let hoist_func ?summaries (cnt : counters) (f : Ir.func) =
   let loops =
     List.sort
       (fun (a : Loops.loop) b -> compare b.depth a.depth)
-      (Loops.loops loop_info)
+      (Loops.loops (Tfm_analysis.Induction.loops ind))
   in
   List.iter
     (fun (loop : Loops.loop) ->
@@ -291,17 +290,19 @@ let sweep_func ?summaries ~object_size (cnt : counters) (f : Ir.func) =
                       in
                       (* Pre-validate with a predicate derived from the
                          same summaries that licensed the fact (the
-                         producer trusts its own analysis here); the
-                         pipeline's final re-check replaces it with the
-                         checker's independent module-level
-                         re-derivation. *)
+                         producer trusts its own analysis here), over the
+                         fixpoint's own structure: a sweep only deletes,
+                         widens and upgrades guard calls, which define no
+                         value and change no block or terminator, so it
+                         is still exact. The pipeline's final re-check
+                         builds its own, with the checker's independent
+                         module-level re-derivation. *)
                       let certificate_holds =
-                        C.check_witnesses
+                        C.check_witnesses_func
                           ~call_clobbers:(fun callee ->
                             Tfm_analysis.Summary.call_clobbers ?env:summaries
                               callee)
-                          { Ir.funcs = [ f ]; globals = [] }
-                          [ (f.fname, record) ]
+                          (F.induction t) [ record ]
                         = []
                       in
                       if certificate_holds then begin

@@ -20,23 +20,6 @@ let all_accesses (f : Ir.func) =
         b.instrs)
     f.blocks
 
-let analyze ?summaries (f : Ir.func) =
-  let alias = Tfm_analysis.Alias.analyze ?summaries f in
-  List.concat_map
-    (fun (b : Ir.block) ->
-      List.filter_map
-        (fun (i : Ir.instr) ->
-          match i.kind with
-          | Ir.Load { ptr; _ } when Tfm_analysis.Alias.needs_guard alias ptr
-            ->
-              Some (i.id, false)
-          | Ir.Store { ptr; _ } when Tfm_analysis.Alias.needs_guard alias ptr
-            ->
-              Some (i.id, true)
-          | _ -> None)
-        b.instrs)
-    f.blocks
-
 let run ?summaries ?(exclude = Hashtbl.create 0) (m : Ir.modul) =
   let guarded_loads = ref 0 in
   let guarded_stores = ref 0 in

@@ -21,10 +21,6 @@ val all_accesses : Ir.func -> (int * bool) list
     [guarded_loads + guarded_stores + skipped_non_heap + skipped_chunked]
     over a module equals the total across its functions. *)
 
-val analyze :
-  ?summaries:Tfm_analysis.Summary.env -> Ir.func -> (int * bool) list
-(** Eligible accesses in one function: (instruction id, is_store). *)
-
 val run :
   ?summaries:Tfm_analysis.Summary.env ->
   ?exclude:(int, unit) Hashtbl.t ->

@@ -71,7 +71,23 @@ let test_loop_nesting () =
     (Some outer.Loops.header) inner.Loops.parent;
   Alcotest.(check int) "one innermost" 1 (List.length (Loops.innermost li));
   Alcotest.(check bool) "outer body contains inner header" true
-    (Loops.contains outer inner.Loops.header)
+    (Loops.contains outer inner.Loops.header);
+  (* The structure Induction.analyze hands its consumers is this
+     snapshot's: the same loops, and the same CFG and idoms. *)
+  let shared = Induction.loops (Induction.analyze f) in
+  Alcotest.(check bool) "induction's loops are Loops.analyze's" true
+    (Loops.loops shared = loops);
+  let cfg = Cfg.build f in
+  let dom = Dominators.compute cfg in
+  List.iter
+    (fun l ->
+      Alcotest.(check (list string)) ("successors of " ^ l)
+        (Cfg.successors cfg l)
+        (Cfg.successors (Loops.cfg shared) l);
+      Alcotest.(check (option string)) ("idom of " ^ l)
+        (Dominators.idom dom l)
+        (Dominators.idom (Loops.dominators shared) l))
+    (Cfg.labels cfg)
 
 let test_induction_basic () =
   let m = Ir.create_module () in

@@ -329,8 +329,15 @@ let test_witness_recheck_rejects_tampering () =
             | _ -> true)
           blk.instrs)
     f.blocks;
-  Alcotest.(check bool) "witness re-check fails" true
-    (Coverage.check_witnesses m r.Elide.elisions <> []);
+  let errs = Coverage.check_witnesses m r.Elide.elisions in
+  Alcotest.(check bool) "witness re-check fails" true (errs <> []);
+  (* The per-function check over a structure of the tampered function
+     returns the same errors. *)
+  Alcotest.(check (list string)) "per-function check agrees" errs
+    (Coverage.check_witnesses_func
+       ~call_clobbers:(Coverage.module_call_clobbers m)
+       (Induction.analyze f)
+       (List.map snd r.Elide.elisions));
   Alcotest.(check bool) "coverage fails too" true
     (Coverage.check_module m <> [])
 
@@ -452,6 +459,57 @@ let contains hay needle =
   go 0
 
 let has_err needle errs = List.exists (fun e -> contains e needle) errs
+
+(* The elision sweep checks each deletion against the structure its
+   fixpoint built before the sweep began, after deleting guards in
+   earlier blocks. Here a deletion in the entry block moves both
+   witnesses up one place; the per-function check over the structure
+   built before it must still give a fresh check's verdicts: the first
+   witness is followed by a clobbering call, the second is clean. *)
+let test_witness_check_after_earlier_deletions () =
+  let m = Ir.create_module () in
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let id = function Ir.Reg id -> id | _ -> assert false in
+  let p = Builder.call b "malloc" [ Ir.Const 64 ] in
+  let q = Builder.call b "malloc" [ Ir.Const 64 ] in
+  ignore (Builder.call b guard_read [ q; Ir.Const 8 ]);
+  ignore (Builder.load b q);
+  let redundant = id (Builder.call b guard_read [ q; Ir.Const 8 ]) in
+  ignore (Builder.load b q);
+  let w_clobbered = id (Builder.call b guard_read [ p; Ir.Const 8 ]) in
+  ignore (Builder.call b "opaque_helper" []);
+  let w_clean = id (Builder.call b guard_read [ q; Ir.Const 8 ]) in
+  let next = Builder.add_block b "next" in
+  Builder.br b next;
+  Builder.set_block b next;
+  let on_p = id (Builder.load b p) in
+  let on_q = id (Builder.load b q) in
+  Builder.ret b None;
+  Verifier.check_module m;
+  let f = Ir.find_func m "main" in
+  let before = Induction.analyze f in
+  let entry = Ir.entry f in
+  entry.instrs <-
+    List.filter (fun (i : Ir.instr) -> i.id <> redundant) entry.instrs;
+  let records =
+    [
+      { Coverage.access = on_p; rule = Coverage.Same;
+        witness_ids = [ w_clobbered ] };
+      { Coverage.access = on_q; rule = Coverage.Same;
+        witness_ids = [ w_clean ] };
+    ]
+  in
+  let fresh =
+    Coverage.check_witnesses m (List.map (fun e -> ("main", e)) records)
+  in
+  Alcotest.(check int) "a fresh check rejects only the clobbered witness" 1
+    (List.length fresh);
+  Alcotest.(check bool) "for the clobber" true
+    (has_err "custody clobbered" fresh);
+  Alcotest.(check (list string)) "the earlier structure agrees" fresh
+    (Coverage.check_witnesses_func
+       ~call_clobbers:(Coverage.module_call_clobbers m)
+       before records)
 
 let test_routing_double_protection_flagged () =
   (* custody from a guard AND an adjacent page call: the checker must
@@ -701,6 +759,8 @@ let suite =
         test_elide_range_across_loops;
       Alcotest.test_case "witness re-check rejects tampering" `Quick
         test_witness_recheck_rejects_tampering;
+      Alcotest.test_case "witness check after earlier deletions" `Quick
+        test_witness_check_after_earlier_deletions;
       Alcotest.test_case "guard report invariant" `Quick
         test_guard_report_invariant;
       Alcotest.test_case "lying shape facts caught by shadow, not checker"
