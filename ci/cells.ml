@@ -12,8 +12,10 @@
    and a second of them proves determinism. Each run's stdout and stderr
    stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
-   them: ci/dune diffs <cell>.json against golden/<cell>.json, and after
-   an intended change `dune promote` refreshes the golden.
+   them: ci/dune diffs <cell>.json against golden/<cell>.json (and the
+   check and classify-<workload> cells' stdout against
+   golden/<cell>.out), and after an intended change `dune promote`
+   refreshes the golden.
 
    Usage: cells.exe GROUP, run in _build/default/ci, which runs every
    cell of GROUP and reports each failing cell by name. *)
@@ -177,7 +179,9 @@ let serving backend rate =
        backend rate)
     ~runs:[ []; [] ]
 
-(* Static-analysis dumps: two runs print the same bytes. *)
+(* Static-analysis dumps: two runs print the same bytes. ci/dune also
+   diffs each classify-<workload> cell's stdout, the sites, classes and
+   routes it prints, against golden/classify-<workload>.out. *)
 let dump ?checks kind args w =
   cell "lint" (sprintf "%s-%s" kind w)
     (sprintf "trackfm_cli %s -w %s" args w)
