@@ -5,52 +5,57 @@ open Bench_common
 
 let object_sizes = [ 4096; 2048; 1024; 512; 256 ]
 
-(* Figure 9: object size on the Zipfian hashmap (throughput). *)
-let fig9 () =
-  let p = Hashmap.default_params ~keys:(scaled 100_000) ~lookups:(scaled 150_000) in
-  let blobs = [ (0, Hashmap.trace_blob p) ] in
-  let ws = Hashmap.working_set_bytes p in
-  let build () = Hashmap.build p () in
+(* Figures 9 and 10 share one study: [metric] of a TrackFM run per local
+   memory share and object size, printed to [decimals] places. Table a
+   holds the sweep; bar chart b is its 25% row, printed from the same
+   runs. *)
+let object_size_study ~title_a ~title_b ~unit ~decimals ?blobs ~ws build
+    metric =
   let t =
-    Tfm_util.Table.create
-      ~title:"Figure 9a: hashmap throughput (MOps/s) by object size"
+    Tfm_util.Table.create ~title:title_a
       ~columns:
         ("local mem %" :: List.map (fun o -> Printf.sprintf "%dB" o) object_sizes)
   in
-  let profile = Driver.profile_of ~blobs build in
-  List.iter
-    (fun pct ->
-      let budget = budget_of ws pct in
-      let row =
-        List.map
-          (fun osz ->
-            let o, _ =
-              tfm ~blobs ~profile
-                { (tfm_opts ~budget) with Driver.object_size = osz }
-                build
-            in
-            Printf.sprintf "%.2f" (mops p.Hashmap.lookups o.Driver.cycles))
-          object_sizes
-      in
-      Tfm_util.Table.add_row t (string_of_int pct :: row))
-    short_sweep;
-  report_table t;
-  (* 9b: the fixed 25% bar chart *)
-  let t2 =
-    Tfm_util.Table.create ~title:"Figure 9b: hashmap at 25% local memory"
-      ~columns:[ "object size"; "MOps/s" ]
+  let profile = Driver.profile_of ?blobs build in
+  let rows =
+    List.map
+      (fun pct ->
+        let budget = budget_of ws pct in
+        let row =
+          List.map
+            (fun osz ->
+              let o, _ =
+                tfm ?blobs ~profile
+                  { (tfm_opts ~budget) with Driver.object_size = osz }
+                  build
+              in
+              metric o)
+            object_sizes
+        in
+        Tfm_util.Table.add_row t
+          (string_of_int pct :: List.map (Printf.sprintf "%.*f" decimals) row);
+        (pct, row))
+      short_sweep
   in
-  List.iter
-    (fun osz ->
-      let o, _ =
-        tfm ~blobs ~profile
-          { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
-          build
-      in
-      Tfm_util.Table.add_rowf t2 "%dB | %.2f" osz
-        (mops p.Hashmap.lookups o.Driver.cycles))
-    object_sizes;
-  report_table t2;
+  report_table t;
+  let t2 =
+    Tfm_util.Table.create ~title:title_b ~columns:[ "object size"; unit ]
+  in
+  List.iter2
+    (fun osz v -> Tfm_util.Table.add_rowf t2 "%dB | %.*f" osz decimals v)
+    object_sizes (List.assoc 25 rows);
+  report_table t2
+
+(* Figure 9: object size on the Zipfian hashmap (throughput). *)
+let fig9 () =
+  let p = Hashmap.default_params ~keys:(scaled 100_000) ~lookups:(scaled 150_000) in
+  object_size_study
+    ~title_a:"Figure 9a: hashmap throughput (MOps/s) by object size"
+    ~title_b:"Figure 9b: hashmap at 25% local memory" ~unit:"MOps/s"
+    ~decimals:2
+    ~blobs:[ (0, Hashmap.trace_blob p) ]
+    ~ws:(Hashmap.working_set_bytes p) (Hashmap.build p)
+    (fun o -> mops p.Hashmap.lookups o.Driver.cycles);
   print_expectation
     ~paper:"fine-grained, low-spatial-locality access: smaller objects win"
     ~ours:"throughput increases monotonically toward 256B"
@@ -59,50 +64,15 @@ let fig9 () =
 let fig10 () =
   let n = scaled 400_000 in
   let kernel = Stream.Copy in
-  let ws = Stream.working_set_bytes ~n ~kernel () in
-  let build () = Stream.build ~n ~kernel () in
   let bytes_processed = 2 * n * 4 in
-  let t =
-    Tfm_util.Table.create
-      ~title:"Figure 10a: STREAM copy bandwidth (MB/s) by object size"
-      ~columns:
-        ("local mem %" :: List.map (fun o -> Printf.sprintf "%dB" o) object_sizes)
-  in
-  let profile = Driver.profile_of build in
-  List.iter
-    (fun pct ->
-      let budget = budget_of ws pct in
-      let row =
-        List.map
-          (fun osz ->
-            let o, _ =
-              tfm ~profile
-                { (tfm_opts ~budget) with Driver.object_size = osz }
-                build
-            in
-            Printf.sprintf "%.0f"
-              (float_of_int bytes_processed
-              /. cycles_to_seconds o.Driver.cycles /. 1e6))
-          object_sizes
-      in
-      Tfm_util.Table.add_row t (string_of_int pct :: row))
-    short_sweep;
-  report_table t;
-  let t2 =
-    Tfm_util.Table.create ~title:"Figure 10b: STREAM copy at 25% local memory"
-      ~columns:[ "object size"; "MB/s" ]
-  in
-  List.iter
-    (fun osz ->
-      let o, _ =
-        tfm ~profile
-          { (tfm_opts ~budget:(budget_of ws 25)) with Driver.object_size = osz }
-          build
-      in
-      Tfm_util.Table.add_rowf t2 "%dB | %.0f" osz
-        (float_of_int bytes_processed /. cycles_to_seconds o.Driver.cycles /. 1e6))
-    object_sizes;
-  report_table t2;
+  object_size_study
+    ~title_a:"Figure 10a: STREAM copy bandwidth (MB/s) by object size"
+    ~title_b:"Figure 10b: STREAM copy at 25% local memory" ~unit:"MB/s"
+    ~decimals:0
+    ~ws:(Stream.working_set_bytes ~n ~kernel ())
+    (fun () -> Stream.build ~n ~kernel ())
+    (fun o ->
+      float_of_int bytes_processed /. cycles_to_seconds o.Driver.cycles /. 1e6);
   print_expectation
     ~paper:"high spatial locality: larger (4KB) objects win"
     ~ours:"bandwidth increases monotonically toward 4KB"

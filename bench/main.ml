@@ -38,7 +38,7 @@ let experiments =
     ("guard_elision", "Static analysis: redundant-guard elision",
       Exp_elision.guard_elision);
     ("interproc_elision", "Static analysis: interprocedural summaries",
-      Exp_interproc.interproc_elision);
+      Exp_elision.interproc_elision);
     ("faults_goodput", "Robustness: goodput under fabric faults",
       Exp_faults.faults_goodput);
     ("durability", "Robustness: replicated tier vs crash faults",

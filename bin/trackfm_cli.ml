@@ -1283,7 +1283,8 @@ let classify_cmd w o1 json =
     List.map
       (fun f ->
         ( f.Ir.fname,
-          Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes f ))
+          Tfm_analysis.Access_pattern.analyze ~summaries:env ~shapes
+            (Tfm_analysis.Induction.analyze f) ))
       m.Ir.funcs
   in
   let config =

@@ -159,9 +159,9 @@ let classify_access ?summaries ?shapes du strided_tbl ~fname (b : Ir.block)
     rationale;
   }
 
-let analyze ?summaries ?shapes (f : Ir.func) =
+let analyze ?summaries ?shapes ind =
+  let f = Induction.func ind in
   let alias = Alias.analyze ?summaries f in
-  let ind = Induction.analyze f in
   let du = Induction.du ind in
   (* One table of every strided access in the function, keyed by the
      access instruction (strided_accesses reports only the innermost

@@ -40,12 +40,16 @@ val increment_of : Defuse.t -> int -> Ir.value -> int option
 val analyze : Ir.func -> t
 (** The one structural analysis of a function: its def-use maps, its
     loops with their CFG and dominators ({!Loops.analyze}), and each
-    loop's induction variables. The TrackFM passes and the checker read
-    a function's structure from here instead of building their own. The
-    result belongs to the snapshot it was built from: deleting or
-    editing calls that define no value (the elision sweep's guard
-    deletions, widenings and upgrades) keeps it exact, and a pass that
-    changes blocks must build it again. *)
+    loop's induction variables. No analysis builds it: whoever owns the
+    function snapshot builds it once and hands it to every analysis it
+    runs ({!Access_pattern.analyze}, the checker's custody facts and
+    witness check). The chunking, elision and route passes build one
+    per function, and the checker its own at each check point. The
+    result belongs to the snapshot it was built from: moving, deleting
+    or editing guard calls, whose results nothing uses, keeps it exact
+    (the elision pass's hoist and all its sweep rounds share one), and
+    a pass that changes blocks, terminators or value definitions must
+    build it again. *)
 
 val func : t -> Ir.func
 (** The analyzed function. Instruction positions are read from it, not

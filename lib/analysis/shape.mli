@@ -83,16 +83,8 @@ val value_depth : env -> fname:string -> (int -> Ir.instr option) -> Ir.value ->
     depths folded in and callee [ret_hops] continuing chains across
     calls. *)
 
-val value_struct :
-  env -> fname:string -> (int -> Ir.instr option) -> Ir.value -> (string * int) option
-(** Allocation-site provenance of a value, when a single site is known;
-    loads from a recursive structure's fields stay inside the structure
-    (link closure). *)
-
 val value_kind :
   env -> fname:string -> (int -> Ir.instr option) -> Ir.value -> struct_kind option
-
-val fshape_to_string : fshape -> string
 
 val dump : env -> Ir.modul -> string
 (** Deterministic text dump (module order; allocation sites, summaries,

@@ -57,9 +57,6 @@ val call_clobbers : ?env:env -> string -> bool
 
 val bottom : nparams:int -> fsum
 val is_bottom : fsum -> bool
-val may_heap : prov -> bool
-
-val fsum_to_string : fsum -> string
 
 val annotate : env -> Ir.instr -> string option
 (** [!summary ...] comment for call instructions to non-intrinsic

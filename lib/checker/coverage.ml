@@ -67,7 +67,7 @@ let page_covers pending ~ptr ~size ~is_store =
   | _ -> None
 
 let check_func ?summaries (f : Ir.func) =
-  let t = Facts.analyze ?summaries f in
+  let t = Facts.analyze ?summaries (Induction.analyze f) in
   let alias = Alias.analyze ?summaries f in
   let violations = ref [] in
   List.iter
@@ -257,8 +257,8 @@ let records_of (f : Ir.func) records =
 
 (* Dominators, loops, def-use and induction variables come from [ind];
    instruction positions are read from its function on every call, since
-   the elision sweep checks against a structure built before its
-   deletions. *)
+   the elision pass checks against a structure built before its hoists
+   and deletions. *)
 let check_witnesses_func ~call_clobbers ind (els : elision list) =
   let f = Induction.func ind in
   let errors = ref [] in

@@ -25,10 +25,7 @@ type violation = {
       (** closest preceding custody clobber in the same block, if any *)
 }
 
-val violation_site : violation -> Telemetry.Site.key
 val violation_to_string : violation -> string
-
-val check_func : ?summaries:Summary.env -> Ir.func -> violation list
 
 val check_module : ?summaries:bool -> Ir.modul -> violation list
 (** [summaries] (default [true]) lets the checker compute its own
@@ -66,8 +63,6 @@ type rule =
 
 type elision = { access : int; rule : rule; witness_ids : int list }
 
-val rule_to_string : rule -> string
-
 val check_witnesses :
   ?call_clobbers:(string -> bool) ->
   Ir.modul ->
@@ -85,7 +80,8 @@ val check_witnesses_func :
     loops, def-use and induction variables of a structure the caller
     built, which a pass that changes blocks must rebuild. Instruction
     positions are read from {!Induction.func} on each call, so guard
-    deletions since the structure was built do not change the verdict. *)
+    deletions and hoists since the structure was built do not change
+    the verdict. *)
 
 val enforce_witnesses : Ir.modul -> (string * elision) list -> unit
 (** Raises {!Unsound} when any witness record fails re-checking. *)
@@ -103,8 +99,6 @@ type routing = {
   page_call : int;  (** the page call immediately before it *)
   cls : string;  (** classifier evidence, e.g. "pointer-chase" *)
 }
-
-val check_routing_func : Ir.func -> routing list -> string list
 
 val check_routing : Ir.modul -> (string * routing) list -> string list
 (** Returns human-readable errors: a witness whose page call is missing,

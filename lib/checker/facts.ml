@@ -68,8 +68,6 @@ type t = {
          stop clobbering the fact state *)
 }
 
-let induction t = t.ind
-
 (* -- fact-set algebra --------------------------------------------------- *)
 
 let fact_equal a b =
@@ -400,8 +398,8 @@ let along_edge t ~src ~dst out_state =
   | Some facts ->
       List.fold_left (fun st (a, f) -> add_fact st a f) out_state facts
 
-let analyze ?summaries (f : Ir.func) : t =
-  let ind = Induction.analyze f in
+let analyze ?summaries ind : t =
+  let f = Induction.func ind in
   let loop_info = Induction.loops ind in
   let cfg = Loops.cfg loop_info in
   let t =

@@ -25,12 +25,14 @@ type fact = {
 type state
 type t
 
-val analyze : ?summaries:Summary.env -> Ir.func -> t
-(** Run the fixpoint over the function snapshot's structure, which it
-    builds with one {!Induction.analyze} and keeps ({!induction}). With
-    [summaries], calls whose interprocedural summary proves custody
-    preservation no longer clobber the fact state, so custody survives
-    across helper calls. *)
+val analyze : ?summaries:Summary.env -> Induction.t -> t
+(** Run the fixpoint over {!Induction.func} with the structure the
+    caller built; the analysis builds none. The caller that owns the
+    function snapshot builds it once: the elision pass before hoisting,
+    which keeps it exact, the route pass for its classifier too, and the
+    checker at each of its own check points. With [summaries], calls
+    whose interprocedural summary proves custody preservation no longer
+    clobber the fact state, so custody survives across helper calls. *)
 
 val in_state : t -> string -> state
 (** Facts available on entry to the labelled block. *)
@@ -66,6 +68,3 @@ val query :
     in-progress transform. Tries the pointer's own anchors first, then
     the induction-range interval when the pointer strides a counted
     loop. *)
-
-val induction : t -> Induction.t
-(** The structure the fixpoint ran over. *)

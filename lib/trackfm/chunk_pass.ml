@@ -17,11 +17,6 @@ type report = {
   chunk_sites : int;
 }
 
-let chunk_init_name = Intrinsics.chunk_init
-let chunk_access_read_name = Intrinsics.chunk_access_read
-let chunk_access_write_name = Intrinsics.chunk_access_write
-let chunk_end_name = Intrinsics.chunk_end
-
 (* Group the loop's strided accesses by (base pointer, stride, constant
    displacement): each group becomes one chunked stream with its own
    runtime handle and pinned object. Accesses at different constant
@@ -148,7 +143,7 @@ let run cost ~object_size ~mode ?profile (m : Ir.modul) =
                   kind =
                     Ir.Call
                       {
-                        callee = chunk_init_name;
+                        callee = Intrinsics.chunk_init;
                         args = [ Ir.Const handle; Ir.Const byte_stride ];
                       };
                 };
@@ -168,8 +163,8 @@ let run cost ~object_size ~mode ?profile (m : Ir.modul) =
                       blk.instrs
                   in
                   let callee =
-                    if a.is_store then chunk_access_write_name
-                    else chunk_access_read_name
+                    if a.is_store then Intrinsics.chunk_access_write
+                    else Intrinsics.chunk_access_read
                   in
                   insert_before f a.instr_id (fun () ->
                       {
@@ -196,7 +191,10 @@ let run cost ~object_size ~mode ?profile (m : Ir.modul) =
                       Ir.id = Ir.fresh_id f;
                       kind =
                         Ir.Call
-                          { callee = chunk_end_name; args = [ Ir.Const handle ] };
+                          {
+                            callee = Intrinsics.chunk_end;
+                            args = [ Ir.Const handle ];
+                          };
                     })
                 loop.exits
             end))

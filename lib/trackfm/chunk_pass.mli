@@ -46,10 +46,3 @@ val needs_profile : Ir.modul -> bool
     a [`Gated] run reads its profile: true exactly when some loop with a
     preheader has a strided access with a nonzero stride. It walks the
     candidates as [run] does, stopping at the first. *)
-
-(** Runtime call names emitted by the transform. *)
-
-val chunk_init_name : string
-val chunk_access_read_name : string
-val chunk_access_write_name : string
-val chunk_end_name : string

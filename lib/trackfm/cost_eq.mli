@@ -31,11 +31,5 @@ val density_threshold : Cost_model.t -> float
 val should_chunk_static : Cost_model.t -> density:int -> bool
 (** Equation 3: density strictly above the threshold. *)
 
-val chunk_benefit :
-  Cost_model.t -> density:int -> avg_trip:float -> float
-(** Expected cycles saved per loop entry with measured [avg_trip]
-    iterations: [trip·(cf − cb) − entry − crossings·(cl − cs)] where
-    [crossings = trip/density]. Positive means chunking helps. *)
-
 val should_chunk_profiled :
   Cost_model.t -> density:int -> avg_trip:float -> bool

@@ -94,8 +94,8 @@ let find_access ptr rest ~fallback =
 
 (* -- loop-invariant hoisting -------------------------------------------- *)
 
-let hoist_func ?summaries (cnt : counters) (f : Ir.func) =
-  let ind = Tfm_analysis.Induction.analyze f in
+let hoist_func ?summaries (cnt : counters) ind =
+  let f = Tfm_analysis.Induction.func ind in
   let body_clobber_free (loop : Loops.loop) =
     List.for_all
       (fun lbl ->
@@ -218,8 +218,9 @@ let rule_of t ptr size (hit : F.hit) =
   then C.Congruent
   else C.Range
 
-let sweep_func ?summaries ~object_size (cnt : counters) (f : Ir.func) =
-  let t = F.analyze ?summaries f in
+let sweep_func ?summaries ~object_size (cnt : counters) ind =
+  let f = Tfm_analysis.Induction.func ind in
+  let t = F.analyze ?summaries ind in
   (* A guard that vouches for an earlier deletion is pinned: deleting it
      too would orphan the witness record (and the re-check would rightly
      reject it). Seed from records of previous rounds and the hoist
@@ -291,10 +292,8 @@ let sweep_func ?summaries ~object_size (cnt : counters) (f : Ir.func) =
                       (* Pre-validate with a predicate derived from the
                          same summaries that licensed the fact (the
                          producer trusts its own analysis here), over the
-                         fixpoint's own structure: a sweep only deletes,
-                         widens and upgrades guard calls, which define no
-                         value and change no block or terminator, so it
-                         is still exact. The pipeline's final re-check
+                         fixpoint's own structure, which is still exact
+                         (see [run]). The pipeline's final re-check
                          builds its own, with the checker's independent
                          module-level re-derivation. *)
                       let certificate_holds =
@@ -302,7 +301,7 @@ let sweep_func ?summaries ~object_size (cnt : counters) (f : Ir.func) =
                           ~call_clobbers:(fun callee ->
                             Tfm_analysis.Summary.call_clobbers ?env:summaries
                               callee)
-                          (F.induction t) [ record ]
+                          ind [ record ]
                         = []
                       in
                       if certificate_holds then begin
@@ -437,13 +436,18 @@ let run ?summaries ~object_size (m : Ir.modul) =
     }
   in
   List.iter
-    (fun (f : Ir.func) ->
-      hoist_func ?summaries cnt f;
+    (fun f ->
+      (* One structure serves the hoist and every sweep: both only move,
+         delete, widen or upgrade guard calls, whose results nothing
+         uses, so no block, terminator or value definition changes
+         under it. *)
+      let ind = Tfm_analysis.Induction.analyze f in
+      hoist_func ?summaries cnt ind;
       (* Witness-strengthening rewrites (upgrade/widen) only pay off on
          the following sweep's fresh fixpoint, so iterate; two rounds
          settle the common patterns, the third is a safety net. *)
       let rec rounds n =
-        if n > 0 && sweep_func ?summaries ~object_size cnt f then
+        if n > 0 && sweep_func ?summaries ~object_size cnt ind then
           rounds (n - 1)
       in
       rounds 3)

@@ -5,9 +5,6 @@ type report = {
   skipped_chunked : int;
 }
 
-let guard_read_name = Intrinsics.guard_read
-let guard_write_name = Intrinsics.guard_write
-
 let all_accesses (f : Ir.func) =
   List.concat_map
     (fun (b : Ir.block) ->
@@ -40,8 +37,8 @@ let run ?summaries ?(exclude = Hashtbl.create 0) (m : Ir.modul) =
                       Ir.Call
                         {
                           callee =
-                            (if write then guard_write_name
-                             else guard_read_name);
+                            (if write then Intrinsics.guard_write
+                             else Intrinsics.guard_read);
                           args = [ ptr; Ir.Const size ];
                         };
                   }

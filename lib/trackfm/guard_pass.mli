@@ -31,6 +31,3 @@ val run :
     summaries, so pointers proven non-heap across calls (wrapper
     results that are really stack/global, pass-through helpers) skip
     their guards. *)
-
-val guard_read_name : string
-val guard_write_name : string

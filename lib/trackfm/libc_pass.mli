@@ -7,6 +7,3 @@
 
 val run : Ir.modul -> int
 (** Number of call sites rewritten. *)
-
-val tfm_name : string -> string option
-(** The replacement callee for a libc allocation entry point, if any. *)

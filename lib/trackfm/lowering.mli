@@ -10,5 +10,4 @@
 val instr_weight : Ir.kind -> int
 (** Lowered x86 instruction count for one IR instruction. *)
 
-val func_size : Ir.func -> int
 val module_size : Ir.modul -> int

@@ -42,8 +42,9 @@ type report = {
   upgraded : int;  (** Mixed/Unknown sites routed by profile evidence *)
   classes : (string * AP.site) list;
       (** full per-function classification, function order then
-          ascending instruction id — the `classify` dump and the
-          hotspot `class` column both read this *)
+          ascending instruction id — the hotspot `class` column and the
+          `shape --shadow` audit read this; the `classify` dump
+          classifies the untransformed module itself *)
   routes : (string * C.routing) list;
       (** per-function witness records for every rewrite *)
   site_calls : ((string * int) * int) list;
@@ -110,11 +111,14 @@ let run ?summaries ?shapes ?(pinned = []) ?(hotspots = []) ~mode
       List.iter (fun (f, i) -> Hashtbl.replace pin (f, i) ()) pinned;
       List.iter
         (fun (f : Ir.func) ->
-          let ap = AP.analyze ?summaries ?shapes f in
+          (* One structure for the classifier and the custody dataflow:
+             nothing changes the function until the decisions are made. *)
+          let ind = Tfm_analysis.Induction.analyze f in
+          let ap = AP.analyze ?summaries ?shapes ind in
           List.iter
             (fun s -> classes := (f.Ir.fname, s) :: !classes)
             (AP.sites ap);
-          let facts = F.analyze ?summaries f in
+          let facts = F.analyze ?summaries ind in
           let decisions = ref [] in
           (* One access: decide whether its private guard becomes a page
              call. [prev] is the textually preceding instruction — the

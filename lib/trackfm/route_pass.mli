@@ -38,12 +38,6 @@ type report = {
 val empty : report
 (** The no-op report (routing off). *)
 
-val class_of_site :
-  report -> func:string -> instr:int -> Tfm_analysis.Access_pattern.cls option
-(** Static class of a site by access instruction id (callers mapping
-    telemetry keys — which name the protecting call — first resolve the
-    adjacent access). *)
-
 val class_of_call :
   report -> func:string -> instr:int -> Tfm_analysis.Access_pattern.cls option
 (** Static class of a site by its protecting call's instruction id (the

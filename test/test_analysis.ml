@@ -553,7 +553,7 @@ let test_shape_upgrades_helper_classification () =
   let m = helper_chase_module () in
   let summaries = Summary.compute m in
   let shapes = Shape.analyze m in
-  let helper = Ir.find_func m "node_next" in
+  let helper = Induction.analyze (Ir.find_func m "node_next") in
   let cls_of t =
     match Access_pattern.sites t with
     | [ s ] -> s.Access_pattern.cls
@@ -646,7 +646,9 @@ let test_classify_zero_trip_loop () =
   Builder.ret b (Some (List.hd acc));
   Verifier.check_module m;
   let f = Ir.find_func m "f" in
-  let t = Access_pattern.analyze ~shapes:(Shape.analyze m) f in
+  let t =
+    Access_pattern.analyze ~shapes:(Shape.analyze m) (Induction.analyze f)
+  in
   match Access_pattern.sites t with
   | [ s ] ->
       Alcotest.(check bool) "zero-trip strided load is streaming" true
@@ -676,8 +678,7 @@ let test_classify_phi_address_chain () =
   let v = Builder.load b p in
   Builder.ret b (Some v);
   Verifier.check_module m;
-  let f = Ir.find_func m "f" in
-  let t = Access_pattern.analyze f in
+  let t = Access_pattern.analyze (Induction.analyze (Ir.find_func m "f")) in
   match Access_pattern.site_of t (reg v) with
   | Some s ->
       Alcotest.(check int) "chain survives the phi" 1

@@ -8,9 +8,6 @@
 module Coverage = Tfm_checker.Coverage
 module Elide = Trackfm.Elide_pass
 
-let guard_read = Trackfm.Guard_pass.guard_read_name
-let guard_write = Trackfm.Guard_pass.guard_write_name
-
 let count_guards (m : Ir.modul) =
   List.fold_left
     (fun acc (f : Ir.func) ->
@@ -20,7 +17,8 @@ let count_guards (m : Ir.modul) =
             (fun acc (i : Ir.instr) ->
               match i.kind with
               | Ir.Call { callee; _ }
-                when callee = guard_read || callee = guard_write ->
+                when callee = Intrinsics.guard_read
+                     || callee = Intrinsics.guard_write ->
                   acc + 1
               | _ -> acc)
             acc b.instrs)
@@ -53,7 +51,7 @@ let test_checker_flags_wrong_pointer_guard () =
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
   let q = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ q; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ q; Ir.Const 8 ]);
   let v = Builder.load b p in
   (* guarded q, accessed p *)
   Builder.ret b (Some v);
@@ -68,7 +66,7 @@ let test_checker_flags_guard_killed_by_call () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
   (* fine: guarded *)
   let killer = Builder.call b "opaque_helper" [] in
@@ -89,7 +87,7 @@ let test_checker_accepts_guarded_access () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   let v = Builder.load b p in
   Builder.ret b (Some v);
   Verifier.check_module m;
@@ -111,12 +109,13 @@ let expect_ill_formed name build =
 let test_verifier_rejects_malformed_intrinsics () =
   expect_ill_formed "guard arity" (fun b ->
       let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-      ignore (Builder.call b guard_read [ p ]));
+      ignore (Builder.call b Intrinsics.guard_read [ p ]));
   expect_ill_formed "guard float pointer" (fun b ->
-      ignore (Builder.call b guard_read [ Ir.Constf 1.0; Ir.Const 8 ]));
+      ignore
+        (Builder.call b Intrinsics.guard_read [ Ir.Constf 1.0; Ir.Const 8 ]));
   expect_ill_formed "guard non-positive size" (fun b ->
       let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-      ignore (Builder.call b guard_write [ p; Ir.Const 0 ]));
+      ignore (Builder.call b Intrinsics.guard_write [ p; Ir.Const 0 ]));
   expect_ill_formed "chunk_end non-const handle" (fun b ->
       let p = Builder.call b "malloc" [ Ir.Const 64 ] in
       ignore (Builder.call b "!tfm_chunk_end" [ p ]))
@@ -125,8 +124,8 @@ let test_verifier_accepts_wellformed_intrinsics () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
-  ignore (Builder.call b guard_write [ p; Ir.Const 16 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_write [ p; Ir.Const 16 ]);
   ignore (Builder.load b p);
   Builder.ret b None;
   Verifier.check_module m
@@ -137,9 +136,9 @@ let test_elide_same_pointer () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
   Builder.ret b None;
   Verifier.check_module m;
@@ -155,9 +154,9 @@ let test_elide_rmw_upgrade () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   let v = Builder.load b p in
-  ignore (Builder.call b guard_write [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_write [ p; Ir.Const 8 ]);
   Builder.store b (Builder.add b v (Ir.Const 1)) ~ptr:p;
   Builder.ret b None;
   Verifier.check_module m;
@@ -172,7 +171,7 @@ let test_elide_rmw_upgrade () =
         List.exists
           (fun (i : Ir.instr) ->
             match i.kind with
-            | Ir.Call { callee; _ } -> callee = guard_write
+            | Ir.Call { callee; _ } -> callee = Intrinsics.guard_write
             | _ -> false)
           b.instrs)
       f.blocks
@@ -187,10 +186,10 @@ let test_elide_congruent_widening () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
   let field1 = Builder.gep b p ~index:(Ir.Const 1) ~scale:8 () in
-  ignore (Builder.call b guard_read [ field1; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ field1; Ir.Const 8 ]);
   ignore (Builder.load b field1);
   Builder.ret b None;
   Verifier.check_module m;
@@ -207,7 +206,7 @@ let test_elide_congruent_widening () =
           (fun (i : Ir.instr) ->
             match i.kind with
             | Ir.Call { callee; args = [ _; Ir.Const 16 ] } ->
-                callee = guard_read
+                callee = Intrinsics.guard_read
             | _ -> false)
           b.instrs)
       f.blocks
@@ -224,7 +223,7 @@ let test_elide_hoists_invariant_guard () =
     Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const 100)
       ~accs:[ Ir.Const 0 ]
       (fun b ~iv:_ ~accs ->
-        ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+        ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
         let v = Builder.load b p in
         [ Builder.add b (List.hd accs) v ])
   in
@@ -244,7 +243,8 @@ let test_elide_hoists_invariant_guard () =
         List.fold_left
           (fun acc (i : Ir.instr) ->
             match i.kind with
-            | Ir.Call { callee; _ } when callee = guard_read -> acc + 1
+            | Ir.Call { callee; _ } when callee = Intrinsics.guard_read ->
+                acc + 1
             | _ -> acc)
           acc blk.instrs)
       0 loop.Loops.body
@@ -310,9 +310,9 @@ let test_witness_recheck_rejects_tampering () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
   Builder.ret b None;
   let r = Elide.run ~object_size:4096 m in
@@ -325,7 +325,7 @@ let test_witness_recheck_rejects_tampering () =
         List.filter
           (fun (i : Ir.instr) ->
             match i.kind with
-            | Ir.Call { callee; _ } -> callee <> guard_read
+            | Ir.Call { callee; _ } -> callee <> Intrinsics.guard_read
             | _ -> true)
           blk.instrs)
     f.blocks;
@@ -349,16 +349,17 @@ let cross_call_module ~helper_stores =
   let m = Ir.create_module () in
   let bh = Builder.create m ~name:"helper" ~nparams:1 in
   if helper_stores then begin
-    ignore (Builder.call bh guard_write [ Builder.arg 0; Ir.Const 8 ]);
+    ignore
+      (Builder.call bh Intrinsics.guard_write [ Builder.arg 0; Ir.Const 8 ]);
     Builder.store bh (Ir.Const 1) ~ptr:(Builder.arg 0)
   end;
   Builder.ret bh (Some (Builder.add bh (Builder.arg 0) (Ir.Const 1)));
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   ignore (Builder.load b p);
   ignore (Builder.call b "helper" [ p ]);
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   let v = Builder.load b p in
   Builder.ret b (Some v);
   Verifier.check_module m;
@@ -460,25 +461,135 @@ let contains hay needle =
 
 let has_err needle errs = List.exists (fun e -> contains e needle) errs
 
+(* The elision pass builds one structure per function before it hoists
+   and checks every sweep's deletions against it. After a hoist, that
+   structure must answer as a fresh one does: the same successors,
+   idoms, loops and induction variables, the same loop invariance of
+   every operand, and, over it, the witness check's verdicts for every
+   record the pass left, under each rule. Here [p]'s two guards in the
+   first loop hoist to its preheader, which then vouches for the guard
+   after the loop (a witness the guard's old place in the body would
+   not dominate), and the second loop's guards fall to the first loop's
+   range. *)
+let check_structure_across_hoist () =
+  let m = Ir.create_module () in
+  let b = Builder.create m ~name:"main" ~nparams:0 in
+  let p = Builder.call b "malloc" [ Ir.Const 64 ] in
+  let arr = Builder.call b "malloc" [ Ir.Const 800 ] in
+  let slot i = Builder.gep b arr ~index:i ~scale:8 () in
+  let sums =
+    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const 100)
+      ~accs:[ Ir.Const 0 ]
+      (fun b ~iv ~accs ->
+        let a = slot iv in
+        ignore (Builder.call b Intrinsics.guard_write [ a; Ir.Const 8 ]);
+        Builder.store b iv ~ptr:a;
+        ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
+        let v = Builder.load b p in
+        ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
+        [ Builder.add b (List.hd accs) (Builder.add b v (Builder.load b p)) ])
+  in
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
+  let after = Builder.load b p in
+  let total =
+    Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const 100)
+      ~accs:[ Builder.add b (List.hd sums) after ]
+      (fun b ~iv ~accs ->
+        let a = slot iv in
+        ignore (Builder.call b Intrinsics.guard_read [ a; Ir.Const 8 ]);
+        [ Builder.add b (List.hd accs) (Builder.load b a) ])
+  in
+  Builder.ret b (Some (List.hd total));
+  Verifier.check_module m;
+  let f = Ir.find_func m "main" in
+  let before = Induction.analyze f in
+  let r = Elide.run ~object_size:4096 m in
+  Verifier.check_module m;
+  Alcotest.(check int) "hoisted" 1 r.Elide.hoisted;
+  let records = List.map snd r.Elide.elisions in
+  let witness_of rule =
+    List.find_map
+      (fun e -> if e.Coverage.rule = rule then Some e.witness_ids else None)
+      records
+  in
+  Alcotest.(check bool) "a range record" true
+    (witness_of Coverage.Range <> None);
+  Alcotest.(check bool) "the hoisted guard vouches after the loop" true
+    (List.exists
+       (fun e ->
+         Ir.Reg e.Coverage.access = after
+         && e.rule = Coverage.Same
+         && Some e.witness_ids = witness_of Coverage.Hoist)
+       records);
+  let fresh = Induction.analyze f in
+  let li_before = Induction.loops before and li = Induction.loops fresh in
+  Alcotest.(check bool) "same loops" true
+    (Loops.loops li_before = Loops.loops li);
+  List.iter
+    (fun l ->
+      Alcotest.(check (list string)) ("successors of " ^ l)
+        (Cfg.successors (Loops.cfg li) l)
+        (Cfg.successors (Loops.cfg li_before) l);
+      Alcotest.(check (option string)) ("idom of " ^ l)
+        (Dominators.idom (Loops.dominators li) l)
+        (Dominators.idom (Loops.dominators li_before) l))
+    (Cfg.labels (Loops.cfg li));
+  let operands =
+    List.concat_map
+      (fun (blk : Ir.block) ->
+        List.concat_map (fun (i : Ir.instr) -> Ir.instr_operands i.kind)
+          blk.instrs
+        @
+        match blk.term with
+        | Ir.Cbr (v, _, _) | Ir.Ret (Some v) -> [ v ]
+        | Ir.Br _ | Ir.Ret None | Ir.Unreachable -> [])
+      f.blocks
+  in
+  List.iter
+    (fun loop ->
+      let header = loop.Loops.header in
+      Alcotest.(check bool) ("ivs of " ^ header) true
+        (Induction.ivs_of_loop before loop = Induction.ivs_of_loop fresh loop);
+      Alcotest.(check (list bool)) ("invariance in " ^ header)
+        (List.map (Induction.is_loop_invariant fresh loop) operands)
+        (List.map (Induction.is_loop_invariant before loop) operands))
+    (Loops.loops li);
+  Alcotest.(check (list string)) "the pass's records hold" []
+    (Coverage.check_witnesses m r.Elide.elisions);
+  let call_clobbers = Coverage.module_call_clobbers m in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun rule ->
+          let e = { e with Coverage.rule } in
+          Alcotest.(check (list string)) "the earlier structure's verdict"
+            (Coverage.check_witnesses m [ ("main", e) ])
+            (Coverage.check_witnesses_func ~call_clobbers before [ e ]))
+        Coverage.[ Same; Congruent; Range; Hoist ])
+    records
+
 (* The elision sweep checks each deletion against the structure its
    fixpoint built before the sweep began, after deleting guards in
    earlier blocks. Here a deletion in the entry block moves both
    witnesses up one place; the per-function check over the structure
    built before it must still give a fresh check's verdicts: the first
-   witness is followed by a clobbering call, the second is clean. *)
+   witness is followed by a clobbering call, the second is clean. The
+   same holds across a hoist ([check_structure_across_hoist]). *)
 let test_witness_check_after_earlier_deletions () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let id = function Ir.Reg id -> id | _ -> assert false in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
   let q = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ q; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ q; Ir.Const 8 ]);
   ignore (Builder.load b q);
-  let redundant = id (Builder.call b guard_read [ q; Ir.Const 8 ]) in
+  let redundant = id (Builder.call b Intrinsics.guard_read [ q; Ir.Const 8 ]) in
   ignore (Builder.load b q);
-  let w_clobbered = id (Builder.call b guard_read [ p; Ir.Const 8 ]) in
+  let w_clobbered =
+    id (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ])
+  in
   ignore (Builder.call b "opaque_helper" []);
-  let w_clean = id (Builder.call b guard_read [ q; Ir.Const 8 ]) in
+  let w_clean = id (Builder.call b Intrinsics.guard_read [ q; Ir.Const 8 ]) in
   let next = Builder.add_block b "next" in
   Builder.br b next;
   Builder.set_block b next;
@@ -509,7 +620,8 @@ let test_witness_check_after_earlier_deletions () =
   Alcotest.(check (list string)) "the earlier structure agrees" fresh
     (Coverage.check_witnesses_func
        ~call_clobbers:(Coverage.module_call_clobbers m)
-       before records)
+       before records);
+  check_structure_across_hoist ()
 
 let test_routing_double_protection_flagged () =
   (* custody from a guard AND an adjacent page call: the checker must
@@ -517,7 +629,7 @@ let test_routing_double_protection_flagged () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let p = Builder.call b "malloc" [ Ir.Const 64 ] in
-  ignore (Builder.call b guard_read [ p; Ir.Const 8 ]);
+  ignore (Builder.call b Intrinsics.guard_read [ p; Ir.Const 8 ]);
   let page = Builder.call b Intrinsics.page_read [ p; Ir.Const 8 ] in
   let v = Builder.load b p in
   Builder.ret b (Some v);
