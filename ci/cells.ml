@@ -13,9 +13,9 @@
    stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
    them: ci/dune diffs <cell>.json against golden/<cell>.json (and the
-   check and classify-<workload> cells' stdout against
-   golden/<cell>.out), and after an intended change `dune promote`
-   refreshes the golden.
+   stdout of the check, classify-<workload>, summaries-<workload> and
+   shape-<workload> cells against golden/<cell>.out), and after an
+   intended change `dune promote` refreshes the golden.
 
    Usage: cells.exe GROUP, run in _build/default/ci, which runs every
    cell of GROUP and reports each failing cell by name. *)
@@ -180,8 +180,11 @@ let serving backend rate =
     ~runs:[ []; [] ]
 
 (* Static-analysis dumps: two runs print the same bytes. ci/dune also
-   diffs each classify-<workload> cell's stdout, the sites, classes and
-   routes it prints, against golden/classify-<workload>.out. *)
+   diffs each cell's stdout against golden/<cell>.out: the sites,
+   classes and routes of classify-<workload>, the call graph and
+   function summaries of summaries-<workload>, and the shape facts and
+   calling contexts of shape-<workload>. The JSON classify dumps are
+   checked against the schema instead. *)
 let dump ?checks kind args w =
   cell "lint" (sprintf "%s-%s" kind w)
     (sprintf "trackfm_cli %s -w %s" args w)
@@ -268,9 +271,11 @@ let table =
     serving "fastswap" 40; serving "fastswap" 130;
     serving "aifm" 40; serving "aifm" 130;
   ]
+  (* llist's subtree_sum is the one recursive SCC among the workloads,
+     so summaries-llist is the cell that reaches the recursive fixpoint. *)
   @ List.map
       (dump "summaries" "summaries")
-      [ "stream-sum"; "kmeans"; "analytics"; "hashmap" ]
+      [ "stream-sum"; "kmeans"; "analytics"; "hashmap"; "llist" ]
   @ List.concat_map
       (fun w ->
         [
