@@ -1156,16 +1156,11 @@ let check_cmd workload engine =
                       let report = Trackfm.Pipeline.run config m in
                       let e = report.Trackfm.Pipeline.elision in
                       let r = report.Trackfm.Pipeline.routing in
-                      let violations =
-                        Tfm_checker.Coverage.check_module ~summaries m
-                      in
-                      let witness_errors =
-                        Tfm_checker.Coverage.check_witnesses m
-                          e.Trackfm.Elide_pass.elisions
-                      in
-                      let routing_errors =
-                        Tfm_checker.Coverage.check_routing m
-                          r.Trackfm.Route_pass.routes
+                      let { Tfm_checker.Coverage.violations;
+                            witness_errors; routing_errors } =
+                        Tfm_checker.Coverage.check ~summaries
+                          ~witnesses:e.Trackfm.Elide_pass.elisions
+                          ~routes:r.Trackfm.Route_pass.routes m
                       in
                       let ok =
                         violations = [] && witness_errors = []

@@ -11,10 +11,6 @@ let join a b =
   | Global, Global -> Global
   | (Heap | Stack | Global), (Heap | Stack | Global) -> Unknown
 
-let is_heap_alloc_callee callee =
-  Ir.is_alloc_call callee
-  || callee = "tfm_malloc" || callee = "tfm_calloc" || callee = "tfm_realloc"
-
 let cls_of_prov value_cls args = function
   | Summary.Pheap -> Heap
   | Summary.Pstack -> Stack
@@ -26,28 +22,28 @@ let cls_of_prov value_cls args = function
       match List.nth_opt args k with Some v -> value_cls v | None -> Unknown)
   | Summary.Punknown -> Unknown
 
+let classify t = function
+  | Ir.Const _ | Ir.Constf _ -> Bottom
+  | Ir.Sym _ -> Global
+  | Ir.Arg _ -> Unknown
+  | Ir.Reg id -> ( try Hashtbl.find t.classes id with Not_found -> Bottom)
+
 let analyze ?summaries (f : Ir.func) =
-  let classes = Hashtbl.create 64 in
-  let value_cls = function
-    | Ir.Const _ | Ir.Constf _ -> Bottom
-    | Ir.Sym _ -> Global
-    | Ir.Arg _ -> Unknown
-    | Ir.Reg id -> ( try Hashtbl.find classes id with Not_found -> Bottom)
-  in
+  let t = { classes = Hashtbl.create 64 } in
+  let value_cls = classify t in
   let transfer (i : Ir.instr) =
     match i.kind with
     | Ir.Alloca _ -> Stack
-    | Ir.Call { callee; _ } when is_heap_alloc_callee callee -> Heap
     | Ir.Call { callee; args } -> (
-        (* Wrapper allocators and pass-through helpers classify
-           precisely when an interprocedural summary is available. *)
-        match summaries with
-        | None -> Unknown
-        | Some env -> (
+        match (Intrinsics.classify callee, summaries) with
+        | Intrinsics.Alloc, _ -> Heap
+        | Intrinsics.Unknown, Some env -> (
+            (* Wrapper allocators and pass-through helpers classify
+               precisely when an interprocedural summary is available. *)
             match Summary.lookup env callee with
-            | Some s when Intrinsics.classify callee = Intrinsics.Unknown ->
-                cls_of_prov value_cls args s.Summary.ret
-            | _ -> Unknown))
+            | Some s -> cls_of_prov value_cls args s.Summary.ret
+            | None -> Unknown)
+        | _ -> Unknown)
     | Ir.Gep { base; _ } -> value_cls base
     | Ir.Phi incoming ->
         List.fold_left (fun acc (_, v) -> join acc (value_cls v)) Bottom
@@ -60,31 +56,8 @@ let analyze ?summaries (f : Ir.func) =
     | Ir.Store _ ->
         Bottom
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if Ir.defines_value i.kind then begin
-              let old = try Hashtbl.find classes i.id with Not_found -> Bottom in
-              let nu = join old (transfer i) in
-              if nu <> old then begin
-                Hashtbl.replace classes i.id nu;
-                changed := true
-              end
-            end)
-          b.instrs)
-      f.blocks
-  done;
-  { classes }
-
-let classify t = function
-  | Ir.Const _ | Ir.Constf _ -> Bottom
-  | Ir.Sym _ -> Global
-  | Ir.Arg _ -> Unknown
-  | Ir.Reg id -> ( try Hashtbl.find t.classes id with Not_found -> Bottom)
+  Defuse.fixpoint f t.classes ~bot:Bottom ~join transfer;
+  t
 
 let needs_guard t v =
   match classify t v with

@@ -115,6 +115,30 @@ let node t name = List.assoc_opt name t.nodes
 let sccs t = t.sccs
 let is_recursive t name = Hashtbl.mem t.in_cycle name
 
+(* The SCC fixpoint the interprocedural analyses share. The round cap is
+   a tripwire far above what a finite lattice needs; tripping it hands
+   each member of the SCC to [give_up], never a half-iterated claim. *)
+let fixpoint ?(max_rounds = 50) ?(top_down = false) t (m : Ir.modul) ~seed
+    ~step ~give_up =
+  let funcs = Hashtbl.create 16 in
+  List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.fname f) m.funcs;
+  List.iter
+    (fun scc ->
+      let members = List.filter_map (Hashtbl.find_opt funcs) scc in
+      match scc with
+      | [ only ] when not (is_recursive t only) ->
+          List.iter (fun f -> ignore (step f)) members
+      | _ ->
+          List.iter seed members;
+          let rec round n =
+            if n >= max_rounds then List.iter give_up members
+            else if
+              List.fold_left (fun changed f -> step f || changed) false members
+            then round (n + 1)
+          in
+          round 0)
+    (if top_down then List.rev t.sccs else t.sccs)
+
 (* Unknown external callees reachable from [name] through defined
    callees — the graph-structural "why is this function conservative"
    answer the summary lint reports. Deterministic: sorted, deduped. *)

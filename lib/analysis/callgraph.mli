@@ -27,6 +27,24 @@ val sccs : t -> string list list
 val is_recursive : t -> string -> bool
 (** In a multi-function SCC, or calls itself directly. *)
 
+val fixpoint :
+  ?max_rounds:int ->
+  ?top_down:bool ->
+  t ->
+  Ir.modul ->
+  seed:(Ir.func -> unit) ->
+  step:(Ir.func -> bool) ->
+  give_up:(Ir.func -> unit) ->
+  unit
+(** The call-graph fixpoint behind {!Summary.compute} and both phases of
+    {!Shape.analyze}, over the module's functions in {!sccs} order
+    (callers first with [top_down]). A non-recursive SCC gets one
+    [step] per member. A recursive SCC is [seed]ed, then its members
+    are stepped in rounds, in SCC order, until no [step] reports a
+    change by returning [true]; if [max_rounds] (default 50) rounds
+    pass first, each member goes to [give_up], which resets it to the
+    analysis's sound default. *)
+
 val reaches_unknown : t -> string -> string list
 (** Unknown external callees reachable from the function through
     defined callees (sorted, deduped) — empty iff its whole call tree

@@ -128,14 +128,6 @@ let hops_offset a b =
   | Harg (i, d), Harg (i', d') when i = i' -> Harg (i, max d d')
   | _ -> Hnone
 
-let defs_of (f : Ir.func) =
-  let t = Hashtbl.create 64 in
-  List.iter
-    (fun (b : Ir.block) ->
-      List.iter (fun (i : Ir.instr) -> Hashtbl.replace t i.Ir.id (b, i)) b.instrs)
-    f.Ir.blocks;
-  t
-
 (* Per-function hops fixpoint: for every value-defining instruction, is
    it parameter i after d loaded hops? *)
 let hops_fixpoint (env : env) (f : Ir.func) =
@@ -171,29 +163,8 @@ let hops_fixpoint (env : env) (f : Ir.func) =
         | None -> Hnone)
     | _ -> Hnone
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if Ir.defines_value i.Ir.kind then begin
-              let old = try Hashtbl.find tbl i.Ir.id with Not_found -> Hbot in
-              let nu = hops_join old (transfer i) in
-              if nu <> old then begin
-                Hashtbl.replace tbl i.Ir.id nu;
-                changed := true
-              end
-            end)
-          b.Ir.instrs)
-      f.Ir.blocks
-  done;
-  fun v ->
-    match v with
-    | Ir.Const _ | Ir.Constf _ | Ir.Sym _ -> Hnone
-    | Ir.Arg i -> Harg (i, 0)
-    | Ir.Reg id -> ( try Hashtbl.find tbl id with Not_found -> Hbot)
+  Defuse.fixpoint f tbl ~bot:Hbot ~join:hops_join transfer;
+  value_hops
 
 (* ------------------------------------------------------------------ *)
 (* Bottom-up: self-link detection (local allocation-site provenance).  *)
@@ -213,16 +184,16 @@ let aprov_join a b =
    between *elements* of one arena are exactly the self-references we
    are looking for, and the field offset within an element is the
    constant part. *)
-let field_of defs v =
+let field_of du v =
   let rec go visited v =
     match v with
     | Ir.Arg _ -> Some 0
     | Ir.Reg id -> (
         if List.mem id visited then None
         else
-          match Hashtbl.find_opt defs id with
+          match Defuse.def du id with
           | None -> None
-          | Some (_, (i : Ir.instr)) -> (
+          | Some i -> (
               match i.Ir.kind with
               | Ir.Gep { base; offset; _ } ->
                   Option.map (fun o -> o + offset) (go (id :: visited) base)
@@ -248,7 +219,7 @@ module IntSet = Set.Make (Int)
    closure rule is not monotone under a single in-place fixpoint (Atop
    cannot be refined back to Asite), so each round recomputes from
    scratch against a frozen link map. *)
-let link_round (env : env) f defs ~linked =
+let link_round (env : env) f du ~linked =
   let tbl = Hashtbl.create 64 in
   let value_aprov = function
     | Ir.Const _ | Ir.Constf _ -> Abot
@@ -297,24 +268,7 @@ let link_round (env : env) f defs ~linked =
         | _ -> Atop)
     | _ -> Abot
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if Ir.defines_value i.Ir.kind then begin
-              let old = try Hashtbl.find tbl i.Ir.id with Not_found -> Abot in
-              let nu = aprov_join old (transfer i) in
-              if nu <> old then begin
-                Hashtbl.replace tbl i.Ir.id nu;
-                changed := true
-              end
-            end)
-          b.Ir.instrs)
-      f.Ir.blocks
-  done;
+  Defuse.fixpoint f tbl ~bot:Abot ~join:aprov_join transfer;
   (* Harvest self-links from stores and from callee link summaries. *)
   let self_links = ref [] (* (site id, field offset option) *) in
   let arg_links = ref [] (* (src param, dst param, field) *) in
@@ -330,7 +284,7 @@ let link_round (env : env) f defs ~linked =
         (fun (i : Ir.instr) ->
           match i.Ir.kind with
           | Ir.Store { ptr; v; is_float = false; _ } ->
-              record_pair (value_aprov v) (value_aprov ptr) (field_of defs ptr)
+              record_pair (value_aprov v) (value_aprov ptr) (field_of du ptr)
           | Ir.Call { callee; args } -> (
               match Hashtbl.find_opt env.shapes callee with
               | Some s ->
@@ -354,7 +308,7 @@ let link_round (env : env) f defs ~linked =
 (* ------------------------------------------------------------------ *)
 
 let summarize (env : env) (f : Ir.func) : fshape =
-  let defs = defs_of f in
+  let du = Defuse.build f in
   let hops = hops_fixpoint env f in
   (* Link discovery to a fixpoint over the closure rule; the link set
      only grows and is bounded by the store sites, so this terminates
@@ -362,7 +316,7 @@ let summarize (env : env) (f : Ir.func) : fshape =
   let linked = Hashtbl.create 8 in
   let self_links = ref [] and arg_links = ref [] in
   let rec refine round =
-    let sl, al = link_round env f defs ~linked in
+    let sl, al = link_round env f du ~linked in
     self_links := sl;
     arg_links := al;
     let grew = ref false in
@@ -607,8 +561,6 @@ let value_kind env ~fname def v =
 (* Module analysis: bottom-up summaries, then top-down contexts.       *)
 (* ------------------------------------------------------------------ *)
 
-let max_rounds = 50
-
 let analyze (m : Ir.modul) : env =
   let cg = Callgraph.build m in
   let env =
@@ -618,52 +570,20 @@ let analyze (m : Ir.modul) : env =
       sites = Hashtbl.create 16;
     }
   in
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.funcs;
   (* Phase 1: bottom-up fshapes over the same SCC order the Summary
      fixpoint uses. Recursive SCCs iterate from the optimistic empty
      summary; depths saturate at [depth_cap] so the lattice is finite.
      Tripping the round cap drops the SCC back to no-facts — the sound
      default (no routing upgrade), never a wrong claim. *)
-  List.iter
-    (fun scc ->
-      let members = List.filter_map (Hashtbl.find_opt funcs) scc in
-      let recursive =
-        match scc with
-        | [ only ] -> Callgraph.is_recursive cg only
-        | _ -> true
-      in
-      if not recursive then
-        List.iter
-          (fun f -> Hashtbl.replace env.shapes f.Ir.fname (summarize env f))
-          members
-      else begin
-        List.iter
-          (fun f ->
-            Hashtbl.replace env.shapes f.Ir.fname
-              (no_facts ~nparams:f.Ir.nparams))
-          members;
-        let rounds = ref 0 and stable = ref false in
-        while (not !stable) && !rounds < max_rounds do
-          incr rounds;
-          stable := true;
-          List.iter
-            (fun f ->
-              let nu = summarize env f in
-              if nu <> Hashtbl.find env.shapes f.Ir.fname then begin
-                Hashtbl.replace env.shapes f.Ir.fname nu;
-                stable := false
-              end)
-            members
-        done;
-        if not !stable then
-          List.iter
-            (fun f ->
-              Hashtbl.replace env.shapes f.Ir.fname
-                (no_facts ~nparams:f.Ir.nparams))
-            members
-      end)
-    (Callgraph.sccs cg);
+  let no_facts_for (f : Ir.func) =
+    Hashtbl.replace env.shapes f.fname (no_facts ~nparams:f.nparams)
+  in
+  Callgraph.fixpoint cg m ~seed:no_facts_for ~give_up:no_facts_for
+    ~step:(fun f ->
+      let nu = summarize env f in
+      let changed = summary env f.fname <> Some nu in
+      Hashtbl.replace env.shapes f.fname nu;
+      changed);
   (* Global allocation-site table. *)
   List.iter
     (fun (f : Ir.func) ->
@@ -674,10 +594,11 @@ let analyze (m : Ir.modul) : env =
             s.allocs
       | None -> ())
     m.funcs;
-  (* Phase 2: top-down calling contexts, callers first (the bottom-up
-     SCC order reversed). Each call site joins its argument depths and
-     structure provenance into the callee's context; recursive SCCs
-     iterate until the capped depths stabilize. *)
+  (* Phase 2: top-down calling contexts, callers first. Each call site
+     joins its argument depths and structure provenance into the
+     callee's context, so every context exists before its SCC is
+     reached and there is nothing to seed; recursive SCCs iterate until
+     the capped depths stabilize. *)
   List.iter
     (fun (f : Ir.func) ->
       Hashtbl.replace env.ctxs f.Ir.fname (empty_ctx ~nparams:f.Ir.nparams))
@@ -685,9 +606,7 @@ let analyze (m : Ir.modul) : env =
   let def_tbls = Hashtbl.create 16 in
   List.iter
     (fun (f : Ir.func) ->
-      let defs = defs_of f in
-      Hashtbl.replace def_tbls f.Ir.fname (fun id ->
-          Option.map snd (Hashtbl.find_opt defs id)))
+      Hashtbl.replace def_tbls f.Ir.fname (Defuse.def (Defuse.build f)))
     m.funcs;
   let propagate_from (f : Ir.func) =
     let def = Hashtbl.find def_tbls f.Ir.fname in
@@ -699,7 +618,7 @@ let analyze (m : Ir.modul) : env =
             match i.Ir.kind with
             | Ir.Call { callee; args }
               when Intrinsics.classify callee = Intrinsics.Unknown
-                   && Hashtbl.mem funcs callee -> (
+                   && Hashtbl.mem def_tbls callee -> (
                 match Hashtbl.find_opt env.ctxs callee with
                 | None -> ()
                 | Some c ->
@@ -727,36 +646,13 @@ let analyze (m : Ir.modul) : env =
       f.Ir.blocks;
     !changed
   in
-  List.iter
-    (fun scc ->
-      let members = List.filter_map (Hashtbl.find_opt funcs) scc in
-      let recursive =
-        match scc with
-        | [ only ] -> Callgraph.is_recursive cg only
-        | _ -> true
-      in
-      if not recursive then
-        List.iter (fun f -> ignore (propagate_from f)) members
-      else begin
-        let rounds = ref 0 and stable = ref false in
-        while (not !stable) && !rounds < max_rounds do
-          incr rounds;
-          stable := true;
-          List.iter
-            (fun f -> if propagate_from f then stable := false)
-            members
-        done;
-        if not !stable then
-          (* Tripwire: drop this SCC's depth claims (advice-safe), keep
-             structure provenance at top. *)
-          List.iter
-            (fun f ->
-              let c = Hashtbl.find env.ctxs f.Ir.fname in
-              Array.fill c.arg_depth 0 (Array.length c.arg_depth) 0;
-              Array.fill c.arg_struct 0 (Array.length c.arg_struct) Gtop)
-            members
-      end)
-    (List.rev (Callgraph.sccs cg));
+  (* Tripwire: drop the SCC's depth claims (advice-safe) and keep its
+     structure provenance at top. *)
+  Callgraph.fixpoint ~top_down:true cg m ~seed:ignore ~step:propagate_from
+    ~give_up:(fun f ->
+      let c = Hashtbl.find env.ctxs f.Ir.fname in
+      Array.fill c.arg_depth 0 (Array.length c.arg_depth) 0;
+      Array.fill c.arg_struct 0 (Array.length c.arg_struct) Gtop);
   env
 
 (* ------------------------------------------------------------------ *)

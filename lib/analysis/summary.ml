@@ -152,26 +152,7 @@ let summarize (env : env) (f : Ir.func) =
     | Ir.Store _ ->
         Pnone
   in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (b : Ir.block) ->
-        List.iter
-          (fun (i : Ir.instr) ->
-            if Ir.defines_value i.kind then begin
-              let old =
-                try Hashtbl.find prov_tbl i.id with Not_found -> Pnone
-              in
-              let nu = prov_join old (transfer i) in
-              if nu <> old then begin
-                Hashtbl.replace prov_tbl i.id nu;
-                changed := true
-              end
-            end)
-          b.instrs)
-      f.blocks
-  done;
+  Defuse.fixpoint f prov_tbl ~bot:Pnone ~join:prov_join transfer;
   (* Effects, escapes, custody — one pass over the converged provenance. *)
   let eff = ref no_effects in
   let escapes = Array.make f.nparams false in
@@ -249,52 +230,21 @@ let summarize (env : env) (f : Ir.func) =
     f.blocks;
   { ret = !ret; escapes; eff = !eff; custody_safe = !custody_safe }
 
-(* [max_rounds] exists so tests can force the recursive-SCC tripwire
-   (set it to 0) and watch the lint diagnose the cap; the default is far
-   above what any real fixpoint needs. *)
-let compute ?(max_rounds = 50) (m : Ir.modul) : env =
-  let cg = Callgraph.build m in
+(* Recursive SCCs are seeded optimistically and iterated to the greatest
+   fixpoint. The lattice is finite (effects grow, custody shrinks,
+   provenance has height 2), so this converges; tripping the round cap
+   degrades the SCC to the sound bottom. [max_rounds] exists so tests
+   can force that tripwire (set it to 0) and watch the lint diagnose it. *)
+let compute ?max_rounds (m : Ir.modul) : env =
   let env : env = Hashtbl.create 16 in
-  let funcs = Hashtbl.create 16 in
-  List.iter (fun (f : Ir.func) -> Hashtbl.replace funcs f.Ir.fname f) m.funcs;
-  List.iter
-    (fun scc ->
-      let members = List.filter_map (Hashtbl.find_opt funcs) scc in
-      let recursive =
-        match scc with
-        | [ only ] -> Callgraph.is_recursive cg only
-        | _ -> true
-      in
-      if not recursive then
-        List.iter (fun f -> set env f.Ir.fname (summarize env f)) members
-      else begin
-        (* Optimistic seed, then iterate to the greatest fixpoint. The
-           lattice is finite (effects grow, custody shrinks, provenance
-           has height 2), so this converges; the cap is a tripwire, and
-           tripping it degrades to the sound bottom. *)
-        List.iter
-          (fun f ->
-            set env f.Ir.fname (optimistic ~nparams:f.Ir.nparams))
-          members;
-        let rounds = ref 0 and stable = ref false in
-        while (not !stable) && !rounds < max_rounds do
-          incr rounds;
-          stable := true;
-          List.iter
-            (fun f ->
-              let nu = summarize env f in
-              if nu <> Hashtbl.find env f.Ir.fname then begin
-                set env f.Ir.fname nu;
-                stable := false
-              end)
-            members
-        done;
-        if not !stable then
-          List.iter
-            (fun f -> set env f.Ir.fname (bottom ~nparams:f.Ir.nparams))
-            members
-      end)
-    (Callgraph.sccs cg);
+  Callgraph.fixpoint ?max_rounds (Callgraph.build m) m
+    ~seed:(fun f -> set env f.fname (optimistic ~nparams:f.nparams))
+    ~step:(fun f ->
+      let nu = summarize env f in
+      let changed = lookup env f.fname <> Some nu in
+      set env f.fname nu;
+      changed)
+    ~give_up:(fun f -> set env f.fname (bottom ~nparams:f.nparams));
   env
 
 let prov_to_string = function

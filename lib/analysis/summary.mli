@@ -1,6 +1,8 @@
 (** Interprocedural function summaries: return-value provenance,
     per-parameter escape, mod/ref effects, and custody preservation,
-    computed by a bottom-up fixpoint over call-graph SCCs.
+    computed by a bottom-up fixpoint over call-graph SCCs
+    ({!Callgraph.fixpoint}); within a function, return provenance runs
+    on {!Defuse.fixpoint}.
 
     Unknown external callees pin their callers at the conservative
     bottom. Recursive SCCs are seeded optimistically and iterated to a
@@ -39,9 +41,10 @@ type fsum = {
 type env
 
 val compute : ?max_rounds:int -> Ir.modul -> env
-(** [max_rounds] (default 50) caps each recursive SCC's fixpoint
-    iteration; tripping it degrades the SCC to the sound bottom. Tests
-    pass 0 to force the tripwire and exercise the lint's diagnosis. *)
+(** [max_rounds] ({!Callgraph.fixpoint}'s, default 50) caps each
+    recursive SCC's fixpoint iteration; tripping it degrades the SCC to
+    the sound bottom. Tests pass 0 to force the tripwire and exercise
+    the lint's diagnosis. *)
 
 val lookup : env -> string -> fsum option
 

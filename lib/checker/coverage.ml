@@ -66,8 +66,9 @@ let page_covers pending ~ptr ~size ~is_store =
       Some pid
   | _ -> None
 
-let check_func ?summaries (f : Ir.func) =
-  let t = Facts.analyze ?summaries (Induction.analyze f) in
+let check_func ?summaries ind =
+  let f = Induction.func ind in
+  let t = Facts.analyze ?summaries ind in
   let alias = Alias.analyze ?summaries f in
   let violations = ref [] in
   List.iter
@@ -131,20 +132,6 @@ let check_func ?summaries (f : Ir.func) =
         b.instrs)
     f.blocks;
   List.rev !violations
-
-(* The checker computes its own summaries from the module text — never
-   reusing the pipeline's environment — so a corrupted producer summary
-   shows up as uncovered accesses instead of vouching for itself. *)
-let check_module ?(summaries = true) (m : Ir.modul) =
-  let env = if summaries then Some (Summary.compute m) else None in
-  List.concat_map (fun f -> check_func ?summaries:env f) m.funcs
-
-exception Unsound of string list
-
-let enforce ?summaries m =
-  match check_module ?summaries m with
-  | [] -> ()
-  | vs -> raise (Unsound (List.map violation_to_string vs))
 
 (* Independent custody re-derivation for the witness checker: a direct
    reachability pass over the module, sharing no code with
@@ -409,27 +396,6 @@ let check_witnesses_func ~call_clobbers ind (els : elision list) =
     els;
   List.rev !errors
 
-(* [call_clobbers] defaults to the module-derived reachability predicate
-   above — an independent path from the summaries that licensed the
-   elisions, so a summary bug cannot self-certify. Tests can substitute
-   their own predicate; the elide pass's pre-validation, which
-   deliberately trusts its own analysis, calls [check_witnesses_func]
-   with one. *)
-let check_witnesses ?call_clobbers (m : Ir.modul) (els : (string * elision) list)
-    =
-  let call_clobbers =
-    match call_clobbers with Some p -> p | None -> module_call_clobbers m
-  in
-  List.concat_map
-    (fun (f : Ir.func) ->
-      match records_of f els with
-      | [] -> []
-      | mine -> check_witnesses_func ~call_clobbers (Induction.analyze f) mine)
-    m.funcs
-
-let enforce_witnesses m els =
-  match check_witnesses m els with [] -> () | errs -> raise (Unsound errs)
-
 (* -- routing witnesses -------------------------------------------------- *)
 
 (* Every access the route pass moves onto the page path leaves a witness:
@@ -543,10 +509,57 @@ let check_routing_func (f : Ir.func) (routes : routing list) =
     f.blocks;
   List.rev !errors
 
-(* Functions with no witnesses still get scanned: a page call in a
-   witness-free function is exactly the smuggling case. *)
-let check_routing (m : Ir.modul) (routes : (string * routing) list) =
-  List.concat_map (fun f -> check_routing_func f (records_of f routes)) m.funcs
+(* -- the checker's entry point ------------------------------------------ *)
 
-let enforce_routing m routes =
-  match check_routing m routes with [] -> () | errs -> raise (Unsound errs)
+type report = {
+  violations : violation list;
+  witness_errors : string list;
+  routing_errors : string list;
+}
+
+(* The checker computes its own summaries and its own custody
+   re-derivation from the module text — never reusing the pipeline's
+   environment — so a corrupted producer summary shows up as uncovered
+   accesses or rejected witnesses instead of vouching for itself. One
+   structure per function serves the coverage and witness checks.
+   Functions with no routing witnesses still get scanned: a page call in
+   a witness-free function is exactly the smuggling case. *)
+let check ?(summaries = true) ?witnesses ?routes (m : Ir.modul) =
+  let env = if summaries then Some (Summary.compute m) else None in
+  let witnesses =
+    Option.map (fun els -> (els, module_call_clobbers m)) witnesses
+  in
+  let per_func (f : Ir.func) =
+    let ind = Induction.analyze f in
+    let witness_errors =
+      match witnesses with
+      | None -> []
+      | Some (els, call_clobbers) -> (
+          match records_of f els with
+          | [] -> []
+          | mine -> check_witnesses_func ~call_clobbers ind mine)
+    in
+    let routing_errors =
+      match routes with
+      | Some routes -> check_routing_func f (records_of f routes)
+      | None -> []
+    in
+    (check_func ?summaries:env ind, witness_errors, routing_errors)
+  in
+  let results = List.map per_func m.funcs in
+  {
+    violations = List.concat_map (fun (v, _, _) -> v) results;
+    witness_errors = List.concat_map (fun (_, w, _) -> w) results;
+    routing_errors = List.concat_map (fun (_, _, r) -> r) results;
+  }
+
+exception Unsound of string list
+
+let enforce ?summaries ?witnesses ?routes m =
+  let r = check ?summaries ?witnesses ?routes m in
+  match
+    List.map violation_to_string r.violations
+    @ r.witness_errors @ r.routing_errors
+  with
+  | [] -> ()
+  | findings -> raise (Unsound findings)

@@ -6,9 +6,11 @@
     clobber ({!Facts}) — or an immediately-preceding page-path call (the
     hybrid data plane). A gap (neither) and double protection (both) are
     each violations carrying the offending instruction in guard-site
-    attribution form ({!Telemetry.Site}); the pipeline raises {!Unsound}
-    on any, so a transform bug fails compilation instead of becoming a
-    silent far-memory crash. *)
+    attribution form ({!Telemetry.Site}). {!check} is the entry point:
+    it also re-checks the elision and routing witnesses it is given,
+    over one {!Induction.t} per function; the pipeline calls {!enforce},
+    which raises {!Unsound} on any finding, so a transform bug fails
+    compilation instead of becoming a silent far-memory crash. *)
 
 type flaw =
   | Gap  (** covered by no mechanism at all *)
@@ -26,19 +28,6 @@ type violation = {
 }
 
 val violation_to_string : violation -> string
-
-val check_module : ?summaries:bool -> Ir.modul -> violation list
-(** [summaries] (default [true]) lets the checker compute its own
-    interprocedural summaries from the module text — never reusing the
-    pipeline's environment — so custody survives provably-safe calls
-    while a corrupted producer summary still surfaces as uncovered
-    accesses. Pass [false] for the strict intraprocedural check. *)
-
-exception Unsound of string list
-
-val enforce : ?summaries:bool -> Ir.modul -> unit
-(** Raises {!Unsound} with formatted violations when the module has
-    any uncovered may-heap access. *)
 
 val module_call_clobbers : Ir.modul -> string -> bool
 (** Independent custody re-derivation: does a call to this callee
@@ -63,28 +52,18 @@ type rule =
 
 type elision = { access : int; rule : rule; witness_ids : int list }
 
-val check_witnesses :
-  ?call_clobbers:(string -> bool) ->
-  Ir.modul ->
-  (string * elision) list ->
-  string list
-(** Returns human-readable errors for witness records that no longer
-    justify their elision; empty means all records check out.
-    [call_clobbers] defaults to {!module_call_clobbers} of the module —
-    an independent re-derivation, so a bug in the summaries that
-    licensed an elision cannot vouch for itself. *)
-
 val check_witnesses_func :
   call_clobbers:(string -> bool) -> Induction.t -> elision list -> string list
-(** {!check_witnesses} for one function's records, over the dominators,
-    loops, def-use and induction variables of a structure the caller
-    built, which a pass that changes blocks must rebuild. Instruction
-    positions are read from {!Induction.func} on each call, so guard
-    deletions and hoists since the structure was built do not change
-    the verdict. *)
-
-val enforce_witnesses : Ir.modul -> (string * elision) list -> unit
-(** Raises {!Unsound} when any witness record fails re-checking. *)
+(** The witness re-check of one function's records: human-readable
+    errors for records that no longer justify their elision, empty when
+    all check out. It runs over the dominators, loops, def-use and
+    induction variables of a structure the caller built, which a pass
+    that changes blocks must rebuild. Instruction positions are read
+    from {!Induction.func} on each call, so guard deletions and hoists
+    since the structure was built do not change the verdict. {!check}
+    calls it with {!module_call_clobbers}; the elision pass's
+    pre-check, which deliberately trusts its own analysis, with its
+    summaries. *)
 
 (** {1 Routing witnesses}
 
@@ -100,11 +79,44 @@ type routing = {
   cls : string;  (** classifier evidence, e.g. "pointer-chase" *)
 }
 
-val check_routing : Ir.modul -> (string * routing) list -> string list
-(** Returns human-readable errors: a witness whose page call is missing,
-    misplaced, on the wrong pointer/size/flavor, or claimed twice — plus
-    any page call in the module not owned by exactly one witness (the
-    smuggled-call case). Empty means all records check out. *)
+(** {1 The check} *)
 
-val enforce_routing : Ir.modul -> (string * routing) list -> unit
-(** Raises {!Unsound} when any routing record fails re-checking. *)
+type report = {
+  violations : violation list;  (** uncovered or double-protected accesses *)
+  witness_errors : string list;
+      (** elision witness records that no longer justify their elision *)
+  routing_errors : string list;
+      (** routing witnesses whose page call is missing, misplaced, on the
+          wrong pointer/size/flavor, or claimed twice, plus any page call
+          not owned by exactly one witness (the smuggled-call case) *)
+}
+
+val check :
+  ?summaries:bool ->
+  ?witnesses:(string * elision) list ->
+  ?routes:(string * routing) list ->
+  Ir.modul ->
+  report
+(** The checker's one entry point: coverage of every function, plus the
+    re-check of the [witnesses] and [routes] records when given, from
+    one {!Induction.analyze} per function. [summaries] (default [true])
+    lets the checker compute its own interprocedural summaries from the
+    module text — never reusing the pipeline's environment — so custody
+    survives provably-safe calls while a corrupted producer summary
+    still surfaces as uncovered accesses; pass [false] for the strict
+    intraprocedural check. Witnesses are re-checked against
+    {!module_call_clobbers}, an independent re-derivation, so a bug in
+    the summaries that licensed an elision cannot vouch for itself. Each
+    list is in module order. *)
+
+exception Unsound of string list
+
+val enforce :
+  ?summaries:bool ->
+  ?witnesses:(string * elision) list ->
+  ?routes:(string * routing) list ->
+  Ir.modul ->
+  unit
+(** {!check}, raising {!Unsound} with every finding (formatted
+    violations, then witness errors, then routing errors) when there is
+    any. *)

@@ -122,7 +122,3 @@ let instr_count f =
 
 let module_instr_count m =
   List.fold_left (fun acc f -> acc + instr_count f) 0 m.funcs
-
-let is_alloc_call = function
-  | "malloc" | "calloc" | "realloc" -> true
-  | _ -> false

@@ -106,7 +106,3 @@ val block_count : func -> int
 val instr_count : func -> int
 val module_instr_count : modul -> int
 
-val is_alloc_call : string -> bool
-(** Recognizes libc heap allocation entry points ([malloc], [calloc],
-    [realloc]) that the TrackFM libc pass intercepts. *)
-

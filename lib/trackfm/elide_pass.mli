@@ -6,7 +6,7 @@
     promote read guards under read-modify-write stores, and hoist
     guards on loop-invariant pointers to preheaders. Every deleted
     guard leaves a witness record the checker independently re-verifies
-    ({!Tfm_checker.Coverage.check_witnesses}). *)
+    ({!Tfm_checker.Coverage.check}). *)
 
 type report = {
   elided_same : int;  (** deleted: dominating guard on the same pointer *)

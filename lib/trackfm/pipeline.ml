@@ -56,11 +56,9 @@ let run config (m : Ir.modul) =
   (* The checker's re-proofs: coverage always, plus the elision witnesses
      and the routing decisions when given. *)
   let enforce ?witnesses ?routes () =
-    if config.check then begin
-      Tfm_checker.Coverage.enforce ~summaries:config.summaries m;
-      Option.iter (Tfm_checker.Coverage.enforce_witnesses m) witnesses;
-      Option.iter (Tfm_checker.Coverage.enforce_routing m) routes
-    end
+    if config.check then
+      Tfm_checker.Coverage.enforce ~summaries:config.summaries ?witnesses
+        ?routes m
   in
   Verifier.check_module m;
   let init_inserted = Init_pass.run m in

@@ -21,7 +21,7 @@
    access must not be covered by any *other* fact, or retiring the guard
    would double-protect (the checker would catch it, but we prove
    exactly-one by construction) — and leaves a routing witness record
-   that {!Tfm_checker.Coverage.check_routing} re-proves structurally,
+   that {!Tfm_checker.Coverage.check} re-proves structurally,
    independent of the classifier. *)
 
 module C = Tfm_checker.Coverage

@@ -9,7 +9,7 @@
     the custody dataflow (the access must not be covered by any other
     fact — exactly-one by construction) and leaves a routing witness the
     checker re-proves independently
-    ({!Tfm_checker.Coverage.check_routing}). *)
+    ({!Tfm_checker.Coverage.check}). *)
 
 type mode = [ `Off | `Static | `Profiled ]
 

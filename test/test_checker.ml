@@ -8,6 +8,15 @@
 module Coverage = Tfm_checker.Coverage
 module Elide = Trackfm.Elide_pass
 
+(* One part each of the report from the checker's entry point. *)
+let violations m = (Coverage.check m).Coverage.violations
+
+let witness_errors m els =
+  (Coverage.check ~witnesses:els m).Coverage.witness_errors
+
+let routing_errors m routes =
+  (Coverage.check ~routes m).Coverage.routing_errors
+
 let count_guards (m : Ir.modul) =
   List.fold_left
     (fun acc (f : Ir.func) ->
@@ -37,7 +46,7 @@ let test_checker_flags_missing_guard () =
   Verifier.check_module m;
   let load_id = match v with Ir.Reg id -> id | _ -> assert false in
   let malloc_id = match p with Ir.Reg id -> id | _ -> assert false in
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       Alcotest.(check int) "offending instruction" load_id viol.Coverage.instr;
       Alcotest.(check bool) "is a load" false viol.Coverage.is_store;
@@ -57,7 +66,7 @@ let test_checker_flags_wrong_pointer_guard () =
   Builder.ret b (Some v);
   Verifier.check_module m;
   let load_id = match v with Ir.Reg id -> id | _ -> assert false in
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       Alcotest.(check int) "offending instruction" load_id viol.Coverage.instr
   | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs)
@@ -76,7 +85,7 @@ let test_checker_flags_guard_killed_by_call () =
   Verifier.check_module m;
   let load_id = match v with Ir.Reg id -> id | _ -> assert false in
   let killer_id = match killer with Ir.Reg id -> id | _ -> assert false in
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       Alcotest.(check int) "offending instruction" load_id viol.Coverage.instr;
       Alcotest.(check bool) "killer attributed" true
@@ -92,7 +101,7 @@ let test_checker_accepts_guarded_access () =
   Builder.ret b (Some v);
   Verifier.check_module m;
   Alcotest.(check int) "no violations" 0
-    (List.length (Coverage.check_module m));
+    (List.length (violations m));
   Coverage.enforce m (* must not raise *)
 
 (* -- verifier intrinsic validation ------------------------------------ *)
@@ -145,8 +154,7 @@ let test_elide_same_pointer () =
   let r = Elide.run ~object_size:4096 m in
   Alcotest.(check int) "one same-pointer elision" 1 r.Elide.elided_same;
   Alcotest.(check int) "one guard left" 1 (count_guards m);
-  Coverage.enforce m;
-  Coverage.enforce_witnesses m r.Elide.elisions
+  Coverage.enforce ~witnesses:r.Elide.elisions m
 
 let test_elide_rmw_upgrade () =
   (* load x; store f(x) through the same pointer: the read guard is
@@ -177,8 +185,7 @@ let test_elide_rmw_upgrade () =
       f.blocks
   in
   Alcotest.(check bool) "survivor is a write guard" true surviving_is_write;
-  Coverage.enforce m;
-  Coverage.enforce_witnesses m r.Elide.elisions
+  Coverage.enforce ~witnesses:r.Elide.elisions m
 
 let test_elide_congruent_widening () =
   (* guards on two fields of one struct (same base, constant offsets):
@@ -212,8 +219,7 @@ let test_elide_congruent_widening () =
       f.blocks
   in
   Alcotest.(check bool) "survivor widened to 16 bytes" true sixteen;
-  Coverage.enforce m;
-  Coverage.enforce_witnesses m r.Elide.elisions
+  Coverage.enforce ~witnesses:r.Elide.elisions m
 
 let test_elide_hoists_invariant_guard () =
   let m = Ir.create_module () in
@@ -250,8 +256,7 @@ let test_elide_hoists_invariant_guard () =
       0 loop.Loops.body
   in
   Alcotest.(check int) "loop body guard-free" 0 body_guards;
-  Coverage.enforce m;
-  Coverage.enforce_witnesses m r.Elide.elisions
+  Coverage.enforce ~witnesses:r.Elide.elisions m
 
 (* -- loop-range elision, end to end through the pipeline --------------- *)
 
@@ -329,7 +334,7 @@ let test_witness_recheck_rejects_tampering () =
             | _ -> true)
           blk.instrs)
     f.blocks;
-  let errs = Coverage.check_witnesses m r.Elide.elisions in
+  let errs = witness_errors m r.Elide.elisions in
   Alcotest.(check bool) "witness re-check fails" true (errs <> []);
   (* The per-function check over a structure of the tampered function
      returns the same errors. *)
@@ -339,7 +344,7 @@ let test_witness_recheck_rejects_tampering () =
        (Induction.analyze f)
        (List.map snd r.Elide.elisions));
   Alcotest.(check bool) "coverage fails too" true
-    (Coverage.check_module m <> [])
+    (violations m <> [])
 
 (* -- interprocedural summaries: cross-call elision and tampering ------- *)
 
@@ -379,8 +384,7 @@ let test_cross_call_elision_needs_summaries () =
     (Elide.total_elided r2);
   Alcotest.(check int) "one guard left" 1 (count_guards m2);
   (* the final independent checks accept the result *)
-  Coverage.enforce m2;
-  Coverage.enforce_witnesses m2 r2.Elide.elisions
+  Coverage.enforce ~witnesses:r2.Elide.elisions m2
 
 let test_cross_call_elision_respects_impure_helper () =
   (* the helper stores through its argument: even with summaries the
@@ -417,14 +421,19 @@ let test_checker_catches_tampered_summary () =
   Alcotest.(check int) "lying summary lets the elider fire" 1
     (Elide.total_elided r);
   Alcotest.(check bool) "honest coverage check refuses the module" true
-    (Coverage.check_module m <> []);
+    (violations m <> []);
   Alcotest.(check bool) "independent witness re-check refuses the elision"
     true
-    (Coverage.check_witnesses m r.Elide.elisions <> []);
+    (witness_errors m r.Elide.elisions <> []);
   Alcotest.check_raises "enforce raises Unsound"
     (Coverage.Unsound
-       (List.map Coverage.violation_to_string (Coverage.check_module m)))
-    (fun () -> Coverage.enforce m)
+       (List.map Coverage.violation_to_string (violations m)))
+    (fun () -> Coverage.enforce m);
+  Alcotest.check_raises "with the witnesses, it raises every finding"
+    (Coverage.Unsound
+       (List.map Coverage.violation_to_string (violations m)
+       @ witness_errors m r.Elide.elisions))
+    (fun () -> Coverage.enforce ~witnesses:r.Elide.elisions m)
 
 let test_coverage_diagnostics_name_function () =
   (* the violation string names the enclosing function, not just the
@@ -438,7 +447,7 @@ let test_coverage_diagnostics_name_function () =
   ignore (Builder.call b "inner_helper" [ p ]);
   Builder.ret b None;
   Verifier.check_module m;
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       let s = Coverage.violation_to_string viol in
       let contains hay needle =
@@ -555,7 +564,7 @@ let check_structure_across_hoist () =
         (List.map (Induction.is_loop_invariant before loop) operands))
     (Loops.loops li);
   Alcotest.(check (list string)) "the pass's records hold" []
-    (Coverage.check_witnesses m r.Elide.elisions);
+    (witness_errors m r.Elide.elisions);
   let call_clobbers = Coverage.module_call_clobbers m in
   List.iter
     (fun e ->
@@ -563,7 +572,7 @@ let check_structure_across_hoist () =
         (fun rule ->
           let e = { e with Coverage.rule } in
           Alcotest.(check (list string)) "the earlier structure's verdict"
-            (Coverage.check_witnesses m [ ("main", e) ])
+            (witness_errors m [ ("main", e) ])
             (Coverage.check_witnesses_func ~call_clobbers before [ e ]))
         Coverage.[ Same; Congruent; Range; Hoist ])
     records
@@ -611,7 +620,7 @@ let test_witness_check_after_earlier_deletions () =
     ]
   in
   let fresh =
-    Coverage.check_witnesses m (List.map (fun e -> ("main", e)) records)
+    witness_errors m (List.map (fun e -> ("main", e)) records)
   in
   Alcotest.(check int) "a fresh check rejects only the clobbered witness" 1
     (List.length fresh);
@@ -636,7 +645,7 @@ let test_routing_double_protection_flagged () =
   Verifier.check_module m;
   let load_id = match v with Ir.Reg id -> id | _ -> assert false in
   let page_id = match page with Ir.Reg id -> id | _ -> assert false in
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       Alcotest.(check int) "offending access" load_id viol.Coverage.instr;
       Alcotest.(check bool) "flaw is Double naming the page call" true
@@ -657,7 +666,7 @@ let test_routing_neither_mechanism_flagged () =
   Builder.ret b (Some v);
   Verifier.check_module m;
   let load_id = match v with Ir.Reg id -> id | _ -> assert false in
-  match Coverage.check_module m with
+  match violations m with
   | [ viol ] ->
       Alcotest.(check int) "offending access" load_id viol.Coverage.instr;
       Alcotest.(check bool) "flaw is Gap" true
@@ -679,21 +688,21 @@ let test_routing_witness_recheck_rejects_tampering () =
     { Coverage.routed_access = load_id; page_call = page_id; cls = "test" }
   in
   Alcotest.(check int) "well-routed module is clean" 0
-    (List.length (Coverage.check_module m));
+    (List.length (violations m));
   Alcotest.(check (list string)) "honest witness re-proves" []
-    (Coverage.check_routing m [ ("main", good) ]);
+    (routing_errors m [ ("main", good) ]);
   (* a page call the witness list does not own is smuggled code *)
   Alcotest.(check bool) "unowned page call rejected" true
-    (has_err "stray page call" (Coverage.check_routing m []));
+    (has_err "stray page call" (routing_errors m []));
   (* a witness pointing at a non-page instruction is a forgery *)
   Alcotest.(check bool) "forged page-call id rejected" true
     (has_err "not a page call"
-       (Coverage.check_routing m
+       (routing_errors m
           [ ("main", { good with Coverage.page_call = malloc_id }) ]));
   (* two witnesses cannot share one page call *)
   Alcotest.(check bool) "double-claimed page call rejected" true
     (has_err "claimed by two"
-       (Coverage.check_routing m [ ("main", good); ("main", good) ]))
+       (routing_errors m [ ("main", good); ("main", good) ]))
 
 let test_routing_flavor_tampering_caught () =
   (* downgrading a page_write to page_read behind the pass's back must
@@ -717,7 +726,7 @@ let test_routing_flavor_tampering_caught () =
     { Coverage.routed_access = store_id; page_call = page_id; cls = "test" }
   in
   Alcotest.(check (list string)) "write-flavored routing re-proves" []
-    (Coverage.check_routing m [ ("main", w) ]);
+    (routing_errors m [ ("main", w) ]);
   (* tamper: rewrite the call to the read flavor in the IR *)
   List.iter
     (fun (blk : Ir.block) ->
@@ -730,9 +739,9 @@ let test_routing_flavor_tampering_caught () =
         blk.Ir.instrs)
     f.Ir.blocks;
   Alcotest.(check bool) "witness re-proof fails" true
-    (has_err "cannot cover a store" (Coverage.check_routing m [ ("main", w) ]));
+    (has_err "cannot cover a store" (routing_errors m [ ("main", w) ]));
   Alcotest.(check bool) "coverage check fails too" true
-    (Coverage.check_module m <> [])
+    (violations m <> [])
 
 (* -- shape-fact independence ------------------------------------------ *)
 
@@ -778,7 +787,7 @@ let test_lying_shape_caught_by_shadow_not_checker () =
   (* checker independence: both re-proofs accept the misrouted module *)
   Coverage.enforce m;
   Alcotest.(check (list string)) "routing witnesses re-prove" []
-    (Coverage.check_routing m lied.Trackfm.Route_pass.routes);
+    (routing_errors m lied.Trackfm.Route_pass.routes);
   (* the dynamic audit is what catches it *)
   let clock = Clock.create () in
   let store = Memstore.create () in
