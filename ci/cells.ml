@@ -337,8 +337,8 @@ let table =
   @ [
       cell "engines" "check-compiled" "trackfm_cli check --engine compiled";
       (* Full-size NAS, which the tests run at their sub-class size: IS
-         under both engines, fault-free and faulted, and the other four
-         kernels' checksums. *)
+         under both engines, fault-free and faulted, goldened, and the
+         other four kernels' checksums. *)
       json "engines" "nas-is-m50" "run -w nas-is -s trackfm -m 50"
         ~runs:[ interp; [] ];
       json "engines" "nas-is-m50-seed1"
