@@ -193,6 +193,46 @@ let du t = t.du
 let ivs_of_loop t (loop : Loops.loop) =
   try Hashtbl.find t.ivs loop.header with Not_found -> []
 
+(* The header runs the test once per iteration and once more to leave,
+   so with a single exit every entry runs [ceil ((B - I) / step)]
+   iterations ([B + 1] for [<=]); a preheader that only branches to the
+   header makes each of its runs one entry. *)
+let trip_count t (loop : Loops.loop) =
+  let block = Ir.find_block t.f in
+  let inside = Loops.contains loop in
+  let stays_inside l =
+    l = loop.header
+    ||
+    match (block l).term with
+    | Ir.Ret _ | Ir.Unreachable -> false
+    | term -> List.for_all inside (Ir.successors term)
+  in
+  let entered_once =
+    match loop.preheader with
+    | Some p -> (block p).term = Ir.Br loop.header
+    | None -> false
+  in
+  match (block loop.header).term with
+  | Ir.Cbr (Ir.Reg c, body, exit)
+    when inside body && (not (inside exit)) && entered_once
+         && List.for_all stays_inside loop.body -> begin
+      match Defuse.def t.du c with
+      | Some { kind = Ir.Icmp ((Ir.Lt | Ir.Le) as cmp, Ir.Reg v, bound); _ }
+        -> begin
+          match List.find_opt (fun iv -> iv.phi_id = v) (ivs_of_loop t loop) with
+          | Some iv when iv.step > 0 -> begin
+              match (const_of t.du iv.init, const_of t.du bound) with
+              | Some init, Some bound ->
+                  let span = bound - init + if cmp = Ir.Le then 1 else 0 in
+                  Some (if span <= 0 then 0 else (span + iv.step - 1) / iv.step)
+              | _ -> None
+            end
+          | _ -> None
+        end
+      | _ -> None
+    end
+  | _ -> None
+
 let strided_accesses t (loop : Loops.loop) =
   let ivs = ivs_of_loop t loop in
   let in_this_loop blk =

@@ -60,6 +60,17 @@ val du : t -> Defuse.t
 
 val ivs_of_loop : t -> Loops.loop -> iv list
 
+val trip_count : t -> Loops.loop -> int option
+(** The exact number of iterations that every entry of the loop runs,
+    [max 0 (ceil ((B - I) / step))] ([B + 1] for [<=]). It is known only
+    when the header ends in [cbr (icmp lt|le %iv, B)] with the in-loop
+    target first, the IV's init [I] and bound [B] are constants
+    ({!const_of}) and its step is positive, no other loop block leaves
+    the loop or ends in [ret] or [unreachable], and the preheader ends
+    in [br header], so each of its runs is one entry. A block profile
+    of an entered loop then gives exactly this
+    ({!Profile.avg_trip_count}). *)
+
 val strided_accesses : t -> Loops.loop -> strided_access list
 (** Accesses inside the given loop (not in nested sub-loops) whose address
     is [base + (a*iv + b) * scale + offset] with invariant [base]. *)

@@ -5,8 +5,11 @@
     amortize the chunking setup are filtered out. Our profile is filled
     by an instrumented run on either engine, which count the same blocks
     (the driver's pre-run uses the compiled one), and consumed by the
-    chunking pass's gate only. So the driver makes the pre-run only for
-    a module with a loop the gate decides. *)
+    chunking pass's gate only. So the driver pre-runs only when a
+    profile can change a verdict: a loop whose trip count is a
+    compile-time constant ({!Induction.trip_count}) gets exactly that
+    count from a profile, so the gate can decide it without one unless
+    that count changes its verdict. *)
 
 type t
 

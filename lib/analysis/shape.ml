@@ -307,8 +307,7 @@ let link_round (env : env) f du ~linked =
 (* Bottom-up per-function summary.                                     *)
 (* ------------------------------------------------------------------ *)
 
-let summarize (env : env) (f : Ir.func) : fshape =
-  let du = Defuse.build f in
+let summarize (env : env) (f : Ir.func) du : fshape =
   let hops = hops_fixpoint env f in
   (* Link discovery to a fixpoint over the closure rule; the link set
      only grows and is bounded by the store sites, so this terminates
@@ -570,6 +569,12 @@ let analyze (m : Ir.modul) : env =
       sites = Hashtbl.create 16;
     }
   in
+  (* No function body changes during the analysis, so both phases share
+     one def-use map per function. *)
+  let dus = Hashtbl.create 16 in
+  List.iter
+    (fun (f : Ir.func) -> Hashtbl.replace dus f.Ir.fname (Defuse.build f))
+    m.funcs;
   (* Phase 1: bottom-up fshapes over the same SCC order the Summary
      fixpoint uses. Recursive SCCs iterate from the optimistic empty
      summary; depths saturate at [depth_cap] so the lattice is finite.
@@ -580,7 +585,7 @@ let analyze (m : Ir.modul) : env =
   in
   Callgraph.fixpoint cg m ~seed:no_facts_for ~give_up:no_facts_for
     ~step:(fun f ->
-      let nu = summarize env f in
+      let nu = summarize env f (Hashtbl.find dus f.fname) in
       let changed = summary env f.fname <> Some nu in
       Hashtbl.replace env.shapes f.fname nu;
       changed);
@@ -603,13 +608,8 @@ let analyze (m : Ir.modul) : env =
     (fun (f : Ir.func) ->
       Hashtbl.replace env.ctxs f.Ir.fname (empty_ctx ~nparams:f.Ir.nparams))
     m.funcs;
-  let def_tbls = Hashtbl.create 16 in
-  List.iter
-    (fun (f : Ir.func) ->
-      Hashtbl.replace def_tbls f.Ir.fname (Defuse.def (Defuse.build f)))
-    m.funcs;
   let propagate_from (f : Ir.func) =
-    let def = Hashtbl.find def_tbls f.Ir.fname in
+    let def = Defuse.def (Hashtbl.find dus f.Ir.fname) in
     let changed = ref false in
     List.iter
       (fun (b : Ir.block) ->
@@ -618,7 +618,7 @@ let analyze (m : Ir.modul) : env =
             match i.Ir.kind with
             | Ir.Call { callee; args }
               when Intrinsics.classify callee = Intrinsics.Unknown
-                   && Hashtbl.mem def_tbls callee -> (
+                   && Hashtbl.mem dus callee -> (
                 match Hashtbl.find_opt env.ctxs callee with
                 | None -> ()
                 | Some c ->

@@ -69,8 +69,9 @@ let insert_after_phis (b : Ir.block) instr =
 
 (* The chunking candidates of [f], in the order [run] decides them: for
    each loop with a preheader, each group of its strided accesses whose
-   stride is nonzero. A loop's accesses are read when the loop is
-   reached, so [visit] may rewrite the loops it has already seen. *)
+   stride is nonzero, with the function's structure. A loop's accesses
+   are read when the loop is reached, so [visit] may rewrite the loops
+   it has already seen. *)
 let iter_candidates (f : Ir.func) visit =
   let ind = Tfm_analysis.Induction.analyze f in
   List.iter
@@ -81,17 +82,26 @@ let iter_candidates (f : Ir.func) visit =
           List.iter
             (fun ((base, byte_stride, _gep_offset), group) ->
               if byte_stride <> 0 then
-                visit loop ~preheader ~base ~byte_stride group)
+                visit ind loop ~preheader ~base ~byte_stride group)
             (group_accesses
                (Tfm_analysis.Induction.strided_accesses ind loop)))
     (Tfm_analysis.Loops.loops (Tfm_analysis.Induction.loops ind))
 
-let needs_profile (m : Ir.modul) =
+(* A profile of a loop with a trip count [t] reads [t] if the loop is
+   entered and nothing otherwise, so it can change the gate's verdict
+   only where the verdict at [t] is not the static one. *)
+let needs_profile cost ~object_size (m : Ir.modul) =
   match
     List.iter
       (fun f ->
-        iter_candidates f (fun _ ~preheader:_ ~base:_ ~byte_stride:_ _ ->
-            raise_notrace Exit))
+        iter_candidates f (fun ind loop ~preheader:_ ~base:_ ~byte_stride _ ->
+            let density = object_size / abs byte_stride in
+            let verdict avg_trip =
+              decide cost ~mode:`Gated ~density ~avg_trip
+            in
+            match Tfm_analysis.Induction.trip_count ind loop with
+            | Some t when verdict (Some (float_of_int t)) = verdict None -> ()
+            | Some _ | None -> raise_notrace Exit))
       m.funcs
   with
   | () -> false
@@ -105,7 +115,7 @@ let run cost ~object_size ~mode ?profile (m : Ir.modul) =
     List.iter
       (fun (f : Ir.func) ->
         iter_candidates f
-          (fun loop ~preheader:preheader_label ~base ~byte_stride group ->
+          (fun _ loop ~preheader:preheader_label ~base ~byte_stride group ->
             let density = object_size / abs byte_stride in
             let avg_trip =
               match profile with

@@ -10,7 +10,11 @@
     Gate modes:
     - [`All] chunks every candidate (Figure 8/15's "all loops" line);
     - [`Gated] applies the Section 3.4 cost model — with a profile it uses
-      measured trip counts, otherwise static object density (Eq. 3). *)
+      measured trip counts, otherwise static object density (Eq. 3).
+      The driver pre-runs only when a profile can change a verdict
+      ({!needs_profile}): a loop whose trip count is a compile-time
+      constant gets the same verdict from a profile as without one
+      unless the cost model decides it differently at that count. *)
 
 type mode = [ `Off | `All | `Gated ]
 
@@ -41,8 +45,12 @@ val run :
   Ir.modul ->
   report
 
-val needs_profile : Ir.modul -> bool
-(** Whether [run] would find a candidate in the module, and so whether
-    a [`Gated] run reads its profile: true exactly when some loop with a
-    preheader has a strided access with a nonzero stride. It walks the
-    candidates as [run] does, stopping at the first. *)
+val needs_profile : Cost_model.t -> object_size:int -> Ir.modul -> bool
+(** Whether a profile can change a verdict of [run cost ~object_size
+    ~mode:`Gated] on the module: true exactly when some candidate's loop
+    has no {!Tfm_analysis.Induction.trip_count} [t], or the gate decides
+    it differently at an average of [t] trips than with no profile. A
+    profile gives such a loop [t] if it is entered and nothing
+    otherwise, so when this is false [run] selects the same loops with
+    or without one. It walks the candidates as [run] does, stopping at
+    the first that needs it. *)

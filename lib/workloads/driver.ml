@@ -111,17 +111,20 @@ let profile_of ?(engine = Engine.default) ?(cost = Cost_model.default)
 let run_trackfm ?(engine = Engine.default) ?(cost = Cost_model.default)
     ?(blobs = []) ?(telemetry = no_telemetry) ?shadow ?profile build opts =
   (* Only the gated chunking decision reads the profile, and only for a
-     loop that is a chunking candidate: a module without one is built for
-     the pre-run but not run. Block counts do not depend on the engine,
-     so the pre-run takes the compiled one whichever engine executes the
-     program. *)
+     candidate loop whose verdict a profile can change: a module without
+     one is built for the pre-run but not run. Block counts do not depend
+     on the engine, so the pre-run takes the compiled one whichever
+     engine executes the program. *)
   let profile =
     if opts.chunk_mode = `Gated && opts.profile_gate then
       match profile with
       | Some _ -> profile
       | None ->
           let m = build () in
-          if Trackfm.Chunk_pass.needs_profile m then
+          if
+            Trackfm.Chunk_pass.needs_profile cost
+              ~object_size:opts.object_size m
+          then
             Some (profile_module ~engine:Engine.Compiled ~cost ~blobs m)
           else None
     else None

@@ -4,7 +4,7 @@
     pipeline transforms modules in place, so every run needs its own
     copy). The driver assembles the backend, optionally runs the TrackFM
     compiler (with a profiling pre-run on the local backend and the
-    compiled engine when a gated chunking decision reads it), executes,
+    compiled engine when it can change a gated chunking verdict), executes,
     and returns the clock so callers can read any counter an experiment
     plots. Every runner executes on {!Engine.default} (compiled) unless
     given [~engine]. *)
@@ -27,9 +27,11 @@ type tfm_opts = {
   profile_gate : bool;
       (** with [`Gated] chunking, run the workload once uninstrumented on
           the local backend and the compiled engine to collect block
-          frequencies for the cost-model gate, if it has a loop for the
-          gate to decide ({!Trackfm.Chunk_pass.needs_profile}); the other
-          chunk modes never profile *)
+          frequencies for the cost-model gate; it pre-runs only when a
+          profile can change a verdict, i.e. some loop the gate decides
+          has no constant trip count or is decided differently at it
+          ({!Trackfm.Chunk_pass.needs_profile}); the other chunk modes
+          never profile *)
   elide_guards : bool;
       (** run redundant-guard elimination and hoisting
           ({!Trackfm.Elide_pass}); the coverage checker runs either
@@ -103,10 +105,10 @@ val run_trackfm :
 
     Without [profile], those two settings make [run_trackfm] call
     [build] once for the pre-run and once for the measured run, as
-    always; but it runs the pre-run's module only when a gated loop
-    reads the profile ({!Trackfm.Chunk_pass.needs_profile}), and
-    otherwise compiles with no profile, which no loop would have
-    read. *)
+    always; but it pre-runs only when a profile can change a verdict
+    ({!Trackfm.Chunk_pass.needs_profile} with its [cost] and
+    [object_size]), and otherwise compiles with no profile, which would
+    have given every loop the verdict it gets without one. *)
 
 val run_fastswap :
   ?engine:Engine.t ->

@@ -794,6 +794,140 @@ let test_lint_names_recursive_cap () =
         (contains ~sub:"recursive SCC tripped the fixpoint round cap" line)
   | lines -> Alcotest.fail (String.concat "; " lines)
 
+(* -- trip counts ------------------------------------------------------- *)
+
+(* Compare every loop of [build]'s module that has an
+   [Induction.trip_count] with a block profile of the module: an entered
+   loop must average exactly that many trips. Returns the trip count of
+   each loop by header, [None] where there is none. *)
+let trips_against_profile ~name ?blobs build =
+  let profile = Workloads.Driver.profile_of ?blobs build in
+  List.concat_map
+    (fun (f : Ir.func) ->
+      let ind = Induction.analyze f in
+      List.map
+        (fun (loop : Loops.loop) ->
+          let trips = Induction.trip_count ind loop in
+          (match (trips, loop.preheader) with
+          | Some t, Some preheader -> (
+              match
+                Profile.avg_trip_count profile ~func:f.fname ~header:loop.header
+                  ~preheader
+              with
+              | None -> ()
+              | measured ->
+                  Alcotest.(check (option (float 0.0)))
+                    (Printf.sprintf "%s %s/%s" name f.fname loop.header)
+                    (Some (float_of_int t)) measured)
+          | Some _, None -> Alcotest.fail "trip count without a preheader"
+          | None, _ -> ());
+          (loop.header, trips))
+        (Loops.loops (Induction.loops ind)))
+    (build ()).funcs
+
+(* [for (iv = init; iv cmp bound; iv += step)] over [p[iv]], with
+   [body] run after the load. [guard] makes the preheader branch past
+   the loop when it is 0; [break_at] leaves the loop from the body when
+   [iv] reaches it. Returns the header's label. *)
+let counted b ~p ~cmp ~init ~bound ~step ?guard ?break_at
+    ?(body = fun _ _ -> ()) () =
+  let header = Builder.add_block b "header" in
+  let body_l = Builder.add_block b "body" in
+  let latch = Builder.add_block b "latch" in
+  let exit = Builder.add_block b "exit" in
+  let preheader = Builder.current_label b in
+  (match guard with
+  | None -> Builder.br b header
+  | Some g -> Builder.cbr b g header exit);
+  Builder.set_block b header;
+  let iv = Builder.phi b [ (preheader, Ir.Const init) ] in
+  Builder.cbr b (Builder.icmp b cmp iv bound) body_l exit;
+  Builder.set_block b body_l;
+  ignore (Builder.load b (Builder.gep b p ~index:iv ~scale:8 ()));
+  body b iv;
+  Option.iter
+    (fun k ->
+      let stay = Builder.add_block b "stay" in
+      Builder.cbr b (Builder.icmp b Ir.Eq iv (Ir.Const k)) exit stay;
+      Builder.set_block b stay)
+    break_at;
+  Builder.br b latch;
+  Builder.set_block b latch;
+  let next = Builder.add b iv (Ir.Const step) in
+  Builder.br b header;
+  Builder.patch_phi b iv latch next;
+  Builder.set_block b exit;
+  header
+
+(* The trip count a profile measures, on every listed workload and NAS
+   kernel and on hand-built loops: [<] and [<=], steps of 1, 3 and 97
+   (where a floor would be one short), zero trips and a constant loop
+   inside a variable one. A loop that can leave early, has a bound that
+   is not a constant, counts down, or whose preheader may skip it has
+   none: a profile of it need not read a constant per entry. *)
+let test_trip_counts_agree_with_profile () =
+  let counted_loops = ref 0 in
+  List.iter
+    (fun (name, build, blobs) ->
+      let trips = trips_against_profile ~name ~blobs build in
+      counted_loops :=
+        !counted_loops
+        + List.length (List.filter (fun (_, t) -> t <> None) trips))
+    (Test_workloads.listed_workloads ()
+    @ List.map
+        (fun k ->
+          ( "nas-" ^ Workloads.Nas.kernel_name k ^ " (sub-class)",
+            (Workloads.Nas.sub_class k).build,
+            [] ))
+        Workloads.Nas.all_kernels);
+  Alcotest.(check bool) "workload loops with trip counts" true
+    (!counted_loops > 0);
+  (* The module, and the trip count each of its loops must have. *)
+  let hand_built () =
+    let expected = ref [] in
+    let expect want header = expected := (header, want) :: !expected in
+    let m = Ir.create_module () in
+    let b = Builder.create m ~name:"main" ~nparams:0 in
+    let p = Builder.call b "malloc" [ Ir.Const (8 * 1024) ] in
+    let cell = Builder.alloca b 8 in
+    Builder.store b (Ir.Const 3) ~ptr:cell;
+    let n = Builder.load b cell in
+    let loop ?guard ?break_at ?body ~cmp ~init ~bound ~step want =
+      expect want
+        (counted b ~p ~cmp ~init ~bound:(Ir.Const bound) ~step ?guard
+           ?break_at ?body ())
+    in
+    loop ~cmp:Ir.Lt ~init:0 ~bound:10 ~step:1 (Some 10);
+    loop ~cmp:Ir.Le ~init:0 ~bound:10 ~step:1 (Some 11);
+    loop ~cmp:Ir.Lt ~init:1 ~bound:20 ~step:3 (Some 7);
+    loop ~cmp:Ir.Le ~init:2 ~bound:20 ~step:3 (Some 7);
+    loop ~cmp:Ir.Lt ~init:5 ~bound:1000 ~step:97 (Some 11);
+    loop ~cmp:Ir.Le ~init:0 ~bound:970 ~step:97 (Some 11);
+    loop ~cmp:Ir.Lt ~init:5 ~bound:5 ~step:1 (Some 0);
+    loop ~cmp:Ir.Le ~init:9 ~bound:5 ~step:1 (Some 0);
+    expect None
+      (counted b ~p ~cmp:Ir.Lt ~init:0 ~bound:n ~step:1
+         ~body:(fun _ _ -> loop ~cmp:Ir.Lt ~init:0 ~bound:4 ~step:1 (Some 4))
+         ());
+    loop ~cmp:Ir.Lt ~init:0 ~bound:10 ~step:1 ~break_at:3 None;
+    loop ~cmp:Ir.Gt ~init:10 ~bound:0 ~step:(-1) None;
+    loop ~cmp:Ir.Lt ~init:10 ~bound:5 ~step:(-2) None;
+    loop ~cmp:Ir.Lt ~init:0 ~bound:4 ~step:1 (Some 4)
+      ~body:(fun b j ->
+        loop ~cmp:Ir.Lt ~init:0 ~bound:10 ~step:1 None
+          ~guard:(Builder.icmp b Ir.Lt j (Ir.Const 2)));
+    Builder.ret b (Some (Ir.Const 0));
+    Verifier.check_module m;
+    (m, !expected)
+  in
+  let trips =
+    trips_against_profile ~name:"hand-built" (fun () -> fst (hand_built ()))
+  in
+  Alcotest.(check (list (pair string (option int))))
+    "hand-built trip counts"
+    (List.sort compare (snd (hand_built ())))
+    (List.sort compare trips)
+
 let suite =
   ( "analysis",
     [
@@ -816,6 +950,8 @@ let suite =
         test_alias_needs_guard_per_class;
       Alcotest.test_case "profile trips" `Quick test_profile_trip_counts;
       Alcotest.test_case "profile empty" `Quick test_profile_never_entered;
+      Alcotest.test_case "trip counts agree with the profile" `Quick
+        test_trip_counts_agree_with_profile;
       Alcotest.test_case "callgraph SCCs bottom-up" `Quick
         test_callgraph_sccs_bottom_up;
       Alcotest.test_case "callgraph fixpoint protocol" `Quick

@@ -215,69 +215,97 @@ let test_driver_counters_exposed () =
   Alcotest.(check bool) "pipeline saw the libc call" true
     (report.Trackfm.Pipeline.libc_rewrites >= 1)
 
-(* Every workload [trackfm_cli list] names, built as the CLI builds it
-   (blobs are only read when a program runs). *)
+(* Every workload [trackfm_cli list] names, built as the CLI builds it,
+   with the blobs its program reads when it runs. *)
 let listed_workloads () =
   List.map
     (fun kernel ->
       ( "stream-" ^ Stream.kernel_name kernel,
-        fun () -> Stream.build ~n:200_000 ~kernel () ))
+        (fun () -> Stream.build ~n:200_000 ~kernel ()),
+        [] ))
     [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
   @ [
-      ("kmeans", Kmeans.build (Kmeans.default_params ~n:15_000));
-      ( "hashmap",
-        Hashmap.build (Hashmap.default_params ~keys:80_000 ~lookups:100_000) );
-      ( "memcached",
-        Memcached.build
-          (Memcached.default_params ~keys:80_000 ~gets:50_000 ~skew:1.1) );
-      ("analytics", Analytics.build (Analytics.default_params ~rows:150_000));
-      ("pointer-chase", fun () -> Chase.build ~nodes:60_000 ());
-      ("llist", fun () -> Llist.build ~nodes:40_000 ~tnodes:16_000 ());
+      ("kmeans", Kmeans.build (Kmeans.default_params ~n:15_000), []);
+      (let p = Hashmap.default_params ~keys:80_000 ~lookups:100_000 in
+       ("hashmap", Hashmap.build p, [ (0, Hashmap.trace_blob p) ]));
+      (let p = Memcached.default_params ~keys:80_000 ~gets:50_000 ~skew:1.1 in
+       ("memcached", Memcached.build p, [ (0, Memcached.trace_blob p) ]));
+      ("analytics", Analytics.build (Analytics.default_params ~rows:150_000), []);
+      ("pointer-chase", (fun () -> Chase.build ~nodes:60_000 ()), []);
+      ("llist", (fun () -> Llist.build ~nodes:40_000 ~tnodes:16_000 ()), []);
     ]
   @ List.map
       (fun kernel ->
         ( "nas-" ^ Nas.kernel_name kernel,
-          Nas.build { Nas.kernel; scale = 1 } ))
+          Nas.build { Nas.kernel; scale = 1 },
+          [] ))
       Nas.all_kernels
 
-(* [Chunk_pass.needs_profile] asks of the raw build what the pipeline's
-   chunking stage finds: the loops of [Chunk_pass.run]'s candidates on a
-   raw build, the enumeration the predicate walks, are the loops of the
-   pipeline's candidates, and the predicate holds exactly when there
-   are some. Only the two pointer-chasing workloads have none. *)
+(* [Chunk_pass.needs_profile] asks of the raw build whether a profile
+   can change a gated verdict. The loops of [Chunk_pass.run]'s
+   candidates on a raw build, the enumeration the predicate walks, are
+   the loops of the pipeline's candidates; only the two pointer-chasing
+   workloads have none. Where the predicate is false, [run] selects the
+   same loops without a profile as with the workload's full profile.
+   At these sizes four workloads still need one. *)
 let test_gate_loops_on_raw_build () =
+  let gated ?profile m =
+    Trackfm.Chunk_pass.run Cost_model.default ~object_size:4096 ~mode:`Gated
+      ?profile m
+  in
   let loops (r : Trackfm.Chunk_pass.report) =
     List.sort_uniq compare
       (List.map
          (fun (c : Trackfm.Chunk_pass.candidate) -> (c.func, c.header))
          r.candidates)
   in
-  List.iter
-    (fun (name, build) ->
-      let raw = build () in
-      let needs = Trackfm.Chunk_pass.needs_profile raw in
-      let behind =
-        loops
-          (Trackfm.Chunk_pass.run Cost_model.default ~object_size:4096
-             ~mode:`Gated raw)
-      in
-      let piped =
-        loops
-          (Trackfm.Pipeline.run Trackfm.Pipeline.default_config (build ()))
-            .Trackfm.Pipeline.chunks
-      in
-      Alcotest.(check (list (pair string string)))
-        (name ^ ": pipeline candidates") behind piped;
-      Alcotest.(check bool) (name ^ ": predicate") (behind <> []) needs;
-      Alcotest.(check bool)
-        (name ^ ": has gated loops")
-        (not (List.mem name [ "pointer-chase"; "llist" ]))
-        needs)
-    (listed_workloads ())
+  let verdicts (r : Trackfm.Chunk_pass.report) =
+    List.map
+      (fun (c : Trackfm.Chunk_pass.candidate) ->
+        ((c.func, c.header), (c.byte_stride, c.selected)))
+      r.candidates
+  in
+  let needing =
+    List.filter_map
+      (fun (name, build, blobs) ->
+        let raw = build () in
+        let needs =
+          Trackfm.Chunk_pass.needs_profile Cost_model.default
+            ~object_size:4096 raw
+        in
+        let behind = gated raw in
+        let piped =
+          loops
+            (Trackfm.Pipeline.run Trackfm.Pipeline.default_config (build ()))
+              .Trackfm.Pipeline.chunks
+        in
+        Alcotest.(check (list (pair string string)))
+          (name ^ ": pipeline candidates") (loops behind) piped;
+        Alcotest.(check bool)
+          (name ^ ": has gated loops")
+          (not (List.mem name [ "pointer-chase"; "llist" ]))
+          (behind.candidates <> []);
+        if (not needs) && behind.candidates <> [] then
+          Alcotest.(
+            check (list (pair (pair string string) (pair int bool))))
+            (name ^ ": verdicts as with a profile")
+            (verdicts
+               (gated ~profile:(Driver.profile_of ~blobs build) (build ())))
+            (verdicts behind);
+        if needs then Some name else None)
+      (listed_workloads ())
+  in
+  Alcotest.(check (list string))
+    "workloads a profile can change"
+    [ "kmeans"; "memcached"; "analytics"; "nas-mg" ]
+    needing
 
-(* Without a gated loop [run_trackfm] builds the pre-run's module, asks
-   the predicate and runs nothing: still two builds, and the same run as
-   one handed the full profile. Stream-sum's loops still get theirs. *)
+(* When no verdict can change, [run_trackfm] builds the pre-run's
+   module, asks the predicate and runs nothing: still two builds, the
+   same run as one handed the full profile, and a compile that read no
+   profile. Stream-sum's loops have constant trip counts at which the
+   gate decides as it does without a profile; kmeans's short loops do
+   not, so every candidate of its compile gets a measured trip count. *)
 let test_prerun_only_for_gated_loops () =
   let observe ((o : Driver.outcome), report) =
     ( (o.ret, o.cycles, o.instrs),
@@ -286,6 +314,9 @@ let test_prerun_only_for_gated_loops () =
   let same =
     Alcotest.(
       pair (triple int int int) (pair (list (pair string int)) (float 0.0)))
+  in
+  let candidates (_, report) =
+    report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates
   in
   List.iter
     (fun (name, build, ws) ->
@@ -301,7 +332,17 @@ let test_prerun_only_for_gated_loops () =
         (name ^ ": as with a profile")
         (observe
            (Driver.run_trackfm ~profile:(Driver.profile_of build) build opts))
-        (observe run))
+        (observe run);
+      Alcotest.(check bool)
+        (name ^ ": has gated loops")
+        (name = "stream-sum")
+        (candidates run <> []);
+      List.iter
+        (fun (c : Trackfm.Chunk_pass.candidate) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s/%s unprofiled" name c.func c.header)
+            true (c.avg_trip = None))
+        (candidates run))
     [
       ( "llist",
         (fun () -> Llist.build ~nodes:600 ~tnodes:257 ()),
@@ -309,22 +350,23 @@ let test_prerun_only_for_gated_loops () =
       ( "pointer-chase",
         (fun () -> Chase.build ~nodes:2_000 ()),
         Chase.working_set_bytes ~nodes:2_000 );
+      ( "stream-sum",
+        (fun () -> Stream.build ~n:5_000 ~kernel:Stream.Sum ()),
+        Stream.working_set_bytes ~n:5_000 ~kernel:Stream.Sum () );
     ];
-  let n = 5_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
-  let _, report =
-    Driver.run_trackfm
-      (fun () -> Stream.build ~n ~kernel:Stream.Sum ())
-      (Driver.tfm_defaults ~local_budget:(budget_frac ws 25))
+  let p = Kmeans.default_params ~n:1_500 in
+  let run =
+    Driver.run_trackfm (Kmeans.build p)
+      (Driver.tfm_defaults
+         ~local_budget:(budget_frac (Kmeans.working_set_bytes p) 25))
   in
-  let candidates = report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates in
-  Alcotest.(check bool) "stream-sum has candidates" true (candidates <> []);
+  Alcotest.(check bool) "kmeans has candidates" true (candidates run <> []);
   List.iter
     (fun (c : Trackfm.Chunk_pass.candidate) ->
       Alcotest.(check bool)
-        (Printf.sprintf "stream-sum %s/%s profiled" c.func c.header)
+        (Printf.sprintf "kmeans %s/%s profiled" c.func c.header)
         true (c.avg_trip <> None))
-    candidates
+    (candidates run)
 
 let suite =
   ( "workloads",
