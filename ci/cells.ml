@@ -13,8 +13,8 @@
    stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
    them: ci/dune diffs <cell>.json against golden/<cell>.json (and the
-   stdout of the check, classify-<workload>, summaries-<workload> and
-   shape-<workload> cells against golden/<cell>.out), and after an
+   stdout of the check, list, classify-<workload>, summaries-<workload>
+   and shape-<workload> cells against golden/<cell>.out), and after an
    intended change `dune promote` refreshes the golden.
 
    Usage: cells.exe GROUP, run in _build/default/ci, which runs every
@@ -290,6 +290,10 @@ let table =
   @ List.map (dump "shape" "shape")
       [ "llist"; "pointer-chase"; "analytics"; "hashmap" ]
   @ [
+      (* The workload catalog: every name, description and working set,
+         printed the same twice and diffed against golden/list.out. *)
+      cell "lint" "list" "trackfm_cli list" ~runs:[ []; [] ]
+        ~outputs:[ Stdout ];
       cell "smoke" "bench-quick"
         "bench table1 fig6 --quick --metrics-dir metrics"
         ~outputs:[ File "metrics/table1.json"; File "metrics/fig6.json" ];
@@ -304,6 +308,8 @@ let table =
       usage_error "missing-faults" "bench table1 --quick --faults";
       usage_error "bad-skew" "trackfm_cli serve --skew 0";
       usage_error "bad-rate" "trackfm_cli serve --rate nan";
+      (* A name the catalog does not hold is a usage error too. *)
+      usage_error "bad-workload" "trackfm_cli run -w nope";
       (* One SLO spec gives the same verdict table live as from the
          run's exported attribution file (p90 fails: exit 1). *)
       cell "smoke" "slo-export"
