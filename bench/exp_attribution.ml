@@ -9,35 +9,15 @@
 open Bench_common
 
 let attribution () =
-  let cases =
+  let workloads =
     [
-      ( "hashmap",
-        fun () ->
-          let p =
-            Hashmap.default_params ~keys:(scaled 80_000)
-              ~lookups:(scaled 100_000)
-          in
-          ( [ (0, Hashmap.trace_blob p) ],
-            Hashmap.working_set_bytes p,
-            (fun () -> Hashmap.build p ()),
-            Hashmap.op_classes ) );
-      ( "kmeans",
-        fun () ->
-          let p = Kmeans.default_params ~n:(scaled 120_000) in
-          ( [],
-            Kmeans.working_set_bytes p,
-            (fun () -> Kmeans.build p ()),
-            Kmeans.op_classes ) );
-      ( "memcached",
-        fun () ->
-          let p =
-            Memcached.default_params ~keys:(scaled 100_000)
-              ~gets:(scaled 60_000) ~skew:1.1
-          in
-          ( [ (0, Memcached.trace_blob p) ],
-            Memcached.working_set_bytes p,
-            (fun () -> Memcached.build p ()),
-            Memcached.op_classes ) );
+      Hashmap.workload
+        (Hashmap.default_params ~keys:(scaled 80_000)
+           ~lookups:(scaled 100_000));
+      Kmeans.workload (Kmeans.default_params ~n:(scaled 120_000));
+      Memcached.workload
+        (Memcached.default_params ~keys:(scaled 100_000)
+           ~gets:(scaled 60_000) ~skew:1.1);
     ]
   in
   let t =
@@ -50,9 +30,9 @@ let attribution () =
         :: Telemetry.Span.cat_names)
   in
   List.iter
-    (fun (wname, make) ->
-      let blobs, ws, build, op_classes = make () in
-      let budget = budget_of ws 25 in
+    (fun (w : Workload.t) ->
+      let blobs = Lazy.force w.blobs and build = w.build in
+      let budget = budget_of w.working_set 25 in
       let systems =
         [
           ( "trackfm",
@@ -66,7 +46,7 @@ let attribution () =
         (fun (sysname, run) ->
           let sink, telemetry =
             Telemetry.Sink.capture ~trace:false ~series_interval:250_000
-              ~spans:true ~op_classes ()
+              ~spans:true ~op_classes:w.op_classes ()
           in
           run telemetry;
           let sink = !sink in
@@ -103,7 +83,7 @@ let attribution () =
                       Telemetry.Span.categories
                   in
                   Tfm_util.Table.add_rowf t "%s | %s | %s | %d | %s | %s | %s"
-                    wname sysname
+                    w.name sysname
                     (Telemetry.Span.class_name sp cls)
                     st.Telemetry.Span.ops (q 50.0) (q 99.0)
                     (String.concat " | " shares))
@@ -111,16 +91,16 @@ let attribution () =
           let meta =
             let open Telemetry.Json in
             [
-              ("workload", String wname);
+              ("workload", String w.name);
               ("system", String sysname);
               ("faults", String (Faults.to_string !setup.fabric.faults));
               ("fault_seed", Int !setup.fabric.fault_seed);
             ]
           in
           write_attribution ~experiment:"attribution"
-            ~label:(wname ^ "-" ^ sysname) sink ~meta)
+            ~label:(w.name ^ "-" ^ sysname) sink ~meta)
         systems)
-    cases;
+    workloads;
   report_table t;
   print_expectation
     ~paper:"(observability extension; no paper figure)"

@@ -22,48 +22,35 @@ let crash_cfg () =
   | Ok cfg -> cfg
   | Error e -> failwith ("exp_durability: " ^ e)
 
-let run_one ~system ~build ~blobs ~profile ~budget ~replicas ~ack =
+let run_one ~system (w : Workload.t) ~profile ~budget ~replicas ~ack =
   let fabric = { !setup.fabric with faults = crash_cfg (); replicas; ack } in
+  let blobs = Lazy.force w.blobs in
   match system with
-  | `Trackfm -> fst (tfm ~fabric ?blobs ~profile (tfm_opts ~budget) build)
-  | `Fastswap -> fastswap ~fabric ?blobs ~budget build
+  | `Trackfm -> fst (tfm ~fabric ~blobs ~profile (tfm_opts ~budget) w.build)
+  | `Fastswap -> fastswap ~fabric ~blobs ~budget w.build
 
 let durability () =
-  let cases =
+  let workloads =
     [
-      ( "stream-sum",
-        (fun () ->
-          let n = scaled 200_000 in
-          let kernel = Stream.Sum in
-          ( (fun () -> Stream.build ~n ~kernel ()),
-            None,
-            Stream.working_set_bytes ~n ~kernel (),
-            Stream.checksum ~n ~kernel () )) );
+      Stream.workload ~n:(scaled 200_000) Stream.Sum;
       (* Not hashmap here: a lost table slot reads as zero and the probe
          loop spins forever hunting a key that no longer exists — data
          loss as a hang, which a table can't show. Analytics keeps every
          loop bound a constant, so loss surfaces as a wrong answer. *)
-      ( "analytics",
-        (fun () ->
-          let p = Analytics.default_params ~rows:(scaled 150_000) in
-          ( (fun () -> Analytics.build p ()),
-            None,
-            Analytics.working_set_bytes p,
-            Analytics.checksum p )) );
+      Analytics.workload (Analytics.default_params ~rows:(scaled 150_000));
     ]
   in
   let systems = [ ("trackfm", `Trackfm); ("fastswap", `Fastswap) ] in
   let tiers = [ (1, 1); (3, 2) ] in
   List.iter
-    (fun (name, mk) ->
-      let build, blobs, ws, expected = mk () in
-      let budget = budget_of ws 25 in
-      let profile = Driver.profile_of ?blobs build in
+    (fun (w : Workload.t) ->
+      let budget = budget_of w.working_set 25 in
+      let profile = Driver.profile_of ~blobs:(Lazy.force w.blobs) w.build in
       let t =
         Tfm_util.Table.create
           ~title:
             (Printf.sprintf
-               "%s at 25%% local memory under %s (seed %d)" name
+               "%s at 25%% local memory under %s (seed %d)" w.name
                (Faults.to_string (crash_cfg ()))
                !setup.fabric.fault_seed)
           ~columns:
@@ -76,11 +63,9 @@ let durability () =
         (fun (sys_name, system) ->
           List.iter
             (fun (replicas, ack) ->
-              let o =
-                run_one ~system ~build ~blobs ~profile ~budget ~replicas ~ack
-              in
+              let o = run_one ~system w ~profile ~budget ~replicas ~ack in
               let lost = Driver.counter o "net.lost_objects" in
-              let correct = o.Driver.ret = expected in
+              let correct = o.Driver.ret = Lazy.force w.oracle in
               Tfm_util.Table.add_rowf t "%s | %d | %d | %s | %d | %d | %d | %d | %s"
                 sys_name replicas ack
                 (if correct then "correct" else "WRONG")
@@ -102,7 +87,7 @@ let durability () =
             tiers)
         systems;
       report_table t)
-    cases;
+    workloads;
   print_expectation
     ~paper:"(no crash-fault study; the memory server is assumed reliable)"
     ~ours:

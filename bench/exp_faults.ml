@@ -20,16 +20,17 @@ let cfg_of name =
 
 (* One run per (system, preset); goodput = fault-free cycles / faulted
    cycles, so "none" is 1.00 by construction and lower is worse. *)
-let goodput_rows ~build ~blobs ~budget ~expected =
-  let profile = Driver.profile_of ?blobs build in
+let goodput_rows (w : Workload.t) ~budget =
+  let blobs = Lazy.force w.blobs in
+  let profile = Driver.profile_of ~blobs w.build in
   let run_sys system cfg =
     let fabric = { !setup.fabric with faults = cfg } in
     let o =
       match system with
-      | `Trackfm -> fst (tfm ~fabric ?blobs ~profile (tfm_opts ~budget) build)
-      | `Fastswap -> fastswap ~fabric ?blobs ~budget build
+      | `Trackfm -> fst (tfm ~fabric ~blobs ~profile (tfm_opts ~budget) w.build)
+      | `Fastswap -> fastswap ~fabric ~blobs ~budget w.build
     in
-    assert (o.Driver.ret = expected);
+    assert (o.Driver.ret = Lazy.force w.oracle);
     o
   in
   let base_tfm = run_sys `Trackfm Faults.off in
@@ -47,37 +48,23 @@ let goodput_rows ~build ~blobs ~budget ~expected =
     presets
 
 let faults_goodput () =
-  let cases =
+  let workloads =
     [
-      ( "stream-sum",
-        (fun () ->
-          let n = scaled 200_000 in
-          let kernel = Stream.Sum in
-          ( (fun () -> Stream.build ~n ~kernel ()),
-            None,
-            Stream.working_set_bytes ~n ~kernel (),
-            Stream.checksum ~n ~kernel () )) );
-      ( "hashmap",
-        (fun () ->
-          let p =
-            Hashmap.default_params ~keys:(scaled 80_000)
-              ~lookups:(scaled 100_000)
-          in
-          ( (fun () -> Hashmap.build p ()),
-            Some [ (0, Hashmap.trace_blob p) ],
-            Hashmap.working_set_bytes p,
-            Hashmap.checksum p )) );
+      Stream.workload ~n:(scaled 200_000) Stream.Sum;
+      Hashmap.workload
+        (Hashmap.default_params ~keys:(scaled 80_000)
+           ~lookups:(scaled 100_000));
     ]
   in
   List.iter
-    (fun (name, mk) ->
-      let build, blobs, ws, expected = mk () in
-      let budget = budget_of ws 25 in
+    (fun (w : Workload.t) ->
+      let budget = budget_of w.working_set 25 in
       let t =
         Tfm_util.Table.create
           ~title:
             (Printf.sprintf
-               "%s at 25%% local memory: goodput vs fault-free (seed %d)" name
+               "%s at 25%% local memory: goodput vs fault-free (seed %d)"
+               w.name
                !setup.fabric.fault_seed)
           ~columns:
             [
@@ -89,9 +76,9 @@ let faults_goodput () =
         (fun (preset, g_tfm, r_tfm, g_fs, r_fs) ->
           Tfm_util.Table.add_rowf t "%s | %.2f | %d | %.2f | %d" preset g_tfm
             r_tfm g_fs r_fs)
-        (goodput_rows ~build ~blobs ~budget ~expected);
+        (goodput_rows w ~budget);
       report_table t)
-    cases;
+    workloads;
   print_expectation
     ~paper:"(no fault-injection study; cooperative fabric assumed)"
     ~ours:

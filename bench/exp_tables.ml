@@ -155,31 +155,21 @@ let compile_costs () =
         [ "workload"; "IR before"; "IR after"; "lowered growth"; "guards";
           "chunk sites"; "compile s" ]
   in
-  let cases =
+  let workloads =
     [
-      ("stream-sum", fun () -> Stream.build ~n:1000 ~kernel:Stream.Sum ());
-      ("stream-copy", fun () -> Stream.build ~n:1000 ~kernel:Stream.Copy ());
-      ("kmeans", fun () -> Kmeans.build (Kmeans.default_params ~n:500) ());
-      ( "hashmap",
-        fun () ->
-          Hashmap.build (Hashmap.default_params ~keys:500 ~lookups:500) () );
-      ( "memcached",
-        fun () ->
-          Memcached.build
-            (Memcached.default_params ~keys:500 ~gets:500 ~skew:1.1)
-            () );
-      ( "analytics",
-        fun () -> Analytics.build (Analytics.default_params ~rows:1000) () );
-      ("nas-cg", fun () -> Nas.build { Nas.kernel = Nas.CG; scale = 1 } ());
-      ("nas-ft", fun () -> Nas.build { Nas.kernel = Nas.FT; scale = 1 } ());
-      ("nas-is", fun () -> Nas.build { Nas.kernel = Nas.IS; scale = 1 } ());
-      ("nas-mg", fun () -> Nas.build { Nas.kernel = Nas.MG; scale = 1 } ());
-      ("nas-sp", fun () -> Nas.build { Nas.kernel = Nas.SP; scale = 1 } ());
+      Stream.workload ~n:1000 Stream.Sum;
+      Stream.workload ~n:1000 Stream.Copy;
+      Kmeans.workload (Kmeans.default_params ~n:500);
+      Hashmap.workload (Hashmap.default_params ~keys:500 ~lookups:500);
+      Memcached.workload
+        (Memcached.default_params ~keys:500 ~gets:500 ~skew:1.1);
+      Analytics.workload (Analytics.default_params ~rows:1000);
     ]
+    @ List.map (fun k -> Nas.workload (Nas.default_params k)) Nas.all_kernels
   in
   let growths =
     List.map
-      (fun (name, build) ->
+      (fun { Workload.name; build; _ } ->
         let m = build () in
         let r = Trackfm.Pipeline.run Trackfm.Pipeline.default_config m in
         let g = Trackfm.Pipeline.code_growth r in
@@ -190,7 +180,7 @@ let compile_costs () =
           r.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.chunk_sites
           r.Trackfm.Pipeline.compile_time_s;
         g)
-      cases
+      workloads
   in
   report_table t;
   Printf.printf "mean lowered code growth: %.2fx (paper: 2.4x average)\n\n"

@@ -9,135 +9,23 @@
 open Workloads
 open Cmdliner
 
-type workload = {
-  wname : string;
-  describe : string;
-  build : unit -> Ir.modul;
-  blobs : (int * Bytes.t) list;
-  working_set : int;
-  expected : int;
-  op_classes : (int * string) list;
-      (* span operation classes the program marks with !op_begin/!op_end *)
-}
-
-let workloads () =
-  let stream kernel =
-    let n = 200_000 in
-    {
-      wname = "stream-" ^ Stream.kernel_name kernel;
-      describe = "STREAM " ^ Stream.kernel_name kernel ^ " kernel";
-      build = (fun () -> Stream.build ~n ~kernel ());
-      blobs = [];
-      working_set = Stream.working_set_bytes ~n ~kernel ();
-      expected = Stream.checksum ~n ~kernel ();
-      op_classes = [];
-    }
-  in
-  let kme =
-    let p = Kmeans.default_params ~n:15_000 in
-    {
-      wname = "kmeans";
-      describe = "k-means clustering (dimension-major)";
-      build = (fun () -> Kmeans.build p ());
-      blobs = [];
-      working_set = Kmeans.working_set_bytes p;
-      expected = Kmeans.checksum p;
-      op_classes = Kmeans.op_classes;
-    }
-  in
-  let hm =
-    let p = Hashmap.default_params ~keys:80_000 ~lookups:100_000 in
-    {
-      wname = "hashmap";
-      describe = "Zipfian hashmap lookups";
-      build = (fun () -> Hashmap.build p ());
-      blobs = [ (0, Hashmap.trace_blob p) ];
-      working_set = Hashmap.working_set_bytes p;
-      expected = Hashmap.checksum p;
-      op_classes = Hashmap.op_classes;
-    }
-  in
-  let mc =
-    let p = Memcached.default_params ~keys:80_000 ~gets:50_000 ~skew:1.1 in
-    {
-      wname = "memcached";
-      describe = "memcached-style KV store, Zipf 1.1";
-      build = (fun () -> Memcached.build p ());
-      blobs = [ (0, Memcached.trace_blob p) ];
-      working_set = Memcached.working_set_bytes p;
-      expected = Memcached.checksum p;
-      op_classes = Memcached.op_classes;
-    }
-  in
-  let an =
-    let p = Analytics.default_params ~rows:150_000 in
-    {
-      wname = "analytics";
-      describe = "NYC-taxi-style dataframe queries";
-      build = (fun () -> Analytics.build p ());
-      blobs = [];
-      working_set = Analytics.working_set_bytes p;
-      expected = Analytics.checksum p;
-      op_classes = [];
-    }
-  in
-  let chase =
-    let nodes = 60_000 in
-    {
-      wname = "pointer-chase";
-      describe = "permuted linked-list traversal";
-      build = (fun () -> Chase.build ~nodes ());
-      blobs = [];
-      working_set = Chase.working_set_bytes ~nodes;
-      expected = Chase.checksum ~nodes;
-      op_classes = [];
-    }
-  in
-  let ll =
-    let nodes = 40_000 and tnodes = 16_000 in
-    {
-      wname = "llist";
-      describe = "helper-hidden list+tree traversal (shape analysis)";
-      build = (fun () -> Llist.build ~nodes ~tnodes ());
-      blobs = [];
-      working_set = Llist.working_set_bytes ~nodes ~tnodes;
-      expected = Llist.checksum ~nodes ~tnodes;
-      op_classes = [];
-    }
-  in
-  let nas kernel =
-    let p = { Nas.kernel; scale = 1 } in
-    {
-      wname = "nas-" ^ Nas.kernel_name kernel;
-      describe =
-        "NAS " ^ String.uppercase_ascii (Nas.kernel_name kernel) ^ " kernel";
-      build = (fun () -> Nas.build p ());
-      blobs = [];
-      working_set = Nas.working_set_bytes p;
-      expected = Nas.checksum p;
-      op_classes = [];
-    }
-  in
-  List.map stream [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
-  @ [ kme; hm; mc; an; chase; ll ]
-  @ List.map nas Nas.all_kernels
-
-(* [-w NAME] resolves to the workload at parse time, so an unknown name is
-   a one-line usage error before anything runs. *)
+(* [-w NAME] resolves to the catalog entry at parse time, so an unknown
+   name is a one-line usage error before anything runs. *)
 let workload_conv =
-  let parse name =
-    match List.find_opt (fun w -> w.wname = name) (workloads ()) with
-    | Some w -> Ok w
+  let name (e : Catalog.entry) = e.workload.name in
+  let parse s =
+    match Catalog.find s with
+    | Some e -> Ok e
     | None ->
         Error
-          (Printf.sprintf "unknown workload %s; try: %s" name
-             (String.concat ", " (List.map (fun w -> w.wname) (workloads ()))))
+          (Printf.sprintf "unknown workload %s; try: %s" s
+             (String.concat ", " (List.map name (Catalog.all ()))))
   in
-  Arg.conv' (parse, fun ppf w -> Format.pp_print_string ppf w.wname)
+  Arg.conv' (parse, fun ppf e -> Format.pp_print_string ppf (name e))
 
-let print_outcome w (o : Driver.outcome) =
+let print_outcome (w : Workload.t) (o : Driver.outcome) =
   Printf.printf "checksum: %d (%s)\n" o.Driver.ret
-    (if o.Driver.ret = w.expected then "correct" else "WRONG!");
+    (if o.Driver.ret = Lazy.force w.oracle then "correct" else "WRONG!");
   Printf.printf "cycles:   %s (%.2f ms at 2.4 GHz)\n"
     (Tfm_util.Units.cycles_to_string o.Driver.cycles)
     (float_of_int o.Driver.cycles /. 2.4e6);
@@ -148,7 +36,7 @@ let print_outcome w (o : Driver.outcome) =
     List.iter (fun (k, v) -> Printf.printf "  %-28s %d\n" k v) counters
   end
 
-let build_of w o1 =
+let build_of (w : Workload.t) o1 =
   if o1 then fun () ->
     let m = w.build () in
     ignore (Tfm_opt.O1.run m);
@@ -157,7 +45,7 @@ let build_of w o1 =
 
 (* Every command's local-memory budget: [pct] percent of the working set,
    and at least 16 objects. *)
-let local_budget ?(object_size = 4096) w pct =
+let local_budget ?(object_size = 4096) (w : Workload.t) pct =
   max (16 * object_size) (w.working_set * pct / 100)
 
 let faults_on (spec : Run_spec.t) =
@@ -167,17 +55,19 @@ let faults_on (spec : Run_spec.t) =
    and (for trackfm) the compile report. The telemetry factory is applied
    to the run's fresh clock inside the driver; the fault injector is fresh
    per run (its random stream is stateful). *)
-let exec_system ?(route_hotspots = []) (spec : Run_spec.t) w ~telemetry build =
+let exec_system ?(route_hotspots = []) (spec : Run_spec.t) (w : Workload.t)
+    ~telemetry build =
   let engine = spec.engine
+  and blobs = Lazy.force w.blobs
   and local_budget =
     local_budget ~object_size:spec.object_size w spec.local_pct
   in
   let faults = Run_spec.injector spec.fabric in
   let { Run_spec.replicas; ack; _ } = spec.fabric in
   match spec.system with
-  | `Local -> (Driver.run_local ~engine ~blobs:w.blobs ~telemetry build, None)
+  | `Local -> (Driver.run_local ~engine ~blobs ~telemetry build, None)
   | `Fastswap ->
-      ( Driver.run_fastswap ~engine ~blobs:w.blobs ~faults ~replicas ~ack
+      ( Driver.run_fastswap ~engine ~blobs ~faults ~replicas ~ack
           ~telemetry ~local_budget build,
         None )
   | `Trackfm ->
@@ -197,7 +87,7 @@ let exec_system ?(route_hotspots = []) (spec : Run_spec.t) w ~telemetry build =
         }
       in
       let o, report =
-        Driver.run_trackfm ~engine ~blobs:w.blobs ~telemetry build opts
+        Driver.run_trackfm ~engine ~blobs ~telemetry build opts
       in
       (o, Some report)
 
@@ -278,10 +168,10 @@ let print_compile_report = function
 
 (* Run identity carried into counters, attribution and flight-recorder
    files, so a dump names the configuration that produced it. *)
-let run_meta (spec : Run_spec.t) w =
+let run_meta (spec : Run_spec.t) (w : Workload.t) =
   let open Telemetry.Json in
   [
-    ("workload", String w.wname);
+    ("workload", String w.name);
     ("system", String (Run_spec.system_name spec.system));
     ("faults", String (Faults.to_string spec.fabric.faults));
     ("fault_seed", Int spec.fabric.fault_seed);
@@ -428,11 +318,12 @@ let report_flight_dump sink =
     (fun p -> Printf.printf "flight recorder: dumped to %s\n" p)
     (Telemetry.Sink.flight_dumped sink)
 
-let run_cmd (spec : Run_spec.t) w tel ~counters_json ~attribution ~flight =
+let run_cmd (spec : Run_spec.t) { Catalog.workload = w; describe } tel
+    ~counters_json ~attribution ~flight =
   let fabric = spec.fabric in
   Printf.printf
     "workload %s (%s), working set %s, local budget %s (%d%%), system %s\n"
-    w.wname w.describe
+    w.name describe
     (Tfm_util.Units.bytes_to_string w.working_set)
     (Tfm_util.Units.bytes_to_string
        (local_budget ~object_size:spec.object_size w spec.local_pct))
@@ -598,9 +489,9 @@ let print_sparklines (r : Telemetry.Sink.recorder) =
           names
       end
 
-let report_cmd (spec : Run_spec.t) w tel =
+let report_cmd (spec : Run_spec.t) (w : Workload.t) tel =
   Printf.printf "telemetry report: %s under %s, local budget %s (%d%%)%s%s\n\n"
-    w.wname
+    w.name
     (Run_spec.system_name spec.system)
     (Tfm_util.Units.bytes_to_string
        (local_budget ~object_size:spec.object_size w spec.local_pct))
@@ -831,7 +722,7 @@ let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
       Printf.eprintf "report %s: pass -w WORKLOAD (live run) or --from FILE\n"
         cmd;
       1
-  | None, Some w -> (
+  | None, Some { Catalog.workload = w; _ } -> (
       header w;
       let sink, telemetry =
         Telemetry.Sink.capture ~trace:false ~series_interval:250_000
@@ -841,23 +732,24 @@ let with_span_rows ~cmd (spec : Run_spec.t) workload from ~header k =
       | Error _ -> 1
       | Ok (o, _report) -> (
           Telemetry.Sink.final_sample !sink;
-          if o.Driver.ret <> w.expected then
+          let expected = Lazy.force w.oracle in
+          if o.Driver.ret <> expected then
             Printf.eprintf "warning: checksum %d does not match expected %d\n"
-              o.Driver.ret w.expected;
+              o.Driver.ret expected;
           match Telemetry.Sink.attribution_json !sink ~meta:[] with
           | None ->
               prerr_endline "internal error: span tracker missing";
               1
           | Some j ->
               k
-                ~title:(w.wname ^ " under " ^ Run_spec.system_name spec.system)
+                ~title:(w.name ^ " under " ^ Run_spec.system_name spec.system)
                 (cp_of_json j)))
 
 let critical_path_cmd (spec : Run_spec.t) workload from =
   with_span_rows ~cmd:"critical-path" spec workload from
     ~header:(fun w ->
       Printf.printf "critical-path report: %s under %s, faults %s, seed %d\n\n"
-        w.wname
+        w.name
         (Run_spec.system_name spec.system)
         (Faults.to_string spec.fabric.faults)
         spec.fabric.fault_seed)
@@ -931,7 +823,7 @@ let slo_cmd (spec : Run_spec.t) workload from slo_spec slo_file =
   | Ok (spec_name, rules) ->
       with_span_rows ~cmd:"slo" spec workload from
         ~header:(fun w ->
-          Printf.printf "SLO report: %s under %s, spec %s\n\n" w.wname
+          Printf.printf "SLO report: %s under %s, spec %s\n\n" w.name
             (Run_spec.system_name spec.system)
             spec_name)
         (fun ~title:_ (rows, _, violations, note) ->
@@ -1070,15 +962,16 @@ let validate_cmd schema_file input_file =
           Printf.eprintf "%s: schema violation: %s\n" input_file e;
           1)
 
-let sweep_cmd w object_size =
-  Printf.printf "sweeping %s (working set %s), object size %dB\n\n" w.wname
+let sweep_cmd (w : Workload.t) object_size =
+  Printf.printf "sweeping %s (working set %s), object size %dB\n\n" w.name
     (Tfm_util.Units.bytes_to_string w.working_set)
     object_size;
   let t =
     Tfm_util.Table.create ~title:"slowdown vs all-local, by local memory"
       ~columns:[ "local mem %"; "TrackFM"; "Fastswap" ]
   in
-  let lo = Driver.run_local ~blobs:w.blobs w.build in
+  let blobs = Lazy.force w.blobs and expected = Lazy.force w.oracle in
+  let lo = Driver.run_local ~blobs w.build in
   let tfm_pts = ref [] and fs_pts = ref [] in
   List.iter
     (fun pct ->
@@ -1086,11 +979,9 @@ let sweep_cmd w object_size =
       let opts =
         { (Driver.tfm_defaults ~local_budget:budget) with Driver.object_size }
       in
-      let tfm, _ = Driver.run_trackfm ~blobs:w.blobs w.build opts in
-      let fs =
-        Driver.run_fastswap ~blobs:w.blobs ~local_budget:budget w.build
-      in
-      assert (tfm.Driver.ret = w.expected && fs.Driver.ret = w.expected);
+      let tfm, _ = Driver.run_trackfm ~blobs w.build opts in
+      let fs = Driver.run_fastswap ~blobs ~local_budget:budget w.build in
+      assert (tfm.Driver.ret = expected && fs.Driver.ret = expected);
       let sl c = float_of_int c /. float_of_int lo.Driver.cycles in
       tfm_pts := (float_of_int pct, sl tfm.Driver.cycles) :: !tfm_pts;
       fs_pts := (float_of_int pct, sl fs.Driver.cycles) :: !fs_pts;
@@ -1099,21 +990,22 @@ let sweep_cmd w object_size =
     [ 10; 25; 50; 75; 100 ];
   Tfm_util.Table.print t;
   Tfm_util.Ascii_plot.print ~x_label:"local mem %"
-    ~title:(w.wname ^ ": slowdown vs all-local")
+    ~title:(w.name ^ ": slowdown vs all-local")
     [
       { Tfm_util.Ascii_plot.label = "TrackFM"; points = !tfm_pts };
       { label = "Fastswap"; points = !fs_pts };
     ];
   0
 
-let autotune_cmd w local_pct =
+let autotune_cmd (w : Workload.t) local_pct =
   let budget = local_budget w local_pct in
   Printf.printf
     "autotuning object size for %s at %d%% local memory (Section 3.2's \
      exhaustive recompile-and-run search)\n\n"
-    w.wname local_pct;
+    w.name local_pct;
   let best, results =
-    Driver.autotune_object_size ~blobs:w.blobs w.build ~local_budget:budget
+    Driver.autotune_object_size ~blobs:(Lazy.force w.blobs) w.build
+      ~local_budget:budget
   in
   List.iter
     (fun (osz, cycles) ->
@@ -1130,10 +1022,14 @@ let autotune_cmd w local_pct =
    for the `check` cell of `dune runtest`. Exits non-zero on any
    violation. *)
 let check_cmd workload engine =
-  let selected = match workload with None -> workloads () | Some w -> [ w ] in
+  let selected =
+    List.map
+      (fun (e : Catalog.entry) -> e.workload)
+      (match workload with None -> Catalog.all () | Some e -> [ e ])
+  in
   let failures = ref 0 in
   List.iter
-    (fun w ->
+    (fun (w : Workload.t) ->
       List.iter
         (fun (mode_name, chunk_mode) ->
           List.iter
@@ -1171,7 +1067,7 @@ let check_cmd workload engine =
                          guards=%5d elided=%4d (same %d congruent %d range \
                          %d) hoisted=%d upgraded=%d widened=%d routed=%d  \
                          %s\n"
-                        w.wname mode_name
+                        w.name mode_name
                         (if elide then "on" else "off")
                         (if summaries then "on" else "off")
                         (Trackfm.Route_pass.mode_to_string route)
@@ -1214,12 +1110,13 @@ let check_cmd workload engine =
   if engine = Engine.Compiled then begin
     print_newline ();
     List.iter
-      (fun w ->
+      (fun (w : Workload.t) ->
         List.iter
           (fun o1 ->
             let run engine =
               let o =
-                Driver.run_local ~engine ~blobs:w.blobs (build_of w o1)
+                Driver.run_local ~engine ~blobs:(Lazy.force w.blobs)
+                  (build_of w o1)
               in
               ( o.Driver.ret,
                 o.Driver.cycles,
@@ -1228,7 +1125,7 @@ let check_cmd workload engine =
             in
             let oracle = run Engine.Interp and compiled = run Engine.Compiled in
             let ok = oracle = compiled in
-            Printf.printf "%-14s engine-diff%s %s\n" w.wname
+            Printf.printf "%-14s engine-diff%s %s\n" w.name
               (if o1 then " o1" else "")
               (if ok then "OK" else "DIVERGED");
             if not ok then incr failures)
@@ -1246,7 +1143,7 @@ let check_cmd workload engine =
    summary, and the summary-coverage lint naming functions stuck at
    bottom. With --ir, also dump the IR with call sites annotated by
    their callee's summary. Deterministic output: CI diffs two runs. *)
-let summaries_cmd w o1 show_ir =
+let summaries_cmd (w : Workload.t) o1 show_ir =
   let m = (build_of w o1) () in
   let env = Tfm_analysis.Summary.compute m in
   print_string (Tfm_analysis.Summary.to_string m env);
@@ -1270,7 +1167,7 @@ let summaries_cmd w o1 show_ir =
    (function order, then ascending instruction id), plus the routing
    decisions a static-mode compile makes on the transformed module. CI
    byte-compares two runs of this output. *)
-let classify_cmd w o1 json =
+let classify_cmd (w : Workload.t) o1 json =
   let m = (build_of w o1) () in
   let env = Tfm_analysis.Summary.compute m in
   let shapes = Tfm_analysis.Shape.analyze m in
@@ -1325,7 +1222,7 @@ let classify_cmd w o1 json =
     let j =
       Obj
         [
-          ("workload", String w.wname);
+          ("workload", String w.name);
           ( "functions",
             List
               (List.map
@@ -1389,7 +1286,7 @@ let classify_cmd w o1 json =
    depths. A lying shape summary that misroutes a site shows up here as
    a MISMATCH even though the structural checker (which never consults
    shape facts) accepts the module. *)
-let shape_cmd w o1 shadow_mode local_pct =
+let shape_cmd (w : Workload.t) o1 shadow_mode local_pct =
   let m = (build_of w o1) () in
   print_string (Tfm_analysis.Shape.dump (Tfm_analysis.Shape.analyze m) m);
   if not shadow_mode then 0
@@ -1403,8 +1300,8 @@ let shape_cmd w o1 shadow_mode local_pct =
       }
     in
     let o, report =
-      Driver.run_trackfm ~engine:Engine.Interp ~blobs:w.blobs ~shadow:sh
-        (build_of w o1) opts
+      Driver.run_trackfm ~engine:Engine.Interp ~blobs:(Lazy.force w.blobs)
+        ~shadow:sh (build_of w o1) opts
     in
     print_newline ();
     print_string (Shadow.dump sh);
@@ -1432,10 +1329,11 @@ let shape_cmd w o1 shadow_mode local_pct =
               :: !mismatches)
       classes;
     print_newline ();
-    if o.Driver.ret <> w.expected then begin
+    let expected = Lazy.force w.oracle in
+    if o.Driver.ret <> expected then begin
       Printf.printf
         "checksum MISMATCH: got %d, expected %d\nshape-shadow FAIL\n"
-        o.Driver.ret w.expected;
+        o.Driver.ret expected;
       1
     end
     else begin
@@ -1460,21 +1358,25 @@ let shape_cmd w o1 shadow_mode local_pct =
 
 let list_cmd () =
   List.iter
-    (fun w ->
-      Printf.printf "%-14s %-45s %s\n" w.wname w.describe
+    (fun { Catalog.workload = w; describe } ->
+      Printf.printf "%-14s %-45s %s\n" w.name describe
         (Tfm_util.Units.bytes_to_string w.working_set))
-    (workloads ());
+    (Catalog.all ());
   0
 
 (* -- cmdliner wiring -- *)
 
 open Term.Syntax
 
-let workload_arg =
+let entry_arg =
   Arg.(
     required
     & opt (some workload_conv) None
     & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Workload to run (see list).")
+
+let workload_arg =
+  let+ e = entry_arg in
+  e.Catalog.workload
 
 let counters_json_arg =
   Arg.(
@@ -1530,7 +1432,7 @@ let flight_arg =
            rings to $(docv).")
 
 let run_term =
-  let+ w = workload_arg
+  let+ w = entry_arg
   and+ spec = Run_spec.term
   and+ tel = telemetry_out_term
   and+ counters_json = counters_json_arg

@@ -504,3 +504,13 @@ let run_aifm ?(cost = Cost_model.default) ?(object_size = 4096) ~local_budget p
   done;
   let ck = (q1 + !q2 + q3 + !q4 + !q5 + !q6 + !q7) land checksum_mask in
   (ck, clock)
+
+let workload p =
+  {
+    Workload.name = "analytics";
+    build = build p;
+    blobs = lazy [];
+    working_set = working_set_bytes p;
+    oracle = lazy (checksum p);
+    op_classes = [];
+  }

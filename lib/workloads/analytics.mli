@@ -43,3 +43,6 @@ val run_aifm :
     checksum (must equal {!checksum}) and the clock with cycles and
     transfer counters. The measured region excludes dataframe
     construction, like the IR program's [!bench_begin]. *)
+
+val workload : params -> Workload.t
+(** ["analytics"]: {!build} against {!checksum}. *)

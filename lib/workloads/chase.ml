@@ -83,3 +83,13 @@ let checksum ~nodes =
     acc := (!acc + v) land acc_mask
   done;
   !acc
+
+let workload ~nodes =
+  {
+    Workload.name = "pointer-chase";
+    build = build ~nodes;
+    blobs = lazy [];
+    working_set = working_set_bytes ~nodes;
+    oracle = lazy (checksum ~nodes);
+    op_classes = [];
+  }

@@ -18,3 +18,6 @@ val working_set_bytes : nodes:int -> int
 
 val checksum : nodes:int -> int
 (** Expected program result, computed host-side. *)
+
+val workload : nodes:int -> Workload.t
+(** ["pointer-chase"] over [nodes] nodes. *)

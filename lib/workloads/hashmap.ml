@@ -127,3 +127,13 @@ let checksum p =
     acc := (!acc + value_of_key key) land checksum_mask
   done;
   !acc
+
+let workload p =
+  {
+    Workload.name = "hashmap";
+    build = build p;
+    blobs = lazy [ (0, trace_blob p) ];
+    working_set = working_set_bytes p;
+    oracle = lazy (checksum p);
+    op_classes;
+  }

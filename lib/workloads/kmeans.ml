@@ -262,3 +262,13 @@ let checksum p =
     ck := (!ck + int_of_float (cent.(i) *. 16.0)) land checksum_mask
   done;
   !ck
+
+let workload p =
+  {
+    Workload.name = "kmeans";
+    build = build p;
+    blobs = lazy [];
+    working_set = working_set_bytes p;
+    oracle = lazy (checksum p);
+    op_classes;
+  }

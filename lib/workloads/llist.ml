@@ -162,3 +162,13 @@ let checksum ~nodes ~tnodes =
     tsum := !tsum + (i land value_mask)
   done;
   (!acc + !tsum) land acc_mask
+
+let workload ~nodes ~tnodes =
+  {
+    Workload.name = "llist";
+    build = build ~nodes ~tnodes;
+    blobs = lazy [];
+    working_set = working_set_bytes ~nodes ~tnodes;
+    oracle = lazy (checksum ~nodes ~tnodes);
+    op_classes = [];
+  }

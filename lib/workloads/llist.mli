@@ -24,3 +24,6 @@ val working_set_bytes : nodes:int -> tnodes:int -> int
 
 val checksum : nodes:int -> tnodes:int -> int
 (** Expected program result, computed host-side. *)
+
+val workload : nodes:int -> tnodes:int -> Workload.t
+(** ["llist"] with [nodes] list nodes and [tnodes] tree nodes. *)

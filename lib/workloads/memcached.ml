@@ -153,3 +153,13 @@ let checksum p =
     done
   done;
   !acc
+
+let workload p =
+  {
+    Workload.name = "memcached";
+    build = build p;
+    blobs = lazy [ (0, trace_blob p) ];
+    working_set = working_set_bytes p;
+    oracle = lazy (checksum p);
+    op_classes;
+  }

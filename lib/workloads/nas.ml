@@ -778,21 +778,21 @@ let checksum_sized kernel size =
 let build p = build_sized p.kernel (size p)
 let checksum p = checksum_sized p.kernel (size p)
 
-type problem = {
-  build : unit -> Ir.modul;
-  working_set : int;
-  checksum : unit -> int;
-}
+let sized kernel size =
+  {
+    Workload.name = "nas-" ^ kernel_name kernel;
+    build = build_sized kernel size;
+    blobs = lazy [];
+    working_set = working_set kernel size;
+    oracle = lazy (checksum_sized kernel size);
+    op_classes = [];
+  }
+
+let workload p = sized p.kernel (size p)
 
 (* Every dimension of class 1 halved: an eighth of its working set. *)
 let sub_class kernel =
-  let size =
-    match kernel with
+  sized kernel
+    (match kernel with
     | CG | IS -> class1 kernel / 8
-    | FT | MG | SP -> class1 kernel / 2
-  in
-  {
-    build = build_sized kernel size;
-    working_set = working_set kernel size;
-    checksum = (fun () -> checksum_sized kernel size);
-  }
+    | FT | MG | SP -> class1 kernel / 2)

@@ -39,14 +39,11 @@ val working_set_bytes : params -> int
 
 val checksum : params -> int
 
-type problem = {
-  build : unit -> Ir.modul;  (** a fresh module per call *)
-  working_set : int;  (** bytes *)
-  checksum : unit -> int;  (** the host reference *)
-}
+val workload : params -> Workload.t
+(** ["nas-<kernel>"] at class [scale]. *)
 
-val sub_class : kernel -> problem
-(** The kernel below class 1, which [params] cannot express: every
+val sub_class : kernel -> Workload.t
+(** ["nas-<kernel>"] below class 1, which [params] cannot express: every
     dimension of [scale = 1] halved (CG's rows and IS's keys divided by
     eight), an eighth of its working set, with the same loops. For tests
     that need a kernel's access pattern at a fraction of its run time. *)

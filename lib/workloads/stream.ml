@@ -134,3 +134,13 @@ let checksum ?(elem_size = 4) ~n ~kernel () =
         acc := (!acc + y) land checksum_mask
       done;
       !acc
+
+let workload ~n kernel =
+  {
+    Workload.name = "stream-" ^ kernel_name kernel;
+    build = (fun () -> build ~n ~kernel ());
+    blobs = lazy [];
+    working_set = working_set_bytes ~n ~kernel ();
+    oracle = lazy (checksum ~n ~kernel ());
+    op_classes = [];
+  }

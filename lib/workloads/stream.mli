@@ -25,3 +25,6 @@ val checksum : ?elem_size:int -> n:int -> kernel:kernel -> unit -> int
 
 val source_value : int -> int
 (** The synthetic element stored at index [i] during initialization. *)
+
+val workload : n:int -> kernel -> Workload.t
+(** ["stream-<kernel>"] over [n] 4-byte elements. *)

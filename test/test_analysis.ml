@@ -868,17 +868,20 @@ let counted b ~p ~cmp ~init ~bound ~step ?guard ?break_at
 let test_trip_counts_agree_with_profile () =
   let counted_loops = ref 0 in
   List.iter
-    (fun (name, build, blobs) ->
-      let trips = trips_against_profile ~name ~blobs build in
+    (fun (w : Workloads.Workload.t) ->
+      let trips =
+        trips_against_profile ~name:w.name ~blobs:(Lazy.force w.blobs) w.build
+      in
       counted_loops :=
         !counted_loops
         + List.length (List.filter (fun (_, t) -> t <> None) trips))
-    (Test_workloads.listed_workloads ()
+    (List.map
+       (fun (e : Workloads.Catalog.entry) -> e.workload)
+       (Workloads.Catalog.all ())
     @ List.map
         (fun k ->
-          ( "nas-" ^ Workloads.Nas.kernel_name k ^ " (sub-class)",
-            (Workloads.Nas.sub_class k).build,
-            [] ))
+          let w = Workloads.Nas.sub_class k in
+          { w with name = w.name ^ " (sub-class)" })
         Workloads.Nas.all_kernels);
   Alcotest.(check bool) "workload loops with trip counts" true
     (!counted_loops > 0);
