@@ -3,12 +3,10 @@ type t = {
   mutable brk : int;
   free_lists : (int, int list ref) Hashtbl.t; (* size class -> addresses *)
   live : (int, int * int) Hashtbl.t; (* addr -> class size, requested *)
-  mutable live_bytes : int;
 }
 
 let create ~base =
-  { base; brk = base; free_lists = Hashtbl.create 16; live = Hashtbl.create 64;
-    live_bytes = 0 }
+  { base; brk = base; free_lists = Hashtbl.create 16; live = Hashtbl.create 64 }
 
 let page = 4096
 
@@ -41,7 +39,6 @@ let alloc t n =
         addr
   in
   Hashtbl.replace t.live addr (cls, n);
-  t.live_bytes <- t.live_bytes + cls;
   addr
 
 let free t addr =
@@ -49,7 +46,6 @@ let free t addr =
   | None -> invalid_arg "Region_alloc.free: not a live allocation"
   | Some (cls, _) ->
       Hashtbl.remove t.live addr;
-      t.live_bytes <- t.live_bytes - cls;
       let l =
         match Hashtbl.find_opt t.free_lists cls with
         | Some l -> l
@@ -71,4 +67,3 @@ let requested_size_of t addr =
   | None -> invalid_arg "Region_alloc.requested_size_of: not live"
 
 let high_watermark t = t.brk
-let live_bytes t = t.live_bytes

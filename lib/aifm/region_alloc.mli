@@ -32,6 +32,3 @@ val requested_size_of : t -> int -> int
 val high_watermark : t -> int
 (** One past the highest address ever handed out; the heap span that the
     object state table must cover. *)
-
-val live_bytes : t -> int
-(** Sum of size classes of live allocations. *)

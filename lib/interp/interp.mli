@@ -45,12 +45,9 @@ val run :
 val max_call_depth : int
 (** A call nested deeper than this traps ("call depth exceeded"). *)
 
-val global_base : int
-(** Address of the first global. *)
-
 val stack_base : int
 (** Initial stack pointer; [alloca] bumps it. *)
 
 val layout_globals : Ir.modul -> (string, int) Hashtbl.t
-(** Each global's address: laid out from {!global_base} in declaration
+(** Each global's address: laid out from one fixed base in declaration
     order, each rounded up to 16 bytes. *)

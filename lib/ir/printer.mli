@@ -1,13 +1,7 @@
 (** Textual rendering of IR, LLVM-flavoured, for debugging and golden
     tests. *)
 
-val pp_value : Format.formatter -> Ir.value -> unit
-val pp_kind : Format.formatter -> Ir.kind -> unit
 val pp_instr : Format.formatter -> Ir.instr -> unit
-val pp_terminator : Format.formatter -> Ir.terminator -> unit
-val pp_block : Format.formatter -> Ir.block -> unit
-val pp_func : Format.formatter -> Ir.func -> unit
-val pp_module : Format.formatter -> Ir.modul -> unit
 
 val func_to_string : Ir.func -> string
 val module_to_string : Ir.modul -> string
@@ -19,12 +13,6 @@ val module_to_string : Ir.modul -> string
     instruction text is produced by the same printers as the plain
     forms, so stripping the ["  ; ..."] suffixes round-trips to the
     unannotated dump. *)
-
-val pp_instr_annotated :
-  (Ir.instr -> string option) -> Format.formatter -> Ir.instr -> unit
-
-val pp_module_annotated :
-  (Ir.instr -> string option) -> Format.formatter -> Ir.modul -> unit
 
 val module_to_string_annotated :
   (Ir.instr -> string option) -> Ir.modul -> string

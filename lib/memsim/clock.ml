@@ -101,11 +101,6 @@ let set_sampler t ~interval f =
   t.next_sample <- t.cycles + interval;
   t.sampler <- Some f
 
-let clear_sampler t =
-  t.sampler <- None;
-  t.sample_interval <- 0;
-  t.next_sample <- max_int
-
 let reset t =
   t.folded <- t.folded + t.cycles;
   t.cycles <- 0;

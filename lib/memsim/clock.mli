@@ -56,5 +56,3 @@ val set_sampler : t -> interval:int -> (t -> unit) -> unit
     snapshot counters into a time-series; with no sampler installed the
     per-tick cost is a single integer compare. The hook must not tick the
     clock. *)
-
-val clear_sampler : t -> unit

@@ -14,11 +14,6 @@
     at every join; {!Opt.dce} afterwards removes the phis that turn out
     dead. *)
 
-val promote : Ir.func -> int
-(** Promote all promotable allocas; returns how many were promoted.
-    Verifies the function's module-level invariants are preserved by
-    construction (run {!Ir} verification at the caller if desired). *)
-
 val run : Ir.modul -> int
-(** [promote] every function, then a {!Opt.dce} cleanup; verifies the
-    module. *)
+(** Promote every function's promotable allocas, then a {!Opt.dce}
+    cleanup; verifies the module and returns how many were promoted. *)

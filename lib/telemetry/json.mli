@@ -14,7 +14,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 val to_channel : out_channel -> t -> unit
 

@@ -150,10 +150,6 @@ let recording ?(trace = true) ?(series_interval = 250_000) ?(spans = false)
 
 let timestamp = function Nop -> 0 | Rec r -> now r
 
-let detach = function
-  | Nop -> ()
-  | Rec r -> Memsim.Clock.clear_sampler r.clock
-
 let final_sample = function Nop -> () | Rec r -> take_sample r
 
 let set_site t ~func ~instr =

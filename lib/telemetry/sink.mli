@@ -20,9 +20,8 @@ type path = [ `Fast | `Slow | `Locality | `Custody | `Paged ]
 
 type epoch = { eat : int; erows : (Site.key * int array) list }
 (** One closed site-profile epoch: per-site activity deltas since the
-    previous sample, slots following {!epoch_fields}. *)
-
-val epoch_fields : string array
+    previous sample, in {!Site.stat}'s order (fast, slow, locality,
+    custody, paged, writes, bytes in, bytes out, guard cycles). *)
 
 type recorder = {
   clock : Memsim.Clock.t;
@@ -59,8 +58,7 @@ val recording :
   t
 (** A live recorder on [clock]. [series_interval] (simulated cycles,
     default 250k; [<= 0] disables the series) installs the clock sampler
-    that snapshots counters — call {!detach} before reusing the clock
-    with another sink. [trace] (default true) enables the Chrome-trace
+    that snapshots counters. [trace] (default true) enables the Chrome-trace
     event log ({!Trace.create}'s default bound). [spans] (default false)
     enables the causal span tracker and the per-site epoch profiles;
     [op_classes] names its operation classes, and {!Span.create}'s
@@ -86,7 +84,6 @@ val capture :
 
 val is_active : t -> bool
 val recorder : t -> recorder option
-val detach : t -> unit
 
 val timestamp : t -> int
 (** Monotone trace timestamp (cycles, reset-corrected); 0 for {!nop}. *)
@@ -123,23 +120,19 @@ val guard_event :
 
 val fetch_event : t -> bytes:int -> prefetched:bool -> unit
 
-val net_event : t -> Memsim.Net.event -> unit
-(** Record a transport fault event: retries feed the [retry_backoff]
-    histogram (plus a trace instant at the current site), breaker
-    open/close pairs become outage spans on the trace's fault track. *)
-
 val attach_net : t -> Memsim.Net.t -> unit
 (** Install this sink as [net]'s event handler ({!Memsim.Net.on_event}),
-    so fault events flow in with no per-event plumbing at call sites. *)
+    so fault events flow in with no per-event plumbing at call sites:
+    retries feed the [retry_backoff] histogram (plus a trace instant at
+    the current site), breaker open/close pairs become outage spans on
+    the trace's fault track. *)
 
-val cluster_event : t -> Memsim.Cluster.event -> unit
-(** Record a replicated-tier event: node crashes become down-time spans
-    on the trace's cluster track, recoveries become instants carrying
-    the resync backlog. *)
 
 val attach_cluster : t -> Memsim.Cluster.t -> unit
 (** Install this sink as the cluster's event handler
-    ({!Memsim.Cluster.set_on_event}). *)
+    ({!Memsim.Cluster.set_on_event}): node crashes become down-time spans
+    on the trace's cluster track, recoveries become instants carrying
+    the resync backlog. *)
 
 val shed_event : t -> kind:string -> detail:string -> unit
 (** One overload-control event from the serving tier ([kind] is e.g.

@@ -22,9 +22,7 @@ type category =
   | Failover     (** replica ladder walks, lag waits, loss declaration *)
   | Evict_stall  (** making room: eviction scans, writeback enqueue *)
 
-val ncats : int
 val cat_index : category -> int
-val cat_name : category -> string
 val categories : category list
 val cat_names : string list
 
@@ -73,9 +71,6 @@ val reclass : t -> category -> unit
 (** Change the category of the innermost open frame (a guard opens as
     {!Guard_fast} and reclassifies once the miss is known). *)
 
-val attribute : t -> category -> int -> unit
-(** Charge cycles directly, without a frame (queueing on resume). *)
-
 (** {1 Scheduler context switching} *)
 
 val save : t -> int
@@ -115,7 +110,6 @@ val background : t -> int array
 (** Per-category cycles attributed outside any span (setup phases). *)
 
 val cats_json : int array -> Json.t
-val record_json : record -> Json.t
 val classes_json : t -> Json.t
 val invariant_json : t -> Json.t
 

@@ -6,12 +6,8 @@
 val kib : int -> int
 val mib : int -> int
 
-val pp_bytes : Format.formatter -> int -> unit
+val bytes_to_string : int -> string
 (** Render e.g. [1536] as ["1.5KiB"]. *)
 
-val bytes_to_string : int -> string
-
-val pp_cycles : Format.formatter -> int -> unit
-(** Render e.g. [34_000] as ["34.0Kcyc"]. *)
-
 val cycles_to_string : int -> string
+(** Render e.g. [34_000] as ["34.0Kcyc"]. *)
