@@ -18,7 +18,9 @@
    The chunking gate's profile depends only on the module and its
    blobs, so a sweep that runs one module at several budgets or options
    profiles it once with [Driver.profile_of] and hands it to [tfm] as
-   [~profile]; without one, every gated run profiles on its own. *)
+   [~profile]; without one, a gated run pre-runs the module itself, but
+   only when a profile can change one of its verdicts
+   ([Chunk_pass.needs_profile]). *)
 
 let quick = ref false
 
