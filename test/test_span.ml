@@ -179,25 +179,24 @@ let test_span_crosses_failover () =
 
 let test_workload_spans_end_to_end () =
   let p = Workloads.Hashmap.default_params ~keys:3_000 ~lookups:4_000 in
-  let blobs = [ (0, Workloads.Hashmap.trace_blob p) ] in
-  let ws = Workloads.Hashmap.working_set_bytes p in
+  let w = Workloads.Hashmap.workload p in
   let sink = ref Telemetry.Sink.nop in
   let telemetry clock =
     let s =
       Telemetry.Sink.recording ~trace:false ~series_interval:0 ~spans:true
-        ~op_classes:Workloads.Hashmap.op_classes clock
+        ~op_classes:w.op_classes clock
     in
     sink := s;
     s
   in
-  let opts = Workloads.Driver.tfm_defaults ~local_budget:(max 65536 (ws / 4)) in
+  let opts =
+    Workloads.Driver.tfm_defaults ~local_budget:(max 65536 (w.working_set / 4))
+  in
   let o, _ =
-    Workloads.Driver.run_trackfm ~blobs ~telemetry
-      (fun () -> Workloads.Hashmap.build p ())
+    Workloads.Driver.run_trackfm ~blobs:(Lazy.force w.blobs) ~telemetry w.build
       opts
   in
-  Alcotest.(check int) "checksum" (Workloads.Hashmap.checksum p)
-    o.Workloads.Driver.ret;
+  Alcotest.(check int) "checksum" (Lazy.force w.oracle) o.Workloads.Driver.ret;
   let sp = Option.get (Telemetry.Sink.spans !sink) in
   check_invariant sp;
   match List.assoc_opt 0 (Telemetry.Span.classes sp) with
