@@ -22,24 +22,20 @@ let show name results best =
 
 let () =
   (* A Zipfian hashmap: tiny values, no spatial locality. *)
-  let hp = Hashmap.default_params ~keys:40_000 ~lookups:60_000 in
-  let blobs = [ (0, Hashmap.trace_blob hp) ] in
-  let hws = Hashmap.working_set_bytes hp in
+  let hm =
+    Hashmap.workload (Hashmap.default_params ~keys:40_000 ~lookups:60_000)
+  in
   let best_hm, hm_results =
-    Driver.autotune_object_size ~blobs
-      (fun () -> Hashmap.build hp ())
-      ~local_budget:(hws / 4)
+    Driver.autotune_object_size ~blobs:(Lazy.force hm.blobs) hm.build
+      ~local_budget:(hm.working_set / 4)
   in
   show "hashmap, Zipf 1.02 (fine-grained, low spatial locality)" hm_results
     best_hm;
 
   (* STREAM copy: perfect spatial locality. *)
-  let n = 100_000 in
-  let sws = Stream.working_set_bytes ~n ~kernel:Stream.Copy () in
+  let st = Stream.workload ~n:100_000 Stream.Copy in
   let best_st, st_results =
-    Driver.autotune_object_size
-      (fun () -> Stream.build ~n ~kernel:Stream.Copy ())
-      ~local_budget:(sws / 4)
+    Driver.autotune_object_size st.build ~local_budget:(st.working_set / 4)
   in
   show "STREAM copy (sequential, high spatial locality)" st_results best_st;
 

@@ -5,21 +5,18 @@ open Workloads
 
 let test_claim_chunking_speeds_up_stream () =
   (* C1 (Fig. 7): loop chunking beats naive guards on STREAM. *)
-  let n = 50_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
-  let budget = ws / 4 in
+  let w = Stream.workload ~n:50_000 Stream.Sum in
   (* elision off: the claim compares chunking against *naive* per-access
      guards, which the guard optimizer would otherwise remove itself *)
   let run mode =
     let opts =
       {
-        (Driver.tfm_defaults ~local_budget:budget) with
+        (Driver.tfm_defaults ~local_budget:(w.working_set / 4)) with
         Driver.chunk_mode = mode;
         elide_guards = false;
       }
     in
-    (fst (Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts))
-      .Driver.cycles
+    (fst (Driver.run_trackfm w.build opts)).Driver.cycles
   in
   let naive = run `Off and chunked = run `All in
   Alcotest.(check bool) "chunked faster" true (chunked < naive);
@@ -49,48 +46,46 @@ let test_claim_gate_beats_indiscriminate_on_kmeans () =
 
 let test_claim_small_objects_help_hashmap () =
   (* C3 (Fig. 9): fine-grained access patterns want small objects. *)
-  let p = Hashmap.default_params ~keys:20_000 ~lookups:30_000 in
-  let blobs = [ (0, Hashmap.trace_blob p) ] in
-  let ws = Hashmap.working_set_bytes p in
+  let w =
+    Hashmap.workload (Hashmap.default_params ~keys:20_000 ~lookups:30_000)
+  in
   let run osz =
     let opts =
       {
-        (Driver.tfm_defaults ~local_budget:(ws / 4)) with
+        (Driver.tfm_defaults ~local_budget:(w.working_set / 4)) with
         Driver.object_size = osz;
       }
     in
-    (fst (Driver.run_trackfm ~blobs (fun () -> Hashmap.build p ()) opts))
+    (fst (Driver.run_trackfm ~blobs:(Lazy.force w.blobs) w.build opts))
       .Driver.cycles
   in
   Alcotest.(check bool) "256B beats 4KiB" true (run 256 < run 4096)
 
 let test_claim_large_objects_help_stream () =
   (* C4 (Fig. 10): spatial locality wants large objects. *)
-  let n = 50_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Copy () in
+  let w = Stream.workload ~n:50_000 Stream.Copy in
   let run osz =
     let opts =
       {
-        (Driver.tfm_defaults ~local_budget:(ws / 4)) with
+        (Driver.tfm_defaults ~local_budget:(w.working_set / 4)) with
         Driver.object_size = osz;
       }
     in
-    (fst
-       (Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Copy ()) opts))
-      .Driver.cycles
+    (fst (Driver.run_trackfm w.build opts)).Driver.cycles
   in
   Alcotest.(check bool) "4KiB beats 256B" true (run 4096 < run 256)
 
 let test_claim_prefetching_helps_under_pressure () =
   (* C5 (Fig. 11): prefetch + chunking over chunking alone. *)
-  let n = 50_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
+  let w = Stream.workload ~n:50_000 Stream.Sum in
   let run prefetch =
     let opts =
-      { (Driver.tfm_defaults ~local_budget:(ws / 5)) with Driver.prefetch }
+      {
+        (Driver.tfm_defaults ~local_budget:(w.working_set / 5)) with
+        Driver.prefetch;
+      }
     in
-    (fst (Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts))
-      .Driver.cycles
+    (fst (Driver.run_trackfm w.build opts)).Driver.cycles
   in
   let off = run false and on = run true in
   Alcotest.(check bool) "prefetch helps" true (on < off);
@@ -98,26 +93,25 @@ let test_claim_prefetching_helps_under_pressure () =
 
 let test_claim_trackfm_beats_fastswap_on_stream () =
   (* C6 (Fig. 12). *)
-  let n = 50_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
-  let build () = Stream.build ~n ~kernel:Stream.Sum () in
-  let tfm, _ = Driver.run_trackfm build (Driver.tfm_defaults ~local_budget:(ws / 4)) in
-  let fs = Driver.run_fastswap ~local_budget:(ws / 4) build in
+  let w = Stream.workload ~n:50_000 Stream.Sum in
+  let local_budget = w.working_set / 4 in
+  let tfm, _ = Driver.run_trackfm w.build (Driver.tfm_defaults ~local_budget) in
+  let fs = Driver.run_fastswap ~local_budget w.build in
   Alcotest.(check bool) "TrackFM faster than Fastswap" true
     (tfm.Driver.cycles < fs.Driver.cycles)
 
 let test_claim_io_amplification () =
   (* C7 (Fig. 13): Fastswap moves page-size multiples; TrackFM with small
      objects moves drastically less for fine-grained access. *)
-  let p = Hashmap.default_params ~keys:20_000 ~lookups:30_000 in
-  let blobs = [ (0, Hashmap.trace_blob p) ] in
-  let ws = Hashmap.working_set_bytes p in
-  let build () = Hashmap.build p () in
-  let opts =
-    { (Driver.tfm_defaults ~local_budget:(ws / 4)) with Driver.object_size = 64 }
+  let w =
+    Hashmap.workload (Hashmap.default_params ~keys:20_000 ~lookups:30_000)
   in
-  let tfm, _ = Driver.run_trackfm ~blobs build opts in
-  let fs = Driver.run_fastswap ~blobs ~local_budget:(ws / 4) build in
+  let blobs = Lazy.force w.blobs and local_budget = w.working_set / 4 in
+  let opts =
+    { (Driver.tfm_defaults ~local_budget) with Driver.object_size = 64 }
+  in
+  let tfm, _ = Driver.run_trackfm ~blobs w.build opts in
+  let fs = Driver.run_fastswap ~blobs ~local_budget w.build in
   let tfm_bytes = Driver.counter tfm "net.bytes_in" in
   let fs_bytes = Driver.counter fs "net.bytes_in" in
   Alcotest.(check bool) "10x+ less data moved" true (fs_bytes > 10 * tfm_bytes)
@@ -159,14 +153,13 @@ let test_claim_analytics_three_systems_agree_and_rank () =
 let test_claim_memcached_converges_with_skew () =
   (* C10 (Fig. 16): higher skew helps Fastswap amortize faults. *)
   let run skew =
-    let p = Memcached.default_params ~keys:20_000 ~gets:10_000 ~skew in
-    let blobs = [ (0, Memcached.trace_blob p) ] in
-    let ws = Memcached.working_set_bytes p in
-    let fs =
-      Driver.run_fastswap ~blobs ~local_budget:(ws / 10) (fun () ->
-          Memcached.build p ())
+    let w =
+      Memcached.workload
+        (Memcached.default_params ~keys:20_000 ~gets:10_000 ~skew)
     in
-    fs.Driver.cycles
+    (Driver.run_fastswap ~blobs:(Lazy.force w.blobs)
+       ~local_budget:(w.working_set / 10) w.build)
+      .Driver.cycles
   in
   Alcotest.(check bool) "skew 1.3 faster than 1.05 under fastswap" true
     (run 1.3 < run 1.05)
@@ -192,22 +185,19 @@ let test_claim_o1_reduces_guard_counts () =
 let test_autotune_picks_sensible_sizes () =
   (* Section 3.2's proposed autotuner: for the Zipfian hashmap it must
      prefer a small object; for STREAM a large one. *)
-  let p = Hashmap.default_params ~keys:20_000 ~lookups:20_000 in
-  let blobs = [ (0, Hashmap.trace_blob p) ] in
-  let ws = Hashmap.working_set_bytes p in
+  let hm =
+    Hashmap.workload (Hashmap.default_params ~keys:20_000 ~lookups:20_000)
+  in
   let best_hm, _ =
-    Driver.autotune_object_size ~blobs
-      (fun () -> Hashmap.build p ())
-      ~local_budget:(ws / 4)
+    Driver.autotune_object_size ~blobs:(Lazy.force hm.blobs) hm.build
+      ~local_budget:(hm.working_set / 4)
   in
   Alcotest.(check bool) "hashmap wants small objects" true (best_hm <= 512);
-  let n = 40_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Copy () in
+  let st = Stream.workload ~n:40_000 Stream.Copy in
   let best_st, _ =
     Driver.autotune_object_size
       ~candidates:[ 256; 1024; 4096 ]
-      (fun () -> Stream.build ~n ~kernel:Stream.Copy ())
-      ~local_budget:(ws / 4)
+      st.build ~local_budget:(st.working_set / 4)
   in
   Alcotest.(check bool) "stream wants large objects" true (best_st >= 1024)
 
@@ -223,19 +213,17 @@ let test_compile_costs_sane () =
 let test_guard_counts_scale_with_accesses () =
   (* Fig. 14b analog: guard events track the access volume. *)
   let count n =
-    let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
+    let w = Stream.workload ~n Stream.Sum in
     let opts =
       {
-        (Driver.tfm_defaults ~local_budget:ws) with
+        (Driver.tfm_defaults ~local_budget:w.working_set) with
         Driver.chunk_mode = `Off;
         (* raw per-access guard volume; range elision would hoist the
            whole loop's custody and break the linear scaling on purpose *)
         elide_guards = false;
       }
     in
-    let o, _ =
-      Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts
-    in
+    let o, _ = Driver.run_trackfm w.build opts in
     Driver.counter o "tfm.fast_guards" + Driver.counter o "tfm.slow_guards"
   in
   let c1 = count 2_000 and c2 = count 4_000 in
