@@ -1,6 +1,6 @@
 (* The pinned command lines ("cells") that ci/dune replays: the cheap
    groups under `dune runtest`, the slow ones under one alias each
-   (@ci/durability, @ci/tracing, @ci/engines, @ci/hybrid, @ci/examples).
+   (@ci/durability, @ci/tracing, @ci/engines, @ci/paper, @ci/examples).
 
    A cell is one command line of trackfm_cli, of the bench harness or of
    an example, and the runs of it that must agree. Every run must exit
@@ -12,10 +12,11 @@
    and a second of them proves determinism. Each run's stdout and stderr
    stay behind as
    <cell>.out and <cell>.err, and its files where its arguments put
-   them: ci/dune diffs <cell>.json against golden/<cell>.json (and the
+   them: ci/dune diffs <cell>.json against golden/<cell>.json (the
    stdout of the check, list, classify-<workload>, summaries-<workload>
-   and shape-<workload> cells against golden/<cell>.out), and after an
-   intended change `dune promote` refreshes the golden.
+   and shape-<workload> cells against golden/<cell>.out, and the tables
+   of each paper-<experiment> cell against golden/paper/<experiment>.json),
+   and after an intended change `dune promote` refreshes the golden.
 
    Usage: cells.exe GROUP, run in _build/default/ci, which runs every
    cell of GROUP and reports each failing cell by name. *)
@@ -108,6 +109,23 @@ let ends_with path output =
       if String.ends_with ~suffix:(read path) got then Ok ()
       else Error (sprintf "%s does not end with %s" (describe output) path) )
 
+(* The [tables] member of a bench metrics file, left in [file] one table
+   a line for ci/dune to diff against its golden. The file's other
+   members are the experiment's name and flags and elapsed_s, its host
+   time. *)
+let keep_tables file output =
+  let open Telemetry.Json in
+  ( output,
+    fun json ->
+      match Result.map (member "tables") (parse json) with
+      | Ok (Some (List tables)) ->
+          Out_channel.with_open_text file (fun oc ->
+              Printf.fprintf oc "[\n%s\n]\n"
+                (String.concat ",\n" (List.map to_string tables)));
+          Ok ()
+      | Ok _ -> Error (sprintf "%s holds no tables" (describe output))
+      | Error e -> Error (sprintf "%s is not JSON: %s" (describe output) e) )
+
 let conforms schema output =
   ( output,
     fun got ->
@@ -189,6 +207,29 @@ let dump ?checks kind args w =
   cell "lint" (sprintf "%s-%s" kind w)
     (sprintf "trackfm_cli %s -w %s" args w)
     ~runs:[ []; [] ] ~outputs:[ Stdout ] ?checks
+
+(* One bench experiment at --quick, whose tables must equal
+   golden/paper/<experiment>.json. *)
+let paper experiment =
+  let metrics = File (sprintf "paper/%s.json" experiment) in
+  cell "paper" ("paper-" ^ experiment)
+    (sprintf "bench %s --quick --metrics-dir paper" experiment)
+    ~outputs:[ metrics ]
+    ~checks:[ keep_tables (sprintf "paper-%s.json" experiment) metrics ]
+
+(* Every experiment but the two whose quick tables hold host time:
+   compile_costs' "compile s" column and engine_speedup's throughputs.
+   hybrid_routing and shape_routing also exit 1 when a gate fails. *)
+let paper_experiments =
+  [
+    "table1"; "table2"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
+    "fig12"; "fig13"; "fig14"; "fig15"; "fig16"; "fig17"; "table3";
+    "ablate_state_table"; "concurrency"; "ablate_multisize";
+    "ablate_eviction"; "table4"; "related_dilos"; "hw_kona";
+    "robustness_scale"; "guard_elision"; "interproc_elision";
+    "faults_goodput"; "durability"; "attribution"; "serving_slo";
+    "hybrid_routing"; "shape_routing";
+  ]
 
 (* A bad flag is a usage error before anything runs. *)
 let usage_error name command = cell "smoke" name command ~status:124
@@ -361,9 +402,8 @@ let table =
       (* Full size, so the ratio is measured on runs long enough to be
          stable. *)
       cell "engines" "engine-speedup" "bench engine_speedup";
-      cell "hybrid" "hybrid-routing" "bench hybrid_routing --quick";
-      cell "hybrid" "shape-routing" "bench shape_routing --quick";
     ]
+  @ List.map paper paper_experiments
   (* Every example runs to completion. *)
   @ List.map (fun e -> cell "examples" ("example-" ^ e) ("examples/" ^ e))
       examples
