@@ -2,25 +2,27 @@
    helpers, and uniform reporting.
 
    The runner rule: [tfm], [fastswap] and [local] are the harness's one
-   runner per system, and the only callers of [Driver.run_trackfm],
-   [Driver.run_fastswap] and [Driver.run_local] in bench/ outside
-   bench/perf/. Each runs on the harness's engine and fabric ([!setup])
-   unless its call site overrides them. These call sites do, and say so
-   with [~engine] or [~fabric]:
-   - engine_speedup times the same local run under both engines;
+   runner per system. Each takes the [Workload.t] it runs, whose builder
+   and input blobs it hands to [Driver.run_trackfm], [Driver.run_fastswap]
+   or [Driver.run_local]; an experiment that makes a program of its own
+   makes a record for it (fig6's scans, fig17b's O1 builds). Each runs
+   on the harness's engine and fabric ([!setup]) unless its call site
+   overrides them. These call sites do, and say so with [~engine] or
+   [~fabric]:
    - hybrid_routing and shape_routing check that both engines agree
      with the host oracle, on the fault-free fabric;
    - faults_goodput sweeps its fault presets, and durability runs its
      crash schedule at its own tier sizes.
    Overriding the cost model (related_dilos's DiLOS column, hw_kona's
-   Kona column) keeps the engine and the fabric.
+   Kona column) keeps the engine and the fabric. engine_speedup, which
+   times hand-built kernels as well as records on the engines it names
+   and has no fabric to apply, calls [Driver.run_local] itself.
 
    The chunking gate's profile depends only on the module and its
    blobs, so a sweep that runs one module at several budgets or options
-   profiles it once with [Driver.profile_of] and hands it to [tfm] as
-   [~profile]; without one, a gated run pre-runs the module itself, but
-   only when a profile can change one of its verdicts
-   ([Chunk_pass.needs_profile]). *)
+   profiles it once with [profile] and hands it to [tfm] as [~profile];
+   without one, a gated run pre-runs the module itself, but only when a
+   profile can change one of its verdicts ([Chunk_pass.needs_profile]). *)
 
 let quick = ref false
 
@@ -62,8 +64,8 @@ let print_expectation ~paper ~ours =
    at [budget]. The runner sets their fabric fields. *)
 let tfm_opts ~budget = Driver.tfm_defaults ~local_budget:budget
 
-let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?blobs
-    ?telemetry ?profile (opts : Driver.tfm_opts) build =
+let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?telemetry
+    ?profile (opts : Driver.tfm_opts) (w : Workload.t) =
   let opts =
     {
       opts with
@@ -72,16 +74,22 @@ let tfm ?(engine = !setup.engine) ?(fabric = !setup.fabric) ?cost ?blobs
       ack = fabric.ack;
     }
   in
-  Driver.run_trackfm ~engine ?cost ?blobs ?telemetry ?profile build opts
+  Driver.run_trackfm ~engine ?cost ~blobs:(Lazy.force w.blobs) ?telemetry
+    ?profile w.build opts
 
-let fastswap ?(fabric = !setup.fabric) ?cost ?readahead ?blobs ?telemetry
-    ~budget build =
+let fastswap ?(fabric = !setup.fabric) ?cost ?readahead ?telemetry ~budget
+    (w : Workload.t) =
   Driver.run_fastswap ~engine:!setup.engine ?cost ?readahead
     ~faults:(Run_spec.injector fabric) ~replicas:fabric.replicas
-    ~ack:fabric.ack ?blobs ?telemetry ~local_budget:budget build
+    ~ack:fabric.ack ~blobs:(Lazy.force w.blobs) ?telemetry
+    ~local_budget:budget w.build
 
-let local ?(engine = !setup.engine) ?blobs build =
-  Driver.run_local ~engine ?blobs build
+let local (w : Workload.t) =
+  Driver.run_local ~engine:!setup.engine ~blobs:(Lazy.force w.blobs) w.build
+
+(* The gate's block profile of [w], for [tfm ~profile]. *)
+let profile (w : Workload.t) =
+  Driver.profile_of ~blobs:(Lazy.force w.blobs) w.build
 
 let gb bytes = float_of_int bytes /. 1e9
 let mops ops cycles = float_of_int ops /. (cycles_to_seconds cycles *. 1e6)

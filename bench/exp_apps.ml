@@ -4,10 +4,11 @@ open Bench_common
 
 (* Figure 13: I/O amplification on the hashmap, TrackFM 64B vs Fastswap. *)
 let fig13 () =
-  let p = Hashmap.default_params ~keys:(scaled 150_000) ~lookups:(scaled 200_000) in
-  let blobs = [ (0, Hashmap.trace_blob p) ] in
-  let ws = Hashmap.working_set_bytes p in
-  let build () = Hashmap.build p () in
+  let w =
+    Hashmap.workload
+      (Hashmap.default_params ~keys:(scaled 150_000) ~lookups:(scaled 200_000))
+  in
+  let ws = w.working_set in
   let t =
     Tfm_util.Table.create
       ~title:"Figure 13: hashmap, TrackFM 64B objects vs Fastswap"
@@ -15,16 +16,14 @@ let fig13 () =
         [ "local mem %"; "TFM time (ms)"; "FS time (ms)"; "TFM GB in"; "FS GB in" ]
   in
   let amp = ref (0.0, 0.0) in
-  let profile = Driver.profile_of ~blobs build in
+  let profile = profile w in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
       let tf, _ =
-        tfm ~blobs ~profile
-          { (tfm_opts ~budget) with Driver.object_size = 64 }
-          build
+        tfm ~profile { (tfm_opts ~budget) with Driver.object_size = 64 } w
       in
-      let fs = fastswap ~blobs ~budget build in
+      let fs = fastswap ~budget w in
       let tb = gb (Driver.counter tf "net.bytes_in") in
       let fb = gb (Driver.counter fs "net.bytes_in") in
       if pct = 25 then amp := (tb, fb);
@@ -49,14 +48,14 @@ let fig13 () =
    'slowdown vs local-only'). *)
 let fig14 () =
   let p = Analytics.default_params ~rows:(scaled 250_000) in
-  let ws = Analytics.working_set_bytes p in
-  let build () = Analytics.build p () in
-  let profile = Driver.profile_of build in
-  let tfm_at budget = fst (tfm ~profile (tfm_opts ~budget) build) in
-  let fs_at budget = fastswap ~budget build in
+  let w = Analytics.workload p in
+  let ws = w.working_set in
+  let profile = profile w in
+  let tfm_at budget = fst (tfm ~profile (tfm_opts ~budget) w) in
+  let fs_at budget = fastswap ~budget w in
   let aifm_at budget =
     let ck, clock = Analytics.run_aifm ~local_budget:budget p in
-    assert (ck = Analytics.checksum p);
+    assert (ck = Lazy.force w.oracle);
     clock
   in
   let tfm_base = (tfm_at (2 * ws)).Driver.cycles in
@@ -121,12 +120,13 @@ let fig14 () =
 
 (* Figure 15: chunking variants on the analytics application. *)
 let fig15 () =
-  let p = Analytics.default_params ~rows:(scaled 250_000) in
-  let ws = Analytics.working_set_bytes p in
-  let build () = Analytics.build p () in
-  let profile = Driver.profile_of build in
+  let w =
+    Analytics.workload (Analytics.default_params ~rows:(scaled 250_000))
+  in
+  let ws = w.working_set in
+  let profile = profile w in
   let cycles budget chunk_mode =
-    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } build))
+    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } w))
       .Driver.cycles
   in
   let base_local = cycles (2 * ws) `Off in
@@ -175,15 +175,11 @@ let fig16 () =
         Memcached.default_params ~keys:(scaled 150_000) ~gets:(scaled 80_000)
           ~skew
       in
-      let blobs = [ (0, Memcached.trace_blob p) ] in
-      let ws = Memcached.working_set_bytes p in
-      let budget = budget_of ws 8 in
-      let build () = Memcached.build p () in
-      let tf, _ =
-        tfm ~blobs { (tfm_opts ~budget) with Driver.object_size = 64 } build
-      in
-      let fs = fastswap ~blobs ~budget build in
-      let lo = local ~blobs build in
+      let w = Memcached.workload p in
+      let budget = budget_of w.working_set 8 in
+      let tf, _ = tfm { (tfm_opts ~budget) with Driver.object_size = 64 } w in
+      let fs = fastswap ~budget w in
+      let lo = local w in
       tfm_pts := (skew, kops p.Memcached.gets tf.Driver.cycles) :: !tfm_pts;
       fs_pts := (skew, kops p.Memcached.gets fs.Driver.cycles) :: !fs_pts;
       local_pts := (skew, kops p.Memcached.gets lo.Driver.cycles) :: !local_pts;

@@ -31,15 +31,12 @@ let attribution () =
   in
   List.iter
     (fun (w : Workload.t) ->
-      let blobs = Lazy.force w.blobs and build = w.build in
       let budget = budget_of w.working_set 25 in
       let systems =
         [
           ( "trackfm",
-            fun telemetry ->
-              ignore (tfm ~blobs ~telemetry (tfm_opts ~budget) build) );
-          ( "fastswap",
-            fun telemetry -> ignore (fastswap ~blobs ~telemetry ~budget build) );
+            fun telemetry -> ignore (tfm ~telemetry (tfm_opts ~budget) w) );
+          ("fastswap", fun telemetry -> ignore (fastswap ~telemetry ~budget w));
         ]
       in
       List.iter

@@ -24,10 +24,9 @@ let crash_cfg () =
 
 let run_one ~system (w : Workload.t) ~profile ~budget ~replicas ~ack =
   let fabric = { !setup.fabric with faults = crash_cfg (); replicas; ack } in
-  let blobs = Lazy.force w.blobs in
   match system with
-  | `Trackfm -> fst (tfm ~fabric ~blobs ~profile (tfm_opts ~budget) w.build)
-  | `Fastswap -> fastswap ~fabric ~blobs ~budget w.build
+  | `Trackfm -> fst (tfm ~fabric ~profile (tfm_opts ~budget) w)
+  | `Fastswap -> fastswap ~fabric ~budget w
 
 let durability () =
   let workloads =
@@ -45,7 +44,7 @@ let durability () =
   List.iter
     (fun (w : Workload.t) ->
       let budget = budget_of w.working_set 25 in
-      let profile = Driver.profile_of ~blobs:(Lazy.force w.blobs) w.build in
+      let profile = profile w in
       let t =
         Tfm_util.Table.create
           ~title:

@@ -56,11 +56,11 @@ let table ~title ~off ~on =
 let row t ~set name ~chunk_mode (w : Workload.t) =
   let budget = budget_of w.working_set 100 in
   let run b =
-    tfm ~blobs:(Lazy.force w.blobs)
+    tfm
       (set
          { (tfm_opts ~budget) with Driver.chunk_mode; profile_gate = false }
          b)
-      w.build
+      w
   in
   let off, r_off = run false and on, r_on = run true in
   assert (off.Driver.ret = on.Driver.ret);

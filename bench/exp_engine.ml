@@ -101,35 +101,20 @@ let engine_speedup () =
   print_expectation
     ~paper:"n/a (simulator infrastructure; target: >=10x dispatch throughput)"
     ~ours:"compiled engine >=5x on at least two cases (CI gate)";
+  let kernel name build = (name, build, lazy []) in
+  let record (w : Workload.t) = (w.name, w.build, w.blobs) in
   let cases =
     [
-      ("alu-mix", (fun () -> alu_mix ~n:(scaled 2_000_000) ()), []);
-      ("branchy", (fun () -> branchy ~n:(scaled 1_500_000) ()), []);
-      ( "stream-sum",
-        (fun () ->
-          Workloads.Stream.build ~n:(scaled 400_000) ~kernel:Workloads.Stream.Sum ()),
-        [] );
-      ( "kmeans",
-        (fun () ->
-          Workloads.Kmeans.build
-            (Workloads.Kmeans.default_params ~n:(scaled 40_000)) ()),
-        [] );
-      ( "hashmap",
-        (let p =
-           Workloads.Hashmap.default_params ~keys:(scaled 60_000)
-             ~lookups:(scaled 120_000)
-         in
-         fun () -> Workloads.Hashmap.build p ()),
-        (let p =
-           Workloads.Hashmap.default_params ~keys:(scaled 60_000)
-             ~lookups:(scaled 120_000)
-         in
-         [ (0, Workloads.Hashmap.trace_blob p) ]) );
-      ( "analytics",
-        (fun () ->
-          Workloads.Analytics.build
-            (Workloads.Analytics.default_params ~rows:(scaled 60_000)) ()),
-        [] );
+      kernel "alu-mix" (alu_mix ~n:(scaled 2_000_000));
+      kernel "branchy" (branchy ~n:(scaled 1_500_000));
+      record (Stream.workload ~n:(scaled 400_000) Stream.Sum);
+      record (Kmeans.workload (Kmeans.default_params ~n:(scaled 40_000)));
+      record
+        (Hashmap.workload
+           (Hashmap.default_params ~keys:(scaled 60_000)
+              ~lookups:(scaled 120_000)));
+      record
+        (Analytics.workload (Analytics.default_params ~rows:(scaled 60_000)));
     ]
   in
   let t =
@@ -139,7 +124,8 @@ let engine_speedup () =
   let passing = ref 0 in
   List.iter
     (fun (name, build, blobs) ->
-      let run engine = wall (fun () -> local ~engine ~blobs build) in
+      let blobs = Lazy.force blobs in
+      let run engine = wall (fun () -> Driver.run_local ~engine ~blobs build) in
       (* Interpreter and compiled runs alternate, so each pair sees the
          same host load; the gate reads the median of the pair ratios. *)
       let pairs =

@@ -21,14 +21,13 @@ let cfg_of name =
 (* One run per (system, preset); goodput = fault-free cycles / faulted
    cycles, so "none" is 1.00 by construction and lower is worse. *)
 let goodput_rows (w : Workload.t) ~budget =
-  let blobs = Lazy.force w.blobs in
-  let profile = Driver.profile_of ~blobs w.build in
+  let profile = profile w in
   let run_sys system cfg =
     let fabric = { !setup.fabric with faults = cfg } in
     let o =
       match system with
-      | `Trackfm -> fst (tfm ~fabric ~blobs ~profile (tfm_opts ~budget) w.build)
-      | `Fastswap -> fastswap ~fabric ~blobs ~budget w.build
+      | `Trackfm -> fst (tfm ~fabric ~profile (tfm_opts ~budget) w)
+      | `Fastswap -> fastswap ~fabric ~budget w
     in
     assert (o.Driver.ret = Lazy.force w.oracle);
     o

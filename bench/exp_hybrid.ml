@@ -30,21 +30,19 @@
 open Bench_common
 
 let hybrid_routing () =
-  let nodes = scaled 60_000 in
-  let chase_build () = Workloads.Chase.build ~nodes () in
-  let chase_ws = Workloads.Chase.working_set_bytes ~nodes in
-  let p = Workloads.Analytics.default_params ~rows:(scaled 60_000) in
-  let stream_build () = Workloads.Analytics.build p () in
-  let stream_ws = Workloads.Analytics.working_set_bytes p in
+  let chase = Chase.workload ~nodes:(scaled 60_000) in
+  let stream =
+    Analytics.workload (Analytics.default_params ~rows:(scaled 60_000))
+  in
   let failures = ref [] in
   let gate name ok =
     if not ok then failures := name :: !failures;
     if ok then "yes" else "NO"
   in
-  let chase_profile = Driver.profile_of chase_build in
-  let stream_profile = Driver.profile_of stream_build in
-  let cycles route ~budget ~profile build =
-    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.route } build))
+  let chase_profile = profile chase in
+  let stream_profile = profile stream in
+  let cycles route ~budget ~profile w =
+    (fst (tfm ~profile { (tfm_opts ~budget) with Driver.route } w))
       .Driver.cycles
   in
 
@@ -61,10 +59,10 @@ let hybrid_routing () =
   let chase_rows =
     List.map
       (fun pct ->
-        let budget = budget_of chase_ws pct in
-        let tf = cycles `Off ~budget ~profile:chase_profile chase_build in
-        let fs = (fastswap ~budget chase_build).Driver.cycles in
-        let hy = cycles `Static ~budget ~profile:chase_profile chase_build in
+        let budget = budget_of chase.working_set pct in
+        let tf = cycles `Off ~budget ~profile:chase_profile chase in
+        let fs = (fastswap ~budget chase).Driver.cycles in
+        let hy = cycles `Static ~budget ~profile:chase_profile chase in
         (pct, tf, fs, hy))
       short_sweep
   in
@@ -105,10 +103,10 @@ let hybrid_routing () =
   let stream_ok = ref true in
   List.iter
     (fun pct ->
-      let budget = budget_of stream_ws pct in
-      let tf = cycles `Off ~budget ~profile:stream_profile stream_build in
-      let fs = (fastswap ~budget stream_build).Driver.cycles in
-      let hy = cycles `Static ~budget ~profile:stream_profile stream_build in
+      let budget = budget_of stream.working_set pct in
+      let tf = cycles `Off ~budget ~profile:stream_profile stream in
+      let fs = (fastswap ~budget stream).Driver.cycles in
+      let hy = cycles `Static ~budget ~profile:stream_profile stream in
       if pct <= 25 && hy > fs then stream_ok := false;
       Tfm_util.Table.add_rowf t "%d | %d | %d | %d | %s" pct tf fs hy
         (if hy <= fs then "yes" else "no"))
@@ -120,32 +118,23 @@ let hybrid_routing () =
   in
 
   (* -- integrity: engines agree and match the host-side oracle -------- *)
-  let engine_runs build ~budget ~profile =
-    List.map
+  let oracle_on_both_engines (w : Workload.t) ~profile =
+    List.for_all
       (fun engine ->
         let o, _ =
           tfm ~engine ~fabric:Run_spec.default_fabric ~profile
-            { (tfm_opts ~budget) with Driver.route = `Static }
-            build
+            {
+              (tfm_opts ~budget:(budget_of w.working_set 50)) with
+              Driver.route = `Static;
+            }
+            w
         in
-        o.Driver.ret)
+        o.Driver.ret = Lazy.force w.oracle)
       [ Engine.Interp; Engine.Compiled ]
   in
-  let chase_rets =
-    engine_runs chase_build ~budget:(budget_of chase_ws 50)
-      ~profile:chase_profile
-  in
-  let stream_rets =
-    engine_runs stream_build ~budget:(budget_of stream_ws 50)
-      ~profile:stream_profile
-  in
-  let identical = function
-    | r :: rest -> List.for_all (( = ) r) rest
-    | [] -> true
-  in
   let sums_ok =
-    identical chase_rets && identical stream_rets
-    && List.hd chase_rets = Workloads.Chase.checksum ~nodes
+    oracle_on_both_engines chase ~profile:chase_profile
+    && oracle_on_both_engines stream ~profile:stream_profile
   in
   let checks = gate "checksums identical across engines + oracle" sums_ok in
 

@@ -4,27 +4,38 @@ open Bench_common
 
 (* Figure 6: cost-model crossover. A fixed-size array is scanned touching
    one 8-byte field per element; element size sweeps the object density.
-   Everything is local so guard costs are isolated. *)
+   Everything is local so guard costs are isolated. The scan reads memory
+   nothing wrote, so it returns 0. *)
 let fig6 () =
   let array_bytes = scaled (Tfm_util.Units.mib 2) in
-  let build elem_size () =
+  let scan elem_size =
     let n = array_bytes / elem_size in
-    let m = Ir.create_module () in
-    let b = Builder.create m ~name:"main" ~nparams:0 in
-    let p = Builder.call b "malloc" [ Ir.Const array_bytes ] in
-    ignore (Builder.call b "!bench_begin" []);
-    let accs =
-      Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const n)
-        ~accs:[ Ir.Const 0 ]
-        (fun b ~iv ~accs ->
-          let acc = match accs with [ a ] -> a | _ -> assert false in
-          let ptr = Builder.gep b p ~index:iv ~scale:elem_size () in
-          let v = Builder.load b ptr in
-          [ Builder.add b acc v ])
+    let build () =
+      let m = Ir.create_module () in
+      let b = Builder.create m ~name:"main" ~nparams:0 in
+      let p = Builder.call b "malloc" [ Ir.Const array_bytes ] in
+      ignore (Builder.call b "!bench_begin" []);
+      let accs =
+        Builder.for_loop_acc b ~init:(Ir.Const 0) ~bound:(Ir.Const n)
+          ~accs:[ Ir.Const 0 ]
+          (fun b ~iv ~accs ->
+            let acc = match accs with [ a ] -> a | _ -> assert false in
+            let ptr = Builder.gep b p ~index:iv ~scale:elem_size () in
+            let v = Builder.load b ptr in
+            [ Builder.add b acc v ])
+      in
+      Builder.ret b (Some (List.hd accs));
+      Verifier.check_module m;
+      m
     in
-    Builder.ret b (Some (List.hd accs));
-    Verifier.check_module m;
-    m
+    {
+      Workload.name = Printf.sprintf "scan-%d" elem_size;
+      build;
+      blobs = lazy [];
+      working_set = array_bytes;
+      oracle = lazy 0;
+      op_classes = [];
+    }
   in
   let t =
     Tfm_util.Table.create
@@ -35,13 +46,12 @@ let fig6 () =
   List.iter
     (fun elem_size ->
       let d = 4096 / elem_size in
-      let budget = array_bytes * 2 in
+      let w = scan elem_size in
+      let budget = w.working_set * 2 in
       let cycles chunk_mode =
-        (fst
-           (tfm
-              { (tfm_opts ~budget) with Driver.chunk_mode }
-              (build elem_size)))
-          .Driver.cycles
+        let o, _ = tfm { (tfm_opts ~budget) with Driver.chunk_mode } w in
+        assert (o.Driver.ret = Lazy.force w.oracle);
+        o.Driver.cycles
       in
       let naive = cycles `Off and chunked = cycles `All in
       let s = speedup naive chunked in
@@ -84,11 +94,9 @@ let fig6 () =
 
 (* Figure 7: loop chunking speedup on STREAM Sum/Copy across local memory. *)
 let fig7 () =
-  let n = scaled 400_000 in
   List.iter
     (fun kernel ->
-      let ws = Stream.working_set_bytes ~n ~kernel () in
-      let build () = Stream.build ~n ~kernel () in
+      let w = Stream.workload ~n:(scaled 400_000) kernel in
       let t =
         Tfm_util.Table.create
           ~title:
@@ -98,9 +106,9 @@ let fig7 () =
       in
       List.iter
         (fun pct ->
-          let budget = budget_of ws pct in
+          let budget = budget_of w.working_set pct in
           let cycles chunk_mode =
-            (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } build))
+            (fst (tfm { (tfm_opts ~budget) with Driver.chunk_mode } w))
               .Driver.cycles
           in
           let naive = cycles `Off and chunked = cycles `All in
@@ -116,21 +124,19 @@ let fig7 () =
 
 (* Figure 8: selective (profiled cost-model) chunking on k-means. *)
 let fig8 () =
-  let p = Kmeans.default_params ~n:(scaled 20_000) in
-  let ws = Kmeans.working_set_bytes p in
-  let build () = Kmeans.build p () in
+  let w = Kmeans.workload (Kmeans.default_params ~n:(scaled 20_000)) in
+  let ws = w.working_set in
   let t =
     Tfm_util.Table.create
       ~title:"Figure 8: k-means, speedup vs no chunking"
       ~columns:[ "local mem %"; "all loops"; "high-density (gated) only" ]
   in
-  let profile = Driver.profile_of build in
+  let profile = profile w in
   List.iter
     (fun pct ->
       let budget = budget_of ws pct in
       let cycles chunk_mode =
-        (fst
-           (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } build))
+        (fst (tfm ~profile { (tfm_opts ~budget) with Driver.chunk_mode } w))
           .Driver.cycles
       in
       let base = cycles `Off and all = cycles `All and gated = cycles `Gated in
@@ -139,7 +145,7 @@ let fig8 () =
     short_sweep;
   report_table t;
   (* also report the candidate filtering like the paper's 103 -> 27 *)
-  let _, report = tfm ~profile (tfm_opts ~budget:ws) build in
+  let _, report = tfm ~profile (tfm_opts ~budget:ws) w in
   let cands = report.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.candidates in
   let selected =
     List.length (List.filter (fun c -> c.Trackfm.Chunk_pass.selected) cands)

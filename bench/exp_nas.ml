@@ -2,6 +2,20 @@
 
 open Bench_common
 
+(* NAS at class 1, the size Figure 17 and Table 3 report. *)
+let nas kernel = Nas.workload (Nas.default_params kernel)
+
+(* [w] with the O1 pre-pass run on every module it builds. *)
+let o1 (w : Workload.t) =
+  {
+    w with
+    build =
+      (fun () ->
+        let m = w.build () in
+        ignore (Tfm_opt.O1.run m);
+        m);
+  }
+
 let fig17 () =
   let t =
     Tfm_util.Table.create
@@ -13,18 +27,17 @@ let fig17 () =
   let rows =
     List.map
       (fun kernel ->
-        let p = { Nas.kernel; scale = 1 } in
-        let build () = Nas.build p () in
-        let base = (local build).Driver.cycles in
-        let budget = budget_of (Nas.working_set_bytes p) 25 in
+        let w = nas kernel in
+        let base = (local w).Driver.cycles in
+        let budget = budget_of w.working_set 25 in
         let slowdown (o : Driver.outcome) =
           float_of_int o.Driver.cycles /. float_of_int base
         in
         ( kernel,
           base,
           budget,
-          slowdown (fastswap ~budget build),
-          slowdown (fst (tfm (tfm_opts ~budget) build)) ))
+          slowdown (fastswap ~budget w),
+          slowdown (fst (tfm (tfm_opts ~budget) w)) ))
       Nas.all_kernels
   in
   let name kernel = String.uppercase_ascii (Nas.kernel_name kernel) in
@@ -48,41 +61,28 @@ let fig17 () =
   List.iter
     (fun (kernel, base, budget, fs, tf) ->
       if kernel = Nas.FT || kernel = Nas.SP then begin
-        let build_o1 () =
-          let m = Nas.build { Nas.kernel; scale = 1 } () in
-          ignore (Tfm_opt.O1.run m);
-          m
-        in
-        let o1 = fst (tfm (tfm_opts ~budget) build_o1) in
+        let opt = fst (tfm (tfm_opts ~budget) (o1 (nas kernel))) in
         Tfm_util.Table.add_rowf t2 "%s | %.2f | %.2f | %.2f" (name kernel) fs
           tf
-          (float_of_int o1.Driver.cycles /. float_of_int base)
+          (float_of_int opt.Driver.cycles /. float_of_int base)
       end)
     rows;
   report_table t2;
   (* guard-count reduction from O1, the paper's 6x/4x observation *)
   List.iter
     (fun kernel ->
-      let p = { Nas.kernel; scale = 1 } in
-      let guards build =
-        let m = build () in
+      let guards (w : Workload.t) =
+        let m = w.build () in
         let r = Trackfm.Pipeline.run Trackfm.Pipeline.default_config m in
         r.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_loads
         + r.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_stores
         + Hashtbl.length r.Trackfm.Pipeline.chunks.Trackfm.Chunk_pass.covered
       in
-      let plain = guards (fun () -> Nas.build p ()) in
-      let o1 =
-        guards (fun () ->
-            let m = Nas.build p () in
-            ignore (Tfm_opt.O1.run m);
-            m)
-      in
+      let plain = guards (nas kernel) and opt = guards (o1 (nas kernel)) in
       Printf.printf
         "%s: protected accesses %d -> %d with O1 (%.1fx static reduction)\n"
-        (String.uppercase_ascii (Nas.kernel_name kernel))
-        plain o1
-        (float_of_int plain /. float_of_int o1))
+        (name kernel) plain opt
+        (float_of_int plain /. float_of_int opt))
     [ Nas.FT; Nas.SP ];
   print_expectation
     ~paper:
@@ -101,21 +101,17 @@ let table3 () =
   in
   List.iter
     (fun kernel ->
-      let p = { Nas.kernel; scale = 1 } in
       Tfm_util.Table.add_rowf t "%s | %d | %d | %s"
         (String.uppercase_ascii (Nas.kernel_name kernel))
         (Nas.paper_memory_gb kernel) (Nas.paper_loc kernel)
-        (Tfm_util.Units.bytes_to_string (Nas.working_set_bytes p)))
+        (Tfm_util.Units.bytes_to_string (nas kernel).working_set))
     Nas.all_kernels;
   report_table t
 
 (* Ablation: the object state table (Section 3.2). Disabling it forces the
    extra dependent metadata reference on every guard. *)
 let ablate_state_table () =
-  let n = scaled 400_000 in
-  let kernel = Stream.Sum in
-  let ws = Stream.working_set_bytes ~n ~kernel () in
-  let build () = Stream.build ~n ~kernel () in
+  let w = Stream.workload ~n:(scaled 400_000) Stream.Sum in
   let t =
     Tfm_util.Table.create
       ~title:"Ablation: object state table (naive guards, STREAM sum)"
@@ -123,7 +119,7 @@ let ablate_state_table () =
   in
   List.iter
     (fun pct ->
-      let budget = budget_of ws pct in
+      let budget = budget_of w.working_set pct in
       let cycles use_state_table =
         (fst
            (tfm
@@ -132,7 +128,7 @@ let ablate_state_table () =
                 Driver.chunk_mode = `Off;
                 use_state_table;
               }
-              build))
+              w))
           .Driver.cycles
       in
       let with_t = cycles true and without = cycles false in
@@ -204,23 +200,21 @@ let ablate_multisize () =
     Memcached.default_params ~keys:(scaled 150_000) ~gets:(scaled 80_000)
       ~skew:1.05
   in
-  let blobs = [ (0, Memcached.trace_blob p) ] in
-  let ws = Memcached.working_set_bytes p in
-  let build () = Memcached.build p () in
+  let w = Memcached.workload p in
   let t =
     Tfm_util.Table.create
       ~title:"Ablation: multi-object-size heap on memcached (Zipf 1.05)"
       ~columns:[ "configuration"; "KOps/s"; "GB in"; "fetches" ]
   in
-  let budget = budget_of ws 8 in
+  let budget = budget_of w.working_set 8 in
   let report label o =
     Tfm_util.Table.add_rowf t "%s | %.1f | %.4f | %d" label
       (kops p.Memcached.gets o.Driver.cycles)
       (gb (Driver.counter o "net.bytes_in"))
       (Driver.counter o "net.fetches")
   in
-  let profile = Driver.profile_of ~blobs build in
-  let run opts = fst (tfm ~blobs ~profile opts build) in
+  let profile = profile w in
+  let run opts = fst (tfm ~profile opts w) in
   let opts = tfm_opts ~budget in
   report "single class, 4KiB" (run opts);
   report "single class, 64B" (run { opts with Driver.object_size = 64 });
@@ -251,24 +245,22 @@ let ablate_eviction () =
     Memcached.default_params ~keys:(scaled 150_000) ~gets:(scaled 80_000)
       ~skew:1.2
   in
-  let blobs = [ (0, Memcached.trace_blob p) ] in
-  let ws = Memcached.working_set_bytes p in
-  let budget = budget_of ws 8 in
+  let w = Memcached.workload p in
+  let budget = budget_of w.working_set 8 in
   let t =
     Tfm_util.Table.create
       ~title:"Ablation: evacuator hotness (CLOCK) vs FIFO, memcached Zipf 1.2"
       ~columns:[ "policy"; "KOps/s"; "demand fetches" ]
   in
-  let build () = Memcached.build p () in
-  let profile = Driver.profile_of ~blobs build in
+  let profile = profile w in
   List.iter
     (fun (label, policy) ->
       let o, _ =
-        tfm ~blobs ~profile
+        tfm ~profile
           { (tfm_opts ~budget) with Driver.object_size = 64; policy }
-          build
+          w
       in
-      assert (o.Driver.ret = Memcached.checksum p);
+      assert (o.Driver.ret = Lazy.force w.oracle);
       Tfm_util.Table.add_rowf t "%s | %.1f | %d" label
         (kops p.Memcached.gets o.Driver.cycles)
         (Driver.counter o "aifm.demand_fetches"))

@@ -9,25 +9,25 @@ let object_sizes = [ 4096; 2048; 1024; 512; 256 ]
    memory share and object size, printed to [decimals] places. Table a
    holds the sweep; bar chart b is its 25% row, printed from the same
    runs. *)
-let object_size_study ~title_a ~title_b ~unit ~decimals ?blobs ~ws build
+let object_size_study ~title_a ~title_b ~unit ~decimals (w : Workload.t)
     metric =
   let t =
     Tfm_util.Table.create ~title:title_a
       ~columns:
         ("local mem %" :: List.map (fun o -> Printf.sprintf "%dB" o) object_sizes)
   in
-  let profile = Driver.profile_of ?blobs build in
+  let profile = profile w in
   let rows =
     List.map
       (fun pct ->
-        let budget = budget_of ws pct in
+        let budget = budget_of w.working_set pct in
         let row =
           List.map
             (fun osz ->
               let o, _ =
-                tfm ?blobs ~profile
+                tfm ~profile
                   { (tfm_opts ~budget) with Driver.object_size = osz }
-                  build
+                  w
               in
               metric o)
             object_sizes
@@ -52,9 +52,7 @@ let fig9 () =
   object_size_study
     ~title_a:"Figure 9a: hashmap throughput (MOps/s) by object size"
     ~title_b:"Figure 9b: hashmap at 25% local memory" ~unit:"MOps/s"
-    ~decimals:2
-    ~blobs:[ (0, Hashmap.trace_blob p) ]
-    ~ws:(Hashmap.working_set_bytes p) (Hashmap.build p)
+    ~decimals:2 (Hashmap.workload p)
     (fun o -> mops p.Hashmap.lookups o.Driver.cycles);
   print_expectation
     ~paper:"fine-grained, low-spatial-locality access: smaller objects win"
@@ -62,15 +60,13 @@ let fig9 () =
 
 (* Figure 10: object size on STREAM copy (bandwidth). *)
 let fig10 () =
-  let n = scaled 400_000 in
-  let kernel = Stream.Copy in
-  let bytes_processed = 2 * n * 4 in
+  let w = Stream.workload ~n:(scaled 400_000) Stream.Copy in
+  (* the copy reads one array and writes the other: its working set *)
+  let bytes_processed = w.working_set in
   object_size_study
     ~title_a:"Figure 10a: STREAM copy bandwidth (MB/s) by object size"
     ~title_b:"Figure 10b: STREAM copy at 25% local memory" ~unit:"MB/s"
-    ~decimals:0
-    ~ws:(Stream.working_set_bytes ~n ~kernel ())
-    (fun () -> Stream.build ~n ~kernel ())
+    ~decimals:0 w
     (fun o ->
       float_of_int bytes_processed /. cycles_to_seconds o.Driver.cycles /. 1e6);
   print_expectation
@@ -79,11 +75,9 @@ let fig10 () =
 
 (* Figure 11: prefetching coupled with chunking vs chunking alone. *)
 let fig11 () =
-  let n = scaled 400_000 in
   List.iter
     (fun kernel ->
-      let ws = Stream.working_set_bytes ~n ~kernel () in
-      let build () = Stream.build ~n ~kernel () in
+      let w = Stream.workload ~n:(scaled 400_000) kernel in
       let t =
         Tfm_util.Table.create
           ~title:
@@ -91,13 +85,12 @@ let fig11 () =
                (Stream.kernel_name kernel))
           ~columns:[ "local mem %"; "no prefetch"; "prefetch"; "speedup" ]
       in
-      let profile = Driver.profile_of build in
+      let profile = profile w in
       List.iter
         (fun pct ->
-          let budget = budget_of ws pct in
+          let budget = budget_of w.working_set pct in
           let cycles prefetch =
-            (fst
-               (tfm ~profile { (tfm_opts ~budget) with Driver.prefetch } build))
+            (fst (tfm ~profile { (tfm_opts ~budget) with Driver.prefetch } w))
               .Driver.cycles
           in
           let off = cycles false and on = cycles true in
@@ -112,12 +105,10 @@ let fig11 () =
 
 (* Figure 12: STREAM speedup over Fastswap with chunking+prefetching. *)
 let fig12 () =
-  let n = scaled 400_000 in
   let plots =
     List.map
       (fun kernel ->
-        let ws = Stream.working_set_bytes ~n ~kernel () in
-        let build () = Stream.build ~n ~kernel () in
+        let w = Stream.workload ~n:(scaled 400_000) kernel in
         let t =
           Tfm_util.Table.create
             ~title:
@@ -126,15 +117,15 @@ let fig12 () =
             ~columns:
               [ "local mem %"; "TrackFM cycles"; "Fastswap cycles"; "speedup" ]
         in
-        let profile = Driver.profile_of build in
+        let profile = profile w in
         let pts =
           List.map
             (fun pct ->
-              let budget = budget_of ws pct in
+              let budget = budget_of w.working_set pct in
               let tf =
-                (fst (tfm ~profile (tfm_opts ~budget) build)).Driver.cycles
+                (fst (tfm ~profile (tfm_opts ~budget) w)).Driver.cycles
               in
-              let fs = (fastswap ~budget build).Driver.cycles in
+              let fs = (fastswap ~budget w).Driver.cycles in
               Tfm_util.Table.add_rowf t "%d | %d | %d | %.2f" pct tf fs
                 (speedup fs tf);
               (float_of_int pct, speedup fs tf))

@@ -20,21 +20,20 @@
 open Bench_common
 
 let shape_routing () =
-  let nodes = scaled 40_000 and tnodes = scaled 16_000 in
-  let build () = Workloads.Llist.build ~nodes ~tnodes () in
-  let ws = Workloads.Llist.working_set_bytes ~nodes ~tnodes in
+  let w = Llist.workload ~nodes:(scaled 40_000) ~tnodes:(scaled 16_000) in
+  let ws = w.working_set in
   let failures = ref [] in
   let gate name ok =
     if not ok then failures := name :: !failures;
     if ok then "yes" else "NO"
   in
-  let profile = Driver.profile_of build in
+  let profile = profile w in
 
   (* -- routed-site counts: the upgrade itself ------------------------- *)
   let static ~use_shapes budget =
     tfm ~profile
       { (tfm_opts ~budget) with Driver.route = `Static; use_shapes }
-      build
+      w
   in
   let budget100 = budget_of ws 100 in
   let _, rep_with = static ~use_shapes:true budget100 in
@@ -66,8 +65,8 @@ let shape_routing () =
       (fun pct ->
         let budget = budget_of ws pct in
         let cycles (o, _) = o.Driver.cycles in
-        let tf = cycles (tfm ~profile (tfm_opts ~budget) build) in
-        let fs = (fastswap ~budget build).Driver.cycles in
+        let tf = cycles (tfm ~profile (tfm_opts ~budget) w) in
+        let fs = (fastswap ~budget w).Driver.cycles in
         let hy0 = cycles (static ~use_shapes:false budget) in
         let hy = cycles (static ~use_shapes:true budget) in
         (pct, tf, fs, hy0, hy))
@@ -100,13 +99,12 @@ let shape_routing () =
         let o, _ =
           tfm ~engine ~fabric:Run_spec.default_fabric ~profile
             { (tfm_opts ~budget:(budget_of ws 50)) with Driver.route = `Static }
-            build
+            w
         in
         o.Driver.ret)
       [ Engine.Interp; Engine.Compiled ]
   in
-  let oracle = Workloads.Llist.checksum ~nodes ~tnodes in
-  let sums_ok = List.for_all (( = ) oracle) rets in
+  let sums_ok = List.for_all (( = ) (Lazy.force w.oracle)) rets in
   let checks = gate "checksums identical across engines + oracle" sums_ok in
 
   Printf.printf

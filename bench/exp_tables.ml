@@ -215,9 +215,9 @@ let table4 () =
    sufficient prefetching". We model it as the paging backend with a
    LibOS-grade fault path and deep readahead. *)
 let related_dilos () =
-  let p = Analytics.default_params ~rows:(scaled 250_000) in
-  let ws = Analytics.working_set_bytes p in
-  let build () = Analytics.build p () in
+  let w =
+    Analytics.workload (Analytics.default_params ~rows:(scaled 250_000))
+  in
   let dilos_cost =
     {
       Cost_model.default with
@@ -232,18 +232,20 @@ let related_dilos () =
          LibOS paging"
       ~columns:[ "local mem %"; "TrackFM"; "Fastswap"; "DiLOS-style" ]
   in
-  let profile = Driver.profile_of build in
+  let profile = profile w in
   let columns =
     [
-      (fun budget -> fst (tfm ~profile (tfm_opts ~budget) build));
-      (fun budget -> fastswap ~budget build);
-      (fun budget -> fastswap ~cost:dilos_cost ~readahead:8 ~budget build);
+      (fun budget -> fst (tfm ~profile (tfm_opts ~budget) w));
+      (fun budget -> fastswap ~budget w);
+      (fun budget -> fastswap ~cost:dilos_cost ~readahead:8 ~budget w);
     ]
   in
-  let bases = List.map (fun run -> (run (2 * ws)).Driver.cycles) columns in
+  let bases =
+    List.map (fun run -> (run (2 * w.working_set)).Driver.cycles) columns
+  in
   List.iter
     (fun pct ->
-      let budget = budget_of ws pct in
+      let budget = budget_of w.working_set pct in
       Tfm_util.Table.add_row t
         (string_of_int pct
         :: List.map2
@@ -283,11 +285,11 @@ let hw_kona () =
       locality_guard = 40;
     }
   in
-  let kona ?blobs ~budget build =
+  let kona ~budget w =
     (fst
-       (tfm ~cost:kona_cost ?blobs
+       (tfm ~cost:kona_cost
           { (tfm_opts ~budget) with Driver.object_size = 64; chunk_mode = `Off }
-          build))
+          w))
       .Driver.cycles
   in
   let t =
@@ -301,28 +303,23 @@ let hw_kona () =
     [
       ( "hashmap (guard-bound)",
         (fun () ->
-          let p = Hashmap.default_params ~keys:(scaled 100_000) ~lookups:(scaled 150_000) in
-          let blobs = [ (0, Hashmap.trace_blob p) ] in
-          let ws = Hashmap.working_set_bytes p in
-          let build () = Hashmap.build p () in
-          let budget = budget_of ws 25 in
+          let w =
+            Hashmap.workload
+              (Hashmap.default_params ~keys:(scaled 100_000)
+                 ~lookups:(scaled 150_000))
+          in
+          let budget = budget_of w.working_set 25 in
           let tf =
-            (fst
-               (tfm ~blobs
-                  { (tfm_opts ~budget) with Driver.object_size = 64 }
-                  build))
+            (fst (tfm { (tfm_opts ~budget) with Driver.object_size = 64 } w))
               .Driver.cycles
           in
-          (tf, kona ~blobs ~budget build)) );
+          (tf, kona ~budget w)) );
       ( "STREAM sum (compiler knowledge pays)",
         (fun () ->
-          let n = scaled 400_000 in
-          let kernel = Stream.Sum in
-          let ws = Stream.working_set_bytes ~n ~kernel () in
-          let build () = Stream.build ~n ~kernel () in
-          let budget = budget_of ws 25 in
-          let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
-          (tf, kona ~budget build)) );
+          let w = Stream.workload ~n:(scaled 400_000) Stream.Sum in
+          let budget = budget_of w.working_set 25 in
+          let tf = (fst (tfm (tfm_opts ~budget) w)).Driver.cycles in
+          (tf, kona ~budget w)) );
     ]
   in
   List.iter
@@ -354,14 +351,12 @@ let robustness_scale () =
   in
   List.iter
     (fun n ->
-      let kernel = Stream.Sum in
-      let ws = Stream.working_set_bytes ~n ~kernel () in
-      let build () = Stream.build ~n ~kernel () in
-      let budget = budget_of ws 25 in
-      let tf = (fst (tfm (tfm_opts ~budget) build)).Driver.cycles in
-      let fs = (fastswap ~budget build).Driver.cycles in
+      let w = Stream.workload ~n Stream.Sum in
+      let budget = budget_of w.working_set 25 in
+      let tf = (fst (tfm (tfm_opts ~budget) w)).Driver.cycles in
+      let fs = (fastswap ~budget w).Driver.cycles in
       Tfm_util.Table.add_rowf t "%d | %s | %.2f" n
-        (Tfm_util.Units.bytes_to_string ws)
+        (Tfm_util.Units.bytes_to_string w.working_set)
         (speedup fs tf))
     [ 50_000; 100_000; 200_000; 400_000; 800_000 ];
   report_table t;

@@ -15,15 +15,14 @@ open Workloads
 
 let () =
   let p = Memcached.default_params ~keys:60_000 ~gets:40_000 ~skew:1.05 in
-  let blobs = [ (0, Memcached.trace_blob p) ] in
-  let ws = Memcached.working_set_bytes p in
-  let build () = Memcached.build p () in
+  let w = Memcached.workload p in
+  let blobs = Lazy.force w.blobs and ws = w.working_set in
   Printf.printf
     "KV store: %d keys x %dB values, %d gets (Zipf %.2f), working set %s\n\n"
     p.Memcached.keys p.Memcached.value_size p.Memcached.gets p.Memcached.skew
     (Tfm_util.Units.bytes_to_string ws);
   let kops c = float_of_int p.Memcached.gets /. (float_of_int c /. 2.4e9) /. 1e3 in
-  let lo = Driver.run_local ~blobs build in
+  let lo = Driver.run_local ~blobs w.build in
   Printf.printf "all-local baseline: %.1f KOps/s\n\n" (kops lo.Driver.cycles);
   Printf.printf "%-12s %-14s %-14s %-16s %-16s\n" "local DRAM" "TrackFM KOps/s"
     "Fastswap KOps/s" "TrackFM GB moved" "Fastswap GB moved";
@@ -31,13 +30,13 @@ let () =
     (fun frac ->
       let budget = ws / frac in
       let tfm, _ =
-        Driver.run_trackfm ~blobs build
+        Driver.run_trackfm ~blobs w.build
           {
             (Driver.tfm_defaults ~local_budget:budget) with
             Driver.object_size = 64;
           }
       in
-      let fs = Driver.run_fastswap ~blobs ~local_budget:budget build in
+      let fs = Driver.run_fastswap ~blobs ~local_budget:budget w.build in
       assert (tfm.Driver.ret = fs.Driver.ret && tfm.Driver.ret = lo.Driver.ret);
       Printf.printf "1/%-10d %-14.1f %-14.1f %-16.3f %-16.3f\n" frac
         (kops tfm.Driver.cycles) (kops fs.Driver.cycles)

@@ -8,16 +8,7 @@
     the canonical pointer-chasing shape the hybrid data plane's route
     pass ({!Trackfm.Route_pass}) moves to the page-fault path. *)
 
-val node_bytes : int
-
-val build : nodes:int -> unit -> Ir.modul
-(** The traversal sums node values masked to 30 bits; the setup loop
-    links node [k] at slot [k * 48271 mod nodes]. *)
-
-val working_set_bytes : nodes:int -> int
-
-val checksum : nodes:int -> int
-(** Expected program result, computed host-side. *)
-
 val workload : nodes:int -> Workload.t
-(** ["pointer-chase"] over [nodes] nodes. *)
+(** ["pointer-chase"] over [nodes] nodes. The traversal sums node values
+    masked to 30 bits; the setup loop links node [k] at slot
+    [k * 48271 mod nodes]. *)

@@ -8,9 +8,9 @@
     amortized — the loops that make indiscriminate chunking a slowdown
     and that the profile-driven cost-model gate must filter out.
 
-    The program's float arithmetic is replicated exactly by {!checksum}'s
-    OCaml reference implementation (same operation order), so all
-    backends can be validated bit-for-bit. *)
+    The program's float arithmetic is replicated exactly by the record's
+    host oracle, an OCaml reference implementation (same operation
+    order), so all backends can be validated bit-for-bit. *)
 
 type params = {
   n : int;        (** number of points *)
@@ -21,13 +21,6 @@ type params = {
 
 val default_params : n:int -> params
 (** dims = 4, clusters = 10, iters = 2. *)
-
-val build : params -> unit -> Ir.modul
-
-val working_set_bytes : params -> int
-
-val checksum : params -> int
-(** Expected return value (reference implementation). *)
 
 val workload : params -> Workload.t
 (** ["kmeans"]; its span operation class 0 is one Lloyd iteration. *)

@@ -10,12 +10,6 @@
     ({!Tfm_analysis.Shape}) can prove these sites are pointer chases
     and let the route pass move them to the page-fault path. *)
 
-val node_bytes : int
-(** List node size (next at offset 0, value at offset 8). *)
-
-val tnode_bytes : int
-(** Tree node size (left at 0, right at 8, value at 16). *)
-
 val build : nodes:int -> tnodes:int -> unit -> Ir.modul
 (** [nodes >= 2] list nodes and [tnodes >= 1] tree nodes. The program
     returns the masked sum of both traversals. *)

@@ -25,15 +25,6 @@ type params = {
 
 val default_params : keys:int -> gets:int -> skew:float -> params
 
-val trace_blob : params -> Bytes.t
-(** 4 bytes per get: the key. Register as blob 0. *)
-
-val build : params -> unit -> Ir.modul
-
-val working_set_bytes : params -> int
-
-val checksum : params -> int
-
 val workload : params -> Workload.t
-(** ["memcached"], reading {!trace_blob} as blob 0; its span operation
-    class 0 is one get request. *)
+(** ["memcached"]. Its blob 0 is the Zipf-sampled get trace, 4 bytes per
+    get (the key); its span operation class 0 is one get request. *)

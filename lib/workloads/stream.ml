@@ -6,8 +6,11 @@ let kernel_name = function
   | Scale -> "scale"
   | Triad -> "triad"
 
+(* Elements are 4-byte integers, like the paper's. *)
+let elem_size = 4
+
 (* Source elements are small and deterministic so checksums are cheap to
-   predict; masked to fit any supported element size. *)
+   predict. *)
 let source_value i = ((i * 7) + 3) land 0x7FFF
 
 let checksum_mask = 0x3FFFFFFF
@@ -17,10 +20,7 @@ let arrays_needed = function
   | Copy | Scale -> 2
   | Triad -> 3
 
-let working_set_bytes ?(elem_size = 4) ~n ~kernel () =
-  arrays_needed kernel * n * elem_size
-
-let build ?(elem_size = 4) ~n ~kernel () =
+let build ~n ~kernel () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
   let bytes = n * elem_size in
@@ -114,8 +114,7 @@ let build ?(elem_size = 4) ~n ~kernel () =
   Verifier.check_module m;
   m
 
-let checksum ?(elem_size = 4) ~n ~kernel () =
-  ignore elem_size;
+let checksum ~n ~kernel =
   match kernel with
   | Sum ->
       let acc = ref 0 in
@@ -138,9 +137,9 @@ let checksum ?(elem_size = 4) ~n ~kernel () =
 let workload ~n kernel =
   {
     Workload.name = "stream-" ^ kernel_name kernel;
-    build = (fun () -> build ~n ~kernel ());
+    build = build ~n ~kernel;
     blobs = lazy [];
-    working_set = working_set_bytes ~n ~kernel ();
-    oracle = lazy (checksum ~n ~kernel ());
+    working_set = arrays_needed kernel * n * elem_size;
+    oracle = lazy (checksum ~n ~kernel);
     op_classes = [];
   }

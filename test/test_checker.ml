@@ -813,22 +813,17 @@ let test_lying_shape_caught_by_shadow_not_checker () =
 (* -- guard pass report invariant --------------------------------------- *)
 
 let test_guard_report_invariant () =
-  let builds =
-    [
-      ("stream-sum", fun () -> Workloads.Stream.build ~n:2_000 ~kernel:Workloads.Stream.Sum ());
-      ("stream-copy", fun () -> Workloads.Stream.build ~n:2_000 ~kernel:Workloads.Stream.Copy ());
-      ( "kmeans",
-        fun () ->
-          Workloads.Kmeans.build (Workloads.Kmeans.default_params ~n:500) () );
-      ( "analytics",
-        fun () ->
-          Workloads.Analytics.build
-            (Workloads.Analytics.default_params ~rows:500)
-            () );
-    ]
+  let workloads =
+    Workloads.
+      [
+        Stream.workload ~n:2_000 Stream.Sum;
+        Stream.workload ~n:2_000 Stream.Copy;
+        Kmeans.workload (Kmeans.default_params ~n:500);
+        Analytics.workload (Analytics.default_params ~rows:500);
+      ]
   in
   List.iter
-    (fun (name, build) ->
+    (fun { Workloads.Workload.name; build; _ } ->
       List.iter
         (fun mode ->
           let m = build () in
@@ -853,7 +848,7 @@ let test_guard_report_invariant () =
             (Printf.sprintf "%s: report buckets partition the accesses" name)
             total sum)
         [ `Off; `Gated; `All ])
-    builds
+    workloads
 
 let suite =
   ( "checker",

@@ -313,10 +313,11 @@ let test_corruption_detect_repair () =
 
 (* -- acceptance: replication is what saves the workload ------------------- *)
 
+let stream = Workloads.Stream.workload ~n:20_000 Workloads.Stream.Sum
+
 let run_stream_under_crashes ~replicas ~ack =
   let open Workloads in
-  let n = 20_000 in
-  let budget = Stream.working_set_bytes ~n ~kernel:Stream.Sum () / 4 in
+  let budget = stream.working_set / 4 in
   let cfg =
     { Faults.off with Faults.crash_period = 200_000; crash_downtime = 33_000 }
   in
@@ -328,15 +329,11 @@ let run_stream_under_crashes ~replicas ~ack =
       Driver.ack = ack;
     }
   in
-  let o, _ =
-    Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts
-  in
+  let o, _ = Driver.run_trackfm stream.build opts in
   (o.Driver.ret, Driver.counter o "net.lost_objects")
 
 let test_replication_saves_the_workload () =
-  let expected =
-    Workloads.Stream.checksum ~n:20_000 ~kernel:Workloads.Stream.Sum ()
-  in
+  let expected = Lazy.force stream.oracle in
   let ret1, lost1 = run_stream_under_crashes ~replicas:1 ~ack:1 in
   Alcotest.(check bool) "replicas=1 loses objects under crashes" true
     (lost1 > 0);

@@ -330,9 +330,8 @@ let generic_shapes () =
   m
 
 let test_local_and_fastswap () =
-  let n = 20_000 in
-  let stream () = Stream.build ~n ~kernel:Stream.Sum () in
-  let budget = Stream.working_set_bytes ~n ~kernel:Stream.Sum () / 4 in
+  let w = Stream.workload ~n:20_000 Stream.Sum in
+  let budget = w.working_set / 4 in
   let local build engine =
     let o = Driver.run_local ~engine build in
     (o.Driver.ret, o.Driver.cycles, o.Driver.instrs,
@@ -349,24 +348,22 @@ let test_local_and_fastswap () =
         (local build Engine.Interp = local build Engine.Compiled);
       Alcotest.(check bool) (what ^ ": fastswap engines agree") true
         (fastswap build Engine.Interp = fastswap build Engine.Compiled))
-    [ ("stream-sum", stream); ("generic shapes", generic_shapes) ];
-  let expected = Stream.checksum ~n ~kernel:Stream.Sum () in
-  let ret, _, _, _ = local stream Engine.Compiled in
-  Alcotest.(check int) "compiled checksum" expected ret;
+    [ (w.name, w.build); ("generic shapes", generic_shapes) ];
+  let ret, _, _, _ = local w.build Engine.Compiled in
+  Alcotest.(check int) "compiled checksum" (Lazy.force w.oracle) ret;
   let ret, _, _, _ = local generic_shapes Engine.Interp in
   Alcotest.(check int) "generic shapes ret" 3002 ret
 
 (* The float path deserves its own direct check: kmeans is the only
    heavily-float workload, and its checksum is a bit-exact reference. *)
 let test_float_checksum () =
-  let p = Kmeans.default_params ~n:800 in
-  let o = Driver.run_local ~engine:Engine.Compiled (Kmeans.build p) in
-  Alcotest.(check int) "kmeans checksum" (Kmeans.checksum p) o.Driver.ret
+  let w = Kmeans.workload (Kmeans.default_params ~n:800) in
+  let o = Driver.run_local ~engine:Engine.Compiled w.build in
+  Alcotest.(check int) "kmeans checksum" (Lazy.force w.oracle) o.Driver.ret
 
 let test_miscompile_is_caught () =
-  let n = 5_000 in
-  let build () = Stream.build ~n ~kernel:Stream.Sum () in
-  let run engine = (Driver.run_local ~engine build).Driver.ret in
+  let w = Stream.workload ~n:5_000 Stream.Sum in
+  let run engine = (Driver.run_local ~engine w.build).Driver.ret in
   let reference = run Engine.Interp in
   Fun.protect
     ~finally:(fun () -> Compile.test_miscompile := false)

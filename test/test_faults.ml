@@ -458,28 +458,24 @@ let test_fastswap_defers_reclaim_during_outage () =
 let medium =
   match Faults.parse "medium" with Ok cfg -> cfg | Error e -> failwith e
 
+let stream = Workloads.Stream.workload ~n:20_000 Workloads.Stream.Sum
+
 let run_workload_faulted seed =
   let open Workloads in
-  let n = 20_000 in
-  let budget = Stream.working_set_bytes ~n ~kernel:Stream.Sum () / 4 in
   let opts =
     {
-      (Driver.tfm_defaults ~local_budget:budget) with
+      (Driver.tfm_defaults ~local_budget:(stream.working_set / 4)) with
       Driver.faults = Faults.create ~seed medium;
     }
   in
-  let o, _ =
-    Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts
-  in
+  let o, _ = Driver.run_trackfm stream.build opts in
   (o.Driver.ret, o.Driver.cycles, List.sort compare (Clock.counters o.Driver.clock))
 
 let test_runtime_faulted_deterministic () =
   let r1, c1, k1 = run_workload_faulted 13 in
   let r2, c2, k2 = run_workload_faulted 13 in
   Alcotest.(check int) "checksum stable" r1 r2;
-  Alcotest.(check int) "checksum correct"
-    (Workloads.Stream.checksum ~n:20_000 ~kernel:Workloads.Stream.Sum ())
-    r1;
+  Alcotest.(check int) "checksum correct" (Lazy.force stream.oracle) r1;
   Alcotest.(check int) "cycles stable" c1 c2;
   Alcotest.(check bool) "counters stable" true (k1 = k2);
   Alcotest.(check bool) "faults actually fired" true

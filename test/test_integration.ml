@@ -26,19 +26,17 @@ let test_claim_chunking_speeds_up_stream () =
 
 let test_claim_gate_beats_indiscriminate_on_kmeans () =
   (* C2 (Fig. 8): the profiled cost-model gate beats chunking everything. *)
-  let p = Kmeans.default_params ~n:4_000 in
-  let ws = Kmeans.working_set_bytes p in
-  let budget = ws in
+  let w = Kmeans.workload (Kmeans.default_params ~n:4_000) in
   (* all-local: isolates guard costs, where indiscriminate chunking hurts *)
   let run mode gate =
     let opts =
       {
-        (Driver.tfm_defaults ~local_budget:budget) with
+        (Driver.tfm_defaults ~local_budget:w.working_set) with
         Driver.chunk_mode = mode;
         profile_gate = gate;
       }
     in
-    (fst (Driver.run_trackfm (fun () -> Kmeans.build p ()) opts)).Driver.cycles
+    (fst (Driver.run_trackfm w.build opts)).Driver.cycles
   in
   let all = run `All false in
   let gated = run `Gated true in
@@ -120,25 +118,27 @@ let test_claim_analytics_three_systems_agree_and_rank () =
   (* C8 (Fig. 14): under memory pressure TrackFM and AIFM stay close;
      each system is normalized to its own all-local run. *)
   let p = Analytics.default_params ~rows:30_000 in
-  let ws = Analytics.working_set_bytes p in
-  let build () = Analytics.build p () in
+  let w = Analytics.workload p in
   let slowdown run_at =
-    let constrained = run_at (ws / 8) and unconstrained = run_at (ws * 2) in
+    let constrained = run_at (w.working_set / 8)
+    and unconstrained = run_at (w.working_set * 2) in
     float_of_int constrained /. float_of_int unconstrained
   in
   let tfm_slow =
     slowdown (fun budget ->
-        (fst (Driver.run_trackfm build (Driver.tfm_defaults ~local_budget:budget)))
+        (fst
+           (Driver.run_trackfm w.build
+              (Driver.tfm_defaults ~local_budget:budget)))
           .Driver.cycles)
   in
   let fs_slow =
     slowdown (fun budget ->
-        (Driver.run_fastswap ~local_budget:budget build).Driver.cycles)
+        (Driver.run_fastswap ~local_budget:budget w.build).Driver.cycles)
   in
   let aifm_slow =
     slowdown (fun budget ->
         let ck, clock = Analytics.run_aifm ~local_budget:budget p in
-        Alcotest.(check int) "aifm checksum" (Analytics.checksum p) ck;
+        Alcotest.(check int) "aifm checksum" (Lazy.force w.oracle) ck;
         Clock.cycles clock)
   in
   Alcotest.(check bool) "fastswap degrades most" true
@@ -166,17 +166,17 @@ let test_claim_memcached_converges_with_skew () =
 
 let test_claim_o1_reduces_guard_counts () =
   (* C11/Fig. 17b: pre-optimizing reduces injected guards. *)
-  let p = { Nas.kernel = Nas.FT; scale = 1 } in
+  let w = Nas.workload (Nas.default_params Nas.FT) in
   let guards_of build =
     let m = build () in
     let report = Trackfm.Pipeline.run Trackfm.Pipeline.default_config m in
     report.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_loads
     + report.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_stores
   in
-  let plain = guards_of (fun () -> Nas.build p ()) in
+  let plain = guards_of w.build in
   let o1 =
     guards_of (fun () ->
-        let m = Nas.build p () in
+        let m = w.build () in
         ignore (Tfm_opt.O1.run m);
         m)
   in
@@ -203,7 +203,7 @@ let test_autotune_picks_sensible_sizes () =
 
 let test_compile_costs_sane () =
   (* Section 4.6: code growth is bounded and compile time is small. *)
-  let m = Stream.build ~n:1_000 ~kernel:Stream.Copy () in
+  let m = (Stream.workload ~n:1_000 Stream.Copy).build () in
   let report = Trackfm.Pipeline.run Trackfm.Pipeline.default_config m in
   let growth = Trackfm.Pipeline.code_growth report in
   Alcotest.(check bool) "growth in [1, 8]" true (growth >= 1.0 && growth < 8.0);

@@ -5,6 +5,8 @@ let run ?(entry = "main") ?args m =
   let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
   (Interp.run ?args backend m ~entry).Interp.ret
 
+let stream_sum n = Workloads.Stream.workload ~n Workloads.Stream.Sum
+
 let test_arithmetic () =
   let m = Ir.create_module () in
   let b = Builder.create m ~name:"main" ~nparams:0 in
@@ -129,7 +131,7 @@ let test_unknown_function_traps () =
 
 let test_cycles_monotonic_and_positive () =
   let n = 500 in
-  let m = Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum () in
+  let m = (stream_sum n).build () in
   let clock = Clock.create () in
   let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
   let r = Interp.run backend m ~entry:"main" in
@@ -138,7 +140,7 @@ let test_cycles_monotonic_and_positive () =
     (r.Interp.instrs_executed > 2 * n)
 
 let test_profile_collection () =
-  let m = Workloads.Stream.build ~n:100 ~kernel:Workloads.Stream.Sum () in
+  let m = (stream_sum 100).build () in
   let profile = Profile.create () in
   let clock = Clock.create () in
   let backend = Backend.local Cost_model.default clock (Memstore.create ()) in
@@ -205,7 +207,8 @@ let test_cpu_work_intrinsic () =
 
 let test_tracer_records_and_replays () =
   let n = 2_000 in
-  let m = Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum () in
+  let w = stream_sum n in
+  let m = w.build () in
   let trace = Tracer.create () in
   let clock = Clock.create () in
   let backend =
@@ -214,8 +217,7 @@ let test_tracer_records_and_replays () =
   in
   let r = Interp.run backend m ~entry:"main" in
   Alcotest.(check int) "result unchanged under recording"
-    (Workloads.Stream.checksum ~n ~kernel:Workloads.Stream.Sum ())
-    r.Interp.ret;
+    (Lazy.force w.oracle) r.Interp.ret;
   (* init writes n elements, sum reads n elements, plus the malloc-free
      program structure: at least 2n accesses *)
   Alcotest.(check bool) "captured accesses" true (Tracer.length trace >= 2 * n);
@@ -230,7 +232,7 @@ let test_tracer_records_and_replays () =
     Backend.fastswap Cost_model.default direct_clock (Memstore.create ())
       ~local_budget:(n * 2)
   in
-  ignore (Interp.run direct (Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum ()) ~entry:"main");
+  ignore (Interp.run direct (w.build ()) ~entry:"main");
   let replay_clock = Clock.create () in
   let replay_backend =
     Backend.fastswap Cost_model.default replay_clock (Memstore.create ())

@@ -101,7 +101,7 @@ let test_dce_keeps_stores_and_calls () =
 let test_o1_reduces_ft_guards () =
   (* The Figure 17b experiment in miniature: O1 cuts the memory
      instructions of the redundant FT kernel substantially. *)
-  let p = { Workloads.Nas.kernel = Workloads.Nas.FT; scale = 1 } in
+  let w = Workloads.Nas.(workload (default_params FT)) in
   let count_mem m =
     List.fold_left
       (fun acc (f : Ir.func) ->
@@ -116,13 +116,13 @@ let test_o1_reduces_ft_guards () =
           acc f.blocks)
       0 m.Ir.funcs
   in
-  let m = Workloads.Nas.build p () in
+  let m = w.build () in
   let before = count_mem m in
   ignore (Tfm_opt.Opt.run_o1 m);
   let after = count_mem m in
   Alcotest.(check bool) "mem instrs reduced by >30%" true
     (after * 10 < before * 7);
-  Alcotest.(check int) "semantics preserved" (Workloads.Nas.checksum p)
+  Alcotest.(check int) "semantics preserved" (Lazy.force w.oracle)
     (run_main m)
 
 let prop_o1_preserves_stream_semantics =
@@ -134,9 +134,10 @@ let prop_o1_preserves_stream_semantics =
           [ Workloads.Stream.Sum; Copy; Scale; Triad ]
           ki
       in
-      let m = Workloads.Stream.build ~n ~kernel () in
+      let w = Workloads.Stream.workload ~n kernel in
+      let m = w.build () in
       ignore (Tfm_opt.Opt.run_o1 m);
-      run_main m = Workloads.Stream.checksum ~n ~kernel ())
+      run_main m = Lazy.force w.oracle)
 
 let test_licm_hoists_invariant_load () =
   let m = Ir.create_module () in
@@ -282,14 +283,14 @@ let test_simplify_cfg_threads_empty_blocks () =
 
 let test_simplify_cfg_preserves_phis () =
   (* A loop's phi arms must stay consistent through simplification. *)
-  let m = Workloads.Stream.build ~n:500 ~kernel:Workloads.Stream.Sum () in
+  let w = Workloads.Stream.workload ~n:500 Workloads.Stream.Sum in
+  let m = w.build () in
   let f = Ir.find_func m "main" in
   while Tfm_opt.Opt.simplify_cfg f > 0 do
     ()
   done;
   Verifier.check_module m;
-  Alcotest.(check int) "stream sum preserved"
-    (Workloads.Stream.checksum ~n:500 ~kernel:Workloads.Stream.Sum ())
+  Alcotest.(check int) "stream sum preserved" (Lazy.force w.oracle)
     (run_main m)
 
 

@@ -252,22 +252,20 @@ let test_trace_limit () =
 
 (* -- end to end: attribution on a real workload ------------------------- *)
 
-let stream_workload () =
-  let n = 4_000 in
-  let build () = Workloads.Stream.build ~n ~kernel:Workloads.Stream.Sum () in
-  let ws = Workloads.Stream.working_set_bytes ~n ~kernel:Workloads.Stream.Sum () in
-  (build, ws)
+let stream = Workloads.Stream.workload ~n:4_000 Workloads.Stream.Sum
+
+let stream_opts =
+  Workloads.Driver.tfm_defaults
+    ~local_budget:(max 65536 (stream.working_set / 4))
 
 let run_tfm_recording ?(series_interval = 50_000) () =
-  let build, ws = stream_workload () in
   let sink = ref Telemetry.Sink.nop in
   let telemetry clock =
     let s = Telemetry.Sink.recording ~series_interval clock in
     sink := s;
     s
   in
-  let opts = Workloads.Driver.tfm_defaults ~local_budget:(max 65536 (ws / 4)) in
-  let o, _ = Workloads.Driver.run_trackfm ~telemetry build opts in
+  let o, _ = Workloads.Driver.run_trackfm ~telemetry stream.build stream_opts in
   Telemetry.Sink.final_sample !sink;
   (o, Option.get (Telemetry.Sink.recorder !sink))
 
@@ -297,9 +295,7 @@ let test_site_totals_match_clock () =
 let test_recording_run_identical_to_disabled () =
   (* The acceptance bar for "zero-cost when disabled" read both ways:
      enabling telemetry must not change simulated time or any counter. *)
-  let build, ws = stream_workload () in
-  let opts = Workloads.Driver.tfm_defaults ~local_budget:(max 65536 (ws / 4)) in
-  let plain, _ = Workloads.Driver.run_trackfm build opts in
+  let plain, _ = Workloads.Driver.run_trackfm stream.build stream_opts in
   let traced, r = run_tfm_recording () in
   Alcotest.(check int) "ret" plain.Workloads.Driver.ret
     traced.Workloads.Driver.ret;

@@ -26,59 +26,40 @@ let test_stream_kernels () =
     [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
 
 let test_stream_chunk_modes_agree () =
-  let n = 5_000 in
-  let kernel = Stream.Sum in
-  let expected = Stream.checksum ~n ~kernel () in
-  let ws = Stream.working_set_bytes ~n ~kernel () in
+  let w = Stream.workload ~n:5_000 Stream.Sum in
+  let opts = Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 25) in
   List.iter
     (fun mode ->
-      let opts =
-        {
-          (Driver.tfm_defaults ~local_budget:(budget_frac ws 25)) with
-          Driver.chunk_mode = mode;
-        }
-      in
-      let o, _ = Driver.run_trackfm (fun () -> Stream.build ~n ~kernel ()) opts in
-      Alcotest.(check int) "mode-independent result" expected o.Driver.ret)
+      let o, _ = Driver.run_trackfm w.build { opts with chunk_mode = mode } in
+      Alcotest.(check int) "mode-independent result" (Lazy.force w.oracle)
+        o.Driver.ret)
     [ `Off; `All; `Gated ]
 
 let test_stream_object_sizes_agree () =
-  let n = 5_000 in
-  let kernel = Stream.Copy in
-  let expected = Stream.checksum ~n ~kernel () in
-  let ws = Stream.working_set_bytes ~n ~kernel () in
+  let w = Stream.workload ~n:5_000 Stream.Copy in
+  let opts = Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 25) in
   List.iter
     (fun osz ->
-      let opts =
-        {
-          (Driver.tfm_defaults ~local_budget:(budget_frac ws 25)) with
-          Driver.object_size = osz;
-        }
-      in
-      let o, _ = Driver.run_trackfm (fun () -> Stream.build ~n ~kernel ()) opts in
+      let o, _ = Driver.run_trackfm w.build { opts with object_size = osz } in
       Alcotest.(check int)
         (Printf.sprintf "object size %d" osz)
-        expected o.Driver.ret)
+        (Lazy.force w.oracle) o.Driver.ret)
     [ 64; 256; 1024; 4096 ]
 
 let test_kmeans_all_backends () =
   check_all_backends (Kmeans.workload (Kmeans.default_params ~n:2_000))
 
 let test_kmeans_chunk_modes_agree () =
-  let p = Kmeans.default_params ~n:1_500 in
-  let expected = Kmeans.checksum p in
-  let ws = Kmeans.working_set_bytes p in
+  let w = Kmeans.workload (Kmeans.default_params ~n:1_500) in
+  let opts = Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 40) in
   List.iter
     (fun (mode, gate) ->
-      let opts =
-        {
-          (Driver.tfm_defaults ~local_budget:(budget_frac ws 40)) with
-          Driver.chunk_mode = mode;
-          profile_gate = gate;
-        }
+      let o, _ =
+        Driver.run_trackfm w.build
+          { opts with chunk_mode = mode; profile_gate = gate }
       in
-      let o, _ = Driver.run_trackfm (fun () -> Kmeans.build p ()) opts in
-      Alcotest.(check int) "kmeans result stable" expected o.Driver.ret)
+      Alcotest.(check int) "kmeans result stable" (Lazy.force w.oracle)
+        o.Driver.ret)
     [ (`Off, false); (`All, false); (`Gated, false); (`Gated, true) ]
 
 let test_hashmap_all_backends () =
@@ -86,9 +67,13 @@ let test_hashmap_all_backends () =
     (Hashmap.workload (Hashmap.default_params ~keys:3_000 ~lookups:5_000))
 
 let test_hashmap_trace_deterministic () =
-  let p = Hashmap.default_params ~keys:1_000 ~lookups:2_000 in
-  Alcotest.(check bytes) "same blob for same seed" (Hashmap.trace_blob p)
-    (Hashmap.trace_blob p)
+  let blobs () =
+    Lazy.force
+      (Hashmap.workload (Hashmap.default_params ~keys:1_000 ~lookups:2_000))
+        .blobs
+  in
+  Alcotest.(check (list (pair int bytes))) "same blob for same seed"
+    (blobs ()) (blobs ())
 
 let test_memcached_all_backends () =
   check_all_backends
@@ -98,12 +83,14 @@ let test_memcached_all_backends () =
 let test_memcached_skews_valid () =
   List.iter
     (fun skew ->
-      let p = Memcached.default_params ~keys:1_000 ~gets:1_000 ~skew in
-      let blobs = [ (0, Memcached.trace_blob p) ] in
-      let o = Driver.run_local ~blobs (fun () -> Memcached.build p ()) in
+      let w =
+        Memcached.workload
+          (Memcached.default_params ~keys:1_000 ~gets:1_000 ~skew)
+      in
+      let o = Driver.run_local ~blobs:(Lazy.force w.blobs) w.build in
       Alcotest.(check int)
         (Printf.sprintf "skew %.2f" skew)
-        (Memcached.checksum p) o.Driver.ret)
+        (Lazy.force w.oracle) o.Driver.ret)
     [ 1.0; 1.05; 1.2; 1.3 ]
 
 let test_analytics_all_backends () =
@@ -112,39 +99,40 @@ let test_analytics_all_backends () =
 let test_llist_all_backends () =
   check_all_backends (Llist.workload ~nodes:600 ~tnodes:257)
 
+let test_chase_all_backends () =
+  check_all_backends (Chase.workload ~nodes:10_000)
+
 (* The whole point of the workload: its dependent loads are hidden in
    helpers, so static routing finds them only through the shape
    analysis. With shapes off the static router must route nothing. *)
 let test_llist_routes_via_shapes () =
-  let nodes = 400 and tnodes = 127 in
-  let build () = Llist.build ~nodes ~tnodes () in
-  let ws = Llist.working_set_bytes ~nodes ~tnodes in
+  let w = Llist.workload ~nodes:400 ~tnodes:127 in
   let opts =
     {
-      (Driver.tfm_defaults ~local_budget:(budget_frac ws 30)) with
+      (Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 30)) with
       route = `Static;
     }
   in
-  let o, report = Driver.run_trackfm build opts in
-  Alcotest.(check int) "llist routed checksum"
-    (Llist.checksum ~nodes ~tnodes)
+  let o, report = Driver.run_trackfm w.build opts in
+  Alcotest.(check int) "llist routed checksum" (Lazy.force w.oracle)
     o.Driver.ret;
   Alcotest.(check bool) "helper-hidden sites statically routed" true
     (report.Trackfm.Pipeline.routing.Trackfm.Route_pass.routed >= 1);
   let o_off, report_off =
-    Driver.run_trackfm build { opts with use_shapes = false }
+    Driver.run_trackfm w.build { opts with use_shapes = false }
   in
-  Alcotest.(check int) "llist unrouted checksum"
-    (Llist.checksum ~nodes ~tnodes)
+  Alcotest.(check int) "llist unrouted checksum" (Lazy.force w.oracle)
     o_off.Driver.ret;
   Alcotest.(check int) "no static routes without shape facts" 0
     report_off.Trackfm.Pipeline.routing.Trackfm.Route_pass.routed
 
 let test_analytics_aifm_port_matches () =
   let p = Analytics.default_params ~rows:8_000 in
-  let ws = Analytics.working_set_bytes p in
-  let ck, clock = Analytics.run_aifm ~local_budget:(budget_frac ws 30) p in
-  Alcotest.(check int) "AIFM port same checksum" (Analytics.checksum p) ck;
+  let w = Analytics.workload p in
+  let ck, clock =
+    Analytics.run_aifm ~local_budget:(budget_frac w.working_set 30) p
+  in
+  Alcotest.(check int) "AIFM port same checksum" (Lazy.force w.oracle) ck;
   Alcotest.(check bool) "AIFM port moved data" true
     (Clock.get clock "net.bytes_in" > 0)
 
@@ -172,16 +160,13 @@ let test_nas_table3_metadata () =
       Alcotest.(check bool)
         (Nas.kernel_name k ^ " ws positive")
         true
-        (Nas.working_set_bytes { Nas.kernel = k; scale = 1 } > 0))
+        ((Nas.workload (Nas.default_params k)).working_set > 0))
     Nas.all_kernels
 
 let test_driver_counters_exposed () =
-  let n = 2_000 in
-  let ws = Stream.working_set_bytes ~n ~kernel:Stream.Sum () in
-  let opts = Driver.tfm_defaults ~local_budget:(budget_frac ws 25) in
-  let o, report =
-    Driver.run_trackfm (fun () -> Stream.build ~n ~kernel:Stream.Sum ()) opts
-  in
+  let w = Stream.workload ~n:2_000 Stream.Sum in
+  let opts = Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 25) in
+  let o, report = Driver.run_trackfm w.build opts in
   Alcotest.(check bool) "guard or boundary events recorded" true
     (Driver.counter o "tfm.fast_guards" + Driver.counter o "tfm.boundary_checks"
     > 0);
@@ -298,11 +283,10 @@ let test_prerun_only_for_gated_loops () =
       Chase.workload ~nodes:2_000;
       Stream.workload ~n:5_000 Stream.Sum;
     ];
-  let p = Kmeans.default_params ~n:1_500 in
+  let km = Kmeans.workload (Kmeans.default_params ~n:1_500) in
   let run =
-    Driver.run_trackfm (Kmeans.build p)
-      (Driver.tfm_defaults
-         ~local_budget:(budget_frac (Kmeans.working_set_bytes p) 25))
+    Driver.run_trackfm km.build
+      (Driver.tfm_defaults ~local_budget:(budget_frac km.working_set 25))
   in
   Alcotest.(check bool) "kmeans has candidates" true (candidates run <> []);
   List.iter
@@ -368,6 +352,8 @@ let suite =
       Alcotest.test_case "memcached skews" `Quick test_memcached_skews_valid;
       Alcotest.test_case "analytics x backends" `Quick test_analytics_all_backends;
       Alcotest.test_case "llist x backends" `Quick test_llist_all_backends;
+      Alcotest.test_case "pointer-chase x backends" `Quick
+        test_chase_all_backends;
       Alcotest.test_case "llist routes via shapes" `Quick
         test_llist_routes_via_shapes;
       Alcotest.test_case "analytics AIFM port" `Quick
