@@ -10,13 +10,15 @@
    runs the interpreter, the differential oracle, first with
    --engine interp; the runs after it take the default compiled engine,
    and a second of them proves determinism. Each run's stdout and stderr
-   stay behind as
-   <cell>.out and <cell>.err, and its files where its arguments put
-   them: ci/dune diffs <cell>.json against golden/<cell>.json (the
-   stdout of the check, list, classify-<workload>, summaries-<workload>
-   and shape-<workload> cells against golden/<cell>.out, and the tables
-   of each paper-<experiment> cell against golden/paper/<experiment>.json),
-   and after an intended change `dune promote` refreshes the golden.
+   stay behind as <cell>.out and <cell>.err, and its files where its
+   arguments put them.
+
+   A cell may pin one output: its stdout or a file it writes, or the
+   tables of the bench metrics file it writes. Once every cell of a group
+   passes, the runner writes the group's pinned outputs in table order to
+   <group>.txt, each after a "=== <cell>" line; ci/dune diffs that bundle
+   against golden/<group>.txt, and after an intended change one
+   `dune promote` refreshes every section of it.
 
    Usage: cells.exe GROUP, run in _build/default/ci, which runs every
    cell of GROUP and reports each failing cell by name. *)
@@ -25,6 +27,12 @@ let sprintf = Printf.sprintf
 let interp = [ "--engine"; "interp" ]
 
 type output = Stdout | File of string
+
+(* What golden/<group>.txt holds of a cell: one of its outputs as written,
+   or the [tables] member of the bench metrics file it writes, one table a
+   line (the file's other members are the experiment's name and flags and
+   elapsed_s, its host time). *)
+type pin = Written of output | Tables of output
 
 type cell = {
   group : string;
@@ -35,6 +43,7 @@ type cell = {
   status : int;  (** the exit status of every run *)
   checks : (output * (string -> (unit, string) result)) list;
       (** conditions on an output of every run *)
+  pin : pin option;  (** its section of golden/<group>.txt *)
 }
 
 let program = function
@@ -69,12 +78,13 @@ let same ~from output want got =
 
 let ( let* ) = Result.bind
 
-let contains text sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length text && (String.sub text i n = sub || go (i + 1))
-  in
-  go 0
+(* The index of the first [sub] in [text] at or after [from]. *)
+let rec find ?(from = 0) text sub =
+  if from + String.length sub > String.length text then None
+  else if String.sub text from (String.length sub) = sub then Some from
+  else find ~from:(from + 1) text sub
+
+let contains text sub = Option.is_some (find text sub)
 
 let prints text =
   ( Stdout,
@@ -99,8 +109,26 @@ let lost_objects ~lost file =
       | true, _ -> Error "counted no net.lost_objects"
       | false, Some n -> Error ("counted net.lost_objects " ^ to_string n) )
 
-let same_as path output =
-  (output, fun got -> same ~from:path output (read path) got)
+(* The output equals cell [name]'s section of [bundle], a golden: the
+   lines after its "=== [name]" line, up to the next "=== " line. *)
+let same_as_section bundle name output =
+  ( output,
+    fun got ->
+      let text = "\n" ^ read bundle and head = sprintf "\n=== %s\n" name in
+      let* i =
+        Option.to_result (find text head)
+          ~none:(sprintf "%s has no section %s" bundle name)
+      in
+      let start = i + String.length head in
+      let stop =
+        Option.fold ~none:(String.length text) ~some:succ
+          (find ~from:(start - 1) text "\n=== ")
+      in
+      same
+        ~from:(sprintf "%s (%s)" bundle name)
+        output
+        (String.sub text start (stop - start))
+        got )
 
 (* The output ends with the bytes an earlier cell left in [path]. *)
 let ends_with path output =
@@ -109,22 +137,15 @@ let ends_with path output =
       if String.ends_with ~suffix:(read path) got then Ok ()
       else Error (sprintf "%s does not end with %s" (describe output) path) )
 
-(* The [tables] member of a bench metrics file, left in [file] one table
-   a line for ci/dune to diff against its golden. The file's other
-   members are the experiment's name and flags and elapsed_s, its host
-   time. *)
-let keep_tables file output =
+(* The [tables] member of a bench metrics file, one table a line. *)
+let tables output json =
   let open Telemetry.Json in
-  ( output,
-    fun json ->
-      match Result.map (member "tables") (parse json) with
-      | Ok (Some (List tables)) ->
-          Out_channel.with_open_text file (fun oc ->
-              Printf.fprintf oc "[\n%s\n]\n"
-                (String.concat ",\n" (List.map to_string tables)));
-          Ok ()
-      | Ok _ -> Error (sprintf "%s holds no tables" (describe output))
-      | Error e -> Error (sprintf "%s is not JSON: %s" (describe output) e) )
+  match Result.map (member "tables") (parse json) with
+  | Ok (Some (List tables)) ->
+      let lines = String.concat ",\n" (List.map to_string tables) in
+      Ok (sprintf "[\n%s\n]\n" lines)
+  | Ok _ -> Error (sprintf "%s holds no tables" (describe output))
+  | Error e -> Error (sprintf "%s is not JSON: %s" (describe output) e)
 
 let conforms schema output =
   ( output,
@@ -142,27 +163,28 @@ let conforms schema output =
 
 (* -- the table ---------------------------------------------------------- *)
 
-let cell ?(runs = [ [] ]) ?(outputs = []) ?(status = 0) ?(checks = []) group
-    name command =
-  { group; name; command; runs; outputs; status; checks }
+let cell ?(runs = [ [] ]) ?(outputs = []) ?(status = 0) ?(checks = []) ?pin
+    group name command =
+  { group; name; command; runs; outputs; status; checks; pin }
 
 (* A trackfm_cli run or serve whose JSON record (--counters-json or
-   --serving-json) goes to <name>.json. *)
-let json ?runs ?(outputs = []) ?checks group name command =
+   --serving-json) goes to <name>.json; [~pinned:true] pins the record. *)
+let json ?runs ?(outputs = []) ?checks ?(pinned = false) group name command =
   let file = name ^ ".json" in
   let flag =
     if String.starts_with ~prefix:"serve " command then "--serving-json"
     else "--counters-json"
   in
   cell ?runs ?checks group name ~outputs:(File file :: outputs)
+    ?pin:(if pinned then Some (Written (File file)) else None)
     (sprintf "trackfm_cli %s %s %s" command flag file)
 
 let fault_run w seed =
   sprintf "run -w %s -s trackfm -m 25 --faults medium --fault-seed %d" w seed
 
-(* Fault cells: interpreter, then compiled twice; goldened. *)
+(* Fault cells: interpreter, then compiled twice; pinned. *)
 let fault w seed =
-  json "faults" (sprintf "%s-seed%d" w seed) (fault_run w seed)
+  json ~pinned:true "faults" (sprintf "%s-seed%d" w seed) (fault_run w seed)
     ~runs:[ interp; []; [] ]
 
 (* The fault runs without chunking: interpreter, then compiled. *)
@@ -173,23 +195,23 @@ let chunk_off w seed =
        w seed)
     ~runs:[ interp; [] ]
 
-(* Routed cells: interpreter, then compiled twice; goldened. *)
+(* Routed cells: interpreter, then compiled twice; pinned. *)
 let routed w route pct =
-  json "routed"
+  json ~pinned:true "routed"
     (sprintf "hybrid-%s-%s-m%d" w route pct)
     (sprintf "run -w %s -s trackfm -m %d --route %s" w pct route)
     ~runs:[ interp; []; [] ]
 
-(* Pure Fastswap cells: interpreter, then compiled twice; goldened. *)
+(* Pure Fastswap cells: interpreter, then compiled twice; pinned. *)
 let fastswap w =
-  json "fastswap"
+  json ~pinned:true "fastswap"
     (sprintf "fastswap-%s-m25" w)
     (sprintf "run -w %s -s fastswap -m 25" w)
     ~runs:[ interp; []; [] ]
 
-(* Serving cells: run twice; goldened. *)
+(* Serving cells: run twice; pinned. *)
 let serving backend rate =
-  json "serving"
+  json ~pinned:true "serving"
     (sprintf "serving-%s-r%d" backend rate)
     (sprintf
        "serve -b %s --rate %d --requests 1500 --keys 4096 --budget 32768 \
@@ -197,25 +219,23 @@ let serving backend rate =
        backend rate)
     ~runs:[ []; [] ]
 
-(* Static-analysis dumps: two runs print the same bytes. ci/dune also
-   diffs each cell's stdout against golden/<cell>.out: the sites,
-   classes and routes of classify-<workload>, the call graph and
-   function summaries of summaries-<workload>, and the shape facts and
-   calling contexts of shape-<workload>. The JSON classify dumps are
-   checked against the schema instead. *)
-let dump ?checks kind args w =
+(* Static-analysis dumps: two runs print the same bytes, and each cell
+   pins its stdout: the sites, classes and routes of classify-<workload>,
+   the call graph and function summaries of summaries-<workload>, and the
+   shape facts and calling contexts of shape-<workload>. The JSON classify
+   dumps are checked against the schema instead. *)
+let dump ?checks ?(pinned = true) kind args w =
   cell "lint" (sprintf "%s-%s" kind w)
     (sprintf "trackfm_cli %s -w %s" args w)
     ~runs:[ []; [] ] ~outputs:[ Stdout ] ?checks
+    ?pin:(if pinned then Some (Written Stdout) else None)
 
-(* One bench experiment at --quick, whose tables must equal
-   golden/paper/<experiment>.json. *)
+(* One bench experiment at --quick, which pins its metrics file's tables. *)
 let paper experiment =
   let metrics = File (sprintf "paper/%s.json" experiment) in
   cell "paper" ("paper-" ^ experiment)
     (sprintf "bench %s --quick --metrics-dir paper" experiment)
-    ~outputs:[ metrics ]
-    ~checks:[ keep_tables (sprintf "paper-%s.json" experiment) metrics ]
+    ~outputs:[ metrics ] ~pin:(Tables metrics)
 
 (* Every experiment but the two whose quick tables hold host time:
    compile_costs' "compile s" column and engine_speedup's throughputs.
@@ -250,7 +270,7 @@ let durability w seed replicas ack =
        else [ prints "(correct)"; lost_objects ~lost:false counters ])
 
 (* Telemetry must not perturb the simulation: with the trace, spans and
-   attribution all on, the counters equal the fault golden's. *)
+   attribution all on, the counters equal the fault cell's pinned ones. *)
 let traced w seed =
   let name = sprintf "traced-%s-seed%d" w seed in
   let counters = name ^ ".json" and trace = name ^ ".trace.json" in
@@ -260,7 +280,9 @@ let traced w seed =
     ~outputs:[ File trace; File (name ^ ".attribution.json") ]
     ~checks:
       [
-        same_as (sprintf "golden/%s-seed%d.json" w seed) (File counters);
+        same_as_section "golden/faults.txt"
+          (sprintf "%s-seed%d" w seed)
+          (File counters);
         conforms "trace_schema.json" (File trace);
       ]
 
@@ -290,9 +312,10 @@ let table =
     chunk_off "hashmap" 1; chunk_off "hashmap" 2; chunk_off "hashmap" 3;
     (* The checker over every workload x configuration, one line of
        guard, elision, hoisting and routing counts per configuration,
-       diffed against golden/check.out; the engine diff it adds on the
-       compiled engine is check-compiled's, in @ci/engines. *)
-    cell "check" "check" "trackfm_cli check --engine interp";
+       pinned; the engine diff it adds on the compiled engine is
+       check-compiled's, in @ci/engines. *)
+    cell "check" "check" "trackfm_cli check --engine interp"
+      ~pin:(Written Stdout);
     routed "pointer-chase" "static" 25; routed "pointer-chase" "static" 100;
     routed "pointer-chase" "profiled" 25;
     routed "pointer-chase" "profiled" 100;
@@ -321,7 +344,7 @@ let table =
       (fun w ->
         [
           dump "classify" "classify" w;
-          dump "classify-json" "classify --json" w
+          dump "classify-json" "classify --json" w ~pinned:false
             ~checks:[ conforms "classify_schema.json" Stdout ];
         ])
       [
@@ -332,9 +355,9 @@ let table =
       [ "llist"; "pointer-chase"; "analytics"; "hashmap" ]
   @ [
       (* The workload catalog: every name, description and working set,
-         printed the same twice and diffed against golden/list.out. *)
+         printed the same twice and pinned. *)
       cell "lint" "list" "trackfm_cli list" ~runs:[ []; [] ]
-        ~outputs:[ Stdout ];
+        ~outputs:[ Stdout ] ~pin:(Written Stdout);
       cell "smoke" "bench-quick"
         "bench table1 fig6 --quick --metrics-dir metrics"
         ~outputs:[ File "metrics/table1.json"; File "metrics/fig6.json" ];
@@ -384,11 +407,11 @@ let table =
   @ [
       cell "engines" "check-compiled" "trackfm_cli check --engine compiled";
       (* Full-size NAS, which the tests run at their sub-class size: IS
-         under both engines, fault-free and faulted, goldened, and the
+         under both engines, fault-free and faulted, pinned, and the
          other four kernels' checksums. *)
-      json "engines" "nas-is-m50" "run -w nas-is -s trackfm -m 50"
+      json ~pinned:true "engines" "nas-is-m50" "run -w nas-is -s trackfm -m 50"
         ~runs:[ interp; [] ];
-      json "engines" "nas-is-m50-seed1"
+      json ~pinned:true "engines" "nas-is-m50-seed1"
         "run -w nas-is -s trackfm -m 50 --faults medium --fault-seed 1"
         ~runs:[ interp; [] ];
     ]
@@ -414,8 +437,23 @@ let table =
 let all f xs =
   List.fold_left (fun acc x -> Result.bind acc (fun () -> f x)) (Ok ()) xs
 
-(* Runs every invocation of one cell in turn; [Some reason] at the first
-   that fails. *)
+(* The section of <group>.txt when [c] pins an output: its
+   "=== <cell>" line, then the pinned bytes, which end with a newline so
+   that the next section starts on a line of its own. *)
+let section_of c contents =
+  let section o bytes =
+    if String.ends_with ~suffix:"\n" bytes then
+      Ok (Some (sprintf "=== %s\n%s" c.name bytes))
+    else Error (sprintf "pins %s, which ends with no newline" (describe o))
+  in
+  match c.pin with
+  | None -> Ok None
+  | Some (Written o) -> section o (contents o)
+  | Some (Tables o) -> Result.bind (tables o (contents o)) (section o)
+
+(* Runs every invocation of one cell in turn: its section of <group>.txt
+   when every run passes (the runs wrote the same outputs, so the last
+   run's files give it), else the reason the first failing run fails. *)
 let run_cell c =
   let prog, args =
     match String.split_on_char ' ' c.command with
@@ -468,7 +506,10 @@ let run_cell c =
         | Error e ->
             Some (sprintf "`%s` %s" (String.concat " " (prog :: argv)) e))
   in
-  Option.map (sprintf "cell %s: %s" c.name) (go None c.runs)
+  Result.map_error (sprintf "cell %s: %s" c.name)
+    (match go None c.runs with
+    | Some failure -> Error failure
+    | None -> section_of c contents)
 
 let () =
   match Sys.argv with
@@ -478,9 +519,17 @@ let () =
         prerr_endline ("cells.exe: no cell in group " ^ group);
         exit 2
       end;
-      let failures = List.filter_map run_cell cells in
+      let sections, failures =
+        List.partition_map
+          (fun c ->
+            match run_cell c with Ok s -> Either.Left s | Error e -> Right e)
+          cells
+      in
       List.iter prerr_endline failures;
-      if failures <> [] then exit 1
+      if failures <> [] then exit 1;
+      if List.exists Option.is_some sections then
+        Out_channel.with_open_bin (group ^ ".txt") (fun oc ->
+            List.iter (Option.iter (output_string oc)) sections)
   | _ ->
       prerr_endline "usage: cells.exe GROUP";
       exit 2
