@@ -6,15 +6,7 @@ open Bench_common
 let nas kernel = Nas.workload (Nas.default_params kernel)
 
 (* [w] with the O1 pre-pass run on every module it builds. *)
-let o1 (w : Workload.t) =
-  {
-    w with
-    build =
-      (fun () ->
-        let m = w.build () in
-        ignore (Tfm_opt.O1.run m);
-        m);
-  }
+let o1 (w : Workload.t) = { w with build = Tfm_opt.O1.build w.build }
 
 let fig17 () =
   let t =

@@ -37,11 +37,7 @@ let print_outcome (w : Workload.t) (o : Driver.outcome) =
   end
 
 let build_of (w : Workload.t) o1 =
-  if o1 then fun () ->
-    let m = w.build () in
-    ignore (Tfm_opt.O1.run m);
-    m
-  else w.build
+  if o1 then Tfm_opt.O1.build w.build else w.build
 
 (* Every command's local-memory budget: [pct] percent of the working set,
    and at least 16 objects. *)

@@ -4,3 +4,8 @@ let run (m : Ir.modul) =
   let cleaned = Opt.run_o1 m in
   Verifier.check_module m;
   inlined + promoted + cleaned
+
+let build build () =
+  let m = build () in
+  ignore (run m);
+  m

@@ -9,3 +9,7 @@
 val run : Ir.modul -> int
 (** Returns the total of inlined sites, promoted slots and eliminated
     instructions. Verifies the module afterwards. *)
+
+val build : (unit -> Ir.modul) -> unit -> Ir.modul
+(** [build b] is a builder of [b]'s modules with {!run} applied: the
+    "TFM/O1" build of a workload. *)

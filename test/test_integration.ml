@@ -173,13 +173,7 @@ let test_claim_o1_reduces_guard_counts () =
     report.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_loads
     + report.Trackfm.Pipeline.guards.Trackfm.Guard_pass.guarded_stores
   in
-  let plain = guards_of w.build in
-  let o1 =
-    guards_of (fun () ->
-        let m = w.build () in
-        ignore (Tfm_opt.O1.run m);
-        m)
-  in
+  let plain = guards_of w.build and o1 = guards_of (Tfm_opt.O1.build w.build) in
   Alcotest.(check bool) "O1 cuts static guards" true (o1 * 3 < plain * 2)
 
 let test_autotune_picks_sensible_sizes () =

@@ -9,6 +9,8 @@ open Workloads
    AIFM deployment would also require a minimum local memory). *)
 let budget_frac ws f = max (8 * 4096) (ws * f / 100)
 
+(* Every backend returns the oracle, and the far-memory runs leave local
+   memory: TrackFM fetches objects and Fastswap takes major faults. *)
 let check_all_backends (w : Workload.t) =
   let blobs = Lazy.force w.blobs and expected = Lazy.force w.oracle in
   let local_budget = budget_frac w.working_set 30 in
@@ -17,12 +19,16 @@ let check_all_backends (w : Workload.t) =
   let opts = Driver.tfm_defaults ~local_budget in
   let tfm, _ = Driver.run_trackfm ~blobs w.build opts in
   Alcotest.(check int) (w.name ^ " trackfm") expected tfm.Driver.ret;
+  Alcotest.(check bool) (w.name ^ " trackfm fetches") true
+    (Clock.get tfm.Driver.clock "net.fetches" > 0);
   let fs = Driver.run_fastswap ~blobs ~local_budget w.build in
-  Alcotest.(check int) (w.name ^ " fastswap") expected fs.Driver.ret
+  Alcotest.(check int) (w.name ^ " fastswap") expected fs.Driver.ret;
+  Alcotest.(check bool) (w.name ^ " fastswap faults") true
+    (Clock.get fs.Driver.clock "fastswap.major_faults" > 0)
 
 let test_stream_kernels () =
   List.iter
-    (fun kernel -> check_all_backends (Stream.workload ~n:3_000 kernel))
+    (fun kernel -> check_all_backends (Stream.workload ~n:30_000 kernel))
     [ Stream.Sum; Stream.Copy; Stream.Scale; Stream.Triad ]
 
 let test_stream_chunk_modes_agree () =
@@ -97,7 +103,7 @@ let test_analytics_all_backends () =
   check_all_backends (Analytics.workload (Analytics.default_params ~rows:8_000))
 
 let test_llist_all_backends () =
-  check_all_backends (Llist.workload ~nodes:600 ~tnodes:257)
+  check_all_backends (Llist.workload ~nodes:4_000 ~tnodes:2_047)
 
 let test_chase_all_backends () =
   check_all_backends (Chase.workload ~nodes:10_000)
