@@ -20,33 +20,45 @@ let no_access ~addr:_ ~size:_ ~write:_ = ()
 
 let plain_alloc_cost = 60
 
-let base_intrinsics ?(telemetry = Telemetry.Sink.nop) clock name
-    (args : int array) =
-  match name with
-  | "!tfm_init" -> Some 0 (* runtime already initialized host-side *)
-  | "!bench_begin" ->
-      (* Start of the measured region: discard setup-phase cycles and
-         counters (memory-system state stays warm). The telemetry trace
-         timestamp stays monotone across the reset. *)
-      Telemetry.Sink.phase_mark telemetry "bench_begin";
-      Telemetry.Sink.note_reset telemetry;
-      Memsim.Clock.reset clock;
-      Some 0
-  | "!cpu_work" ->
-      (* Fixed CPU-only work (request parsing, protocol handling, ...):
-         charged directly rather than interpreted instruction by
-         instruction. Never touches remotable memory. *)
-      Memsim.Clock.tick clock args.(0);
-      Some 0
-  | "!op_begin" ->
-      (* Span boundary: one operation of class args.(0) starts here.
-         Free of simulated cycles — tracing must not perturb timing. *)
-      Telemetry.Sink.op_begin telemetry ~cls:args.(0);
-      Some 0
-  | "!op_end" ->
-      Telemetry.Sink.op_end telemetry;
-      Some 0
-  | _ -> None
+(* The hooks every backend handles. Like {!trackfm}'s dispatcher, this
+   one binds its handlers once and then only picks one by name. *)
+let base_intrinsics ?(telemetry = Telemetry.Sink.nop) clock =
+  let tfm_init _ = Some 0 (* runtime already initialized host-side *) in
+  let bench_begin _ =
+    (* Start of the measured region: discard setup-phase cycles and
+       counters (memory-system state stays warm). The telemetry trace
+       timestamp stays monotone across the reset. *)
+    Telemetry.Sink.phase_mark telemetry "bench_begin";
+    Telemetry.Sink.note_reset telemetry;
+    Memsim.Clock.reset clock;
+    Some 0
+  in
+  let cpu_work (args : int array) =
+    (* Fixed CPU-only work (request parsing, protocol handling, ...):
+       charged directly rather than interpreted instruction by
+       instruction. Never touches remotable memory. *)
+    Memsim.Clock.tick clock args.(0);
+    Some 0
+  in
+  let op_begin (args : int array) =
+    (* Span boundary: one operation of class args.(0) starts here.
+       Free of simulated cycles — tracing must not perturb timing. *)
+    Telemetry.Sink.op_begin telemetry ~cls:args.(0);
+    Some 0
+  in
+  let op_end _ =
+    Telemetry.Sink.op_end telemetry;
+    Some 0
+  in
+  let unknown _ = None in
+  fun name ->
+    match name with
+    | "!tfm_init" -> tfm_init
+    | "!bench_begin" -> bench_begin
+    | "!cpu_work" -> cpu_work
+    | "!op_begin" -> op_begin
+    | "!op_end" -> op_end
+    | _ -> unknown
 
 (* The untracked heap of [local] and [fastswap]: a region allocator
    charging [plain_alloc_cost] per malloc and free. *)
@@ -81,7 +93,7 @@ let plain ~name ~on_access ~telemetry cost clock store =
           end
         end);
     on_access;
-    intrinsic = (fun name args -> base_intrinsics ~telemetry clock name args);
+    intrinsic = base_intrinsics ~telemetry clock;
   }
 
 let local ?(telemetry = Telemetry.Sink.nop) cost clock store =
@@ -125,7 +137,7 @@ let trackfm rt store =
      picks one by name, so a compiled call site resolves its handler
      before the run and a match allocates nothing. What a handler checks
      about the run (the init flag above all) it checks when it runs. *)
-  let base name = base_intrinsics ~telemetry clock name in
+  let base = base_intrinsics ~telemetry clock in
   let bench_begin = base "!bench_begin"
   and cpu_work = base "!cpu_work"
   and op_begin = base "!op_begin"

@@ -29,18 +29,19 @@ type t = {
   intrinsic : string -> int array -> int option;
       (** Handle a runtime call; [None] means unknown intrinsic.
 
-          The compiled engine applies [intrinsic name] once per call
-          site, when it compiles the module, and calls the handler it
-          gets on every execution of the site; the interpreter applies
-          [intrinsic name args] on every call. So a dispatcher should
+          Both engines apply [intrinsic name] once per call site and
+          call the handler they get on every execution of the site: the
+          compiled engine when it compiles the module, the interpreter
+          when it prepares the site's function. So a dispatcher should
           match the name before it takes the arguments and return a
-          handler bound when the backend is built ({!trackfm} and
-          [Driver.with_blobs] do), and every check that reads run state
-          (such as {!trackfm}'s "!tfm_init ran first") belongs inside
-          the handler: the compiled engine resolves handlers before the
-          run starts. A wrapper written [fun name args -> ...] still
-          sees every call on both engines, at the cost of a partial
-          application per call on the compiled one. *)
+          handler bound when the backend is built (the three backends
+          here and [Driver.with_blobs] do), and every check that reads
+          run state (such as {!trackfm}'s "!tfm_init ran first") belongs
+          inside the handler: both engines resolve a site's handler
+          before the site first runs. A wrapper written
+          [fun name args -> ...] still sees every call on both engines,
+          at the cost of running its whole body, name match included,
+          on every call. *)
 }
 
 val local :
@@ -74,5 +75,5 @@ val heap_base : int
 val no_access : addr:int -> size:int -> write:bool -> unit
 (** The canonical do-nothing [on_access] hook, shared by the backends
     that charge every access at local cost ({!local}, {!trackfm}).
-    Compiled engines compare against it by physical equality to elide
-    the per-access hook call. *)
+    Both engines compare against it by physical equality, once per run,
+    and then skip the per-access hook call. *)

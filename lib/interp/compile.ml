@@ -121,7 +121,7 @@ type ctx = {
   profile : Profile.t option;
 }
 
-(* Mirrors the interpreter's callee dispatch: only names the intrinsic
+(* Mirrors the interpreter's [resolve]: only names the intrinsic
    table knows nothing about resolve to defined IR functions. *)
 let is_direct_call ctx callee =
   Intrinsics.classify callee = Intrinsics.Unknown
@@ -533,7 +533,7 @@ type site = {
 
 (* Arguments read in order into an array literal (every TrackFM
    intrinsic takes at most three), coerced to ints exactly like the
-   interpreter's [as_int] map. *)
+   interpreter's [eval_ints]. *)
 let read_args fr = function
   | [||] -> [||]
   | [| s0 |] -> [| read_int fr s0 |]

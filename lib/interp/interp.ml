@@ -1,3 +1,17 @@
+(* The reference engine: a tree-walking interpreter, the oracle the
+   compiled engine ({!Compile}) is diffed against.
+
+   A function is prepared the first time it is called: its blocks and
+   instructions become arrays, and every call site is bound once. A
+   direct call is bound to its callee's prepared body, a libc call to
+   the backend's allocation hook, and any other call to the handler the
+   backend's dispatcher returns for the callee's name, as the compiled
+   engine binds them. Whether loads and stores call the backend's access
+   hook and tag telemetry sites is decided once per run. The rest is
+   dispatched on every execution: each operand is matched (a constant
+   is boxed), each branch hashes its target label and each phi scans
+   its arms for the predecessor's label. *)
+
 exception Trap of string
 
 let trap fmt = Format.kasprintf (fun s -> raise (Trap s)) fmt
@@ -9,11 +23,23 @@ type v = I of int | F of float
 let as_int = function I n -> n | F _ -> trap "expected int, got float"
 let as_float = function F x -> x | I _ -> trap "expected float, got int"
 
-(* Prepared (array-indexed) function representation for execution speed.
-   Call instructions carry a resolution slot: direct calls to defined IR
-   functions are bound to their prepared representation once, at prepare
-   time, so the hot path never consults the name table again. *)
-type pinstr = { pi : Ir.instr; mutable ptarget : pfunc option }
+(* A prepared function. A call instruction keeps its argument operands
+   as an array and its site, bound by [resolve], so running it neither
+   matches the callee's name nor builds an argument list. *)
+type pinstr = {
+  pi : Ir.instr;
+  pargs : Ir.value array; (* a call's argument operands; [||] otherwise *)
+  mutable psite : site;
+}
+
+(* What a call instruction runs. *)
+and site =
+  | Not_a_call (* also a call's site until [prepare] binds it *)
+  | Direct of pfunc (* a defined IR function *)
+  | Libc of (int array -> int) (* malloc, calloc, realloc or free *)
+  | Handler of (int array -> int option)
+      (* what the backend's dispatcher returned for the callee's name;
+         [None] at run time falls back to the IR function of that name *)
 
 and pblock = {
   plabel : string;
@@ -40,6 +66,8 @@ type state = {
       (* when set, a dependent-load depth is threaded beside every value
          and recorded at each access site — the dynamic audit of the
          static shape analysis; None costs one branch per instruction *)
+  hooked : bool; (* [on_access] is not {!Backend.no_access} *)
+  tagged : bool; (* the sink is active: [set_site] is not a no-op *)
   mutable stack_ptr : int;
   mutable fuel : int;
   mutable instrs : int;
@@ -61,7 +89,27 @@ let layout_globals (m : Ir.modul) =
     (List.rev m.Ir.globals);
   globals
 
-let rec prepare st fname =
+(* A call site's binding. The backend's dispatcher is applied to the
+   callee's name here, once per site. *)
+let rec resolve st callee =
+  let b = st.backend in
+  match callee with
+  | "malloc" -> Libc (fun a -> b.Backend.malloc a.(0))
+  | "calloc" -> Libc (fun a -> b.Backend.malloc (a.(0) * a.(1)))
+  | "realloc" -> Libc (fun a -> b.Backend.realloc a.(0) a.(1))
+  | "free" ->
+      Libc
+        (fun a ->
+          b.Backend.free a.(0);
+          0)
+  | _
+    when Intrinsics.classify callee = Intrinsics.Unknown
+         && List.exists (fun (f : Ir.func) -> f.fname = callee) st.m.Ir.funcs
+    ->
+      Direct (prepare st callee)
+  | _ -> Handler (b.Backend.intrinsic callee)
+
+and prepare st fname =
   match Hashtbl.find_opt st.prepared fname with
   | Some p -> p
   | None ->
@@ -69,15 +117,21 @@ let rec prepare st fname =
         try Ir.find_func st.m fname
         with Not_found -> trap "unknown function %s" fname
       in
+      let pinstr (i : Ir.instr) =
+        let pargs =
+          match i.kind with
+          | Ir.Call { args; _ } -> Array.of_list args
+          | _ -> [||]
+        in
+        { pi = i; pargs; psite = Not_a_call }
+      in
       let blocks =
         Array.of_list
           (List.map
              (fun (b : Ir.block) ->
                {
                  plabel = b.label;
-                 pinstrs =
-                   Array.of_list
-                     (List.map (fun i -> { pi = i; ptarget = None }) b.instrs);
+                 pinstrs = Array.of_list (List.map pinstr b.instrs);
                  pterm = b.term;
                  pcell =
                    (match st.profile with
@@ -89,7 +143,7 @@ let rec prepare st fname =
       let index = Hashtbl.create 16 in
       Array.iteri (fun i b -> Hashtbl.replace index b.plabel i) blocks;
       let p = { src = f; blocks; index } in
-      (* Publish before resolving call targets so recursion (direct or
+      (* Publish before resolving call sites so recursion (direct or
          mutual) terminates; each direct callee is prepared at most
          once. *)
       Hashtbl.replace st.prepared fname p;
@@ -98,12 +152,7 @@ let rec prepare st fname =
           Array.iter
             (fun pin ->
               match pin.pi.Ir.kind with
-              | Ir.Call { callee; _ }
-                when Intrinsics.classify callee = Intrinsics.Unknown
-                     && List.exists
-                          (fun (f : Ir.func) -> f.fname = callee)
-                          st.m.Ir.funcs ->
-                  pin.ptarget <- Some (prepare st callee)
+              | Ir.Call { callee; _ } -> pin.psite <- resolve st callee
               | _ -> ())
             blk.pinstrs)
         blocks;
@@ -123,6 +172,23 @@ let rec eval st env args = function
 
 and eval_int st env args v = as_int (eval st env args v)
 and eval_float st env args v = as_float (eval st env args v)
+
+(* A libc function's or a handler's operands, read in order. Runtime
+   calls take at most three, which get an array literal: an inline
+   minor-heap allocation, where [Array.map] costs a closure and a C
+   call on every guard. *)
+and eval_ints st env args = function
+  | [| a0 |] -> [| eval_int st env args a0 |]
+  | [| a0; a1 |] ->
+      let x0 = eval_int st env args a0 in
+      let x1 = eval_int st env args a1 in
+      [| x0; x1 |]
+  | [| a0; a1; a2 |] ->
+      let x0 = eval_int st env args a0 in
+      let x1 = eval_int st env args a1 in
+      let x2 = eval_int st env args a2 in
+      [| x0; x1; x2 |]
+  | ops -> Array.map (eval_int st env args) ops
 
 and exec_binop op a b =
   match (op : Ir.binop) with
@@ -169,10 +235,10 @@ and exec_fcmp op (a : float) (b : float) =
   in
   if c then 1 else 0
 
-and call_function st ?(dactuals = [||]) fname (actuals : v array) =
+and call_function st ~dactuals fname (actuals : v array) =
   call_prepared st ~dactuals (prepare st fname) actuals
 
-and call_prepared st ?(dactuals = [||]) p (actuals : v array) =
+and call_prepared st ~dactuals p (actuals : v array) =
   let f = p.src in
   let fname = f.fname in
   if Array.length actuals <> f.nparams then
@@ -194,44 +260,12 @@ and call_prepared st ?(dactuals = [||]) p (actuals : v array) =
   st.depth <- st.depth - 1;
   ret
 
-and exec_call st ?(dactuals = [||]) env args callee actual_values =
-  (* Non-IR callees produce depth-0 results; an IR callee's returning
-     block overwrites this through the shadow's return slot. *)
-  (match st.shadow with
-  | Some sh -> Shadow.set_ret_depth sh 0
-  | None -> ());
-  (* libc allocation interface goes through the backend hooks; runtime
-     intrinsics through the backend's dispatcher; everything else must be
-     an IR function. *)
-  let b = st.backend in
-  match callee with
-  | "malloc" -> I (b.Backend.malloc (as_int actual_values.(0)))
-  | "calloc" ->
-      I (b.Backend.malloc (as_int actual_values.(0) * as_int actual_values.(1)))
-  | "realloc" ->
-      I (b.Backend.realloc (as_int actual_values.(0)) (as_int actual_values.(1)))
-  | "free" ->
-      b.Backend.free (as_int actual_values.(0));
-      I 0
-  | _ -> begin
-      let int_args = Array.map as_int actual_values in
-      match b.Backend.intrinsic callee int_args with
-      | Some r -> I r
-      | None ->
-          if String.length callee > 0 && callee.[0] = '!' then
-            trap "unknown runtime hook %s" callee
-          else begin
-            Memsim.Clock.tick b.Backend.clock 5 (* call overhead *);
-            call_function st ~dactuals callee actual_values
-          end
-    end
-  [@@warning "-27"]
-
 and exec_blocks st p env args ~dargs =
   let cost = st.backend.Backend.cost in
   let clock = st.backend.Backend.clock in
   let store = st.backend.Backend.store in
   let tel = st.backend.Backend.telemetry in
+  let on_access = st.backend.Backend.on_access in
   let fname = p.src.fname in
   (* Shadow depth environment: one slot per register, mirroring [env].
      Allocated only when the validator is on. *)
@@ -286,15 +320,17 @@ and exec_blocks st p env args ~dargs =
         | Ir.Fp_to_si a -> I (int_of_float (eval_float st env args a))
         | Ir.Load { ptr; size; is_float } ->
             let addr = eval_int st env args ptr in
-            Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
-            st.backend.Backend.on_access ~addr ~size ~write:false;
+            if st.tagged then
+              Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
+            if st.hooked then on_access ~addr ~size ~write:false;
             Memsim.Clock.tick clock cost.Memsim.Cost_model.local_access;
             if is_float then F (Memsim.Memstore.load_float store ~addr)
             else I (Memsim.Memstore.load store ~addr ~size)
         | Ir.Store { ptr; size; is_float; v } ->
             let addr = eval_int st env args ptr in
-            Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
-            st.backend.Backend.on_access ~addr ~size ~write:true;
+            if st.tagged then
+              Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
+            if st.hooked then on_access ~addr ~size ~write:true;
             Memsim.Clock.tick clock cost.Memsim.Cost_model.local_access;
             (if is_float then
                Memsim.Memstore.store_float store ~addr
@@ -312,26 +348,41 @@ and exec_blocks st p env args ~dargs =
             let addr = st.stack_ptr in
             st.stack_ptr <- st.stack_ptr + ((bytes + 15) land lnot 15);
             I addr
-        | Ir.Call { callee; args = call_args } -> (
-            let actuals =
-              Array.of_list (List.map (eval st env args) call_args)
-            in
+        | Ir.Call { callee; _ } -> (
             (* Guard/chunk intrinsics executed by the runtime are
                attributed to this call site (function + instruction id)
                via the sink — the guard-site hotspot table's key. *)
-            Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
+            if st.tagged then
+              Telemetry.Sink.set_site tel ~func:fname ~instr:i.id;
             let dactuals =
               match st.shadow with
-              | Some _ -> Array.of_list (List.map dval call_args)
+              | Some sh ->
+                  (* Non-IR callees produce depth-0 results; an IR
+                     callee's returning block overwrites this through
+                     the shadow's return slot. *)
+                  Shadow.set_ret_depth sh 0;
+                  Array.map dval pin.pargs
               | None -> [||]
             in
-            match pin.ptarget with
-            | Some target ->
-                (* Direct call to a defined IR function, bound at prepare
-                   time: no per-call name-table lookup. *)
+            match pin.psite with
+            | Direct target ->
+                let actuals = Array.map (eval st env args) pin.pargs in
                 Memsim.Clock.tick clock 5 (* call overhead *);
                 call_prepared st ~dactuals target actuals
-            | None -> exec_call st ~dactuals env args callee actuals)
+            | Libc hook -> I (hook (eval_ints st env args pin.pargs))
+            | Handler h -> (
+                let a = eval_ints st env args pin.pargs in
+                match h a with
+                | Some r -> I r
+                | None ->
+                    if String.length callee > 0 && callee.[0] = '!' then
+                      trap "unknown runtime hook %s" callee
+                    else begin
+                      Memsim.Clock.tick clock 5 (* call overhead *);
+                      call_function st ~dactuals callee
+                        (Array.map (fun n -> I n) a)
+                    end)
+            | Not_a_call -> assert false)
         | Ir.Phi incoming -> begin
             match
               List.find_opt (fun (l, _) -> l = prev_label) incoming
@@ -411,6 +462,8 @@ let run ?profile ?shadow ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry
       globals = layout_globals m;
       profile;
       shadow;
+      hooked = not (backend.Backend.on_access == Backend.no_access);
+      tagged = Telemetry.Sink.is_active backend.Backend.telemetry;
       stack_ptr = stack_base;
       fuel;
       instrs = 0;
@@ -418,7 +471,7 @@ let run ?profile ?shadow ?(fuel = 2_000_000_000) ?(args = []) backend m ~entry
     }
   in
   let actuals = Array.of_list (List.map (fun n -> I n) args) in
-  let ret = call_function st entry actuals in
+  let ret = call_function st ~dactuals:[||] entry actuals in
   {
     ret = as_int ret;
     cycles = Memsim.Clock.cycles backend.Backend.clock;

@@ -41,15 +41,19 @@ let test_stream_chunk_modes_agree () =
         o.Driver.ret)
     [ `Off; `All; `Gated ]
 
+(* Each object size gives the oracle's result with objects moving: at
+   n = 30,000 a quarter of the working set is local, so every run fetches
+   (1,876 objects of 64 B down to 31 of 4 KiB). *)
 let test_stream_object_sizes_agree () =
-  let w = Stream.workload ~n:5_000 Stream.Copy in
+  let w = Stream.workload ~n:30_000 Stream.Copy in
   let opts = Driver.tfm_defaults ~local_budget:(budget_frac w.working_set 25) in
   List.iter
     (fun osz ->
       let o, _ = Driver.run_trackfm w.build { opts with object_size = osz } in
-      Alcotest.(check int)
-        (Printf.sprintf "object size %d" osz)
-        (Lazy.force w.oracle) o.Driver.ret)
+      let what = Printf.sprintf "object size %d" osz in
+      Alcotest.(check int) what (Lazy.force w.oracle) o.Driver.ret;
+      Alcotest.(check bool) (what ^ " fetches") true
+        (Clock.get o.Driver.clock "net.fetches" > 0))
     [ 64; 256; 1024; 4096 ]
 
 let test_kmeans_all_backends () =
